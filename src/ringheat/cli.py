@@ -219,26 +219,26 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _is_reference_setup(rc: RunConfig) -> bool:
-    ref = ReferenceCase()
-    p, c = rc.params, rc.consts
-    close = lambda x, y: abs(x - y) <= 1e-12 * max(1.0, abs(y))
-    return (close(p.A, ref.A) and close(p.B, ref.B) and close(p.eps, ref.eps)
-            and close(p.a, ref.a) and close(c.C3, ref.C3))
-
-
 def _solver_config(rc: RunConfig) -> SolverConfig:
     return SolverConfig(dt=rc.dt, t_end=rc.tau_end, scheme=rc.scheme, bc_mode=rc.bc_mode)
 
 
-def _run_solve(rc: RunConfig, grid: Grid1D, config: SolverConfig):
-    """Reference problem when the configured constants are the worked tuple
-    (its Neumann data exist); general Dirichlet solve otherwise."""
-    if _is_reference_setup(rc):
-        return solve_reference(grid, config, C5=rc.consts.C5)
-    if config.bc_mode != "dirichlet":
+def _problem(rc: RunConfig):
+    """(solve(grid, config), exact(tau, eta), domain length a) for the run.
+
+    The reference case has exact Neumann data, so it runs in every boundary
+    mode; any other constants run the general solve, which has Dirichlet
+    data only.
+    """
+    C5 = rc.consts.C5
+    if ReferenceCase().matches(rc.params, rc.consts):
+        return (lambda grid, cfg: solve_reference(grid, cfg, C5=C5),
+                lambda tau, eta: temperature.theta_reference(tau, eta, C5), 1.0)
+    if rc.bc_mode != "dirichlet":
         raise ConfigError("non-reference constants support only --bc-mode dirichlet")
-    return solve_general(rc.params, rc.consts, grid, config)
+    return (lambda grid, cfg: solve_general(rc.params, rc.consts, grid, cfg),
+            lambda tau, eta: temperature.theta_general(tau, eta, rc.params, rc.consts),
+            rc.params.a)
 
 
 def cmd_verify(args) -> int:
@@ -289,10 +289,9 @@ def cmd_solve(args) -> int:
         print("warning: 'paper' boundary mode feeds the published outer flux, "
               "which is inconsistent with the exact solution; expect an error "
               "plateau near 0.5 instead of convergence", file=sys.stderr)
-    grid = Grid1D(n_cells=rc.grid_n, a=rc.params.a if not _is_reference_setup(rc) else 1.0)
-    config = _solver_config(rc)
-    result = _run_solve(rc, grid, config)
-    exact = _exact_field(rc)
+    solve, exact, a = _problem(rc)
+    grid = Grid1D(n_cells=rc.grid_n, a=a)
+    result = solve(grid, _solver_config(rc))
     rows = []
     for tau_s, theta in result.snapshots:
         ex = np.asarray(exact(tau_s, grid.nodes), dtype=float)
@@ -303,12 +302,6 @@ def cmd_solve(args) -> int:
     norms = f"error_inf={_fmt17(result.error_inf)} error_l2={_fmt17(result.error_l2)}"
     print(norms, file=sys.stderr if rc.out is None else sys.stdout)
     return EXIT_OK
-
-
-def _exact_field(rc: RunConfig):
-    if _is_reference_setup(rc):
-        return lambda tau, eta: temperature.theta_reference(tau, eta, rc.consts.C5)
-    return lambda tau, eta: temperature.theta_general(tau, eta, rc.params, rc.consts)
 
 
 def cmd_profile(args) -> int:
@@ -341,14 +334,7 @@ def cmd_convergence(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     config = _solver_config(rc)
-    if _is_reference_setup(rc):
-        solve = lambda grid, cfg: solve_reference(grid, cfg, C5=rc.consts.C5)
-        a = 1.0
-    else:
-        if rc.bc_mode != "dirichlet":
-            raise ConfigError("non-reference constants support only --bc-mode dirichlet")
-        solve = lambda grid, cfg: solve_general(rc.params, rc.consts, grid, cfg)
-        a = rc.params.a
+    solve, _, a = _problem(rc)
     results = convergence_study(levels, config, solve=solve, a=a)
 
     print(f"{'n_cells':>8} {'h':>12} {'error_inf':>14} {'order':>8}")

@@ -116,6 +116,8 @@ class ReducedParams:
     a: float
 
     def __post_init__(self):
+        for name in ("A", "B", "eps", "a"):
+            _require(math.isfinite(getattr(self, name)), name, "must be a finite number")
         _require(self.A > 0, "A", "must be > 0")
         _require(self.B > 0, "B", "must be > 0")
         _require(self.a >= 0, "a", "must be >= 0")
@@ -135,6 +137,8 @@ class SolutionConstants:
     K: float
 
     def __post_init__(self):
+        for name in ("C3", "C5", "K"):
+            _require(math.isfinite(getattr(self, name)), name, "must be a finite number")
         _require(self.C3 > 0, "C3", "must be > 0")
 
 
@@ -163,6 +167,17 @@ class ReferenceCase:
     @property
     def consts(self) -> SolutionConstants:
         return SolutionConstants(C3=self.C3, C5=self.C5, K=self.K)
+
+    def matches(self, params: ReducedParams, consts: SolutionConstants) -> bool:
+        """Whether (A, B, eps, a, C3, K) are this case's, to 1e-12 relative.
+
+        C5 is free: every level has the compact closed form.  A K derived
+        from `temperature.k_for_equal_boundaries` is within 2e-16 relative
+        of -5/18432, so the default constants match.
+        """
+        pairs = ((params.A, self.A), (params.B, self.B), (params.eps, self.eps),
+                 (params.a, self.a), (consts.C3, self.C3), (consts.K, self.K))
+        return all(math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-15) for x, y in pairs)
 
 
 def reduce_params(phys: PhysicalParams) -> ReducedParams:

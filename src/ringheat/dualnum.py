@@ -115,11 +115,11 @@ def _b_part(y):
 
 
 def d1(f, x):
-    """df/dx at x: one forward dual pass, exact for closed forms."""
-    return _b_part(f(Dual(float(x), 1.0)))
+    """df/dx at x (a float or an array): one forward dual pass, exact for closed forms."""
+    return _b_part(f(Dual(x, 1.0)))
 
 
 def d2(f, x):
-    """d2f/dx2 at x via a nested dual pass."""
-    y = f(Dual(Dual(float(x), 1.0), Dual(1.0, 0.0)))
+    """d2f/dx2 at x (a float or an array) via a nested dual pass."""
+    y = f(Dual(Dual(x, 1.0), Dual(1.0, 0.0)))
     return _b_part(_b_part(y))

@@ -15,7 +15,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .core import PhysicalParams, ValidationError
-from .dualnum import sqrt
+from .dualnum import sqrt, value
 
 __all__ = [
     "PSI",
@@ -44,7 +44,7 @@ def xi(tau):
 def exact_omega(tau, eta, eps):
     """Scaled azimuthal velocity omega = 4*eps/(xi(tau) + eta)."""
     s = xi(tau) + eta
-    if np.any(np.asarray(s) <= 0):
+    if np.any(value(s) <= 0):
         raise ValidationError("xi(tau) + eta must be > 0")
     return 4.0 * eps / s
 

@@ -16,6 +16,7 @@ default.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
@@ -93,8 +94,10 @@ class SolverConfig:
     n_snapshots: int = 5
 
     def __post_init__(self):
-        if self.dt is not None and self.dt <= 0:
-            raise ValidationError("dt must be > 0")
+        if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
+            raise ValidationError(f"dt must be a finite number > 0, got {self.dt!r}")
+        if not math.isfinite(self.t_end):
+            raise ValidationError(f"t_end must be a finite number, got {self.t_end!r}")
         if self.dt_over_h <= 0:
             raise ValidationError("dt_over_h must be > 0")
         if self.t_end < 0:

@@ -200,6 +200,17 @@ def boundary_traces(tau, params: ReducedParams, consts: SolutionConstants):
     return _trace_outer(tau, params, consts), _trace_inner(tau, params, consts)
 
 
+def _boundary_difference_terms(params: ReducedParams, C3: float):
+    """(first, slope) with C = first + slope*K: the gap is affine in K."""
+    A, B, eps, a = params.A, params.B, params.eps, params.a
+    pw = 8.0 * A / B
+    first = 16.0 * a * (1.0 + eps ** 2) / ((1.0 + a) * (8.0 * A + B))
+    bracket = ((A * (1.0 + a - 8.0 * C3) - B * C3) * exp(-A * a / (B * C3))
+               * _pow((1.0 + a) / C3, pw)
+               - (A * (1.0 - 8.0 * C3) - B * C3) * _pow(1.0 / C3, pw))
+    return first, exp(-A * (1.0 - 8.0 * C3) / (B * C3)) * bracket / C3 ** 3
+
+
 def boundary_difference_C(params: ReducedParams, consts: SolutionConstants) -> float:
     """Closed form of C = Theta1(0) - Theta2(0), the initial wall-temperature gap.
 
@@ -208,14 +219,8 @@ def boundary_difference_C(params: ReducedParams, consts: SolutionConstants) -> f
           * ((A*(1+a-8*C3) - B*C3)*exp(-A*a/(B*C3))*((1+a)/C3)^(8A/B)
              - (A*(1-8*C3) - B*C3)*(1/C3)^(8A/B)).
     """
-    A, B, eps, a = params.A, params.B, params.eps, params.a
-    C3, K = consts.C3, consts.K
-    pw = 8.0 * A / B
-    first = 16.0 * a * (1.0 + eps ** 2) / ((1.0 + a) * (8.0 * A + B))
-    bracket = ((A * (1.0 + a - 8.0 * C3) - B * C3) * exp(-A * a / (B * C3))
-               * _pow((1.0 + a) / C3, pw)
-               - (A * (1.0 - 8.0 * C3) - B * C3) * _pow(1.0 / C3, pw))
-    return first + (K / C3 ** 3) * exp(-A * (1.0 - 8.0 * C3) / (B * C3)) * bracket
+    first, slope = _boundary_difference_terms(params, consts.C3)
+    return first + consts.K * slope
 
 
 def k_for_equal_boundaries(params: ReducedParams, C3: float) -> float:
@@ -227,16 +232,11 @@ def k_for_equal_boundaries(params: ReducedParams, C3: float) -> float:
     """
     if C3 <= 0:
         raise ValidationError("C3 must be > 0")
-    A, B, eps, a = params.A, params.B, params.eps, params.a
-    pw = 8.0 * A / B
-    first = 16.0 * a * (1.0 + eps ** 2) / ((1.0 + a) * (8.0 * A + B))
-    bracket = ((A * (1.0 + a - 8.0 * C3) - B * C3) * exp(-A * a / (B * C3))
-               * _pow((1.0 + a) / C3, pw)
-               - (A * (1.0 - 8.0 * C3) - B * C3) * _pow(1.0 / C3, pw))
-    if not np.isfinite(bracket) or bracket == 0.0:
+    first, slope = _boundary_difference_terms(params, C3)
+    if not np.isfinite(slope) or slope == 0.0:
         raise SingularConstantError(
-            f"equal-boundary condition is singular at C3={C3!r} (bracket={bracket!r})")
-    return float(-first * C3 ** 3 * exp(A * (1.0 - 8.0 * C3) / (B * C3)) / bracket)
+            f"equal-boundary condition is singular at C3={C3!r} (slope={slope!r})")
+    return float(-first / slope)
 
 
 def dimensional_T(t, r, phys: PhysicalParams, consts: SolutionConstants):

@@ -5,6 +5,14 @@ machine precision on closed forms); 4th-order central differences with a
 relative step are the cross-check mode.  Residual tolerances are matched to
 the engine: 1e-9 for dual mode, 1e-5 for differences.
 
+Every check evaluates its field once per derivative over the whole
+(tau, eta) mesh, so residual fields must accept numpy arrays, and Dual
+numbers carrying arrays, as well as floats: no Python `if`/`float()` on
+their arguments.  One reduction turns a residual array into a
+`ResidualReport`; its worst point is the first maximum of |residual| in
+row-major (tau, eta) order, and a NaN residual counts as that maximum, so
+it fails.
+
 Besides the per-equation residual evaluators this module carries
 `run_suite`, the aggregate check list the CLI `verify` subcommand prints,
 and `published_flux_discrepancy`, which quantifies the known inconsistency
@@ -13,14 +21,13 @@ of the originally published outer-boundary flux instead of hiding it.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
 from scipy.integrate import quad
 
-from . import flow, temperature
+from . import dualnum, flow, temperature
 from .core import (
     C5_MIN,
     PhysicalParams,
@@ -33,13 +40,14 @@ from .core import (
     to_reduced,
     unit_embedding,
 )
-from .dualnum import Dual, value
+from .dualnum import value
 
 __all__ = [
     "DerivativeEngine",
     "UnreliableDerivativesError",
     "ResidualReport",
     "standard_grid",
+    "pde_residual",
     "temperature_equation_residual",
     "reference_equation_residual",
     "flow_residuals",
@@ -69,14 +77,16 @@ class UnreliableDerivativesError(RuntimeError):
 
 @dataclass(frozen=True)
 class DerivativeEngine:
-    """First/second partial derivatives of scalar callables.
+    """First/second partial derivatives of fields over floats or arrays.
 
-    mode 'dual' seeds (nested) dual numbers through the field; mode 'fd'
-    uses 4th-order central differences with relative steps scaled by the
-    coordinate magnitude.  The second-derivative step is wider (1e-3): at
-    1e-4 the h^-2 roundoff (~4e-8) times the equation coefficient B*s at
-    the far grid corner would break the documented 1e-5 fd residual
-    tolerance, while truncation at 1e-3 is still ~1e-12.
+    The arguments may be floats or numpy arrays of one shape; the result
+    has that shape, and is a float for float arguments.  mode 'dual' seeds
+    (nested) dual numbers through the field via `dualnum.d1`/`d2`; mode
+    'fd' uses 4th-order central differences with the elementwise relative
+    step h = step*max(1, |x|).  The second-derivative step is wider
+    (1e-3): at 1e-4 the h^-2 roundoff (~4e-8) times the equation
+    coefficient B*s at the far grid corner would break the documented 1e-5
+    fd residual tolerance, while truncation at 1e-3 is still ~1e-12.
     """
 
     mode: str = "dual"
@@ -87,37 +97,46 @@ class DerivativeEngine:
         if self.mode not in ("dual", "fd"):
             raise ValidationError(f"mode must be 'dual' or 'fd', got {self.mode!r}")
 
-    def d1(self, f, args: Sequence[float], i: int) -> float:
+    def d1(self, f, args: Sequence, i: int):
         """First partial of f with respect to args[i]."""
+        g = _section(f, args, i)
         if self.mode == "dual":
-            a = list(args)
-            a[i] = Dual(float(a[i]), 1.0)
-            y = f(*a)
-            return float(value(y.b)) if isinstance(y, Dual) else 0.0
-        g, x, h = self._sectioned(f, args, i, self.fd_step)
-        return (g(x - 2 * h) - 8 * g(x - h) + 8 * g(x + h) - g(x + 2 * h)) / (12 * h)
+            return _shaped(dualnum.d1(g, args[i]), args)
+        x, h = _fd_step(args[i], self.fd_step)
+        return _shaped((g(x - 2 * h) - 8 * g(x - h) + 8 * g(x + h) - g(x + 2 * h)) / (12 * h),
+                       args)
 
-    def d2(self, f, args: Sequence[float], i: int) -> float:
+    def d2(self, f, args: Sequence, i: int):
         """Second partial of f with respect to args[i]."""
+        g = _section(f, args, i)
         if self.mode == "dual":
-            a = list(args)
-            a[i] = Dual(Dual(float(a[i]), 1.0), Dual(1.0, 0.0))
-            y = f(*a)
-            yb = y.b if isinstance(y, Dual) else 0.0
-            return float(value(yb.b)) if isinstance(yb, Dual) else 0.0
-        g, x, h = self._sectioned(f, args, i, self.fd_step2)
-        return (-g(x - 2 * h) + 16 * g(x - h) - 30 * g(x) + 16 * g(x + h) - g(x + 2 * h)) / (12 * h * h)
+            return _shaped(dualnum.d2(g, args[i]), args)
+        x, h = _fd_step(args[i], self.fd_step2)
+        return _shaped((-g(x - 2 * h) + 16 * g(x - h) - 30 * g(x) + 16 * g(x + h) - g(x + 2 * h))
+                       / (12 * h * h), args)
 
-    def _sectioned(self, f, args, i, step):
-        x = float(args[i])
-        h = step * max(1.0, abs(x))
 
-        def g(xv):
-            a = list(args)
-            a[i] = xv
-            return float(value(f(*a)))
+def _section(f, args, i):
+    """f as a function of its i-th argument, the others held at args."""
 
-        return g, x, h
+    def g(x):
+        a = list(args)
+        a[i] = x
+        return f(*a)
+
+    return g
+
+
+def _fd_step(x, step):
+    x = np.asarray(x, dtype=float)
+    return x, step * np.maximum(1.0, np.abs(x))
+
+
+def _shaped(y, args):
+    """y as a float array of the arguments' shape; a float for float arguments."""
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    y = np.broadcast_to(np.asarray(value(y), dtype=float), shape)
+    return float(y) if y.ndim == 0 else y.copy()
 
 
 @dataclass(frozen=True)
@@ -133,22 +152,30 @@ class ResidualReport:
     passed: bool
 
 
-def _assemble(name, samples, tol) -> ResidualReport:
-    # samples: iterable of (point, residual) in deterministic order; the
-    # first strict maximum wins, so the worst point is lexicographic-minimal
-    worst = -1.0
-    worst_pt = None
-    sq = 0.0
-    n = 0
-    for pt, res in samples:
-        ar = abs(res)
-        sq += res * res
-        n += 1
-        if ar > worst:
-            worst, worst_pt = ar, pt
-    if n == 0:
+def _report(name, residual, coords, tol) -> ResidualReport:
+    """Reduce a residual array sampled at `coords` (arrays of its shape)."""
+    r = np.asarray(residual, dtype=float)
+    if r.size == 0:
         raise ValidationError("empty sample grid")
-    return ResidualReport(name, worst, math.sqrt(sq / n), worst_pt, n, tol, worst < tol)
+    # first maximum in row-major order, so the worst point is lexicographic-
+    # minimal among ties; argmax takes the first NaN, which then fails
+    k = int(np.argmax(np.abs(r)))
+    worst = float(abs(r.flat[k]))
+    return ResidualReport(name, worst, float(np.sqrt(np.mean(r * r))),
+                          tuple(float(np.ravel(c)[k]) for c in coords), r.size, tol,
+                          worst < tol)
+
+
+def _confirm(pairs, TT, EE, tol):
+    """Raise at the first mesh point where a (label, mine, theirs) pair differs by > tol."""
+    bad = [np.abs(mine - theirs) > tol for _, mine, theirs in pairs]
+    hit = np.logical_or.reduce(bad)
+    if hit.any():
+        k = int(np.argmax(hit))
+        label, mine, theirs = next(p for p, b in zip(pairs, bad) if b.flat[k])
+        raise UnreliableDerivativesError(
+            f"{label} at (tau={TT.flat[k]}, eta={EE.flat[k]}): "
+            f"{float(mine.flat[k])!r} vs {float(theirs.flat[k])!r}")
 
 
 def standard_grid(a: float = 1.0):
@@ -158,28 +185,46 @@ def standard_grid(a: float = 1.0):
     return tau, eta
 
 
+def _mesh(grid):
+    tau, eta = grid
+    return np.meshgrid(np.asarray(tau, dtype=float), np.asarray(eta, dtype=float),
+                       indexing="ij")
+
+
 def _default_tol(engine: DerivativeEngine, tol):
     if tol is not None:
         return tol
     return DUAL_TOL if engine.mode == "dual" else FD_TOL
 
 
-def _theta_derivatives(fld, tau, eta, engine, cross_check):
-    th_t = engine.d1(fld, (tau, eta), 0)
-    th_e = engine.d1(fld, (tau, eta), 1)
-    th_ee = engine.d2(fld, (tau, eta), 1)
+def _partials(fld, TT, EE, engine, cross_check=False):
+    """(f_tau, f_eta, f_etaeta) over the mesh, optionally confirmed by the other mode."""
+    args = (TT, EE)
+    mine = engine.d1(fld, args, 0), engine.d1(fld, args, 1), engine.d2(fld, args, 1)
     if cross_check:
-        other = DerivativeEngine(mode="fd" if engine.mode == "dual" else "dual",
-                                 fd_step=engine.fd_step, fd_step2=engine.fd_step2)
-        for label, mine, theirs in (
-                ("d/dtau", th_t, other.d1(fld, (tau, eta), 0)),
-                ("d/deta", th_e, other.d1(fld, (tau, eta), 1)),
-                ("d2/deta2", th_ee, other.d2(fld, (tau, eta), 1))):
-            if abs(mine - theirs) > ENGINE_AGREEMENT_TOL:
-                raise UnreliableDerivativesError(
-                    f"{label} disagrees between dual and fd modes at "
-                    f"(tau={tau}, eta={eta}): {mine!r} vs {theirs!r}")
-    return th_t, th_e, th_ee
+        other = replace(engine, mode="fd" if engine.mode == "dual" else "dual")
+        theirs = other.d1(fld, args, 0), other.d1(fld, args, 1), other.d2(fld, args, 1)
+        labels = ("d/dtau", "d/deta", "d2/deta2")
+        _confirm([(f"{lab} disagrees between dual and fd modes", m, t)
+                  for lab, m, t in zip(labels, mine, theirs)], TT, EE, ENGINE_AGREEMENT_TOL)
+    return mine
+
+
+def pde_residual(field, A: float, B: float, source, grid,
+                 engine: DerivativeEngine | None = None, cross_check: bool = False,
+                 tol=None, name: str = "pde") -> ResidualReport:
+    """Residual of A*f_tau - B*(f_eta + s*f_etaeta) - source(tau, eta, s) on the grid mesh.
+
+    s = 8*tau + eta + 1; grid = (tau values, eta values).  The
+    temperature, reference and determining equations are this form with
+    their own (A, B, source).
+    """
+    engine = engine or DerivativeEngine()
+    TT, EE = _mesh(grid)
+    s = 8.0 * TT + EE + 1.0
+    f_t, f_e, f_ee = _partials(field, TT, EE, engine, cross_check)
+    res = A * f_t - B * (f_e + s * f_ee) - source(TT, EE, s)
+    return _report(name, res, (TT, EE), _default_tol(engine, tol))
 
 
 def temperature_equation_residual(fld, params: ReducedParams, grid=None,
@@ -187,20 +232,10 @@ def temperature_equation_residual(fld, params: ReducedParams, grid=None,
                                   cross_check: bool = False, tol=None,
                                   name: str = "temperature_equation") -> ResidualReport:
     """Residual of A*Theta_tau - B*(Theta_eta + s*Theta_etaeta) - 16*(1+eps^2)/s^2."""
-    engine = engine or DerivativeEngine()
-    tol = _default_tol(engine, tol)
-    tau_vals, eta_vals = grid if grid is not None else standard_grid(params.a)
-
-    def samples():
-        for tau in map(float, tau_vals):
-            for eta in map(float, eta_vals):
-                s = 8.0 * tau + eta + 1.0
-                th_t, th_e, th_ee = _theta_derivatives(fld, tau, eta, engine, cross_check)
-                res = (params.A * th_t - params.B * (th_e + s * th_ee)
-                       - 16.0 * (1.0 + params.eps ** 2) / (s * s))
-                yield (tau, eta), res
-
-    return _assemble(name, samples(), tol)
+    q = 16.0 * (1.0 + params.eps ** 2)
+    return pde_residual(fld, params.A, params.B, lambda tau, eta, s: q / (s * s),
+                        grid if grid is not None else standard_grid(params.a),
+                        engine, cross_check, tol, name)
 
 
 def reference_equation_residual(fld=None, C5: float = C5_MIN, grid=None,
@@ -211,21 +246,11 @@ def reference_equation_residual(fld=None, C5: float = C5_MIN, grid=None,
     The reference-case equation (the general one divided by A at the worked
     constants).  With fld omitted, checks theta_reference itself.
     """
-    engine = engine or DerivativeEngine()
-    tol = _default_tol(engine, tol)
     if fld is None:
         fld = lambda tau, eta: temperature.theta_reference(tau, eta, C5)
-    tau_vals, eta_vals = grid if grid is not None else standard_grid(1.0)
-
-    def samples():
-        for tau in map(float, tau_vals):
-            for eta in map(float, eta_vals):
-                s = 8.0 * tau + eta + 1.0
-                th_t, th_e, th_ee = _theta_derivatives(fld, tau, eta, engine, cross_check)
-                res = th_t - 8.0 * (th_e + s * th_ee) - 80.0 / (3.0 * s * s)
-                yield (tau, eta), res
-
-    return _assemble("reference_equation", samples(), tol)
+    return pde_residual(fld, 1.0, 8.0, lambda tau, eta, s: 80.0 / (3.0 * s * s),
+                        grid if grid is not None else standard_grid(1.0),
+                        engine, cross_check, tol, "reference_equation")
 
 
 def flow_residuals(eps: float, grid=None,
@@ -240,51 +265,41 @@ def flow_residuals(eps: float, grid=None,
     """
     engine = engine or DerivativeEngine()
     tau_vals, eta_vals = grid if grid is not None else standard_grid(1.0)
+    tau = np.asarray(tau_vals, dtype=float)
     a = float(eta_vals[-1])
     psi = flow.PSI
 
     def omega(tau, eta):
         return flow.exact_omega(tau, eta, eps)
 
-    def interior():
-        for tau in map(float, tau_vals):
-            for eta in map(float, eta_vals):
-                s = 8.0 * tau + 1.0 + eta
-                om = omega(tau, eta)
-                om_t = engine.d1(omega, (tau, eta), 0)
-                om_e = engine.d1(omega, (tau, eta), 1)
-                om_ee = engine.d2(omega, (tau, eta), 1)
-                yield (tau, eta), om_t + 2.0 * psi * om / s - 4.0 * s * om_ee - 8.0 * om_e
+    TT, EE = _mesh((tau, eta_vals))
+    s = 8.0 * TT + 1.0 + EE
+    om_t, om_e, om_ee = _partials(omega, TT, EE, engine)
+    interior = om_t + 2.0 * psi * omega(TT, EE) / s - 4.0 * s * om_ee - 8.0 * om_e
 
-    def boundary():
-        for tau in map(float, tau_vals):
-            for eta in (0.0, a):
-                s = 8.0 * tau + 1.0 + eta
-                om_e = engine.d1(omega, (tau, eta), 1)
-                yield (tau, eta), om_e + eps * psi / (s * s)
+    TW, EW = _mesh((tau, [0.0, a]))
+    sw = 8.0 * TW + 1.0 + EW
+    walls = engine.d1(omega, (TW, EW), 1) + eps * psi / (sw * sw)
 
-    def psi_balance():
-        # dPsi/dtau = 0 on the branch; the right side must vanish too
-        for tau in map(float, tau_vals):
-            xi_v = flow.xi(tau)
-            lnf = math.log(1.0 + a / xi_v)
-            term1 = a * psi * (psi - 4.0) / (xi_v * (xi_v + a) * lnf)
-            integral, _ = quad(
-                lambda e: omega(tau, e) ** 2 + 4.0 * eps * engine.d1(omega, (tau, e), 1),
-                0.0, a, epsabs=1e-12, epsrel=1e-12)
-            yield (tau, 0.0), 0.0 - (term1 + integral / lnf)
+    # dPsi/dtau = 0 on the branch, so the right side must vanish too; its
+    # eta integral is adaptive quadrature per tau, an oracle independent of
+    # the mesh evaluation
+    xi_v = flow.xi(tau)
+    lnf = np.log(1.0 + a / xi_v)
+    term1 = a * psi * (psi - 4.0) / (xi_v * (xi_v + a) * lnf)
+    integral = np.array([
+        quad(lambda e: omega(t, e) ** 2 + 4.0 * eps * engine.d1(omega, (t, e), 1),
+             0.0, a, epsabs=1e-12, epsrel=1e-12)[0]
+        for t in tau.tolist()])
+    balance = -(term1 + integral / lnf)
 
-    def ring_scale():
-        for tau in map(float, tau_vals):
-            dxi = engine.d1(lambda t: flow.xi(t), (tau,), 0)
-            yield (tau, 0.0), dxi - 2.0 * psi
-        yield (0.0, 0.0), flow.xi(0.0) - 1.0
-
+    ring = np.append(engine.d1(flow.xi, (tau,), 0) - 2.0 * psi, flow.xi(0.0) - 1.0)
+    zero = np.zeros(tau.size + 1)
     return {
-        "azimuthal_momentum": _assemble("azimuthal_momentum", interior(), 1e-10),
-        "boundary_flux": _assemble("boundary_flux", boundary(), 1e-12),
-        "flux_evolution": _assemble("flux_evolution", psi_balance(), 1e-10),
-        "ring_scale": _assemble("ring_scale", ring_scale(), 1e-12),
+        "azimuthal_momentum": _report("azimuthal_momentum", interior, (TT, EE), 1e-10),
+        "boundary_flux": _report("boundary_flux", walls, (TW, EW), 1e-12),
+        "flux_evolution": _report("flux_evolution", balance, (tau, zero), 1e-10),
+        "ring_scale": _report("ring_scale", ring, (np.append(tau, 0.0), zero), 1e-12),
     }
 
 
@@ -299,23 +314,17 @@ def determining_equation_residual(b2, C1: float, C2: float, C4: float,
 
     b2 may be None for the zero field.
     """
-    engine = engine or DerivativeEngine()
-    tol = _default_tol(engine, tol)
     if b2 is None:
         b2 = lambda tau, eta: 0.0
-    tau_vals, eta_vals = grid if grid is not None else standard_grid(params.a)
     A, B = params.A, params.B
+    q = 16.0 * (1.0 + params.eps ** 2)
 
-    def samples():
-        for tau in map(float, tau_vals):
-            for eta in map(float, eta_vals):
-                s = 8.0 * tau + eta + 1.0
-                b_t, b_e, b_ee = _theta_derivatives(b2, tau, eta, engine, cross_check)
-                src = (16.0 * (1.0 + params.eps ** 2) / (s * s)
-                       * (-(C2 + C4) - 0.5 * C1 * (tau - (A / B) * eta)))
-                yield (tau, eta), A * b_t - B * (b_e + s * b_ee) - src
+    def source(tau, eta, s):
+        return q / (s * s) * (-(C2 + C4) - 0.5 * C1 * (tau - (A / B) * eta))
 
-    return _assemble("determining_equation", samples(), tol)
+    return pde_residual(b2, A, B, source,
+                        grid if grid is not None else standard_grid(params.a),
+                        engine, cross_check, tol, "determining_equation")
 
 
 def operator_coefficients(C1: float, C2: float, C3: float, C4: float,
@@ -381,24 +390,21 @@ def annihilation_values(operator_coeffs, invariant, grid=None,
     """X(J) = xi1*J_tau + xi2*J_eta + eta1*J_Theta on the grid.
 
     operator_coeffs is the raw (C1, C2, C3, C4, b2) tuple.  Annihilation
-    must hold identically in Theta, so each grid point is evaluated at every
-    substituted Theta value; returns (points, values[n_pts, n_theta]).
+    must hold identically in Theta, so X(J) is evaluated on the (grid point
+    x substituted Theta) mesh; returns (points, values[n_pts, n_theta]).
     """
     engine = engine or DerivativeEngine()
     C1, C2, C3, C4, b2 = operator_coeffs
     xi1, xi2, eta1 = operator_coefficients(C1, C2, C3, C4, b2, params)
     a = params.a if params is not None else 1.0
-    tau_vals, eta_vals = grid if grid is not None else standard_grid(a)
-    pts = [(float(t), float(e)) for t in tau_vals for e in eta_vals]
-    out = np.empty((len(pts), len(theta_samples)))
-    for ip, (tau, eta) in enumerate(pts):
-        for it, th in enumerate(theta_samples):
-            args = (tau, eta, float(th))
-            j_t = engine.d1(invariant, args, 0)
-            j_e = engine.d1(invariant, args, 1)
-            j_th = engine.d1(invariant, args, 2)
-            out[ip, it] = xi1(tau) * j_t + xi2(tau, eta) * j_e + eta1(tau, eta, th) * j_th
-    return pts, out
+    TT, EE = _mesh(grid if grid is not None else standard_grid(a))
+    args = np.broadcast_arrays(TT.reshape(-1, 1), EE.reshape(-1, 1),
+                               np.asarray(theta_samples, dtype=float)[None, :])
+    tau, eta, th = args
+    j_t, j_e, j_th = (engine.d1(invariant, args, i) for i in range(3))
+    vals = xi1(tau) * j_t + xi2(tau, eta) * j_e + eta1(tau, eta, th) * j_th
+    pts = list(zip(TT.ravel().tolist(), EE.ravel().tolist()))
+    return pts, vals
 
 
 def invariant_annihilation(operator_coeffs, invariant, grid=None,
@@ -421,17 +427,13 @@ def reduced_ode_residual(phi, params: ReducedParams, I1_samples,
     """
     engine = engine or DerivativeEngine()
     B, A = params.B, params.A
-
-    def samples():
-        for i1 in map(float, I1_samples):
-            if i1 <= 0:
-                raise ValidationError("I1 samples must be > 0")
-            p1 = engine.d1(phi, (i1,), 0)
-            p2 = engine.d2(phi, (i1,), 0)
-            res = B * i1 * p2 + (B - 8.0 * A) * p1 + 16.0 * (1.0 + params.eps ** 2) / (i1 * i1)
-            yield (i1,), res
-
-    return _assemble("reduced_ode", samples(), tol)
+    i1 = np.asarray(I1_samples, dtype=float)
+    if np.any(i1 <= 0):
+        raise ValidationError("I1 samples must be > 0")
+    p1 = engine.d1(phi, (i1,), 0)
+    p2 = engine.d2(phi, (i1,), 0)
+    res = B * i1 * p2 + (B - 8.0 * A) * p1 + 16.0 * (1.0 + params.eps ** 2) / (i1 * i1)
+    return _report("reduced_ode", res, (i1,), tol)
 
 
 @dataclass(frozen=True)
@@ -471,24 +473,18 @@ def published_flux_discrepancy(tau_samples=None, C5: float = C5_MIN,
         tau_samples = np.linspace(0.0, 1.0, 21)
     tau_samples = np.asarray(tau_samples, dtype=float)
 
+    TT, EE = _mesh((tau_samples, [0.0, 1.0]))
     fld = lambda tau, eta: temperature.theta_reference(tau, eta, C5)
-    derived = {0.0: [], 1.0: []}
-    for tau in tau_samples:
-        for eta in (0.0, 1.0):
-            g_engine = engine.d1(fld, (float(tau), eta), 1)
-            g_closed = float(temperature.reference_flux(float(tau), eta))
-            if abs(g_engine - g_closed) > 1e-8:
-                raise UnreliableDerivativesError(
-                    f"boundary flux: engine {g_engine!r} vs closed form {g_closed!r} "
-                    f"at (tau={tau}, eta={eta})")
-            derived[eta].append(g_closed)
+    closed = np.asarray(temperature.reference_flux(TT, EE), dtype=float)
+    _confirm([("boundary flux: engine vs closed form", engine.d1(fld, (TT, EE), 1), closed)],
+             TT, EE, 1e-8)
 
     return FluxDiscrepancyReport(
         tau=tau_samples,
         published_inner=temperature.published_flux_inner(tau_samples),
-        derived_inner=np.asarray(derived[0.0]),
+        derived_inner=closed[:, 0],
         published_outer=temperature.published_flux_outer(tau_samples),
-        derived_outer=np.asarray(derived[1.0]),
+        derived_outer=closed[:, 1],
     )
 
 
@@ -520,14 +516,6 @@ def _check(name, val, tol, note=""):
     return CheckResult(name, val, tol, val <= tol, note)
 
 
-def _is_reference_family(params: ReducedParams, consts: SolutionConstants) -> bool:
-    ref = ReferenceCase()
-    close = lambda x, y: math.isclose(x, y, rel_tol=1e-12, abs_tol=1e-15)
-    return (close(params.A, ref.A) and close(params.B, ref.B)
-            and close(params.eps, ref.eps) and close(params.a, ref.a)
-            and close(consts.C3, ref.C3))
-
-
 def run_suite(params: ReducedParams, consts: SolutionConstants,
               phys: PhysicalParams | None = None,
               engine: DerivativeEngine | None = None) -> SuiteResult:
@@ -535,8 +523,9 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
 
     Parameter-generic checks always run.  Checks that only make sense at
     the reference constants (the worked zero-boundary-difference case) are
-    added when (A, B, eps, a, C3) match it.  The published-flux
-    inconsistency is reported separately and never gates `passed`.
+    added when `ReferenceCase.matches` the parameters and constants.  The
+    published-flux inconsistency is reported separately and never gates
+    `passed`.
     """
     engine = engine or DerivativeEngine()
     checks: list[CheckResult] = []
@@ -584,12 +573,10 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
     checks.append(_check("boundary_difference_C",
                          abs(temperature.boundary_difference_C(params, consts)), 1e-12,
                          note="closed-form C; zero for the configured K"))
-    dev = 0.0
-    for tau in (0.0, 0.1, 1.0, 10.0):
-        t1, t2 = temperature.boundary_traces(tau, params, consts)
-        dev = max(dev,
-                  abs(t1 - temperature.theta_general(tau, params.a, params, consts)),
-                  abs(t2 - temperature.theta_general(tau, 0.0, params, consts)))
+    tau4 = np.array([0.0, 0.1, 1.0, 10.0])
+    t1, t2 = temperature.boundary_traces(tau4, params, consts)
+    dev = max(np.max(np.abs(t1 - temperature.theta_general(tau4, params.a, params, consts))),
+              np.max(np.abs(t2 - temperature.theta_general(tau4, 0.0, params, consts))))
     checks.append(_check("trace_vs_restriction", dev, 1e-12))
 
     # coordinate maps and the dimensional field
@@ -611,20 +598,17 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
                          np.max(np.abs(td - tg) / scale), 1e-11))
 
     # conservation and free-boundary stresses
-    area = [float(r1 ** 2 - r2 ** 2) for r1, r2 in (flow.radii(t, emb) for t in (0.0, 1.0, 10.0))]
+    r1, r2 = flow.radii(np.array([0.0, 1.0, 10.0]), emb)
+    area = r1 ** 2 - r2 ** 2
     checks.append(_check("area_conservation",
-                         (max(area) - min(area)) / abs(area[0]), 1e-10))
+                         (area.max() - area.min()) / abs(area[0]), 1e-10))
     mom = [flow.angular_momentum_integral(t, emb) for t in (0.0, 1.0, 10.0)]
     mscale = max(abs(flow.angular_momentum(0.0, emb)), 1.0)
     checks.append(_check("angular_momentum_conservation",
                          (max(mom) - min(mom)) / mscale, 1e-10))
-    worst_stress = 0.0
-    nf = PhysicalParams(rho=emb.rho, Cp=emb.Cp, k_cond=emb.k_cond, mu=emb.mu,
-                        mu0=emb.mu0, T0=emb.T0, R10=emb.R10, R20=emb.R20, p_inf=0.0)
-    for t in (0.0, 1.0):
-        for r in flow.radii(t, nf):
-            t_rr, t_rt = flow.stress_components(float(r), t, nf)
-            worst_stress = max(worst_stress, abs(t_rr), abs(t_rt))
+    nf = replace(emb, p_inf=0.0)
+    walls = np.concatenate(flow.radii(np.array([0.0, 1.0]), nf))
+    worst_stress = max(np.max(np.abs(c)) for c in flow.stress_components(walls, 0.0, nf))
     checks.append(_check("stress_free_boundaries", worst_stress, 1e-12,
                          note="p_inf = 0"))
 
@@ -634,7 +618,7 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
                          - 0.5 * consts.C5))
     checks.append(_check("asymptote_level", asym, 1e-4, note="tau = 1e4"))
 
-    if _is_reference_family(params, consts):
+    if ReferenceCase().matches(params, consts):
         kf = reference_case_K(consts.C3)
         checks.append(_check("reference_K_rational", abs(kf + 5.0 / 18432.0), 1e-15))
         checks.append(_check("reference_K_printed", abs(kf + 0.00027127), 1e-8))

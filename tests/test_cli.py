@@ -151,6 +151,33 @@ class TestSolve:
                         "--bc-mode", "dirichlet", "--out", str(tmp_path / "y.csv")], capsys)
         assert rc == 0
 
+    def test_configured_K_runs_the_general_solve(self, tmp_path, capsys):
+        # reference (A, B, eps, a, C3) with a K of its own is not the
+        # reference case: the exact column is theta_general at that K
+        from ringheat.core import ReducedParams, SolutionConstants
+        from ringheat.temperature import theta_general
+
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"constants": {"C3": 0.125, "K": 0.37}}))
+        out_path = tmp_path / "k.csv"
+        rc, _, _ = run(["solve", "--config", str(cfg), "--grid", "16", "--tau-end", "0.05",
+                        "--bc-mode", "dirichlet", "--out", str(out_path)], capsys)
+        assert rc == 0
+        _, rows = read_csv(out_path)
+        params = ReducedParams(A=0.75, B=6.0, eps=0.5, a=1.0)
+        consts = SolutionConstants(C3=0.125, C5=5.0 / 3.0, K=0.37)
+        for r in rows:
+            assert r["theta_exact"] == float(theta_general(r["tau"], r["eta"], params, consts))
+        assert rows[0]["theta_exact"] != 0.0  # the reference field vanishes there
+
+    def test_configured_K_requires_dirichlet(self, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"constants": {"C3": 0.125, "K": 0.37}}))
+        rc, _, err = run(["solve", "--config", str(cfg), "--grid", "16",
+                          "--bc-mode", "derived", "--out", str(tmp_path / "x.csv")], capsys)
+        assert rc == 2
+        assert "dirichlet" in err
+
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"solver": {"grid": 64}}))
@@ -253,6 +280,21 @@ class TestConvergence:
         rc, out, _ = run(["convergence", "--config", str(cfg), "--grid", "32,64",
                           "--bc-mode", "dirichlet"], capsys)
         assert rc == 0
+
+
+@pytest.mark.parametrize("argv, field", [
+    (["solve", "--tau-end", "nan"], "t_end"),
+    (["solve", "--tau-end", "inf"], "t_end"),
+    (["convergence", "--grid", "16,32", "--tau-end=-inf"], "t_end"),
+    (["profile", "--c5", "nan"], "C5"),
+    (["profile", "--c5", "inf"], "C5"),
+    (["verify", "--c5", "nan"], "C5"),
+])
+def test_non_finite_input_exit_2(argv, field, tmp_path, capsys):
+    rc, _, err = run(argv + ["--out", str(tmp_path / "o")], capsys)
+    assert rc == 2
+    assert field in err and "finite" in err
+    assert "Traceback" not in err
 
 
 class TestConfigFuzz:

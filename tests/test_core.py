@@ -58,6 +58,14 @@ class TestParams:
         # degenerate ring allowed at the type level for limit checks
         ReducedParams(A=1.0, B=1.0, eps=0.0, a=0.0)
 
+    @pytest.mark.parametrize("field", ["A", "B", "eps", "a"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_reduced_rejects_non_finite(self, field, bad):
+        kw = dict(A=1.0, B=1.0, eps=0.0, a=1.0)
+        kw[field] = bad
+        with pytest.raises(ValidationError, match=f"^{field} must be a finite number"):
+            ReducedParams(**kw)
+
     def test_constants_require_positive_C3(self):
         with pytest.raises(ValidationError, match="C3"):
             SolutionConstants(C3=0.0, C5=1.0, K=0.0)

@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from ringheat.core import ReducedParams, SolutionConstants
+from ringheat.core import ReducedParams, SolutionConstants, ValidationError
+from ringheat.dualnum import value
 from ringheat.temperature import (
     InvariantSolutionGeneral,
     InvariantSolutionSimple,
@@ -61,8 +62,10 @@ class TestEngine:
 
     def test_cross_check_flags_kinked_field(self, ref):
         def kinked(tau, eta):
+            # z^2 for eta > 0.5, else 0, written array-safe: the second
+            # derivative jumps at eta = 0.5 where the two modes disagree
             z = eta - 0.5
-            return z * z if z > 0.0 else 0.0 * z
+            return z * z * (value(z) > 0.0)
 
         with pytest.raises(UnreliableDerivativesError):
             temperature_equation_residual(kinked, ref.params, cross_check=True)
@@ -110,6 +113,34 @@ class TestTemperatureEquation:
             InvariantSolutionGeneral(ref.params, ref.consts), ref.params, engine=FD)
         assert rep.tol == 1e-5
         assert rep.passed
+
+    def test_nan_residual_fails(self, ref):
+        # NaN compares false against everything; the reduction must still
+        # report it as the worst residual and fail
+        rep = temperature_equation_residual(lambda t, e: float("nan") * t, ref.params)
+        assert math.isnan(rep.max_abs)
+        assert rep.worst_point == (0.0, 0.0)
+        assert not rep.passed
+
+    def test_empty_grid_rejected(self, ref):
+        with pytest.raises(ValidationError):
+            temperature_equation_residual(InvariantSolutionGeneral(ref.params, ref.consts),
+                                          ref.params, grid=([], [0.0]))
+
+    # fd values on arrays may differ from scalar ones by the difference
+    # quotient's roundoff, since numpy's vector exp need not round like its
+    # scalar one
+    @pytest.mark.parametrize("engine, atol", [(DUAL, 1e-15), (FD, 1e-9)], ids=["dual", "fd"])
+    def test_engine_on_arrays_matches_scalars(self, ref, engine, atol):
+        fld = InvariantSolutionGeneral(ref.params, ref.consts)
+        tau, eta = np.meshgrid([0.0, 0.5, 5.0], [0.0, 0.3, 1.0], indexing="ij")
+        for d, i in ((engine.d1, 0), (engine.d1, 1), (engine.d2, 1)):
+            arr = d(fld, (tau, eta), i)
+            assert arr.shape == tau.shape
+            for t, e, v in zip(tau.flat, eta.flat, arr.flat):
+                scalar = d(fld, (float(t), float(e)), i)
+                assert isinstance(scalar, float)
+                assert v == pytest.approx(scalar, rel=1e-13, abs=atol)
 
     def test_worst_point_deterministic(self, ref):
         fld = lambda tau, eta: theta_general(tau, eta, ref.params, ref.consts) + eta ** 2
