@@ -38,7 +38,7 @@ from .solver import (
     SolverConfig,
     convergence_study,
     solve_general,
-    solve_reference,
+    solve_reference,  # noqa: F401 - not called here; bench/spans.py wraps cli.solve_reference
 )
 from .verification import run_suite
 
@@ -68,10 +68,7 @@ class RunConfig:
     phys: PhysicalParams | None = None
     grid_n: int = 128
     levels: list = field(default_factory=list)
-    dt: float | None = None
-    tau_end: float = 0.25
-    scheme: str = "cn"
-    bc_mode: str = "derived"
+    solver: SolverConfig = field(default_factory=SolverConfig)
     out: str | None = None
     fmt: str = "csv"
     profile_tau: list = field(default_factory=lambda: [0.0, 0.125, 1.0, 1e4])
@@ -150,15 +147,17 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError(f"bad constants block: {e}") from e
 
     rc = RunConfig(params=params, consts=consts, phys=phys)
+    solver = {}  # SolverConfig fields the file or the flags set
     try:
         rc.grid_n = int(solver_block.get("grid", rc.grid_n))
         rc.levels = [int(n) for n in solver_block.get("levels", [])]
-        rc.dt = solver_block.get("dt", None)
-        if rc.dt is not None:
-            rc.dt = float(rc.dt)
-        rc.tau_end = float(solver_block.get("tau_end", rc.tau_end))
-        rc.scheme = str(solver_block.get("scheme", rc.scheme))
-        rc.bc_mode = str(solver_block.get("bc_mode", rc.bc_mode))
+        if solver_block.get("dt") is not None:
+            solver["dt"] = float(solver_block["dt"])
+        if "tau_end" in solver_block:
+            solver["t_end"] = float(solver_block["tau_end"])
+        for key in ("scheme", "bc_mode"):
+            if key in solver_block:
+                solver[key] = solver_block[key]
         rc.out = out_block.get("path", None)
         if rc.out is not None and not isinstance(rc.out, str):
             raise ConfigError("output.path must be a string")
@@ -184,12 +183,9 @@ def resolve_config(args) -> RunConfig:
         rc.grid_n = ns[0]
         if len(ns) > 1 or args.cmd == "convergence":
             rc.levels = ns
-    if getattr(args, "tau_end", None) is not None:
-        rc.tau_end = args.tau_end
-    if getattr(args, "scheme", None) is not None:
-        rc.scheme = args.scheme
-    if getattr(args, "bc_mode", None) is not None:
-        rc.bc_mode = args.bc_mode
+    for flag, name in (("tau_end", "t_end"), ("scheme", "scheme"), ("bc_mode", "bc_mode")):
+        if getattr(args, flag, None) is not None:
+            solver[name] = getattr(args, flag)
     if getattr(args, "out", None) is not None:
         rc.out = args.out
     if getattr(args, "fmt", None) is not None:
@@ -197,10 +193,7 @@ def resolve_config(args) -> RunConfig:
 
     if rc.fmt != "csv":
         raise ConfigError(f"unsupported format {rc.fmt!r} (only 'csv')")
-    if rc.bc_mode not in ("derived", "paper", "dirichlet"):
-        raise ConfigError(f"bc_mode must be derived|paper|dirichlet, got {rc.bc_mode!r}")
-    if rc.scheme not in ("cn", "euler"):
-        raise ConfigError(f"scheme must be cn|euler, got {rc.scheme!r}")
+    rc.solver = SolverConfig(**solver)
     return rc
 
 
@@ -217,28 +210,6 @@ def _csv(rows, header) -> str:
     for row in rows:
         lines.append(",".join(_fmt17(x) for x in row))
     return "\n".join(lines) + "\n"
-
-
-def _solver_config(rc: RunConfig) -> SolverConfig:
-    return SolverConfig(dt=rc.dt, t_end=rc.tau_end, scheme=rc.scheme, bc_mode=rc.bc_mode)
-
-
-def _problem(rc: RunConfig):
-    """(solve(grid, config), exact(tau, eta), domain length a) for the run.
-
-    The reference case has exact Neumann data, so it runs in every boundary
-    mode; any other constants run the general solve, which has Dirichlet
-    data only.
-    """
-    C5 = rc.consts.C5
-    if ReferenceCase().matches(rc.params, rc.consts):
-        return (lambda grid, cfg: solve_reference(grid, cfg, C5=C5),
-                lambda tau, eta: temperature.theta_reference(tau, eta, C5), 1.0)
-    if rc.bc_mode != "dirichlet":
-        raise ConfigError("non-reference constants support only --bc-mode dirichlet")
-    return (lambda grid, cfg: solve_general(rc.params, rc.consts, grid, cfg),
-            lambda tau, eta: temperature.theta_general(tau, eta, rc.params, rc.consts),
-            rc.params.a)
 
 
 def cmd_verify(args) -> int:
@@ -285,16 +256,15 @@ def published_gap_at(tau: float) -> float:
 
 def cmd_solve(args) -> int:
     rc = resolve_config(args)
-    if rc.bc_mode == "paper":
+    if rc.solver.bc_mode == "paper":
         print("warning: 'paper' boundary mode feeds the published outer flux, "
               "which is inconsistent with the exact solution; expect an error "
               "plateau near 0.5 instead of convergence", file=sys.stderr)
-    solve, exact, a = _problem(rc)
-    grid = Grid1D(n_cells=rc.grid_n, a=a)
-    result = solve(grid, _solver_config(rc))
+    grid = Grid1D(n_cells=rc.grid_n, a=rc.params.a)
+    result = solve_general(rc.params, rc.consts, grid, rc.solver)
     rows = []
     for tau_s, theta in result.snapshots:
-        ex = np.asarray(exact(tau_s, grid.nodes), dtype=float)
+        ex = np.asarray(result.exact(tau_s, grid.nodes), dtype=float)
         for eta_j, th_j, ex_j in zip(grid.nodes, theta, ex):
             rows.append((tau_s, eta_j, th_j, ex_j, abs(th_j - ex_j)))
     text = _csv(rows, ["tau", "eta", "theta_numeric", "theta_exact", "abs_err"])
@@ -333,9 +303,7 @@ def cmd_convergence(args) -> int:
         print("error: convergence needs at least 2 grid levels, e.g. --grid 64,128,256",
               file=sys.stderr)
         return EXIT_USAGE
-    config = _solver_config(rc)
-    solve, _, a = _problem(rc)
-    results = convergence_study(levels, config, solve=solve, a=a)
+    results = convergence_study(levels, rc.solver, rc.params, rc.consts)
 
     print(f"{'n_cells':>8} {'h':>12} {'error_inf':>14} {'order':>8}")
     rows = []
@@ -348,7 +316,7 @@ def cmd_convergence(args) -> int:
     if rc.out:
         _write_text(rc.out, _csv(rows, ["n_cells", "h", "error_inf", "observed_order"]))
 
-    if rc.bc_mode == "paper":
+    if rc.solver.bc_mode == "paper":
         floor = _solver.PUBLISHED_FLUX_ERROR_FLOOR
         print(f"\nexpected failure: the published outer flux is inconsistent with the "
               f"exact solution, so the error plateaus (frozen regression floor {floor}) "

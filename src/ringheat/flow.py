@@ -60,9 +60,6 @@ class FlowState:
         if self.Psi != PSI:
             raise ValidationError(f"Psi must equal {PSI} on the exact branch")
 
-    def xi(self, tau):
-        return 1.0 + 2.0 * self.Psi * tau
-
     def omega(self, tau, eta):
         return exact_omega(tau, eta, self.eps)
 

@@ -8,10 +8,15 @@ is >= 1 on the whole domain, so the tridiagonal systems are strictly
 diagonally dominant and plain Thomas elimination without pivoting is safe.
 
 The marcher is a manufactured-solution check: with correct boundary data it
-must converge to the closed forms at second order in h.  The 'paper'
-boundary mode deliberately feeds the originally published (inconsistent)
-outer flux so the resulting error plateau can be measured; it is never the
-default.
+must converge to the closed forms at second order in h.  There is one solve
+path, `solve_general`: it builds the equation's coefficients from the
+reduced parameters and picks the initial data, exact field and wall data
+that go with the constants.  The reference case is one member of the family
+with compact closed forms and exact Neumann data, so it runs in every
+boundary mode; any other constants have exact Dirichlet data only.  The
+'paper' boundary mode deliberately feeds the originally published
+(inconsistent) outer flux so the resulting error plateau can be measured;
+it is never the default.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ import numpy as np
 from .core import (
     C5_MIN,
     ReducedParams,
+    ReferenceCase,
     SolutionConstants,
     ValidationError,
 )
@@ -41,12 +47,16 @@ __all__ = [
     "solve_general",
     "convergence_study",
     "PUBLISHED_FLUX_ERROR_FLOOR",
+    "N_SNAPSHOTS",
 ]
 
 #: Frozen regression level of the 'paper' boundary-mode error plateau.
 #: Measured error_inf ~ 0.498 for N in {64, 128, 256, 512} at t_end = 0.25
 #: (drift < 0.1% per refinement); the plateau never falls below this floor.
 PUBLISHED_FLUX_ERROR_FLOOR = 0.49
+
+#: Snapshots a march keeps, evenly spaced in steps from tau = 0 to t_end.
+N_SNAPSHOTS = 5
 
 
 class DivergenceError(RuntimeError):
@@ -91,7 +101,6 @@ class SolverConfig:
     t_end: float = 0.25
     scheme: str = "cn"        # "cn" | "euler"
     bc_mode: str = "derived"  # "derived" | "paper" | "dirichlet"
-    n_snapshots: int = 5
 
     def __post_init__(self):
         if self.dt is not None and not (math.isfinite(self.dt) and self.dt > 0):
@@ -105,9 +114,8 @@ class SolverConfig:
         if self.scheme not in ("cn", "euler"):
             raise ValidationError(f"scheme must be 'cn' or 'euler', got {self.scheme!r}")
         if self.bc_mode not in ("derived", "paper", "dirichlet"):
-            raise ValidationError(f"unknown bc_mode {self.bc_mode!r}")
-        if self.n_snapshots < 2:
-            raise ValidationError("n_snapshots must be >= 2")
+            raise ValidationError("bc_mode must be 'derived', 'paper' or 'dirichlet', "
+                                  f"got {self.bc_mode!r}")
 
 
 @dataclass
@@ -119,6 +127,7 @@ class SolveResult:
     config: SolverConfig
     error_inf: float
     error_l2: float
+    exact: Callable | None = None  # exact(tau, eta) the norms were measured against
     observed_order: float | None = None  # filled by convergence_study
 
     @property
@@ -149,14 +158,11 @@ def thomas_solve(lower, diag, upper, rhs):
 
 def _errors(theta, exact, tau, grid):
     if exact is None:
-        return math_nan, math_nan
+        return math.nan, math.nan
     err = theta - np.asarray(exact(tau, grid.nodes), dtype=float)
     w = np.full(grid.n_cells + 1, grid.h)
     w[0] = w[-1] = 0.5 * grid.h  # composite trapezoid weights
     return float(np.max(np.abs(err))), float(np.sqrt(np.sum(w * err * err)))
-
-
-math_nan = float("nan")
 
 
 def march(grid: Grid1D, config: SolverConfig,
@@ -180,12 +186,12 @@ def march(grid: Grid1D, config: SolverConfig,
 
     if config.t_end == 0.0:
         e_inf, e_l2 = _errors(theta, exact, 0.0, grid)
-        return SolveResult(snapshots, grid, config, e_inf, e_l2)
+        return SolveResult(snapshots, grid, config, e_inf, e_l2, exact)
 
     dt = config.dt if config.dt is not None else config.dt_over_h * h
     nsteps = max(1, int(round(config.t_end / dt)))
     dt = config.t_end / nsteps  # land exactly on t_end
-    snap_at = set(np.linspace(0, nsteps, config.n_snapshots).round().astype(int))
+    snap_at = set(np.linspace(0, nsteps, N_SNAPSHOTS).round().astype(int))
 
     faces_lo = eta - 0.5 * h
     faces_hi = eta + 0.5 * h
@@ -255,53 +261,22 @@ def march(grid: Grid1D, config: SolverConfig,
             snapshots.append((tau_new, theta.copy()))
 
     e_inf, e_l2 = _errors(theta, exact, config.t_end, grid)
-    return SolveResult(snapshots, grid, config, e_inf, e_l2)
-
-
-def solve_reference(grid: Grid1D, config: SolverConfig, C5: float = C5_MIN) -> SolveResult:
-    """March the reference IBVP and compare against its closed form.
-
-    theta_tau = d/deta(8*(8*tau+eta+1)*theta_eta) + 80/(3*(8*tau+eta+1)^2)
-    on eta in [0, 1], starting from `initial_profile`.  Boundary data follow
-    config.bc_mode; 'paper' feeds the published outer flux, whose
-    inconsistency makes the error plateau near 0.5 instead of converging.
-    """
-    if grid.a != 1.0:
-        raise ValidationError("the reference problem is posed on eta in [0, 1]")
-
-    def dif(tau, eta):
-        return 8.0 * (8.0 * tau + eta + 1.0)
-
-    def src(tau, eta):
-        return 80.0 / (3.0 * (8.0 * tau + eta + 1.0) ** 2)
-
-    exact = lambda tau, eta: temperature.theta_reference(tau, eta, C5)
-    if config.bc_mode == "derived":
-        bc_in = ("flux", lambda tau: temperature.reference_flux(tau, 0.0))
-        bc_out = ("flux", lambda tau: temperature.reference_flux(tau, 1.0))
-    elif config.bc_mode == "paper":
-        bc_in = ("flux", temperature.published_flux_inner)
-        bc_out = ("flux", temperature.published_flux_outer)
-    else:
-        bc_in = ("value", lambda tau: temperature.theta_reference(tau, 0.0, C5))
-        bc_out = ("value", lambda tau: temperature.theta_reference(tau, 1.0, C5))
-
-    return march(grid, config, dif, src,
-                 lambda eta: temperature.initial_profile(eta, C5),
-                 bc_in, bc_out, exact)
+    return SolveResult(snapshots, grid, config, e_inf, e_l2, exact)
 
 
 def solve_general(params: ReducedParams, consts: SolutionConstants,
                   grid: Grid1D, config: SolverConfig) -> SolveResult:
-    """March the general equation with exact Dirichlet wall data.
+    """March A*theta_tau = B*d/deta((8*tau+eta+1)*theta_eta) + 16*(1+eps^2)/(8*tau+eta+1)^2.
 
-    A*theta_tau = B*d/deta((8*tau+eta+1)*theta_eta) + 16*(1+eps^2)/(8*tau+eta+1)^2,
-    initial data from the general solution at tau = 0 and wall values from
-    the boundary traces; manufactured-solution error against theta_general.
+    When `ReferenceCase().matches(params, consts)` the run starts from
+    `initial_profile` and is measured against `theta_reference`, in any
+    config.bc_mode: 'derived' feeds `reference_flux` at both walls, 'paper'
+    the published fluxes (whose outer inconsistency makes the error plateau
+    near 0.5), 'dirichlet' the values of `theta_reference`.  Any other
+    constants start from `theta_general` at tau = 0, take their wall values
+    from the boundary traces and need bc_mode 'dirichlet' (no general
+    Neumann data exists).
     """
-    if config.bc_mode != "dirichlet":
-        raise ValidationError("solve_general requires bc_mode 'dirichlet' "
-                              "(no general Neumann data exists)")
     if abs(grid.a - params.a) > 1e-12:
         raise ValidationError(f"grid.a = {grid.a} must match params.a = {params.a}")
     A, B, eps = params.A, params.B, params.eps
@@ -312,30 +287,56 @@ def solve_general(params: ReducedParams, consts: SolutionConstants,
     def src(tau, eta):
         return 16.0 * (1.0 + eps ** 2) / (A * (8.0 * tau + eta + 1.0) ** 2)
 
-    traces = temperature.BoundaryTraces(params, consts)
-    exact = lambda tau, eta: temperature.theta_general(tau, eta, params, consts)
-    return march(grid, config, dif, src,
-                 lambda eta: temperature.theta_general(0.0, eta, params, consts),
-                 ("value", traces.theta2), ("value", traces.theta1), exact)
+    if ReferenceCase().matches(params, consts):
+        C5 = consts.C5
+        initial = lambda eta: temperature.initial_profile(eta, C5)
+        exact = lambda tau, eta: temperature.theta_reference(tau, eta, C5)
+        if config.bc_mode == "derived":
+            bc_in = ("flux", lambda tau: temperature.reference_flux(tau, 0.0))
+            bc_out = ("flux", lambda tau: temperature.reference_flux(tau, 1.0))
+        elif config.bc_mode == "paper":
+            bc_in = ("flux", temperature.published_flux_inner)
+            bc_out = ("flux", temperature.published_flux_outer)
+        else:
+            bc_in = ("value", lambda tau: temperature.theta_reference(tau, 0.0, C5))
+            bc_out = ("value", lambda tau: temperature.theta_reference(tau, 1.0, C5))
+    elif config.bc_mode != "dirichlet":
+        raise ValidationError(f"bc_mode {config.bc_mode!r} needs the reference constants; "
+                              "any other constants run only with bc_mode 'dirichlet'")
+    else:
+        traces = temperature.BoundaryTraces(params, consts)
+        initial = lambda eta: temperature.theta_general(0.0, eta, params, consts)
+        exact = lambda tau, eta: temperature.theta_general(tau, eta, params, consts)
+        bc_in, bc_out = ("value", traces.theta2), ("value", traces.theta1)
+
+    return march(grid, config, dif, src, initial, bc_in, bc_out, exact)
+
+
+def solve_reference(grid: Grid1D, config: SolverConfig, C5: float = C5_MIN) -> SolveResult:
+    """`solve_general` at the reference case with level C5, on eta in [0, 1]."""
+    case = ReferenceCase(C5=C5)
+    return solve_general(case.params, case.consts, grid, config)
 
 
 def convergence_study(levels, config: SolverConfig,
-                      solve: Callable | None = None, a: float = 1.0):
-    """Refinement study with dt tied to h (dt = dt_over_h * h on every level).
+                      params: ReducedParams | None = None,
+                      consts: SolutionConstants | None = None):
+    """Refinement study of `solve_general` with dt tied to h (dt = dt_over_h * h).
 
-    solve(grid, config) -> SolveResult defaults to the reference problem.
-    Returns one SolveResult per level with observed_order filled from
-    consecutive pairs (log error ratio over log h ratio); a single level
-    yields errors only.
+    params and consts default to the reference case; every level's grid
+    spans [0, params.a].  Returns one SolveResult per level with
+    observed_order filled from consecutive pairs (log error ratio over log h
+    ratio); a single level yields errors only.
     """
     if len(levels) < 1:
         raise ValidationError("at least one refinement level required")
-    if solve is None:
-        solve = solve_reference
+    case = ReferenceCase()
+    params = case.params if params is None else params
+    consts = case.consts if consts is None else consts
     results: list[SolveResult] = []
     for n in levels:
-        grid = Grid1D(n_cells=int(n), a=a)
-        res = solve(grid, replace(config, dt=None))
+        grid = Grid1D(n_cells=int(n), a=params.a)
+        res = solve_general(params, consts, grid, replace(config, dt=None))
         if results:
             prev = results[-1]
             res.observed_order = float(

@@ -1,6 +1,8 @@
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -282,6 +284,21 @@ class TestConvergence:
         assert rc == 0
 
 
+@pytest.mark.parametrize("solver, field", [
+    ({"scheme": "rk4"}, "scheme"),
+    ({"bc_mode": "mixed"}, "bc_mode"),
+    ({"dt": -0.1}, "dt"),
+])
+def test_bad_solver_block_exit_2(solver, field, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"solver": solver}))
+    rc, _, err = run(["solve", "--config", str(cfg), "--grid", "16",
+                      "--out", str(tmp_path / "o")], capsys)
+    assert rc == 2
+    assert field in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("argv, field", [
     (["solve", "--tau-end", "nan"], "t_end"),
     (["solve", "--tau-end", "inf"], "t_end"),
@@ -323,13 +340,21 @@ class TestConfigFuzz:
 
 
 class TestEntryPoint:
+    @staticmethod
+    def run_module(*argv):
+        # the child does not inherit pytest's pythonpath, so put src on its
+        # PYTHONPATH: the package need not be installed
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        return subprocess.run([sys.executable, "-m", "ringheat.cli", *argv],
+                              capture_output=True, text=True, env=env)
+
     def test_console_script_runs(self):
-        proc = subprocess.run([sys.executable, "-m", "ringheat.cli", "profile"],
-                              capture_output=True, text=True)
+        proc = self.run_module("profile")
         assert proc.returncode == 0
         assert proc.stdout.startswith("tau,eta,theta")
 
     def test_unknown_subcommand_exit_2(self):
-        proc = subprocess.run([sys.executable, "-m", "ringheat.cli", "frobnicate"],
-                              capture_output=True, text=True)
+        proc = self.run_module("frobnicate")
         assert proc.returncode == 2

@@ -45,7 +45,7 @@ class TestOmega:
     def test_flow_state_pins_psi(self):
         st_ = FlowState(eps=0.5)
         assert st_.Psi == PSI
-        assert st_.xi(0.0) == 1.0
+        assert xi(0.25) == 1.0 + 2.0 * st_.Psi * 0.25  # flow.xi is the branch's xi
         assert st_.omega(1.0, 0.0) == pytest.approx(2.0 / 9.0)
         with pytest.raises(ValidationError):
             FlowState(eps=0.5, Psi=3.0)

@@ -15,9 +15,10 @@ from ringheat.solver import (
     solve_general,
     solve_reference,
     thomas_solve,
+    N_SNAPSHOTS,
     PUBLISHED_FLUX_ERROR_FLOOR,
 )
-from ringheat.temperature import theta_simple
+from ringheat.temperature import theta_reference, theta_simple
 
 
 def const_field(c):
@@ -38,7 +39,7 @@ class TestGridAndConfig:
 
     @pytest.mark.parametrize("kw", [
         dict(dt=-0.1), dict(t_end=-1.0), dict(scheme="rk4"),
-        dict(bc_mode="mixed"), dict(dt_over_h=0.0), dict(n_snapshots=1),
+        dict(bc_mode="mixed"), dict(dt_over_h=0.0),
     ])
     def test_config_validation(self, kw):
         with pytest.raises(ValidationError):
@@ -110,8 +111,7 @@ class TestReferenceSolve:
 class TestGeneralSolve:
     def test_reference_constants_second_order(self, ref):
         cfg = SolverConfig(t_end=0.25, bc_mode="dirichlet")
-        solve = lambda g, c: solve_general(ref.params, ref.consts, g, c)
-        results = convergence_study([32, 64, 128, 256], cfg, solve=solve, a=1.0)
+        results = convergence_study([32, 64, 128, 256], cfg, ref.params, ref.consts)
         for res in results[1:]:
             assert 1.8 <= res.observed_order <= 2.2
 
@@ -143,20 +143,57 @@ class TestGeneralSolve:
         consts = SolutionConstants(C3=0.25, C5=1.2,
                                    K=k_for_equal_boundaries(params, 0.25))
         cfg = SolverConfig(t_end=0.25, bc_mode="dirichlet")
-        solve = lambda g, c: solve_general(params, consts, g, c)
-        results = convergence_study([32, 64, 128], cfg, solve=solve, a=2.0)
+        results = convergence_study([32, 64, 128], cfg, params, consts)
+        assert results[-1].grid.a == 2.0
         for res in results[1:]:
             assert 1.8 <= res.observed_order <= 2.2
 
     def test_rejects_neumann_modes(self, ref):
-        with pytest.raises(ValidationError):
-            solve_general(ref.params, ref.consts, Grid1D(16),
-                          SolverConfig(bc_mode="derived"))
+        # only the reference case has Neumann data; K = 0 is another member
+        consts = SolutionConstants(C3=0.125, C5=ref.C5, K=0.0)
+        for mode in ("derived", "paper"):
+            with pytest.raises(ValidationError, match="dirichlet"):
+                solve_general(ref.params, consts, Grid1D(16), SolverConfig(bc_mode=mode))
 
     def test_grid_domain_must_match(self, ref):
         with pytest.raises(ValidationError):
             solve_general(ref.params, ref.consts, Grid1D(16, a=2.0),
                           SolverConfig(bc_mode="dirichlet"))
+
+
+class TestOneSolvePath:
+    #: error_inf, error_l2 of solve_reference at t_end = 0.25, recorded
+    #: before the reference march became a call of solve_general
+    PINNED = {
+        (64, "derived"): (0.00011911353204518971, 0.00011605311811737787),
+        (64, "paper"): (0.49857190307199056, 0.4931905783040202),
+        (64, "dirichlet"): (4.2824615892333995e-07, 3.1033762291514103e-07),
+        (128, "derived"): (2.9742735583593305e-05, 2.901568549576502e-05),
+        (128, "paper"): (0.498393466120291, 0.4931226213773505),
+        (128, "dirichlet"): (1.0707701936230052e-07, 7.758810829183876e-08),
+    }
+
+    @pytest.mark.parametrize("n, mode", sorted(PINNED))
+    def test_reference_norms_pinned(self, n, mode):
+        res = solve_reference(Grid1D(n), SolverConfig(t_end=0.25, bc_mode=mode))
+        assert (res.error_inf, res.error_l2) == self.PINNED[n, mode]
+
+    @pytest.mark.parametrize("mode", ["derived", "paper", "dirichlet"])
+    def test_general_at_reference_is_the_reference_march(self, ref, mode):
+        cfg = SolverConfig(t_end=0.25, bc_mode=mode)
+        a = solve_reference(Grid1D(64), cfg)
+        b = solve_general(ref.params, ref.consts, Grid1D(64), cfg)
+        assert len(a.snapshots) == len(b.snapshots) == N_SNAPSHOTS
+        for (t1, v1), (t2, v2) in zip(a.snapshots, b.snapshots):
+            assert t1 == t2
+            assert np.array_equal(v1, v2)
+
+    def test_result_keeps_its_exact_field(self):
+        res = solve_reference(Grid1D(32), SolverConfig(t_end=0.25), C5=2.0)
+        tau_f, theta_f = res.final
+        err = np.max(np.abs(theta_f - res.exact(tau_f, res.grid.nodes)))
+        assert float(err) == res.error_inf
+        assert res.exact(0.0, 0.5) == theta_reference(0.0, 0.5, 2.0)
 
 
 class TestSchemes:
