@@ -299,6 +299,22 @@ def test_bad_solver_block_exit_2(solver, field, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, solver, steps", [
+    # 1e4 / (h/8) at h = 1/128: 10,240,000 steps, about 10x the budget
+    (["solve", "--tau-end", "1e4", "--grid", "128"], {}, "1.024e+07"),
+    # 0.25 / 5e-324 overflows to inf; int() of it used to escape as OverflowError
+    (["solve", "--grid", "16"], {"dt": 5e-324}, "inf"),
+])
+def test_step_budget_exit_2(argv, solver, steps, tmp_path, capsys):
+    cfg = tmp_path / "c.json"
+    cfg.write_text(json.dumps({"solver": solver}))
+    rc, _, err = run(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
+    assert rc == 2
+    assert "t_end" in err and "dt" in err and f"= {steps} steps" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "o").exists()
+
+
 @pytest.mark.parametrize("argv, field", [
     (["solve", "--tau-end", "nan"], "t_end"),
     (["solve", "--tau-end", "inf"], "t_end"),

@@ -1,6 +1,10 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.linalg import solve_banded
 
+from ringheat import solver
 from ringheat.core import (
     ReducedParams,
     SolutionConstants,
@@ -18,7 +22,7 @@ from ringheat.solver import (
     N_SNAPSHOTS,
     PUBLISHED_FLUX_ERROR_FLOOR,
 )
-from ringheat.temperature import theta_reference, theta_simple
+from ringheat.temperature import k_for_equal_boundaries, theta_reference, theta_simple
 
 
 def const_field(c):
@@ -46,7 +50,56 @@ class TestGridAndConfig:
             SolverConfig(**kw)
 
 
+def indexed_thomas(lower, diag, upper, rhs):
+    """The indexed-numpy Thomas loop `thomas_solve` replaced, frozen here as
+    the bit-identity oracle: `thomas_solve` must return exactly its floats."""
+    n = diag.size
+    cp = np.empty(n)
+    dp = np.empty(n)
+    cp[0] = upper[0] / diag[0]
+    dp[0] = rhs[0] / diag[0]
+    for i in range(1, n):
+        m = diag[i] - lower[i - 1] * cp[i - 1]
+        cp[i] = upper[i] / m if i < n - 1 else 0.0
+        dp[i] = (rhs[i] - lower[i - 1] * dp[i - 1]) / m
+    x = np.empty(n)
+    x[-1] = dp[-1]
+    for i in range(n - 2, -1, -1):
+        x[i] = dp[i] - cp[i] * x[i + 1]
+    return x
+
+
+@st.composite
+def dominant_systems(draw):
+    """(lower, diag, upper, rhs) of a strictly diagonally dominant system, n in [2, 300]."""
+    n = draw(st.integers(min_value=2, max_value=300))
+    unit = st.floats(-1.0, 1.0, allow_subnormal=False)
+    lower = draw(hnp.arrays(np.float64, n - 1, elements=unit))
+    upper = draw(hnp.arrays(np.float64, n - 1, elements=unit))
+    rhs = draw(hnp.arrays(np.float64, n, elements=unit))
+    margin = draw(hnp.arrays(np.float64, n, elements=st.floats(0.1, 4.0)))
+    sign = draw(hnp.arrays(np.float64, n, elements=st.sampled_from([-1.0, 1.0])))
+    off = np.abs(np.append(lower, 0.0)) + np.abs(np.append(0.0, upper))
+    return lower, sign * (off + margin), upper, rhs
+
+
 class TestThomas:
+    @settings(max_examples=60, deadline=None)
+    @given(system=dominant_systems())
+    @example(system=(np.array([0.5]), np.array([2.0, -3.0]), np.array([-1.0]),
+                     np.array([1.0, 0.25])))
+    def test_matches_banded_oracle(self, system):
+        lower, diag, upper, rhs = system
+        x = thomas_solve(lower, diag, upper, rhs)
+        ab = np.zeros((3, diag.size))
+        ab[0, 1:], ab[1], ab[2, :-1] = upper, diag, lower
+        want = solve_banded((1, 1), ab, rhs)
+        # relative to the solution's scale: a component near 0 by
+        # cancellation has no meaningful relative error of its own
+        np.testing.assert_allclose(x, want, rtol=1e-12,
+                                   atol=1e-12 * np.max(np.abs(want)))
+        assert np.array_equal(x, indexed_thomas(lower, diag, upper, rhs))
+
     def test_against_dense_solve(self):
         rng = np.random.default_rng(3)
         n = 40
@@ -173,10 +226,46 @@ class TestOneSolvePath:
         (128, "dirichlet"): (1.0707701936230052e-07, 7.758810829183876e-08),
     }
 
+    #: error_inf, error_l2 of a Dirichlet solve_general at t_end = 0.25 for
+    #: a non-reference tuple (the benchmark's converge-general seed-1 draw,
+    #: K = k_for_equal_boundaries), recorded with the indexed Thomas loop
+    GENERAL = dict(A=0.6343642441124012, B=7.237168684686163,
+                   eps=0.763774618976614, C3=0.15101380514788434,
+                   C5=1.990870174183882)
+    PINNED_GENERAL = {
+        64: (5.619613566709702e-07, 4.078733838572661e-07),
+        128: (1.4051956753746708e-07, 1.0197137370088761e-07),
+    }
+
     @pytest.mark.parametrize("n, mode", sorted(PINNED))
     def test_reference_norms_pinned(self, n, mode):
         res = solve_reference(Grid1D(n), SolverConfig(t_end=0.25, bc_mode=mode))
         assert (res.error_inf, res.error_l2) == self.PINNED[n, mode]
+
+    @pytest.mark.parametrize("n", sorted(PINNED_GENERAL))
+    def test_general_norms_pinned(self, n):
+        g = self.GENERAL
+        params = ReducedParams(A=g["A"], B=g["B"], eps=g["eps"], a=1.0)
+        consts = SolutionConstants(C3=g["C3"], C5=g["C5"],
+                                   K=k_for_equal_boundaries(params, g["C3"]))
+        res = solve_general(params, consts, Grid1D(n),
+                            SolverConfig(t_end=0.25, bc_mode="dirichlet"))
+        assert (res.error_inf, res.error_l2) == self.PINNED_GENERAL[n]
+
+    def test_march_solves_through_the_module_hook(self, monkeypatch):
+        # the benchmark times the elimination by wrapping solver.thomas_solve,
+        # so march must look it up there once per step
+        calls = []
+        real = solver.thomas_solve
+
+        def counting(*args):
+            calls.append(1)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "thomas_solve", counting)
+        solve_reference(Grid1D(64), SolverConfig())
+        # nsteps = t_end / (dt_over_h * h) = 0.25 / (0.125 / 64)
+        assert len(calls) == 128
 
     @pytest.mark.parametrize("mode", ["derived", "paper", "dirichlet"])
     def test_general_at_reference_is_the_reference_march(self, ref, mode):
