@@ -1,8 +1,12 @@
 import math
+import types
+import warnings
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
+from ringheat import flow, verification
 from ringheat.core import ReducedParams, SolutionConstants, ValidationError
 from ringheat.dualnum import value
 from ringheat.temperature import (
@@ -176,6 +180,119 @@ class TestFlowResiduals:
         assert reports["flux_evolution"].max_abs < 1e-10
         assert reports["ring_scale"].max_abs < 1e-12
         assert all(r.passed for r in reports.values())
+
+
+def per_tau_quad_integral(eps, tau, a, engine):
+    """The flux-evolution eta integral as one scalar `quad` per tau, each
+    integrand evaluation calling the engine on one scalar eta: the form
+    `flow_residuals` used before its vector quadrature, frozen here as the
+    oracle the vectorised integral is compared against."""
+
+    def omega(tau, eta):
+        return flow.exact_omega(tau, eta, eps)
+
+    return np.array([
+        quad(lambda e: omega(t, e) ** 2 + 4.0 * eps * engine.d1(omega, (t, e), 1),
+             0.0, a, epsabs=1e-12, epsrel=1e-12)[0]
+        for t in np.asarray(tau, dtype=float).tolist()])
+
+
+@pytest.fixture
+def quad_vec_calls(monkeypatch):
+    """Record (integral, info) of every quad_vec call made by verification."""
+    calls = []
+    real = verification.quad_vec
+
+    def spy(*args, **kwargs):
+        out = real(*args, **kwargs)
+        calls.append((out[0], out[2]))
+        return out
+
+    monkeypatch.setattr(verification, "quad_vec", spy)
+    return calls
+
+
+class TestFluxEvolutionQuadrature:
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    @pytest.mark.parametrize("eps", [0.5, 0.0, -1.2])
+    def test_vector_integral_matches_per_tau_oracle(self, eps, a, quad_vec_calls):
+        grid = standard_grid(a)
+        flow_residuals(eps, grid, DUAL)
+        (integral, info), = quad_vec_calls
+        assert info.success
+        oracle = per_tau_quad_integral(eps, grid[0], a, DUAL)
+        assert np.max(np.abs(integral - oracle)) <= 1e-15
+
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    @pytest.mark.parametrize("eps", [0.5, 0.0, -0.7, -1.2])
+    def test_fd_mode_converges_within_limit(self, eps, a, quad_vec_calls):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            reports = flow_residuals(eps, standard_grid(a), FD)
+        assert reports["flux_evolution"].passed
+        (_, info), = quad_vec_calls
+        assert info.success
+        assert len(info.intervals) <= verification.FLUX_QUAD_LIMIT
+
+    def test_unconverged_integral_fails_the_check(self, monkeypatch):
+        def unconverged(f, lo, hi, **kwargs):
+            return np.zeros_like(f(lo)), 1.0, types.SimpleNamespace(success=False)
+
+        monkeypatch.setattr(verification, "quad_vec", unconverged)
+        reports = flow_residuals(0.5)
+        assert math.isnan(reports["flux_evolution"].max_abs)
+        assert not reports["flux_evolution"].passed
+        assert all(reports[k].passed for k in
+                   ("azimuthal_momentum", "boundary_flux", "ring_scale"))
+
+
+class TestSymbolicFlowBranch:
+    """The exact flow branch substituted by sympy: an oracle that shares
+    nothing with the dual engine or the quadrature."""
+
+    @pytest.fixture
+    def branch(self):
+        sp = pytest.importorskip("sympy")
+        tau, eta, eps = sp.symbols("tau eta epsilon", real=True)
+        a = sp.symbols("a", positive=True)
+        psi = sp.Integer(4)
+        xi = 1 + 2 * psi * tau  # dxi/dtau = 2*Psi, xi(0) = 1
+        omega = 4 * eps / (8 * tau + 1 + eta)
+        return sp, types.SimpleNamespace(tau=tau, eta=eta, eps=eps, a=a, psi=psi,
+                                         xi=xi, omega=omega)
+
+    def test_closed_forms_are_the_codes(self, branch):
+        sp, b = branch
+        omega = sp.lambdify((b.tau, b.eta, b.eps), b.omega)
+        xi = sp.lambdify(b.tau, b.xi)
+        for tau, eta, eps in [(0.0, 0.0, 0.5), (0.3, 0.7, -1.2), (10.0, 2.0, 0.9)]:
+            assert flow.exact_omega(tau, eta, eps) == pytest.approx(omega(tau, eta, eps),
+                                                                    rel=1e-15)
+            assert flow.xi(tau) == pytest.approx(xi(tau), rel=1e-15)
+        assert flow.PSI == float(b.psi)
+
+    def test_flux_evolution_balance_is_zero(self, branch):
+        sp, b = branch
+        integral = sp.integrate(b.omega ** 2 + 4 * b.eps * sp.diff(b.omega, b.eta),
+                                (b.eta, 0, b.a))
+        lnf = sp.log(1 + b.a / b.xi)
+        term1 = b.a * b.psi * (b.psi - 4) / (b.xi * (b.xi + b.a) * lnf)
+        assert sp.simplify(-(term1 + integral / lnf)) == 0
+
+    @pytest.mark.parametrize("wall", ["inner", "outer"])
+    def test_wall_flux_relation_is_zero(self, branch, wall):
+        sp, b = branch
+        rel = sp.diff(b.omega, b.eta) + b.eps * b.psi / (b.xi + b.eta) ** 2
+        at = 0 if wall == "inner" else b.a
+        assert sp.simplify(rel.subs(b.eta, at)) == 0
+
+    def test_azimuthal_momentum_is_zero(self, branch):
+        sp, b = branch
+        s = 8 * b.tau + 1 + b.eta
+        w = b.omega
+        rel = (sp.diff(w, b.tau) + 2 * b.psi * w / s - 4 * s * sp.diff(w, b.eta, 2)
+               - 8 * sp.diff(w, b.eta))
+        assert sp.simplify(rel) == 0
 
 
 class TestDeterminingEquation:
