@@ -26,8 +26,6 @@ from .core import (
     unit_embedding,
 )
 from .flow import (
-    FlowState,
-    RingGeometry,
     angular_momentum,
     exact_omega,
     pressure,

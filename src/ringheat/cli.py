@@ -40,7 +40,7 @@ from .solver import (
     solve_general,
     solve_reference,  # noqa: F401 - not called here; bench/spans.py wraps cli.solve_reference
 )
-from .verification import run_suite
+from .verification import published_gap_at, run_suite
 
 __all__ = ["main", "RunConfig", "ConfigError"]
 
@@ -248,10 +248,6 @@ def cmd_verify(args) -> int:
             f.write("\n")
     print(f"\n{'all checks passed' if suite.passed else 'CHECK FAILURES present'}")
     return EXIT_OK if suite.passed else EXIT_FAIL
-
-
-def published_gap_at(tau: float) -> float:
-    return float(temperature.published_flux_outer(tau) - temperature.reference_flux(tau, 1.0))
 
 
 def cmd_solve(args) -> int:

@@ -5,14 +5,18 @@ v = 4*nu0/r, both squared radii grow as 8*nu*t, and the scaled inner radius
 xi(tau) = R2^2(t)/R20^2 = 8*tau + 1.  The scaled azimuthal field is
 omega = 4*eps/(xi + eta).  All stresses below are kinematic (divided by
 density).
+
+Only `angular_momentum_integral` integrates, so scipy is imported on the
+first call of `quad`, not with this module: `solve`, `profile` and
+`convergence` run on numpy alone.  `quad` stays a module-level name
+because the benchmark's tracer wraps `flow.quad` (and `verification.quad`,
+the same function) by attribute until the benchmark wraps functions where
+they are defined.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
-from scipy.integrate import quad
 
 from .core import PhysicalParams, ValidationError
 from .dualnum import sqrt, value
@@ -21,8 +25,6 @@ __all__ = [
     "PSI",
     "xi",
     "exact_omega",
-    "FlowState",
-    "RingGeometry",
     "radii",
     "velocities",
     "pressure",
@@ -34,6 +36,13 @@ __all__ = [
 
 #: Scaled radial flux of the exact branch (Phi = 4*nu).
 PSI = 4.0
+
+
+def quad(*args, **kwargs):
+    """`scipy.integrate.quad`, imported on the first call."""
+    from scipy.integrate import quad
+
+    return quad(*args, **kwargs)
 
 
 def xi(tau):
@@ -49,38 +58,9 @@ def exact_omega(tau, eta, eps):
     return 4.0 * eps / s
 
 
-@dataclass(frozen=True)
-class FlowState:
-    """The exact branch as an object: Psi is pinned to 4."""
-
-    eps: float
-    Psi: float = PSI
-
-    def __post_init__(self):
-        if self.Psi != PSI:
-            raise ValidationError(f"Psi must equal {PSI} on the exact branch")
-
-    def omega(self, tau, eta):
-        return exact_omega(tau, eta, self.eps)
-
-
-@dataclass(frozen=True)
-class RingGeometry:
-    """Moving free boundaries; R1^2 - R2^2 is conserved exactly."""
-
-    phys: PhysicalParams
-
-    def R2(self, t):
-        return sqrt(8.0 * self.phys.nu * t + self.phys.R20 ** 2)
-
-    def R1(self, t):
-        return sqrt(8.0 * self.phys.nu * t + self.phys.R10 ** 2)
-
-
 def radii(t, phys: PhysicalParams):
-    """(R1(t), R2(t)) with R_i^2(t) = 8*nu*t + R_i0^2."""
-    geom = RingGeometry(phys)
-    return geom.R1(t), geom.R2(t)
+    """(R1(t), R2(t)) with R_i^2(t) = 8*nu*t + R_i0^2; R1^2 - R2^2 is conserved."""
+    return sqrt(8.0 * phys.nu * t + phys.R10 ** 2), sqrt(8.0 * phys.nu * t + phys.R20 ** 2)
 
 
 def velocities(r, nu, nu0):

@@ -18,7 +18,12 @@ every tau; it is one adaptive vector quadrature over all tau
 (`scipy.integrate.quad_vec`, Gauss-Kronrod, max norm), independent of the
 mesh evaluation.  Its absolute tolerance follows the derivative mode
 (`FLUX_QUAD_EPSABS`), and an integral that does not converge within
-`FLUX_QUAD_LIMIT` subdivisions fails the check.
+`FLUX_QUAD_LIMIT` subdivisions fails the check.  `flow_residuals` imports
+scipy when it runs, so importing this module loads numpy only.  The
+module-level `quad` (bound to `flow.quad`, which also imports scipy only
+when called) is never called here: it stays bound because the
+benchmark's tracer wraps `verification.quad` by attribute, until the
+benchmark wraps functions where they are defined.
 
 Besides the per-equation residual evaluators this module carries
 `run_suite`, the aggregate check list the CLI `verify` subcommand prints,
@@ -32,9 +37,6 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
-# quad is not called here; the benchmark's tracer wraps `verification.quad`
-# by attribute, so the name stays bound
-from scipy.integrate import quad, quad_vec  # noqa: F401
 
 from . import dualnum, flow, temperature
 from .core import (
@@ -50,6 +52,7 @@ from .core import (
     unit_embedding,
 )
 from .dualnum import value
+from .flow import quad  # noqa: F401 - not called here; see the module docstring
 
 __all__ = [
     "DerivativeEngine",
@@ -68,6 +71,7 @@ __all__ = [
     "invariant_annihilation",
     "reduced_ode_residual",
     "FluxDiscrepancyReport",
+    "published_gap_at",
     "published_flux_discrepancy",
     "CheckResult",
     "SuiteResult",
@@ -303,6 +307,8 @@ def flow_residuals(eps: float, grid=None,
     lnf = np.log(1.0 + a / xi_v)
     term1 = a * psi * (psi - 4.0) / (xi_v * (xi_v + a) * lnf)
 
+    from scipy.integrate import quad_vec
+
     def integrand(e):
         E = np.full_like(tau, e)
         return omega(tau, E) ** 2 + 4.0 * eps * engine.d1(omega, (tau, E), 1)
@@ -479,6 +485,11 @@ class FluxDiscrepancyReport:
     @property
     def outer_gap(self) -> np.ndarray:
         return self.published_outer - self.derived_outer
+
+
+def published_gap_at(tau: float) -> float:
+    """Published minus exact outer-wall (eta = 1) flux of the reference case at tau."""
+    return float(temperature.published_flux_outer(tau) - temperature.reference_flux(tau, 1.0))
 
 
 def published_flux_discrepancy(tau_samples=None, C5: float = C5_MIN,

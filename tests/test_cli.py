@@ -374,3 +374,46 @@ class TestEntryPoint:
     def test_unknown_subcommand_exit_2(self):
         proc = self.run_module("frobnicate")
         assert proc.returncode == 2
+
+
+# Runs in a fresh interpreter: pytest's own `filterwarnings` setting imports
+# scipy.integrate into the test process, so sys.modules there proves nothing.
+_SCIPY_PROBE = """
+import contextlib, io, json, sys
+
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
+
+import ringheat.cli as cli
+from ringheat import flow, verification
+
+state = {"after_import": scipy_modules(),
+         "quad_callable": callable(flow.quad) and callable(verification.quad)}
+with contextlib.redirect_stdout(io.StringIO()):
+    state["rc"] = cli.main(json.loads(sys.argv[1]))
+state["after_run"] = scipy_modules()
+print(json.dumps(state))
+"""
+
+
+@pytest.mark.parametrize("argv, loads_scipy", [
+    (["solve", "--grid", "32", "--tau-end", "0.01"], False),
+    (["convergence", "--grid", "32,64", "--tau-end", "0.05"], False),
+    (["verify"], True),
+])
+def test_scipy_loaded_only_where_verify_integrates(argv, loads_scipy):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    state = json.loads(proc.stdout)
+    assert state["rc"] == 0
+    assert state["after_import"] == []
+    # the benchmark's tracer wraps both names by attribute
+    assert state["quad_callable"]
+    if loads_scipy:
+        assert "scipy.integrate" in state["after_run"]
+    else:
+        assert state["after_run"] == []

@@ -8,8 +8,6 @@ from scipy.integrate import quad
 from ringheat.core import PhysicalParams, ValidationError
 from ringheat.flow import (
     PSI,
-    FlowState,
-    RingGeometry,
     angular_momentum,
     angular_momentum_integral,
     exact_omega,
@@ -42,13 +40,14 @@ class TestOmega:
         # omega * (xi + eta) = 4*eps everywhere
         assert exact_omega(tau, eta, eps) * (xi(tau) + eta) == pytest.approx(4.0 * eps, abs=1e-12)
 
-    def test_flow_state_pins_psi(self):
-        st_ = FlowState(eps=0.5)
-        assert st_.Psi == PSI
-        assert xi(0.25) == 1.0 + 2.0 * st_.Psi * 0.25  # flow.xi is the branch's xi
-        assert st_.omega(1.0, 0.0) == pytest.approx(2.0 / 9.0)
+    def test_branch_pins_psi(self):
+        assert PSI == 4.0
+        assert xi(0.25) == 1.0 + 2.0 * PSI * 0.25  # flow.xi is the branch's xi
+        assert exact_omega(1.0, 0.0, 0.5) == pytest.approx(2.0 / 9.0)
+
+    def test_rejects_nonpositive_denominator(self):
         with pytest.raises(ValidationError):
-            FlowState(eps=0.5, Psi=3.0)
+            exact_omega(-0.25, 0.5, 0.5)
 
 
 class TestRadii:
@@ -69,10 +68,14 @@ class TestRadii:
             r1, r2 = radii(t, p)
             assert r1 ** 2 - r2 ** 2 == pytest.approx(ref, rel=1e-13)
 
-    def test_geometry_object(self):
-        g = RingGeometry(phys())
-        assert g.R2(0.0) == 1.0
-        assert g.R1(1.0) == pytest.approx(math.sqrt(10.0))
+    def test_values(self):
+        p = phys()
+        assert radii(0.0, p)[1] == 1.0
+        assert radii(1.0, p)[0] == pytest.approx(math.sqrt(10.0))
+        # each radius is sqrt(8*nu*t + R_i0^2), evaluated in that order
+        t = 0.37
+        assert radii(t, p) == (math.sqrt(8.0 * p.nu * t + p.R10 ** 2),
+                               math.sqrt(8.0 * p.nu * t + p.R20 ** 2))
 
 
 class TestVelocities:

@@ -4,6 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
+import scipy.integrate
 from scipy.integrate import quad
 
 from ringheat import flow, verification
@@ -199,16 +200,17 @@ def per_tau_quad_integral(eps, tau, a, engine):
 
 @pytest.fixture
 def quad_vec_calls(monkeypatch):
-    """Record (integral, info) of every quad_vec call made by verification."""
+    """Record (integral, info) of every quad_vec call made by verification
+    (`flow_residuals` imports it from scipy.integrate when it runs)."""
     calls = []
-    real = verification.quad_vec
+    real = scipy.integrate.quad_vec
 
     def spy(*args, **kwargs):
         out = real(*args, **kwargs)
         calls.append((out[0], out[2]))
         return out
 
-    monkeypatch.setattr(verification, "quad_vec", spy)
+    monkeypatch.setattr(scipy.integrate, "quad_vec", spy)
     return calls
 
 
@@ -238,7 +240,7 @@ class TestFluxEvolutionQuadrature:
         def unconverged(f, lo, hi, **kwargs):
             return np.zeros_like(f(lo)), 1.0, types.SimpleNamespace(success=False)
 
-        monkeypatch.setattr(verification, "quad_vec", unconverged)
+        monkeypatch.setattr(scipy.integrate, "quad_vec", unconverged)
         reports = flow_residuals(0.5)
         assert math.isnan(reports["flux_evolution"].max_abs)
         assert not reports["flux_evolution"].passed
@@ -392,6 +394,13 @@ class TestFluxDiscrepancy:
     def test_gap_decays(self):
         rep = published_flux_discrepancy(np.array([100.0]))
         assert abs(float(rep.outer_gap[0])) < 1e-4
+
+    def test_gap_at_matches_report(self):
+        taus = [0.0, 0.5, 100.0]
+        rep = published_flux_discrepancy(np.array(taus))
+        # scalar vs vector evaluation: equal up to the last bit of each flux
+        assert [verification.published_gap_at(t) for t in taus] == pytest.approx(
+            rep.outer_gap.tolist(), rel=1e-12, abs=1e-18)
 
 
 class TestSuite:
