@@ -13,6 +13,14 @@ faster still, but it rounds differently: it moves the error norms by ~5e-9
 relative, past the 1e-12 agreement the recorded benchmark norms demand.
 A march is limited to `MAX_STEPS` time steps.
 
+`march` assembles its coefficients a block of steps at a time: one call of
+the diffusivity at each face set and one of the source give every step's
+values as (steps, n + 1) arrays (about `BLOCK_ELEMS` elements each), from
+which the three bands, boundary rows included, are built at once.  Each
+step then only builds its right-hand side, fetches its scalar wall data and
+runs `thomas_solve`.  Every element is computed with the same operations as
+a one-step-at-a-time loop, so the snapshots are bit-identical to it.
+
 The marcher is a manufactured-solution check: with correct boundary data it
 must converge to the closed forms at second order in h.  There is one solve
 path, `solve_general`: it builds the equation's coefficients from the
@@ -55,6 +63,7 @@ __all__ = [
     "PUBLISHED_FLUX_ERROR_FLOOR",
     "N_SNAPSHOTS",
     "MAX_STEPS",
+    "BLOCK_ELEMS",
 ]
 
 #: Frozen regression level of the 'paper' boundary-mode error plateau.
@@ -69,6 +78,11 @@ N_SNAPSHOTS = 5
 #: non-finite one, before it allocates anything, so a mistyped t_end or dt
 #: is a ValidationError instead of a march that runs for hours.
 MAX_STEPS = 1_000_000
+
+#: Elements per coefficient array of one block of steps: `march` assembles
+#: the bands of max(1, BLOCK_ELEMS // (n + 1)) steps at once, so each
+#: (steps, n + 1) float array stays near 128 KB.
+BLOCK_ELEMS = 16384
 
 
 class DivergenceError(RuntimeError):
@@ -194,12 +208,18 @@ def march(grid: Grid1D, config: SolverConfig,
           exact: Callable | None = None) -> SolveResult:
     """Advance theta_tau = d/deta(D*theta_eta) + S from tau = 0 to t_end.
 
-    diffusivity(tau, eta) and source(tau, eta) must vectorize over eta;
+    diffusivity(tau, eta) and source(tau, eta) must broadcast over a tau
+    column (steps, 1) and an eta row (n + 1,): march calls each once per
+    block of max(1, BLOCK_ELEMS // (n + 1)) steps and broadcasts the result
+    to (steps, n + 1), so a field constant in tau or eta may return a
+    smaller shape.  The face diffusivities, the source and the three bands,
+    boundary rows included, are assembled once per block.
     bc_inner/bc_outer are ("flux", g) prescribing d(theta)/d(eta) at the
-    wall or ("value", v) prescribing theta itself.  Neumann data enter
-    through second-order ghost nodes; Dirichlet rows are identities at the
-    new time level.  Deterministic: identical inputs give bit-identical
-    snapshots.  A t_end / dt that is not finite or exceeds MAX_STEPS raises
+    wall or ("value", v) prescribing theta itself; g and v take one float
+    tau and are called once per step.  Neumann data enter through
+    second-order ghost nodes; Dirichlet rows are identities at the new time
+    level.  Deterministic: identical inputs give bit-identical snapshots.
+    A t_end / dt that is not finite or exceeds MAX_STEPS raises
     ValidationError.
     """
     h = grid.h
@@ -227,67 +247,74 @@ def march(grid: Grid1D, config: SolverConfig,
     kind_in, data_in = bc_inner
     kind_out, data_out = bc_outer
     cn = config.scheme == "cn"
+    r = dt / (2.0 * h * h) if cn else dt / (h * h)
+    offset = 0.5 * dt if cn else dt  # scheme's coefficient level past tau_n
 
-    lower = np.empty(n)
-    upper = np.empty(n)
-    diag = np.empty(n + 1)
     rhs = np.empty(n + 1)
     j = slice(1, n)
     jm = slice(0, n - 1)
     jp = slice(2, n + 1)
+    block = max(1, BLOCK_ELEMS // (n + 1))
 
-    for k in range(nsteps):
-        tau_n = k * dt
-        tau_new = tau_n + dt
-        tau_c = tau_n + 0.5 * dt if cn else tau_new  # scheme's coefficient level
-        d_lo = diffusivity(tau_c, faces_lo)
-        d_hi = diffusivity(tau_c, faces_hi)
-        s_val = source(tau_c, eta)
-        r = dt / (2.0 * h * h) if cn else dt / (h * h)
+    for k0 in range(0, nsteps, block):
+        # coefficients of the block's steps, one row per step, each element
+        # computed with the same operations as one step at a time would
+        tau_c = np.arange(k0, min(k0 + block, nsteps)) * dt + offset
+        rows = (tau_c.size, n + 1)
+        col = tau_c[:, None]
+        d_lo = np.broadcast_to(diffusivity(col, faces_lo), rows)
+        d_hi = np.broadcast_to(diffusivity(col, faces_hi), rows)
+        s_dt = dt * np.broadcast_to(source(col, eta), rows)
+        w = d_lo + d_hi
+        diag = 1.0 + r * w
+        lower = -r * d_lo[:, 1:]  # its last column is the outer row's
+        upper = -r * d_hi[:, :n]  # its first column is the inner row's
 
-        diag[j] = 1.0 + r * (d_lo[j] + d_hi[j])
-        lower[jm] = -r * d_lo[j]
-        upper[j] = -r * d_hi[j]
-        if cn:
-            rhs[j] = (theta[j]
-                      + r * (d_lo[j] * (theta[jm] - theta[j])
-                             + d_hi[j] * (theta[jp] - theta[j]))
-                      + dt * s_val[j])
-        else:
-            rhs[j] = theta[j] + dt * s_val[j]
-
+        # a Neumann row's diagonal is the interior formula, its off-diagonal
+        # takes both faces (ghost node); a Dirichlet row is an identity
         if kind_in == "flux":
-            g0 = float(data_in(tau_c))
-            w = d_lo[0] + d_hi[0]
-            diag[0] = 1.0 + r * w
-            upper[0] = -r * w
-            rhs[0] = theta[0] - 2.0 * dt * d_lo[0] * g0 / h + dt * s_val[0]
-            if cn:
-                rhs[0] += r * w * (theta[1] - theta[0])
+            upper[:, 0] = -r * w[:, 0]
         else:
-            diag[0] = 1.0
-            upper[0] = 0.0
-            rhs[0] = float(data_in(tau_new))
-
+            diag[:, 0] = 1.0
+            upper[:, 0] = 0.0
         if kind_out == "flux":
-            g1 = float(data_out(tau_c))
-            w = d_lo[n] + d_hi[n]
-            diag[n] = 1.0 + r * w
-            lower[n - 1] = -r * w
-            rhs[n] = theta[n] + 2.0 * dt * d_hi[n] * g1 / h + dt * s_val[n]
-            if cn:
-                rhs[n] += r * w * (theta[n - 1] - theta[n])
+            lower[:, n - 1] = -r * w[:, n]
         else:
-            diag[n] = 1.0
-            lower[n - 1] = 0.0
-            rhs[n] = float(data_out(tau_new))
+            diag[:, n] = 1.0
+            lower[:, n - 1] = 0.0
 
-        theta = thomas_solve(lower, diag, upper, rhs)
-        if not np.isfinite(theta).all():
-            raise DivergenceError(
-                f"non-finite solution at step {k + 1} of {nsteps} (tau = {tau_new:.6g})")
-        if (k + 1) in snap_at:
-            snapshots.append((tau_new, theta.copy()))
+        for i, tau_ci in enumerate(tau_c.tolist()):
+            k = k0 + i
+            tau_new = k * dt + dt
+            if cn:
+                rhs[j] = (theta[j]
+                          + r * (d_lo[i, j] * (theta[jm] - theta[j])
+                                 + d_hi[i, j] * (theta[jp] - theta[j]))
+                          + s_dt[i, j])
+            else:
+                rhs[j] = theta[j] + s_dt[i, j]
+
+            if kind_in == "flux":
+                g0 = float(data_in(tau_ci))
+                rhs[0] = theta[0] - 2.0 * dt * d_lo[i, 0] * g0 / h + s_dt[i, 0]
+                if cn:
+                    rhs[0] += r * w[i, 0] * (theta[1] - theta[0])
+            else:
+                rhs[0] = float(data_in(tau_new))
+            if kind_out == "flux":
+                g1 = float(data_out(tau_ci))
+                rhs[n] = theta[n] + 2.0 * dt * d_hi[i, n] * g1 / h + s_dt[i, n]
+                if cn:
+                    rhs[n] += r * w[i, n] * (theta[n - 1] - theta[n])
+            else:
+                rhs[n] = float(data_out(tau_new))
+
+            theta = thomas_solve(lower[i], diag[i], upper[i], rhs)
+            if not np.isfinite(theta).all():
+                raise DivergenceError(
+                    f"non-finite solution at step {k + 1} of {nsteps} (tau = {tau_new:.6g})")
+            if (k + 1) in snap_at:
+                snapshots.append((tau_new, theta.copy()))
 
     e_inf, e_l2 = _errors(theta, exact, config.t_end, grid)
     return SolveResult(snapshots, grid, config, e_inf, e_l2, exact)

@@ -65,13 +65,20 @@ def _pow(base, p):
     return exp(p * log(base))
 
 
+def _any_nonpositive(x):
+    # One float (np.float64 is one) compares directly: np.any would be most
+    # of the cost of a scalar wall-trace call.  NaN is not <= 0 either way.
+    v = value(x)
+    return v <= 0.0 if isinstance(v, float) else bool(np.any(v <= 0.0))
+
+
 def _check_s(s):
-    if np.any(value(s) <= 0.0):
+    if _any_nonpositive(s):
         raise ValidationError("8*tau + eta + 1 must be > 0")
 
 
 def _check_P(P, C3):
-    if np.any(value(P) <= 0.0):
+    if _any_nonpositive(P):
         raise SingularTimeError(f"tau + C3 must be > 0 (C3={C3})")
 
 
@@ -254,7 +261,7 @@ def dimensional_T(t, r, phys: PhysicalParams, consts: SolutionConstants):
     T0 = phys.T0
     R2sq = phys.R20 ** 2
     Pd = phys.nu * t + consts.C3 * R2sq
-    if np.any(value(Pd) <= 0.0):
+    if _any_nonpositive(Pd):
         raise SingularTimeError(f"nu*t + C3*R20^2 must be > 0 (C3={consts.C3})")
     pw = 8.0 * A / B
     mode = (T0 * consts.K

@@ -357,13 +357,13 @@ class TestConfigFuzz:
 
 class TestEntryPoint:
     @staticmethod
-    def run_module(*argv):
+    def run_module(*argv, module="ringheat.cli"):
         # the child does not inherit pytest's pythonpath, so put src on its
         # PYTHONPATH: the package need not be installed
         src = str(Path(__file__).resolve().parents[1] / "src")
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        return subprocess.run([sys.executable, "-m", "ringheat.cli", *argv],
+        return subprocess.run([sys.executable, "-m", module, *argv],
                               capture_output=True, text=True, env=env)
 
     def test_console_script_runs(self):
@@ -374,6 +374,13 @@ class TestEntryPoint:
     def test_unknown_subcommand_exit_2(self):
         proc = self.run_module("frobnicate")
         assert proc.returncode == 2
+
+    def test_package_runs_as_module(self):
+        # `python -m ringheat` runs the same CLI as `python -m ringheat.cli`
+        proc = self.run_module("profile", module="ringheat")
+        assert proc.returncode == 0
+        assert proc.stdout == self.run_module("profile").stdout
+        assert self.run_module("frobnicate", module="ringheat").returncode == 2
 
 
 # Runs in a fresh interpreter: pytest's own `filterwarnings` setting imports

@@ -285,6 +285,166 @@ class TestOneSolvePath:
         assert res.exact(0.0, 0.5) == theta_reference(0.0, 0.5, 2.0)
 
 
+def stepwise_march(grid, config, diffusivity, source, initial, bc_inner, bc_outer,
+                   exact=None):
+    """The one-step-at-a-time march loop that block assembly replaced, frozen
+    here as the bit-identity oracle: `march` must return exactly its
+    snapshots and norms.  Returns (snapshots, error_inf, error_l2)."""
+    h = grid.h
+    n = grid.n_cells
+    dt = config.dt if config.dt is not None else config.dt_over_h * h
+    eta = grid.nodes
+    theta = np.array(initial(eta), dtype=float)
+    snapshots = [(0.0, theta.copy())]
+    nsteps = max(1, int(round(config.t_end / dt)))
+    dt = config.t_end / nsteps
+    snap_at = set(np.linspace(0, nsteps, N_SNAPSHOTS).round().astype(int))
+    faces_lo = eta - 0.5 * h
+    faces_hi = eta + 0.5 * h
+    kind_in, data_in = bc_inner
+    kind_out, data_out = bc_outer
+    cn = config.scheme == "cn"
+    lower = np.empty(n)
+    upper = np.empty(n)
+    diag = np.empty(n + 1)
+    rhs = np.empty(n + 1)
+    j = slice(1, n)
+    jm = slice(0, n - 1)
+    jp = slice(2, n + 1)
+    for k in range(nsteps):
+        tau_n = k * dt
+        tau_new = tau_n + dt
+        tau_c = tau_n + 0.5 * dt if cn else tau_new
+        d_lo = diffusivity(tau_c, faces_lo)
+        d_hi = diffusivity(tau_c, faces_hi)
+        s_val = source(tau_c, eta)
+        r = dt / (2.0 * h * h) if cn else dt / (h * h)
+        diag[j] = 1.0 + r * (d_lo[j] + d_hi[j])
+        lower[jm] = -r * d_lo[j]
+        upper[j] = -r * d_hi[j]
+        if cn:
+            rhs[j] = (theta[j]
+                      + r * (d_lo[j] * (theta[jm] - theta[j])
+                             + d_hi[j] * (theta[jp] - theta[j]))
+                      + dt * s_val[j])
+        else:
+            rhs[j] = theta[j] + dt * s_val[j]
+        if kind_in == "flux":
+            g0 = float(data_in(tau_c))
+            w = d_lo[0] + d_hi[0]
+            diag[0] = 1.0 + r * w
+            upper[0] = -r * w
+            rhs[0] = theta[0] - 2.0 * dt * d_lo[0] * g0 / h + dt * s_val[0]
+            if cn:
+                rhs[0] += r * w * (theta[1] - theta[0])
+        else:
+            diag[0] = 1.0
+            upper[0] = 0.0
+            rhs[0] = float(data_in(tau_new))
+        if kind_out == "flux":
+            g1 = float(data_out(tau_c))
+            w = d_lo[n] + d_hi[n]
+            diag[n] = 1.0 + r * w
+            lower[n - 1] = -r * w
+            rhs[n] = theta[n] + 2.0 * dt * d_hi[n] * g1 / h + dt * s_val[n]
+            if cn:
+                rhs[n] += r * w * (theta[n - 1] - theta[n])
+        else:
+            diag[n] = 1.0
+            lower[n - 1] = 0.0
+            rhs[n] = float(data_out(tau_new))
+        theta = indexed_thomas(lower, diag, upper, rhs)
+        if (k + 1) in snap_at:
+            snapshots.append((tau_new, theta.copy()))
+    err = theta - np.asarray(exact(config.t_end, eta), dtype=float)
+    wts = np.full(n + 1, h)
+    wts[0] = wts[-1] = 0.5 * h
+    return snapshots, float(np.max(np.abs(err))), float(np.sqrt(np.sum(wts * err * err)))
+
+
+class TestBlockAssembly:
+    """`march` assembles a block of steps at once; every float must match the
+    stepwise loop's."""
+
+    #: a general Dirichlet tuple on a = 2 whose dt = 0.0123 does not divide
+    #: t_end = 0.3, so the march rounds to 24 steps of 0.0125
+    WIDE = (ReducedParams(A=1.3, B=3.5, eps=-0.7, a=2.0), 0.2, 1.5)
+
+    @staticmethod
+    def check_against_stepwise(monkeypatch, solve):
+        # run `solve`, capture the arguments solve_general hands to march,
+        # and replay them through the frozen stepwise loop
+        seen = []
+        real = solver.march
+
+        def capture(*args):
+            seen.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(solver, "march", capture)
+        res = solve()
+        snapshots, e_inf, e_l2 = stepwise_march(*seen[0])
+        assert [t for t, _ in res.snapshots] == [t for t, _ in snapshots]
+        for (_, got), (_, want) in zip(res.snapshots, snapshots):
+            assert np.array_equal(got, want)
+        assert (res.error_inf, res.error_l2) == (e_inf, e_l2)
+
+    @pytest.mark.parametrize("scheme", ["cn", "euler"])
+    @pytest.mark.parametrize("mode", ["derived", "paper", "dirichlet"])
+    def test_reference_case_matches_stepwise(self, monkeypatch, mode, scheme):
+        cfg = SolverConfig(t_end=0.25, bc_mode=mode, scheme=scheme)
+        self.check_against_stepwise(monkeypatch,
+                                    lambda: solve_reference(Grid1D(64), cfg))
+
+    @pytest.mark.parametrize("scheme", ["cn", "euler"])
+    def test_general_wide_ring_uneven_dt_matches_stepwise(self, monkeypatch, scheme):
+        params, C3, C5 = self.WIDE
+        consts = SolutionConstants(C3=C3, C5=C5, K=k_for_equal_boundaries(params, C3))
+        cfg = SolverConfig(dt=0.0123, t_end=0.3, bc_mode="dirichlet", scheme=scheme)
+        self.check_against_stepwise(
+            monkeypatch, lambda: solve_general(params, consts, Grid1D(48, a=2.0), cfg))
+
+    # Grid1D(24) has 25 nodes and marches 48 steps at t_end = 0.25, so these
+    # blocks hold more steps than the march, exactly all of them, all but
+    # one (one step past a block boundary), and one step each.  Its h = 1/24
+    # is not a power of two, so dividing by h rounds.
+    @pytest.mark.parametrize("block", [49, 48, 47, 1])
+    @pytest.mark.parametrize("mode", ["derived", "paper", "dirichlet"])
+    def test_block_boundaries_match_stepwise(self, monkeypatch, mode, block):
+        monkeypatch.setattr(solver, "BLOCK_ELEMS", block * 25)
+        cfg = SolverConfig(t_end=0.25, bc_mode=mode)
+        self.check_against_stepwise(monkeypatch,
+                                    lambda: solve_reference(Grid1D(24), cfg))
+
+    def test_coefficients_assembled_once_per_block(self, monkeypatch):
+        # 32 steps in blocks of 10: four diffusivity calls per face pair
+        monkeypatch.setattr(solver, "BLOCK_ELEMS", 10 * 17)
+        shapes = []
+
+        def dif(tau, eta):
+            shapes.append(np.broadcast(tau, eta).shape)
+            return np.full(np.broadcast(tau, eta).shape, 2.0)
+
+        march(Grid1D(16), SolverConfig(t_end=0.25), dif, const_field(0.0),
+              lambda eta: 0.0 * eta, ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0))
+        assert shapes == [(10, 17)] * 6 + [(2, 17)] * 2
+
+    # Grid1D(16) at t_end = 0.1 marches 13 steps of dt = 0.1/13; the source
+    # turns infinite once tau_c = (k + 1/2)*dt passes 0.06, first at k = 8,
+    # so theta first goes non-finite at step 9.  Blocks of 5 put that step
+    # inside the second block; the default block holds all 13 steps.
+    @pytest.mark.parametrize("block", [None, 5])
+    def test_divergence_in_mid_block_names_the_step(self, monkeypatch, block):
+        if block is not None:
+            monkeypatch.setattr(solver, "BLOCK_ELEMS", block * 17)
+        with pytest.raises(DivergenceError, match="step 9 of 13"):
+            march(Grid1D(16), SolverConfig(t_end=0.1),
+                  const_field(1.0),
+                  lambda tau, eta: np.where(tau > 0.06, np.inf, 0.0) + 0.0 * eta,
+                  lambda eta: 0.0 * eta,
+                  ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0))
+
+
 class TestSchemes:
     def test_euler_first_order_in_time(self):
         # fine grid, coarse dt: halving dt roughly halves the error

@@ -4,13 +4,16 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ringheat import temperature
 from ringheat.core import (
     C5_MIN,
     ReducedParams,
     SingularTimeError,
     SolutionConstants,
+    ValidationError,
     reference_case_K,
 )
+from ringheat.dualnum import Dual
 from ringheat.temperature import (
     BoundaryTraces,
     InvariantSolutionGeneral,
@@ -79,6 +82,46 @@ class TestThetaGeneral:
                                    - 0.5 * ref.C5))) * t for t in taus]
         c = 2.0 * sup[0]
         assert all(s <= c for s in sup)
+
+
+#: One value x in each form a domain guard receives.
+GUARD_FORMS = {
+    "float": lambda x: x,
+    "float64": np.float64,
+    "0d-array": np.array,
+    "array": lambda x: np.array([1.0, x, 2.0]),
+    "dual": lambda x: Dual(x, 1.0),
+    "dual-of-array": lambda x: Dual(np.array([1.0, x]), np.ones(2)),
+}
+
+
+class TestDomainGuards:
+    """`_check_P` and `_check_s` reject a P or s <= 0 in every form, and let
+    NaN through as they always have; one float skips np.any."""
+
+    @pytest.mark.parametrize("form", sorted(GUARD_FORMS))
+    @pytest.mark.parametrize("bad", [0.0, -0.5])
+    def test_nonpositive_rejected(self, form, bad):
+        x = GUARD_FORMS[form](bad)
+        with pytest.raises(SingularTimeError, match="tau \\+ C3"):
+            temperature._check_P(x, 0.125)
+        with pytest.raises(ValidationError, match="8\\*tau"):
+            temperature._check_s(x)
+
+    @pytest.mark.parametrize("form", sorted(GUARD_FORMS))
+    @pytest.mark.parametrize("good", [1e-300, 0.5, math.nan])
+    def test_positive_or_nan_passes(self, form, good):
+        x = GUARD_FORMS[form](good)
+        assert temperature._check_P(x, 0.125) is None
+        assert temperature._check_s(x) is None
+
+    def test_scalar_trace_rejects_singular_time(self, ref):
+        traces = BoundaryTraces(ref.params, ref.consts)
+        for tau in (-0.125, np.float64(-0.2)):
+            with pytest.raises(SingularTimeError):
+                traces.theta2(tau)
+            with pytest.raises(SingularTimeError):
+                traces.theta1(tau)
 
 
 class TestReferenceCaseForms:
