@@ -258,10 +258,16 @@ def cmd_solve(args) -> int:
               "plateau near 0.5 instead of convergence", file=sys.stderr)
     grid = Grid1D(n_cells=rc.grid_n, a=rc.params.a)
     result = solve_general(rc.params, rc.consts, grid, rc.solver)
+    nodes = grid.nodes
     rows = []
     for tau_s, theta in result.snapshots:
-        ex = np.asarray(result.exact(tau_s, grid.nodes), dtype=float)
-        for eta_j, th_j, ex_j in zip(grid.nodes, theta, ex):
+        # the last snapshot's tau can miss t_end by an ulp; only at t_end
+        # itself is the field the norms were measured against the right one
+        if tau_s == result.config.t_end:
+            ex = result.exact_end
+        else:
+            ex = np.asarray(result.exact(tau_s, nodes), dtype=float)
+        for eta_j, th_j, ex_j in zip(nodes.tolist(), theta.tolist(), ex.tolist()):
             rows.append((tau_s, eta_j, th_j, ex_j, abs(th_j - ex_j)))
     text = _csv(rows, ["tau", "eta", "theta_numeric", "theta_exact", "abs_err"])
     _write_text(rc.out, text)

@@ -31,12 +31,22 @@ boundary mode; any other constants have exact Dirichlet data only.  The
 'paper' boundary mode deliberately feeds the originally published
 (inconsistent) outer flux so the resulting error plateau can be measured;
 it is never the default.
+
+`convergence_study` marches its levels in two processes: the level with
+the most cells in the calling process, the others in one child forked for
+the call, so a study takes about as long as its finest level; the most it
+saves is the coarser levels' share of the serial time (24.8% of the
+node-steps over 64..512, a little more of the time, as small systems cost
+more per node).  `multiprocessing` is imported only then, so importing
+this module loads numpy alone.  Results, observed orders and errors are
+those of marching the levels one after another.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Callable
 
 import numpy as np
@@ -154,6 +164,7 @@ class SolveResult:
     error_inf: float
     error_l2: float
     exact: Callable | None = None  # exact(tau, eta) the norms were measured against
+    exact_end: np.ndarray | None = None  # exact(t_end, grid.nodes), the field of the norms
     observed_order: float | None = None  # filled by convergence_study
 
     @property
@@ -193,13 +204,28 @@ def thomas_solve(lower, diag, upper, rhs):
     return np.array(xs)
 
 
-def _errors(theta, exact, tau, grid):
+def _result(snapshots, grid, config, exact):
+    """SolveResult of a march ending at snapshots[-1], with its norms at t_end."""
     if exact is None:
-        return math.nan, math.nan
-    err = theta - np.asarray(exact(tau, grid.nodes), dtype=float)
+        return SolveResult(snapshots, grid, config, math.nan, math.nan)
+    ex = np.asarray(exact(config.t_end, grid.nodes), dtype=float)
+    err = snapshots[-1][1] - ex
     w = np.full(grid.n_cells + 1, grid.h)
     w[0] = w[-1] = 0.5 * grid.h  # composite trapezoid weights
-    return float(np.max(np.abs(err))), float(np.sqrt(np.sum(w * err * err)))
+    return SolveResult(snapshots, grid, config, float(np.max(np.abs(err))),
+                       float(np.sqrt(np.sum(w * err * err))), exact, ex)
+
+
+def _steps(grid: Grid1D, config: SolverConfig) -> float:
+    """t_end / dt of a march as a float; ValidationError when it is not
+    finite or exceeds MAX_STEPS."""
+    dt = config.dt if config.dt is not None else config.dt_over_h * grid.h
+    steps = config.t_end / dt  # a float: inf when the ratio overflows
+    if not (math.isfinite(steps) and steps <= MAX_STEPS):
+        raise ValidationError(
+            f"t_end / dt = {config.t_end!r} / {dt!r} = {steps:.6g} steps exceeds "
+            f"the budget of {MAX_STEPS} steps; raise dt or lower t_end")
+    return steps
 
 
 def march(grid: Grid1D, config: SolverConfig,
@@ -224,19 +250,13 @@ def march(grid: Grid1D, config: SolverConfig,
     """
     h = grid.h
     n = grid.n_cells
-    dt = config.dt if config.dt is not None else config.dt_over_h * h
-    steps = config.t_end / dt  # a float: inf when the ratio overflows
-    if not (math.isfinite(steps) and steps <= MAX_STEPS):
-        raise ValidationError(
-            f"t_end / dt = {config.t_end!r} / {dt!r} = {steps:.6g} steps exceeds "
-            f"the budget of {MAX_STEPS} steps; raise dt or lower t_end")
+    steps = _steps(grid, config)
     eta = grid.nodes
     theta = np.array(initial(eta), dtype=float)
     snapshots = [(0.0, theta.copy())]
 
     if config.t_end == 0.0:
-        e_inf, e_l2 = _errors(theta, exact, 0.0, grid)
-        return SolveResult(snapshots, grid, config, e_inf, e_l2, exact)
+        return _result(snapshots, grid, config, exact)
 
     nsteps = max(1, int(round(steps)))
     dt = config.t_end / nsteps  # land exactly on t_end
@@ -316,23 +336,14 @@ def march(grid: Grid1D, config: SolverConfig,
             if (k + 1) in snap_at:
                 snapshots.append((tau_new, theta.copy()))
 
-    e_inf, e_l2 = _errors(theta, exact, config.t_end, grid)
-    return SolveResult(snapshots, grid, config, e_inf, e_l2, exact)
+    return _result(snapshots, grid, config, exact)
 
 
-def solve_general(params: ReducedParams, consts: SolutionConstants,
-                  grid: Grid1D, config: SolverConfig) -> SolveResult:
-    """March A*theta_tau = B*d/deta((8*tau+eta+1)*theta_eta) + 16*(1+eps^2)/(8*tau+eta+1)^2.
-
-    When `ReferenceCase().matches(params, consts)` the run starts from
-    `initial_profile` and is measured against `theta_reference`, in any
-    config.bc_mode: 'derived' feeds `reference_flux` at both walls, 'paper'
-    the published fluxes (whose outer inconsistency makes the error plateau
-    near 0.5), 'dirichlet' the values of `theta_reference`.  Any other
-    constants start from `theta_general` at tau = 0, take their wall values
-    from the boundary traces and need bc_mode 'dirichlet' (no general
-    Neumann data exists).
-    """
+def _march_args(params: ReducedParams, consts: SolutionConstants,
+                grid: Grid1D, config: SolverConfig):
+    """`march`'s arguments after grid and config for `solve_general`:
+    (diffusivity, source, initial, bc_inner, bc_outer, exact).  Raises what
+    solve_general rejects before it marches."""
     if abs(grid.a - params.a) > 1e-12:
         raise ValidationError(f"grid.a = {grid.a} must match params.a = {params.a}")
     A, B, eps = params.A, params.B, params.eps
@@ -343,10 +354,11 @@ def solve_general(params: ReducedParams, consts: SolutionConstants,
     def src(tau, eta):
         return 16.0 * (1.0 + eps ** 2) / (A * (8.0 * tau + eta + 1.0) ** 2)
 
+    # exact is a partial, not a lambda, so a SolveResult pickles
     if ReferenceCase().matches(params, consts):
         C5 = consts.C5
         initial = lambda eta: temperature.initial_profile(eta, C5)
-        exact = lambda tau, eta: temperature.theta_reference(tau, eta, C5)
+        exact = partial(temperature.theta_reference, C5=C5)
         if config.bc_mode == "derived":
             bc_in = ("flux", lambda tau: temperature.reference_flux(tau, 0.0))
             bc_out = ("flux", lambda tau: temperature.reference_flux(tau, 1.0))
@@ -362,10 +374,25 @@ def solve_general(params: ReducedParams, consts: SolutionConstants,
     else:
         traces = temperature.BoundaryTraces(params, consts)
         initial = lambda eta: temperature.theta_general(0.0, eta, params, consts)
-        exact = lambda tau, eta: temperature.theta_general(tau, eta, params, consts)
+        exact = partial(temperature.theta_general, params=params, consts=consts)
         bc_in, bc_out = ("value", traces.theta2), ("value", traces.theta1)
+    return dif, src, initial, bc_in, bc_out, exact
 
-    return march(grid, config, dif, src, initial, bc_in, bc_out, exact)
+
+def solve_general(params: ReducedParams, consts: SolutionConstants,
+                  grid: Grid1D, config: SolverConfig) -> SolveResult:
+    """March A*theta_tau = B*d/deta((8*tau+eta+1)*theta_eta) + 16*(1+eps^2)/(8*tau+eta+1)^2.
+
+    When `ReferenceCase().matches(params, consts)` the run starts from
+    `initial_profile` and is measured against `theta_reference`, in any
+    config.bc_mode: 'derived' feeds `reference_flux` at both walls, 'paper'
+    the published fluxes (whose outer inconsistency makes the error plateau
+    near 0.5), 'dirichlet' the values of `theta_reference`.  Any other
+    constants start from `theta_general` at tau = 0, take their wall values
+    from the boundary traces and need bc_mode 'dirichlet' (no general
+    Neumann data exists).
+    """
+    return march(grid, config, *_march_args(params, consts, grid, config))
 
 
 def solve_reference(grid: Grid1D, config: SolverConfig, C5: float = C5_MIN) -> SolveResult:
@@ -374,25 +401,103 @@ def solve_reference(grid: Grid1D, config: SolverConfig, C5: float = C5_MIN) -> S
     return solve_general(case.params, case.consts, grid, config)
 
 
+def _march_levels(params, consts, grids, config) -> list:
+    """`solve_general` of each grid in order, up to the first that raises:
+    its SolveResults, then that exception if one was raised."""
+    outcomes = []
+    for grid in grids:
+        try:
+            outcomes.append(solve_general(params, consts, grid, config))
+        except Exception as e:
+            outcomes.append(e)
+            break
+    return outcomes
+
+
+def _send_levels(conn, params, consts, grids, config):
+    # the forked child's whole work; an interrupt is for the caller, which
+    # then kills the child
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    conn.send(_march_levels(params, consts, grids, config))
+
+
+def _march_forked(ctx, params, consts, grids, config) -> list:
+    """`_march_levels` of grids, the one with the most cells marched in this
+    process and the others in one child forked from ctx.  The outcomes come
+    in grid order; past a failure the list may lack levels.  The child does
+    not outlive the call."""
+    fine = max(range(len(grids)), key=lambda i: grids[i].n_cells)
+    coarse = grids[:fine] + grids[fine + 1:]
+    recv, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_levels, args=(send, params, consts, coarse, config))
+    child.start()
+    send.close()
+    try:
+        here = _march_levels(params, consts, [grids[fine]], config)
+        try:
+            there = recv.recv()
+        except EOFError:
+            raise RuntimeError("the process marching the coarser levels exited "
+                               "without sending their results") from None
+    except BaseException:
+        child.kill()
+        raise
+    finally:
+        recv.close()
+        child.join()
+    # a list cut short ends in its exception, which comes before the rest
+    return there[:fine] + here + there[fine:]
+
+
 def convergence_study(levels, config: SolverConfig,
                       params: ReducedParams | None = None,
                       consts: SolutionConstants | None = None):
     """Refinement study of `solve_general` with dt tied to h (dt = dt_over_h * h).
 
     params and consts default to the reference case; every level's grid
-    spans [0, params.a].  Returns one SolveResult per level with
-    observed_order filled from consecutive pairs (log error ratio over log h
-    ratio); a single level yields errors only.
+    spans [0, params.a].  Returns one SolveResult per level, in the given
+    order, with observed_order filled from consecutive pairs (log error
+    ratio over log h ratio); a single level yields errors only.
+
+    The levels are independent: the one with the most cells marches in this
+    process while the others march, one after another, in one child forked
+    for the call (`multiprocessing`'s 'fork' start method).  A single level,
+    or a platform without 'fork', marches every level here.  The results are
+    bit-identical either way, and so are the errors: the checks a solve makes
+    before it marches run first for every level in the given order, and of
+    the exceptions the marches raise the caller gets the first failing
+    level's, as from a one-level-at-a-time loop.
     """
     if len(levels) < 1:
         raise ValidationError("at least one refinement level required")
     case = ReferenceCase()
     params = case.params if params is None else params
     consts = case.consts if consts is None else consts
-    results: list[SolveResult] = []
-    for n in levels:
+    config = replace(config, dt=None)
+    grids = []
+    for n in levels:  # what each level's solve checks before its march
         grid = Grid1D(n_cells=int(n), a=params.a)
-        res = solve_general(params, consts, grid, replace(config, dt=None))
+        _march_args(params, consts, grid, config)
+        _steps(grid, config)
+        grids.append(grid)
+
+    ctx = None
+    if len(grids) > 1:
+        import multiprocessing  # here, so importing the solver loads numpy only
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # no 'fork' on this platform
+            pass
+    if ctx is None:
+        outcomes = _march_levels(params, consts, grids, config)
+    else:
+        outcomes = _march_forked(ctx, params, consts, grids, config)
+
+    results: list[SolveResult] = []
+    for res in outcomes:
+        if isinstance(res, Exception):
+            raise res
         if results:
             prev = results[-1]
             res.observed_order = float(

@@ -134,6 +134,33 @@ class TestSolve:
         for r in rows:
             assert r["theta_exact"] == float(theta_reference(r["tau"], r["eta"]))
 
+    @pytest.mark.parametrize("grid, tau_end", [("16", "0.25"), ("16", "0.05"), ("32", "0.7")])
+    def test_exact_column_at_every_snapshot_tau(self, tmp_path, capsys, monkeypatch,
+                                                grid, tau_end):
+        # at 16 cells to 0.05 and at 32 to 0.7 the last step lands an ulp off
+        # t_end, where the field the norms used is not the snapshot's
+        from ringheat import temperature
+
+        real = temperature.theta_reference
+        calls = []
+
+        def counting(tau, eta, *args, **kwargs):
+            calls.append(tau)
+            return real(tau, eta, *args, **kwargs)
+
+        monkeypatch.setattr(temperature, "theta_reference", counting)
+        out_path = tmp_path / "solve.csv"
+        rc, _, _ = run(["solve", "--grid", grid, "--tau-end", tau_end,
+                        "--out", str(out_path)], capsys)
+        assert rc == 0
+        _, rows = read_csv(out_path)
+        for r in rows:
+            assert r["theta_exact"] == float(real(r["tau"], r["eta"]))
+        last_tau = rows[-1]["tau"]
+        assert (last_tau == float(tau_end)) == (tau_end == "0.25")
+        # one evaluation per snapshot, the one at t_end shared with the norms
+        assert len(calls) == 5 + (last_tau != float(tau_end))
+
     def test_euler_scheme_end_to_end(self, tmp_path, capsys):
         out_path = tmp_path / "euler.csv"
         rc, _, _ = run(["solve", "--grid", "64", "--scheme", "euler",
@@ -395,6 +422,7 @@ import ringheat.cli as cli
 from ringheat import flow, verification
 
 state = {"after_import": scipy_modules(),
+         "multiprocessing_after_import": "multiprocessing" in sys.modules,
          "quad_callable": callable(flow.quad) and callable(verification.quad)}
 with contextlib.redirect_stdout(io.StringIO()):
     state["rc"] = cli.main(json.loads(sys.argv[1]))
@@ -418,6 +446,8 @@ def test_scipy_loaded_only_where_verify_integrates(argv, loads_scipy):
     state = json.loads(proc.stdout)
     assert state["rc"] == 0
     assert state["after_import"] == []
+    # a convergence study imports multiprocessing only when it forks
+    assert not state["multiprocessing_after_import"]
     # the benchmark's tracer wraps both names by attribute
     assert state["quad_callable"]
     if loads_scipy:

@@ -1,3 +1,9 @@
+import multiprocessing
+import os
+import signal
+import time
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -503,7 +509,194 @@ class TestConvergenceStudy:
         assert results[0].observed_order is None
         assert results[0].error_inf > 0.0
 
+    def test_result_keeps_the_exact_field_at_t_end(self):
+        # t_end = 0.05 on 16 cells: the last step lands an ulp off t_end
+        for config in (SolverConfig(t_end=0.05), SolverConfig(t_end=0.0)):
+            res = solve_reference(Grid1D(16), config)
+            assert np.array_equal(res.exact_end, res.exact(config.t_end, res.grid.nodes))
+            assert res.error_inf == float(np.max(np.abs(res.final[1] - res.exact_end)))
+
     def test_dt_tied_to_h(self):
         results = convergence_study([16, 32], SolverConfig(t_end=0.25, dt=123.0))
         # the study overrides any explicit dt with dt_over_h * h
         assert results[0].config.dt is None
+
+
+def per_level_oracle(levels, config, params, consts):
+    """The one-level-at-a-time study, frozen here as the oracle of the
+    forked one: results and observed orders must equal its exactly."""
+    config = replace(config, dt=None)
+    results = [solve_general(params, consts, Grid1D(n, a=params.a), config) for n in levels]
+    for prev, res in zip(results, results[1:]):
+        res.observed_order = float(np.log(prev.error_inf / res.error_inf)
+                                   / np.log(prev.grid.h / res.grid.h))
+    return results
+
+
+def general_case():
+    g = TestOneSolvePath.GENERAL
+    params = ReducedParams(A=g["A"], B=g["B"], eps=g["eps"], a=1.0)
+    consts = SolutionConstants(C3=g["C3"], C5=g["C5"],
+                               K=k_for_equal_boundaries(params, g["C3"]))
+    return params, consts
+
+
+@pytest.fixture
+def marched_in(monkeypatch):
+    """Record, per level, the pid of the process that marched it."""
+    real = solver.solve_general
+
+    def recording(params, consts, grid, config):
+        res = real(params, consts, grid, config)
+        res.pid = os.getpid()  # pickled back with the result
+        return res
+
+    monkeypatch.setattr(solver, "solve_general", recording)
+    return lambda results: [res.pid for res in results]
+
+
+def failing_at(monkeypatch, failures):
+    """Make solve_general raise failures[n_cells] at those levels; in a
+    forked child too, which inherits the patch."""
+    real = solver.solve_general
+
+    def failing(params, consts, grid, config):
+        if grid.n_cells in failures:
+            raise failures[grid.n_cells]
+        return real(params, consts, grid, config)
+
+    monkeypatch.setattr(solver, "solve_general", failing)
+
+
+class TestForkedStudy:
+    CASES = {
+        "reference-derived": (None, [32, 64, 128], SolverConfig(t_end=0.25)),
+        "reference-unsorted": (None, [64, 128, 16, 32], SolverConfig(t_end=0.25, bc_mode="paper")),
+        "general-unsorted": ("general", [64, 16, 128, 32],
+                             SolverConfig(t_end=0.25, bc_mode="dirichlet")),
+    }
+
+    @pytest.mark.parametrize("case", sorted(CASES))
+    def test_matches_the_per_level_oracle(self, case, ref, marched_in):
+        which, levels, config = self.CASES[case]
+        params, consts = general_case() if which else (ref.params, ref.consts)
+        results = convergence_study(levels, config, params, consts)
+        expect = per_level_oracle(levels, config, params, consts)
+        assert [r.grid.n_cells for r in results] == levels
+        for res, exp in zip(results, expect):
+            assert len(res.snapshots) == len(exp.snapshots)
+            for (t1, v1), (t2, v2) in zip(res.snapshots, exp.snapshots):
+                assert t1 == t2
+                assert np.array_equal(v1, v2)
+            assert (res.error_inf, res.error_l2) == (exp.error_inf, exp.error_l2)
+            assert res.observed_order == exp.observed_order
+            assert np.array_equal(res.exact_end, exp.exact_end)
+            assert res.exact(0.1, 0.5) == exp.exact(0.1, 0.5)
+        # the finest level marched here, the others in one other process
+        pids = marched_in(results)
+        fine = levels.index(max(levels))
+        assert pids[fine] == os.getpid()
+        others = {pid for i, pid in enumerate(pids) if i != fine}
+        assert len(others) == 1 and os.getpid() not in others
+        assert multiprocessing.active_children() == []
+
+    def test_coarse_failure_reaches_the_caller(self, monkeypatch):
+        failing_at(monkeypatch, {32: DivergenceError("non-finite solution at step 7 of 64")})
+        with pytest.raises(DivergenceError, match="^non-finite solution at step 7 of 64$"):
+            convergence_study([16, 32, 64], SolverConfig(t_end=0.25))
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("levels, first", [([16, 64, 32], 16), ([64, 16, 32], 64),
+                                               ([32, 64, 16], 32)])
+    def test_first_failing_level_in_given_order_wins(self, monkeypatch, levels, first):
+        # the finest level (64) marches in this process, the rest in the child
+        failing_at(monkeypatch, {n: ValidationError(f"level {n}") for n in (16, 32, 64)})
+        with pytest.raises(ValidationError, match=f"^level {first}$"):
+            convergence_study(levels, SolverConfig(t_end=0.25))
+        assert multiprocessing.active_children() == []
+
+    def test_over_budget_names_the_first_level(self, monkeypatch):
+        # both levels exceed MAX_STEPS; serially the 64-cell level fails
+        # first, and the check runs before anything is forked
+        monkeypatch.setattr(os, "fork", None)
+        with pytest.raises(ValidationError, match=r"= 5\.12e\+06 steps exceeds"):
+            convergence_study([64, 128], SolverConfig(t_end=1e4))
+
+    def test_checks_before_marching_keep_serial_order(self, monkeypatch):
+        monkeypatch.setattr(os, "fork", None)
+        params, consts = general_case()
+        # the Neumann-mode rejection of level 64 comes before level 128's budget
+        with pytest.raises(ValidationError, match="needs the reference constants"):
+            convergence_study([64, 128], SolverConfig(t_end=1e4, bc_mode="derived"),
+                              params, consts)
+        with pytest.raises(ValidationError, match="n_cells must be >= 8"):
+            convergence_study([4, 64], SolverConfig(t_end=1e4))
+
+    def test_one_level_forks_nothing(self, monkeypatch, ref):
+        monkeypatch.setattr(os, "fork", None)
+        (res,) = convergence_study([32], SolverConfig(t_end=0.25))
+        (exp,) = per_level_oracle([32], SolverConfig(t_end=0.25), ref.params, ref.consts)
+        assert np.array_equal(res.final[1], exp.final[1])
+        assert multiprocessing.active_children() == []
+
+    def test_without_fork_every_level_marches_here(self, monkeypatch, ref, marched_in):
+        real = multiprocessing.get_context
+
+        def no_fork(method=None):
+            if method == "fork":
+                raise ValueError("cannot find context for 'fork'")
+            return real(method)
+
+        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
+        monkeypatch.setattr(os, "fork", None)
+        levels, config = [64, 16, 32], SolverConfig(t_end=0.25)
+        results = convergence_study(levels, config)
+        expect = per_level_oracle(levels, config, ref.params, ref.consts)
+        assert [(r.error_inf, r.observed_order) for r in results] == \
+            [(e.error_inf, e.observed_order) for e in expect]
+        assert marched_in(results) == [os.getpid()] * 3
+
+    def test_child_that_dies_is_an_error(self, monkeypatch):
+        real = solver.solve_general
+
+        def dying(params, consts, grid, config):
+            if grid.n_cells == 16:
+                os._exit(3)
+            return real(params, consts, grid, config)
+
+        monkeypatch.setattr(solver, "solve_general", dying)
+        with pytest.raises(RuntimeError, match="exited without sending"):
+            convergence_study([16, 32], SolverConfig(t_end=0.25))
+        assert multiprocessing.active_children() == []
+
+    def test_child_leaves_an_interrupt_to_the_caller(self, monkeypatch, ref):
+        real = solver.solve_general
+
+        def interrupted(params, consts, grid, config):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGINT)  # as Ctrl-C reaches both
+            return real(params, consts, grid, config)
+
+        parent = os.getpid()
+        monkeypatch.setattr(solver, "solve_general", interrupted)
+        levels, config = [16, 32], SolverConfig(t_end=0.25)
+        results = convergence_study(levels, config)
+        expect = per_level_oracle(levels, config, ref.params, ref.consts)
+        assert [r.error_inf for r in results] == [e.error_inf for e in expect]
+
+    def test_child_does_not_outlive_an_interrupt(self, monkeypatch):
+        real = solver.solve_general
+
+        def slow_or_interrupted(params, consts, grid, config):
+            if grid.n_cells == 16:
+                time.sleep(60)  # the child, still marching when the caller stops
+            elif grid.n_cells == 32:
+                raise KeyboardInterrupt
+            return real(params, consts, grid, config)
+
+        monkeypatch.setattr(solver, "solve_general", slow_or_interrupted)
+        start = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            convergence_study([16, 32], SolverConfig(t_end=0.25))
+        assert multiprocessing.active_children() == []
+        assert time.monotonic() - start < 30
