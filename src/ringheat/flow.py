@@ -29,7 +29,6 @@ __all__ = [
     "velocities",
     "pressure",
     "stress_components",
-    "shear_stress_variants",
     "angular_momentum",
     "angular_momentum_integral",
 ]
@@ -100,22 +99,6 @@ def stress_components(r, t, phys: PhysicalParams, p_inf=None):
     t_rr = -(pressure(r, nu, nu0, p_inf) + 2.0 * nu * phi / (r * r)) + nu0 * shear
     t_rtheta = nu * shear + 2.0 * nu0 * phi / (r * r)
     return t_rr, t_rtheta
-
-
-def shear_stress_variants(r, phys: PhysicalParams):
-    """Both circulating sign conventions for the shear-stress condition.
-
-    Returns (plus_form, minus_form) of nu*(dv/dr - v/r) ± 2*nu0*Phi/r^2.
-    Only the '+' form vanishes on the exact branch, so it is the canonical
-    one used by `stress_components`; the '-' form is reported for
-    diagnostic comparison.
-    """
-    if np.any(np.asarray(r) <= 0):
-        raise ValidationError("r must be > 0")
-    nu, nu0 = phys.nu, phys.nu0
-    phi = 4.0 * nu
-    shear = -8.0 * nu0 / (r * r)
-    return nu * shear + 2.0 * nu0 * phi / (r * r), nu * shear - 2.0 * nu0 * phi / (r * r)
 
 
 def angular_momentum(t, phys: PhysicalParams) -> float:

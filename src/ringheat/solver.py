@@ -8,9 +8,12 @@ is >= 1 on the whole domain, so the tridiagonal systems are strictly
 diagonally dominant and plain Thomas elimination without pivoting is safe.
 `thomas_solve` runs that elimination on Python floats, in the operation
 order of the original indexed numpy loop, so its results are bit-identical
-to that loop's at a fifth of the cost.  `scipy.linalg.solve_banded` would be
-faster still, but it rounds differently: it moves the error norms by ~5e-9
-relative, past the 1e-12 agreement the recorded benchmark norms demand.
+to that loop's.  It reads the bands through memoryviews instead of copying
+them into lists and builds its result with `np.fromiter` over the back
+substitution, so what remains of its cost is the sweep's float arithmetic.
+`scipy.linalg.solve_banded` would be faster still, but it rounds
+differently: it moves the error norms by ~5e-9 relative, past the 1e-12
+agreement the recorded benchmark norms demand.
 A march is limited to `MAX_STEPS` time steps.
 
 `march` assembles its coefficients a block of steps at a time: one call of
@@ -175,13 +178,17 @@ class SolveResult:
 def thomas_solve(lower, diag, upper, rhs):
     """Tridiagonal elimination (no pivoting; assumes diagonal dominance).
 
-    lower/upper have length n-1 for an n-row system, n >= 2.  The sweep runs
-    on Python floats, which round exactly as float64 array elements do, so
-    the result is bit-identical to an indexed numpy loop doing the same
-    operations in the same order; keep that order (no reciprocals, no
-    fusing) or every snapshot of every march moves in its last bits.
+    lower/upper have length n-1 for an n-row system, n >= 2.  The bands are
+    read as float64 through memoryviews, without copying them (a float64
+    array is not copied; another dtype or byte order is converted first), and
+    the result is built from the back substitution with `np.fromiter`.  The
+    sweep runs on the Python floats the memoryviews yield, which round
+    exactly as float64 array elements do, so the result is bit-identical to
+    an indexed numpy loop doing the same operations in the same order; keep
+    that order (no reciprocals, no fusing) or every snapshot of every march
+    moves in its last bits.
     """
-    lo, b, c, d = lower.tolist(), diag.tolist(), upper.tolist(), rhs.tolist()
+    lo, b, c, d = (memoryview(np.asarray(v, dtype=float)) for v in (lower, diag, upper, rhs))
     cp = c[0] / b[0]
     dp = d[0] / b[0]
     cps, dps = [cp], [dp]
@@ -200,8 +207,7 @@ def thomas_solve(lower, diag, upper, rhs):
     for cp, dp in zip(reversed(cps), reversed(dps)):
         x = dp - cp * x
         xs.append(x)
-    xs.reverse()
-    return np.array(xs)
+    return np.fromiter(reversed(xs), float, len(xs))
 
 
 def _result(snapshots, grid, config, exact):
@@ -458,7 +464,9 @@ def convergence_study(levels, config: SolverConfig,
     params and consts default to the reference case; every level's grid
     spans [0, params.a].  Returns one SolveResult per level, in the given
     order, with observed_order filled from consecutive pairs (log error
-    ratio over log h ratio); a single level yields errors only.
+    ratio over log h ratio); a single level yields errors only.  t_end = 0
+    raises ValidationError: every level would return the initial data,
+    whose error is 0, and leave no order to observe.
 
     The levels are independent: the one with the most cells marches in this
     process while the others march, one after another, in one child forked
@@ -475,6 +483,10 @@ def convergence_study(levels, config: SolverConfig,
     params = case.params if params is None else params
     consts = case.consts if consts is None else consts
     config = replace(config, dt=None)
+    if config.t_end == 0.0:
+        raise ValidationError("t_end must be > 0 for a convergence study: at t_end = 0 "
+                              "every level returns its initial data, with no error to "
+                              "compare")
     grids = []
     for n in levels:  # what each level's solve checks before its march
         grid = Grid1D(n_cells=int(n), a=params.a)

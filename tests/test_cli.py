@@ -280,6 +280,14 @@ class TestConvergence:
         assert rc == 1
         assert "plateau" in out
 
+    def test_t_end_zero_exit_2(self, capsys):
+        # every level's error is 0 at t_end = 0, so no order can be observed
+        rc, out, err = run(["convergence", "--grid", "16,32", "--tau-end", "0"], capsys)
+        assert rc == 2
+        assert "t_end" in err
+        assert "Traceback" not in err
+        assert out == ""
+
     def test_single_level_usage_error(self, capsys):
         rc, _, err = run(["convergence", "--grid", "64"], capsys)
         assert rc == 2

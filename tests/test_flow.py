@@ -13,7 +13,6 @@ from ringheat.flow import (
     exact_omega,
     pressure,
     radii,
-    shear_stress_variants,
     stress_components,
     velocities,
     xi,
@@ -134,12 +133,11 @@ class TestStress:
         _, t_rt = stress_components(1.7, 0.5, phys(mu0=0.0))
         assert t_rt == 0.0
 
-    def test_sign_variants(self):
-        # only the '+' convention cancels on the exact branch
-        p = phys(mu0=0.5)
-        plus, minus = shear_stress_variants(2.0, p)
-        assert abs(plus) < 1e-14
-        assert minus == pytest.approx(-16.0 * p.nu * p.nu0 / 4.0, rel=1e-13)
+    def test_plus_sign_shear_form_cancels(self):
+        # T_rtheta is the '+' sign convention, nu*(dv/dr - v/r) + 2*nu0*Phi/r^2,
+        # the one that cancels on the exact branch
+        _, t_rt = stress_components(2.0, 0.0, phys(mu0=0.5))
+        assert abs(t_rt) < 1e-14
 
 
 class TestAngularMomentum:

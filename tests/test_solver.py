@@ -106,6 +106,24 @@ class TestThomas:
                                    atol=1e-12 * np.max(np.abs(want)))
         assert np.array_equal(x, indexed_thomas(lower, diag, upper, rhs))
 
+    @pytest.mark.parametrize("layout", [
+        pytest.param(lambda v: np.repeat(v, 2)[::2], id="strided"),
+        pytest.param(lambda v: np.broadcast_to(v, v.shape), id="read_only"),
+        pytest.param(lambda v: v.astype(np.float32), id="float32"),
+        pytest.param(lambda v: v.astype(">f8"), id="big_endian"),
+    ])
+    def test_band_layouts_match_oracle(self, layout):
+        # the bands are read through memoryviews: a layout .tolist() took
+        # must give the floats it gave
+        rng = np.random.default_rng(7)
+        n = 33
+        bands = [layout(v) for v in (-rng.random(n - 1), 3.0 + rng.random(n),
+                                     -rng.random(n - 1), rng.standard_normal(n))]
+        x = thomas_solve(*bands)
+        want = indexed_thomas(*(np.array(v, dtype=float) for v in bands))
+        assert x.dtype == np.float64
+        assert np.array_equal(x, want)
+
     def test_against_dense_solve(self):
         rng = np.random.default_rng(3)
         n = 40

@@ -391,6 +391,26 @@ class TestFluxDiscrepancy:
         assert math.copysign(1.0, pub) != math.copysign(1.0, der)
         assert float(rep.outer_gap[0]) == pytest.approx(0.405, abs=1e-3)
 
+    def test_exact_gap_at_tau0(self):
+        # published minus exact outer flux at tau = 0 as an exact number: the
+        # exact flux is d(theta_reference)/d(eta) at (0, 1), derived by sympy
+        sp = pytest.importorskip("sympy")
+        tau, eta, C5 = sp.symbols("tau eta C5", real=True)
+        c = 8 * tau + 1
+        s = c + eta
+        theta = C5 / 2 - sp.Rational(5, 6) * (
+            2 / s + ((eta ** 2 - c ** 2) / c ** 4) * sp.exp(-eta / c))
+        derived = sp.diff(theta, eta).subs({tau: 0, eta: 1})
+        published = (sp.Rational(5, 3) / (8 * tau + 2) ** 2
+                     + sp.Rational(5, 6) / (8 * tau + 2) ** 3
+                     * (1 - (8 * tau + 1) * (8 * tau + 3)) / (8 * tau + 1) ** 2).subs(tau, 0)
+        exact_gap = 5 / (3 * sp.E) - sp.Rational(5, 24)
+        assert published == sp.Rational(5, 24)
+        assert sp.simplify(published - derived - exact_gap) == 0
+        want = float(sp.N(exact_gap, 40))
+        assert want == 0.40479906861907056
+        assert abs(verification.published_gap_at(0.0) - want) <= math.ulp(want)
+
     def test_gap_decays(self):
         rep = published_flux_discrepancy(np.array([100.0]))
         assert abs(float(rep.outer_gap[0])) < 1e-4
