@@ -466,7 +466,8 @@ def convergence_study(levels, config: SolverConfig,
     order, with observed_order filled from consecutive pairs (log error
     ratio over log h ratio); a single level yields errors only.  t_end = 0
     raises ValidationError: every level would return the initial data,
-    whose error is 0, and leave no order to observe.
+    whose error is 0, and leave no order to observe.  So does a repeated
+    level: two equal grids have no h ratio to divide by.
 
     The levels are independent: the one with the most cells marches in this
     process while the others march, one after another, in one child forked
@@ -487,6 +488,9 @@ def convergence_study(levels, config: SolverConfig,
         raise ValidationError("t_end must be > 0 for a convergence study: at t_end = 0 "
                               "every level returns its initial data, with no error to "
                               "compare")
+    if len(set(levels)) < len(levels):
+        raise ValidationError(f"levels must be distinct, got {list(levels)}: two equal "
+                              "grids have no h ratio to observe an order from")
     grids = []
     for n in levels:  # what each level's solve checks before its march
         grid = Grid1D(n_cells=int(n), a=params.a)

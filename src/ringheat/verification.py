@@ -15,15 +15,17 @@ it fails.
 
 The flux-evolution balance of the flow branch needs an eta integral at
 every tau; it is one adaptive vector quadrature over all tau
-(`scipy.integrate.quad_vec`, Gauss-Kronrod, max norm), independent of the
-mesh evaluation.  Its absolute tolerance follows the derivative mode
-(`FLUX_QUAD_EPSABS`), and an integral that does not converge within
-`FLUX_QUAD_LIMIT` subdivisions fails the check.  `flow_residuals` imports
-scipy when it runs, so importing this module loads numpy only.  The
-module-level `quad` (bound to `flow.quad`, which also imports scipy only
-when called) is never called here: it stays bound because the
-benchmark's tracer wraps `verification.quad` by attribute, until the
-benchmark wraps functions where they are defined.
+(`scipy.integrate.cubature` with the 21-node Gauss-Kronrod rule),
+independent of the mesh evaluation.  The integrand receives all nodes of
+a region in one call, so the derivative engine runs once per region
+rather than once per node.  Its absolute tolerance follows the
+derivative mode (`FLUX_QUAD_EPSABS`), and an integral that does not
+converge within `FLUX_QUAD_LIMIT` subdivisions fails the check.
+`flow_residuals` imports scipy when it runs, so importing this module
+loads numpy only.  The module-level `quad` (bound to `flow.quad`, which
+also imports scipy only when called) is never called here: it stays
+bound because the benchmark's tracer wraps `verification.quad` by
+attribute, until the benchmark wraps functions where they are defined.
 
 Besides the per-equation residual evaluators this module carries
 `run_suite`, the aggregate check list the CLI `verify` subcommand prints,
@@ -85,7 +87,7 @@ ENGINE_AGREEMENT_TOL = 1e-5
 #: absolute tolerance of the flux-evolution quadrature per derivative mode:
 #: the ~1e-12 noise of fd derivatives keeps a 1e-12 quadrature from converging
 FLUX_QUAD_EPSABS = {"dual": 1e-12, "fd": 1e-10}
-#: subdivision cap of that quadrature (quad's own default)
+#: subdivision cap of that quadrature (the default limit of scipy's quad)
 FLUX_QUAD_LIMIT = 50
 
 
@@ -300,24 +302,23 @@ def flow_residuals(eps: float, grid=None,
     walls = engine.d1(omega, (TW, EW), 1) + eps * psi / (sw * sw)
 
     # dPsi/dtau = 0 on the branch, so the right side must vanish too; its
-    # eta integral is one adaptive vector quadrature over all tau, an
+    # eta integral is one adaptive Gauss-Kronrod cubature over all tau, an
     # oracle independent of the mesh evaluation.  An unconverged integral
     # makes the balance NaN, so the check fails instead of passing.
     xi_v = flow.xi(tau)
     lnf = np.log(1.0 + a / xi_v)
     term1 = a * psi * (psi - 4.0) / (xi_v * (xi_v + a) * lnf)
 
-    from scipy.integrate import quad_vec
+    from scipy.integrate import cubature
 
-    def integrand(e):
-        E = np.full_like(tau, e)
-        return omega(tau, E) ** 2 + 4.0 * eps * engine.d1(omega, (tau, E), 1)
+    def integrand(x):
+        # x: (npoints, 1) nodes of a region; one engine call covers them all
+        T, E = np.broadcast_arrays(tau, x)
+        return omega(T, E) ** 2 + 4.0 * eps * engine.d1(omega, (T, E), 1)
 
-    integral, _, info = quad_vec(integrand, 0.0, a, epsabs=FLUX_QUAD_EPSABS[engine.mode],
-                                 epsrel=1e-12, norm="max", limit=FLUX_QUAD_LIMIT,
-                                 full_output=True)
-    if not info.success:
-        integral = np.full_like(tau, np.nan)
+    res = cubature(integrand, [0.0], [a], rule="gk21", atol=FLUX_QUAD_EPSABS[engine.mode],
+                   rtol=1e-12, max_subdivisions=FLUX_QUAD_LIMIT)
+    integral = res.estimate if res.status == "converged" else np.full_like(tau, np.nan)
     balance = -(term1 + integral / lnf)
 
     ring = np.append(engine.d1(flow.xi, (tau,), 0) - 2.0 * psi, flow.xi(0.0) - 1.0)

@@ -288,6 +288,14 @@ class TestConvergence:
         assert "Traceback" not in err
         assert out == ""
 
+    def test_repeated_level_exit_2(self, capsys):
+        # equal grids have no h ratio, so no order can be observed
+        rc, out, err = run(["convergence", "--grid", "64,64"], capsys)
+        assert rc == 2
+        assert "levels" in err
+        assert "Traceback" not in err and "RuntimeWarning" not in err
+        assert out == ""
+
     def test_single_level_usage_error(self, capsys):
         rc, _, err = run(["convergence", "--grid", "64"], capsys)
         assert rc == 2

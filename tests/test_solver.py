@@ -534,6 +534,19 @@ class TestConvergenceStudy:
             assert np.array_equal(res.exact_end, res.exact(config.t_end, res.grid.nodes))
             assert res.error_inf == float(np.max(np.abs(res.final[1] - res.exact_end)))
 
+    def test_repeated_level_rejected_before_any_check(self, monkeypatch):
+        # log(h/h) = 0 would make the order NaN; the 4-cell level would fail
+        # its own check, so the repeat is caught first, and nothing forks
+        monkeypatch.setattr(os, "fork", None)
+        for levels in ([64, 64], [4, 4], [32, 64, 32]):
+            with pytest.raises(ValidationError, match="^levels must be distinct"):
+                convergence_study(levels, SolverConfig(t_end=0.25))
+
+    def test_descending_levels(self):
+        results = convergence_study([128, 64], SolverConfig(t_end=0.25))
+        assert [r.grid.n_cells for r in results] == [128, 64]
+        assert 1.8 <= results[1].observed_order <= 2.2
+
     def test_dt_tied_to_h(self):
         results = convergence_study([16, 32], SolverConfig(t_end=0.25, dt=123.0))
         # the study overrides any explicit dt with dt_over_h * h

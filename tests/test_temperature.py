@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -82,6 +83,66 @@ class TestThetaGeneral:
                                    - 0.5 * ref.C5))) * t for t in taus]
         c = 2.0 * sup[0]
         assert all(s <= c for s in sup)
+
+
+class TestSymbolicTheta:
+    """theta_general and theta_simple substituted by sympy into
+    A*Theta_tau - B*(Theta_eta + s*Theta_etaeta) = 16*(1+eps^2)/s^2: an
+    oracle that shares nothing with the dual engine.  The mode is written
+    as K*R*exp(L), R = (A*Q - B*P)/P^3, L = -A*Q/(B*P) + (8A/B)*(log s -
+    log P); L has rational derivatives, so the mode's residual divided by
+    K*exp(L) is a rational function that `cancel` reduces exactly."""
+
+    @pytest.fixture
+    def forms(self):
+        sp = pytest.importorskip("sympy")
+        tau, eta = sp.symbols("tau eta", real=True)
+        A, B, C3 = sp.symbols("A B C3", positive=True)
+        eps, C5, K, level = sp.symbols("epsilon C5 K level", real=True)
+        s = 8 * tau + eta + 1
+        P = tau + C3
+        Q = 1 + eta - 8 * C3
+        R = (A * Q - B * P) / P ** 3
+        L = -A * Q / (B * P) + (8 * A / B) * (sp.log(s) - sp.log(P))
+
+        def simple(level):
+            return level - 16 * (1 + eps ** 2) / (s * (B + 8 * A))
+
+        return sp, SimpleNamespace(tau=tau, eta=eta, A=A, B=B, C3=C3, eps=eps, C5=C5,
+                                   K=K, level=level, s=s, R=R, L=L, simple=simple)
+
+    def test_mode_solves_the_homogeneous_equation(self, forms):
+        sp, f = forms
+        d, R, L = sp.diff, f.R, f.L
+        # (K*R*exp(L))_x = K*exp(L)*(R_x + R*L_x), and likewise twice in eta
+        m_tau = d(R, f.tau) + R * d(L, f.tau)
+        m_eta = d(R, f.eta) + R * d(L, f.eta)
+        m_etaeta = (d(R, f.eta, 2) + 2 * d(R, f.eta) * d(L, f.eta)
+                    + R * (d(L, f.eta, 2) + d(L, f.eta) ** 2))
+        assert sp.cancel(f.A * m_tau - f.B * (m_eta + f.s * m_etaeta)) == 0
+
+    def test_simple_profile_leaves_exactly_the_source(self, forms):
+        sp, f = forms
+        th = f.simple(f.level)
+        lhs = f.A * sp.diff(th, f.tau) - f.B * (sp.diff(th, f.eta) + f.s * sp.diff(th, f.eta, 2))
+        assert sp.cancel(lhs - 16 * (1 + f.eps ** 2) / f.s ** 2) == 0
+
+    def test_forms_are_the_codes(self, forms):
+        sp, f = forms
+        syms = (f.tau, f.eta, f.A, f.B, f.eps, f.C3, f.C5, f.K)
+        general = sp.lambdify(syms, f.K * f.R * sp.exp(f.L) + f.simple(f.C5 / 2))
+        simple = sp.lambdify(syms + (f.level,), f.simple(f.level))
+        cases = [(0.0, 0.0, 0.75, 6.0, 0.5, 0.125, 5.0 / 3.0, reference_case_K(0.125)),
+                 (0.3, 0.7, 0.9, 5.0, 0.4, 0.2, 1.5, -2e-3),
+                 (2.0, 1.6, 1.3, 3.5, -0.7, 0.15, 2.5, 7e-4)]
+        for tau, eta, A, B, eps, C3, C5, K in cases:
+            params = ReducedParams(A=A, B=B, eps=eps, a=2.0)
+            consts = SolutionConstants(C3=C3, C5=C5, K=K)
+            args = (tau, eta, A, B, eps, C3, C5, K)
+            assert theta_general(tau, eta, params, consts) == pytest.approx(general(*args),
+                                                                            rel=1e-14)
+            assert theta_simple(tau, eta, params, level=0.4) == pytest.approx(
+                simple(*args, 0.4), rel=1e-14)
 
 
 #: One value x in each form a domain guard receives.

@@ -7,7 +7,7 @@ import pytest
 import scipy.integrate
 from scipy.integrate import quad
 
-from ringheat import flow, verification
+from ringheat import dualnum, flow, verification
 from ringheat.core import ReducedParams, SolutionConstants, ValidationError
 from ringheat.dualnum import value
 from ringheat.temperature import (
@@ -199,48 +199,76 @@ def per_tau_quad_integral(eps, tau, a, engine):
 
 
 @pytest.fixture
-def quad_vec_calls(monkeypatch):
-    """Record (integral, info) of every quad_vec call made by verification
-    (`flow_residuals` imports it from scipy.integrate when it runs)."""
+def cubature_calls(monkeypatch):
+    """Record every cubature call made by verification (`flow_residuals`
+    imports it from scipy.integrate when it runs) as a namespace holding
+    its result, the number of nodes passed to each integrand call, and the
+    number of dual-engine (`dualnum.d1`) calls the integrand made."""
     calls = []
-    real = scipy.integrate.quad_vec
+    real = scipy.integrate.cubature
+    real_d1 = dualnum.d1
+    engine_calls = [0]
 
-    def spy(*args, **kwargs):
-        out = real(*args, **kwargs)
-        calls.append((out[0], out[2]))
-        return out
+    def d1(*args):
+        engine_calls[0] += 1
+        return real_d1(*args)
 
-    monkeypatch.setattr(scipy.integrate, "quad_vec", spy)
+    def spy(f, *args, **kwargs):
+        call = types.SimpleNamespace(nodes=[], engine_calls=0, result=None)
+
+        def counted(x, *fargs):
+            call.nodes.append(len(x))
+            before = engine_calls[0]
+            out = f(x, *fargs)
+            call.engine_calls += engine_calls[0] - before
+            return out
+
+        call.result = real(counted, *args, **kwargs)
+        calls.append(call)
+        return call.result
+
+    monkeypatch.setattr(dualnum, "d1", d1)
+    monkeypatch.setattr(scipy.integrate, "cubature", spy)
     return calls
 
 
 class TestFluxEvolutionQuadrature:
     @pytest.mark.parametrize("a", [1.0, 2.0])
     @pytest.mark.parametrize("eps", [0.5, 0.0, -1.2])
-    def test_vector_integral_matches_per_tau_oracle(self, eps, a, quad_vec_calls):
+    def test_vector_integral_matches_per_tau_oracle(self, eps, a, cubature_calls):
         grid = standard_grid(a)
         flow_residuals(eps, grid, DUAL)
-        (integral, info), = quad_vec_calls
-        assert info.success
+        call, = cubature_calls
+        assert call.result.status == "converged"
         oracle = per_tau_quad_integral(eps, grid[0], a, DUAL)
-        assert np.max(np.abs(integral - oracle)) <= 1e-15
+        assert np.max(np.abs(call.result.estimate - oracle)) <= 1e-15
 
     @pytest.mark.parametrize("a", [1.0, 2.0])
     @pytest.mark.parametrize("eps", [0.5, 0.0, -0.7, -1.2])
-    def test_fd_mode_converges_within_limit(self, eps, a, quad_vec_calls):
+    def test_fd_mode_converges_within_limit(self, eps, a, cubature_calls):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reports = flow_residuals(eps, standard_grid(a), FD)
         assert reports["flux_evolution"].passed
-        (_, info), = quad_vec_calls
-        assert info.success
-        assert len(info.intervals) <= verification.FLUX_QUAD_LIMIT
+        call, = cubature_calls
+        assert call.result.status == "converged"
+        assert call.result.subdivisions <= verification.FLUX_QUAD_LIMIT
+
+    def test_engine_runs_once_per_batch_of_nodes(self, cubature_calls):
+        # each integrand call takes every node of a region, and the dual
+        # engine evaluates them together rather than one node at a time
+        flow_residuals(0.5)
+        call, = cubature_calls
+        assert len(call.nodes) <= 3
+        assert min(call.nodes) >= 21
+        assert call.engine_calls == len(call.nodes)
 
     def test_unconverged_integral_fails_the_check(self, monkeypatch):
-        def unconverged(f, lo, hi, **kwargs):
-            return np.zeros_like(f(lo)), 1.0, types.SimpleNamespace(success=False)
+        def unconverged(f, a, b, **kwargs):
+            return types.SimpleNamespace(estimate=np.zeros(standard_grid()[0].size),
+                                         status="not_converged")
 
-        monkeypatch.setattr(scipy.integrate, "quad_vec", unconverged)
+        monkeypatch.setattr(scipy.integrate, "cubature", unconverged)
         reports = flow_residuals(0.5)
         assert math.isnan(reports["flux_evolution"].max_abs)
         assert not reports["flux_evolution"].passed
