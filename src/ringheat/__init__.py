@@ -19,7 +19,6 @@ from .core import (
     SolutionConstants,
     ValidationError,
     from_reduced,
-    k_from_K1K2,
     reduce_params,
     reference_case_K,
     to_reduced,

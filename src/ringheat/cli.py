@@ -95,6 +95,14 @@ def _load_json(path: str) -> dict:
     return cfg
 
 
+def _count(value, name: str) -> int:
+    """value as an int: an int, or a float with an integral value (not a bool)."""
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or (isinstance(value, float) and not value.is_integer())):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _block(cfg: dict, label: str, allowed: set) -> dict:
     block = cfg.get(label, {})
     if not isinstance(block, dict):
@@ -149,8 +157,11 @@ def resolve_config(args) -> RunConfig:
     rc = RunConfig(params=params, consts=consts, phys=phys)
     solver = {}  # SolverConfig fields the file or the flags set
     try:
-        rc.grid_n = int(solver_block.get("grid", rc.grid_n))
-        rc.levels = [int(n) for n in solver_block.get("levels", [])]
+        rc.grid_n = _count(solver_block.get("grid", rc.grid_n), "solver.grid")
+        levels = solver_block.get("levels", [])
+        if not isinstance(levels, list):
+            raise ConfigError(f"solver.levels must be a list of integers, got {levels!r}")
+        rc.levels = [_count(n, "solver.levels") for n in levels]
         if solver_block.get("dt") is not None:
             solver["dt"] = float(solver_block["dt"])
         if "tau_end" in solver_block:
@@ -163,7 +174,7 @@ def resolve_config(args) -> RunConfig:
             raise ConfigError("output.path must be a string")
         rc.fmt = str(out_block.get("format", rc.fmt))
         rc.profile_tau = [float(t) for t in prof_block.get("tau", rc.profile_tau)]
-        rc.profile_n_eta = int(prof_block.get("n_eta", rc.profile_n_eta))
+        rc.profile_n_eta = _count(prof_block.get("n_eta", rc.profile_n_eta), "profile.n_eta")
         if rc.profile_n_eta < 2:
             raise ConfigError("profile.n_eta must be >= 2")
     except ConfigError:
@@ -206,9 +217,10 @@ def _write_text(path: str | None, text: str, stream=None):
 
 
 def _csv(rows, header) -> str:
+    # None is an empty cell
     lines = [",".join(header)]
     for row in rows:
-        lines.append(",".join(_fmt17(x) for x in row))
+        lines.append(",".join("" if x is None else _fmt17(x) for x in row))
     return "\n".join(lines) + "\n"
 
 
@@ -310,11 +322,11 @@ def cmd_convergence(args) -> int:
     print(f"{'n_cells':>8} {'h':>12} {'error_inf':>14} {'order':>8}")
     rows = []
     for res in results:
+        # the first level has no coarser one to observe an order against
         order = res.observed_order
         print(f"{res.grid.n_cells:>8} {res.grid.h:>12.6g} {res.error_inf:>14.6e} "
-              f"{order if order is not None else float('nan'):>8.3f}")
-        rows.append((res.grid.n_cells, res.grid.h, res.error_inf,
-                     float("nan") if order is None else order))
+              f"{'-' if order is None else format(order, '.3f'):>8}")
+        rows.append((res.grid.n_cells, res.grid.h, res.error_inf, order))
     if rc.out:
         _write_text(rc.out, _csv(rows, ["n_cells", "h", "error_inf", "observed_order"]))
 

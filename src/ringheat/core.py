@@ -34,7 +34,6 @@ __all__ = [
     "reduce_params",
     "to_reduced",
     "from_reduced",
-    "k_from_K1K2",
     "reference_case_K",
     "unit_embedding",
 ]
@@ -218,13 +217,6 @@ def from_reduced(tau, eta, phys: PhysicalParams):
     t = tau * R20sq / phys.nu
     r = phys.R20 * sqrt(8.0 * tau + eta + 1.0)
     return t, r
-
-
-def k_from_K1K2(K1: float, K2: float, A: float, B: float) -> float:
-    """Mode amplitude K from the raw integration constants K1, K2."""
-    _require(A > 0, "A", "must be > 0")
-    _require(B > 0, "B", "must be > 0")
-    return (8.0 * A * K1 + B * (K1 - K2)) / (B * (8.0 * A + B))
 
 
 def reference_case_K(C3: float) -> float:

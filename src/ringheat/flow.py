@@ -6,15 +6,13 @@ xi(tau) = R2^2(t)/R20^2 = 8*tau + 1.  The scaled azimuthal field is
 omega = 4*eps/(xi + eta).  All stresses below are kinematic (divided by
 density).
 
-Only `angular_momentum_integral` integrates, so scipy is imported on the
-first call of `quad`, not with this module: `solve`, `profile` and
-`convergence` run on numpy alone.  `quad` stays a module-level name
-because the benchmark's tracer wraps `flow.quad` (and `verification.quad`,
-the same function) by attribute until the benchmark wraps functions where
-they are defined.
+`quad` is the package's one quadrature, a fixed Gauss-Legendre rule that
+`angular_momentum_integral` and `verification.flow_residuals` share.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -31,17 +29,32 @@ __all__ = [
     "stress_components",
     "angular_momentum",
     "angular_momentum_integral",
+    "quad",
 ]
 
 #: Scaled radial flux of the exact branch (Phi = 4*nu).
 PSI = 4.0
 
 
-def quad(*args, **kwargs):
-    """`scipy.integrate.quad`, imported on the first call."""
-    from scipy.integrate import quad
+@functools.cache
+def _leggauss(n: int):
+    # imported here, not with the module: solve, profile and convergence
+    # never integrate and need not load numpy.polynomial
+    from numpy.polynomial.legendre import leggauss
 
-    return quad(*args, **kwargs)
+    return leggauss(n)
+
+
+def quad(f, lo: float, hi: float, n: int):
+    """n-node Gauss-Legendre rule for the integral of f over [lo, hi].
+
+    f gets the (n,) vector of nodes in one call and returns its values
+    with the nodes on axis 0, so a (n, m) result integrates m functions at
+    once.  Exact to rounding for polynomials of degree <= 2n - 1.
+    """
+    x, w = _leggauss(n)
+    half = 0.5 * (hi - lo)
+    return half * (w @ f(half * x + 0.5 * (hi + lo)))
 
 
 def xi(tau):
@@ -113,13 +126,12 @@ def angular_momentum(t, phys: PhysicalParams) -> float:
 
 
 def angular_momentum_integral(t, phys: PhysicalParams) -> float:
-    """Adaptive quadrature of r^2 * v(r) over [R2(t), R1(t)].
+    """Quadrature of r^2 * v(r) over [R2(t), R1(t)].
 
-    Independent evaluation path for the conservation check; agrees with
-    `angular_momentum` to the quadrature tolerance (1e-12 absolute).
+    Independent evaluation path for the conservation check.  The integrand
+    4*nu0*r is linear, so the 4-node rule is exact and the result agrees
+    with `angular_momentum` to rounding.
     """
     r1, r2 = radii(t, phys)
     nu0 = phys.nu0
-    val, _ = quad(lambda r: r * r * (4.0 * nu0 / r), r2, r1,
-                  epsabs=1e-12, epsrel=1e-12)
-    return val
+    return float(quad(lambda r: r * r * (4.0 * nu0 / r), r2, r1, 4))

@@ -14,18 +14,13 @@ row-major (tau, eta) order, and a NaN residual counts as that maximum, so
 it fails.
 
 The flux-evolution balance of the flow branch needs an eta integral at
-every tau; it is one adaptive vector quadrature over all tau
-(`scipy.integrate.cubature` with the 21-node Gauss-Kronrod rule),
-independent of the mesh evaluation.  The integrand receives all nodes of
-a region in one call, so the derivative engine runs once per region
-rather than once per node.  Its absolute tolerance follows the
-derivative mode (`FLUX_QUAD_EPSABS`), and an integral that does not
-converge within `FLUX_QUAD_LIMIT` subdivisions fails the check.
-`flow_residuals` imports scipy when it runs, so importing this module
-loads numpy only.  The module-level `quad` (bound to `flow.quad`, which
-also imports scipy only when called) is never called here: it stays
-bound because the benchmark's tracer wraps `verification.quad` by
-attribute, until the benchmark wraps functions where they are defined.
+every tau, independent of the mesh evaluation.  `flow.quad` integrates it
+for all tau at once with the 21- and the 42-node Gauss-Legendre rules; the
+integrand receives all nodes of a rule in one call, so the derivative
+engine runs once per rule rather than once per node.  At a tau where the
+two estimates differ by more than the mode's tolerance
+(`FLUX_QUAD_EPSABS`) the integral counts as unconverged and fails the
+check.
 
 Besides the per-equation residual evaluators this module carries
 `run_suite`, the aggregate check list the CLI `verify` subcommand prints,
@@ -54,7 +49,7 @@ from .core import (
     unit_embedding,
 )
 from .dualnum import value
-from .flow import quad  # noqa: F401 - not called here; see the module docstring
+from .flow import quad
 
 __all__ = [
     "DerivativeEngine",
@@ -85,10 +80,8 @@ FD_TOL = 1e-5
 #: dual-vs-difference disagreement beyond this raises UnreliableDerivativesError
 ENGINE_AGREEMENT_TOL = 1e-5
 #: absolute tolerance of the flux-evolution quadrature per derivative mode:
-#: the ~1e-12 noise of fd derivatives keeps a 1e-12 quadrature from converging
+#: the ~1e-12 noise of fd derivatives keeps two rules from agreeing to 1e-12
 FLUX_QUAD_EPSABS = {"dual": 1e-12, "fd": 1e-10}
-#: subdivision cap of that quadrature (the default limit of scipy's quad)
-FLUX_QUAD_LIMIT = 50
 
 
 class UnreliableDerivativesError(RuntimeError):
@@ -302,24 +295,22 @@ def flow_residuals(eps: float, grid=None,
     walls = engine.d1(omega, (TW, EW), 1) + eps * psi / (sw * sw)
 
     # dPsi/dtau = 0 on the branch, so the right side must vanish too; its
-    # eta integral is one adaptive Gauss-Kronrod cubature over all tau, an
-    # oracle independent of the mesh evaluation.  An unconverged integral
-    # makes the balance NaN, so the check fails instead of passing.
+    # eta integral at every tau comes from two Gauss-Legendre rules, an
+    # oracle independent of the mesh evaluation.  Where they disagree the
+    # balance is NaN, so the check fails instead of passing.
     xi_v = flow.xi(tau)
     lnf = np.log(1.0 + a / xi_v)
     term1 = a * psi * (psi - 4.0) / (xi_v * (xi_v + a) * lnf)
 
-    from scipy.integrate import cubature
-
     def integrand(x):
-        # x: (npoints, 1) nodes of a region; one engine call covers them all
-        T, E = np.broadcast_arrays(tau, x)
+        # x: the (n,) nodes of a rule; one engine call covers them all
+        T, E = np.broadcast_arrays(tau, x[:, None])
         return omega(T, E) ** 2 + 4.0 * eps * engine.d1(omega, (T, E), 1)
 
-    res = cubature(integrand, [0.0], [a], rule="gk21", atol=FLUX_QUAD_EPSABS[engine.mode],
-                   rtol=1e-12, max_subdivisions=FLUX_QUAD_LIMIT)
-    integral = res.estimate if res.status == "converged" else np.full_like(tau, np.nan)
-    balance = -(term1 + integral / lnf)
+    coarse = quad(integrand, 0.0, a, 21)
+    fine = quad(integrand, 0.0, a, 42)
+    converged = np.abs(fine - coarse) <= FLUX_QUAD_EPSABS[engine.mode] + 1e-12 * np.abs(fine)
+    balance = -(term1 + np.where(converged, fine, np.nan) / lnf)
 
     ring = np.append(engine.d1(flow.xi, (tau,), 0) - 2.0 * psi, flow.xi(0.0) - 1.0)
     zero = np.zeros(tau.size + 1)

@@ -17,9 +17,11 @@ def run(argv, capsys):
 
 
 def read_csv(path):
+    # an empty cell reads as None
     lines = path.read_text(encoding="utf-8").splitlines()
     header = lines[0].split(",")
-    rows = [dict(zip(header, map(float, ln.split(",")))) for ln in lines[1:]]
+    rows = [dict(zip(header, (float(x) if x else None for x in ln.split(","))))
+            for ln in lines[1:]]
     return header, rows
 
 
@@ -309,6 +311,20 @@ class TestConvergence:
         assert header == ["n_cells", "h", "error_inf", "observed_order"]
         assert rows[1]["observed_order"] == pytest.approx(2.0, abs=0.2)
 
+    def test_first_level_order_is_blank_not_nan(self, tmp_path, capsys):
+        # the first level has no order; the table prints '-' in its 4th
+        # column and the CSV leaves its cell empty
+        out_path = tmp_path / "conv.csv"
+        rc, out, _ = run(["convergence", "--grid", "16,32", "--out", str(out_path)], capsys)
+        assert rc == 0
+        text = out_path.read_text(encoding="utf-8")
+        assert "nan" not in out.lower() and "nan" not in text.lower()
+        table = [ln.split() for ln in out.splitlines() if ln.split()[:1] in (["16"], ["32"])]
+        assert [len(row) for row in table] == [4, 4]
+        assert table[0][3] == "-"
+        assert float(table[1][3]) == pytest.approx(2.0, abs=0.2)
+        assert text.splitlines()[1].endswith(",")
+
     def test_levels_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"solver": {"levels": [32, 64]}}))
@@ -340,6 +356,43 @@ def test_bad_solver_block_exit_2(solver, field, tmp_path, capsys):
     assert rc == 2
     assert field in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv, cfg, field", [
+    (["convergence"], {"solver": {"levels": [64.9, 128.2]}}, "solver.levels"),
+    (["convergence"], {"solver": {"levels": [True, 64]}}, "solver.levels"),
+    (["solve"], {"solver": {"grid": True}}, "solver.grid"),
+    (["solve"], {"solver": {"grid": 16.5}}, "solver.grid"),
+    (["profile"], {"profile": {"n_eta": 5.5}}, "profile.n_eta"),
+    (["profile"], {"profile": {"n_eta": True}}, "profile.n_eta"),
+])
+def test_non_integral_count_exit_2(argv, cfg, field, tmp_path, capsys):
+    # a count that int() would truncate is rejected, not run
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    rc, _, err = run(argv + ["--config", str(path), "--out", str(out)], capsys)
+    assert rc == 2
+    assert field in err and "integer" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_integral_float_counts_accepted(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"solver": {"grid": 16.0, "levels": [32.0, 64.0]},
+                                "profile": {"tau": [0.0], "n_eta": 5.0}}))
+    out = tmp_path / "o.csv"
+    assert main(["profile", "--config", str(path), "--out", str(out)]) == 0
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 5
+    rc, stdout, _ = run(["convergence", "--config", str(path), "--tau-end", "0.05"], capsys)
+    assert rc == 0
+    assert [ln.split()[0] for ln in stdout.splitlines()[1:3]] == ["32", "64"]
+    rc, _, _ = run(["solve", "--config", str(path), "--tau-end", "0.01",
+                    "--out", str(out)], capsys)
+    assert rc == 0
+    _, rows = read_csv(out)
+    assert sum(row["tau"] == 0.0 for row in rows) == 17  # 16 cells
 
 
 @pytest.mark.parametrize("argv, solver, steps", [
@@ -426,8 +479,19 @@ class TestEntryPoint:
         assert self.run_module("frobnicate", module="ringheat").returncode == 2
 
 
-# Runs in a fresh interpreter: pytest's own `filterwarnings` setting imports
-# scipy.integrate into the test process, so sys.modules there proves nothing.
+def _python(code, *argv):
+    # a fresh interpreter with src on its PYTHONPATH: pytest's own
+    # `filterwarnings` setting imports scipy.integrate into the test
+    # process, so sys.modules here proves nothing
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code, *argv],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout)
+
+
 _SCIPY_PROBE = """
 import contextlib, io, json, sys
 
@@ -439,6 +503,7 @@ from ringheat import flow, verification
 
 state = {"after_import": scipy_modules(),
          "multiprocessing_after_import": "multiprocessing" in sys.modules,
+         "legendre_after_import": "numpy.polynomial.legendre" in sys.modules,
          "quad_callable": callable(flow.quad) and callable(verification.quad)}
 with contextlib.redirect_stdout(io.StringIO()):
     state["rc"] = cli.main(json.loads(sys.argv[1]))
@@ -447,26 +512,40 @@ print(json.dumps(state))
 """
 
 
-@pytest.mark.parametrize("argv, loads_scipy", [
-    (["solve", "--grid", "32", "--tau-end", "0.01"], False),
-    (["convergence", "--grid", "32,64", "--tau-end", "0.05"], False),
-    (["verify"], True),
+@pytest.mark.parametrize("argv", [
+    ["solve", "--grid", "32", "--tau-end", "0.01"],
+    ["convergence", "--grid", "32,64", "--tau-end", "0.05"],
+    ["verify"],
+    ["profile"],
 ])
-def test_scipy_loaded_only_where_verify_integrates(argv, loads_scipy):
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-    proc = subprocess.run([sys.executable, "-c", _SCIPY_PROBE, json.dumps(argv)],
-                          capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
-    state = json.loads(proc.stdout)
+def test_no_subcommand_loads_scipy(argv):
+    state = _python(_SCIPY_PROBE, json.dumps(argv))
     assert state["rc"] == 0
     assert state["after_import"] == []
-    # a convergence study imports multiprocessing only when it forks
+    assert state["after_run"] == []
+    # a convergence study imports multiprocessing only when it forks, and
+    # the Gauss-Legendre nodes load numpy.polynomial only when verify integrates
     assert not state["multiprocessing_after_import"]
+    assert not state["legendre_after_import"]
     # the benchmark's tracer wraps both names by attribute
     assert state["quad_callable"]
-    if loads_scipy:
-        assert "scipy.integrate" in state["after_run"]
-    else:
-        assert state["after_run"] == []
+
+
+_SCIPY_BLOCKED = """
+import contextlib, io, json, sys
+
+sys.modules["scipy"] = None  # every import of scipy now raises ImportError
+import ringheat.cli as cli
+
+rcs = []
+for argv in json.loads(sys.argv[1]):
+    with contextlib.redirect_stdout(io.StringIO()):
+        rcs.append(cli.main(argv))
+print(json.dumps(rcs))
+"""
+
+
+def test_every_subcommand_runs_without_scipy():
+    argvs = [["verify"], ["solve", "--grid", "32", "--tau-end", "0.01"], ["profile"],
+             ["convergence", "--grid", "32,64", "--tau-end", "0.05"]]
+    assert _python(_SCIPY_BLOCKED, json.dumps(argvs)) == [0, 0, 0, 0]

@@ -14,7 +14,6 @@ from ringheat.core import (
     SolutionConstants,
     ValidationError,
     from_reduced,
-    k_from_K1K2,
     reduce_params,
     reference_case_K,
     to_reduced,
@@ -166,14 +165,6 @@ class TestCoordinateMaps:
 
 
 class TestConstants:
-    def test_k_from_K1K2_zero(self):
-        assert k_from_K1K2(0.0, 0.0, 0.75, 6.0) == 0.0
-
-    def test_k_from_K1K2_reference_values(self):
-        # (8A*K1 + B*(K1-K2)) / (B*(8A+B)) at A=3/4, B=6
-        assert k_from_K1K2(1.0, 1.0, 0.75, 6.0) == pytest.approx(1.0 / 12.0, rel=1e-15)
-        assert k_from_K1K2(0.0, 1.0, 0.75, 6.0) == pytest.approx(-1.0 / 12.0, rel=1e-15)
-
     def test_reference_case_K_exact_rational(self):
         # at C3 = 1/8 the exp(1 - 1/(4*C3)) term has coefficient 4*(8*C3-1) = 0
         # and exp(1 - 1/(8*C3)) = exp(0) = 1, so the formula is rational

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, strategies as st
 from scipy.integrate import quad
 
+from ringheat import flow
 from ringheat.core import PhysicalParams, ValidationError
 from ringheat.flow import (
     PSI,
@@ -155,3 +156,19 @@ class TestAngularMomentum:
         for t in (0.0, 1.0, 10.0):
             assert angular_momentum_integral(t, p) == pytest.approx(
                 angular_momentum(t, p), abs=1e-10)
+
+
+class TestGaussLegendreQuad:
+    @pytest.mark.parametrize("n", [1, 2, 5, 21, 42])
+    def test_exact_to_degree_2n_minus_1(self, n):
+        # every monomial x^k, k <= 2n - 1, at once: one column per monomial,
+        # the nodes on axis 0; rounding grows with the n terms of the sum
+        lo, hi = 0.25, 1.5
+        k = np.arange(2 * n)
+        exact = (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
+        rtol = 4 * n * np.finfo(float).eps
+        np.testing.assert_allclose(flow.quad(lambda x: x[:, None] ** k, lo, hi, n), exact,
+                                   rtol=rtol, atol=0.0)
+        top = flow.quad(lambda x: x ** (2 * n - 1), lo, hi, n)
+        assert np.ndim(top) == 0
+        assert top == pytest.approx(exact[-1], rel=rtol)

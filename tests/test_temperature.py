@@ -145,6 +145,72 @@ class TestSymbolicTheta:
                 simple(*args, 0.4), rel=1e-14)
 
 
+class TestSymbolicReference:
+    """The reference case written in sympy from the paper's forms: its
+    residual, its flux and its tau = 0 profile derived symbolically, and
+    the codes compared against them."""
+
+    @pytest.fixture
+    def ref_forms(self):
+        sp = pytest.importorskip("sympy")
+        tau, eta = sp.symbols("tau eta", nonnegative=True)
+        C5 = sp.symbols("C5", real=True)
+        c = 8 * tau + 1
+        s = c + eta
+        theta = C5 / 2 - sp.Rational(5, 6) * (2 / s + ((eta ** 2 - c ** 2) / c ** 4)
+                                              * sp.exp(-eta / c))
+        return sp, SimpleNamespace(tau=tau, eta=eta, C5=C5, s=s, theta=theta)
+
+    #: (tau, eta, C5) samples
+    POINTS = [(0.0, 0.0, C5_MIN), (0.3, 0.7, 1.2), (2.0, 1.0, 2.5), (10.0, 0.4, C5_MIN)]
+
+    def test_residual_cancels(self, ref_forms):
+        # Theta_tau - 8*(Theta_eta + s*Theta_etaeta) - 80/(3*s^2) = 0: over a
+        # common denominator its numerator, a polynomial in tau, eta and
+        # exp(-eta/c), expands to 0 (as `cancel` finds, ~100x slower)
+        sp, f = ref_forms
+        d = sp.diff
+        res = (d(f.theta, f.tau) - 8 * (d(f.theta, f.eta) + f.s * d(f.theta, f.eta, 2))
+               - sp.Rational(80, 3) / f.s ** 2)
+        numerator, _ = sp.together(res).as_numer_denom()
+        assert sp.expand(numerator) == 0
+
+    def test_theta_reference_is_the_code(self, ref_forms):
+        sp, f = ref_forms
+        theta = sp.lambdify((f.tau, f.eta, f.C5), f.theta)
+        for tau, eta, C5 in self.POINTS:
+            assert theta_reference(tau, eta, C5) == pytest.approx(theta(tau, eta, C5),
+                                                                  rel=1e-14, abs=1e-15)
+
+    def test_reference_flux_is_the_eta_derivative(self, ref_forms):
+        sp, f = ref_forms
+        flux = sp.lambdify((f.tau, f.eta), sp.diff(f.theta, f.eta))
+        for tau, eta, _ in self.POINTS:
+            assert reference_flux(tau, eta) == pytest.approx(flux(tau, eta), rel=1e-14)
+
+    def test_initial_profile_is_theta_at_tau_zero(self, ref_forms):
+        sp, f = ref_forms
+        theta0 = sp.lambdify((f.eta, f.C5), f.theta.subs(f.tau, 0))
+        for _, eta, C5 in self.POINTS:
+            assert initial_profile(eta, C5) == pytest.approx(theta0(eta, C5),
+                                                             rel=1e-14, abs=1e-15)
+
+    def test_equal_boundary_amplitude_is_exact(self, ref):
+        # theta_general at tau = 0 with A = 3/4, B = 6, eps = 1/2, a = 1,
+        # C3 = 1/8: Theta(0, 1) = Theta(0, 0) is linear in K, with root -5/18432
+        sp = pytest.importorskip("sympy")
+        eta, K = sp.symbols("eta K", real=True)
+        A, B, eps, C3 = (sp.Rational(3, 4), sp.Integer(6), sp.Rational(1, 2),
+                         sp.Rational(1, 8))
+        P, Q, s = C3, 1 + eta - 8 * C3, 1 + eta
+        theta0 = (K * ((A * Q - B * P) / P ** 3) * sp.exp(-A * Q / (B * P))
+                  * (s / P) ** (8 * A / B) - 16 * (1 + eps ** 2) / (s * (B + 8 * A)))
+        root, = sp.solve(sp.Eq(theta0.subs(eta, 1), theta0.subs(eta, 0)), K)
+        assert root == sp.Rational(-5, 18432)
+        assert k_for_equal_boundaries(ref.params, 0.125) == pytest.approx(float(root),
+                                                                           rel=1e-14)
+
+
 #: One value x in each form a domain guard receives.
 GUARD_FORMS = {
     "float": lambda x: x,

@@ -4,8 +4,7 @@ import warnings
 
 import numpy as np
 import pytest
-import scipy.integrate
-from scipy.integrate import quad
+from scipy.integrate import quad as scipy_quad
 
 from ringheat import dualnum, flow, verification
 from ringheat.core import ReducedParams, SolutionConstants, ValidationError
@@ -184,28 +183,28 @@ class TestFlowResiduals:
 
 
 def per_tau_quad_integral(eps, tau, a, engine):
-    """The flux-evolution eta integral as one scalar `quad` per tau, each
-    integrand evaluation calling the engine on one scalar eta: the form
-    `flow_residuals` used before its vector quadrature, frozen here as the
-    oracle the vectorised integral is compared against."""
+    """The flux-evolution eta integral as one adaptive scipy `quad` per
+    tau, each integrand evaluation calling the engine on one scalar eta:
+    an oracle that shares neither the rule nor the vectorisation with the
+    Gauss-Legendre integral of `flow_residuals`."""
 
     def omega(tau, eta):
         return flow.exact_omega(tau, eta, eps)
 
     return np.array([
-        quad(lambda e: omega(t, e) ** 2 + 4.0 * eps * engine.d1(omega, (t, e), 1),
+        scipy_quad(lambda e: omega(t, e) ** 2 + 4.0 * eps * engine.d1(omega, (t, e), 1),
              0.0, a, epsabs=1e-12, epsrel=1e-12)[0]
         for t in np.asarray(tau, dtype=float).tolist()])
 
 
 @pytest.fixture
-def cubature_calls(monkeypatch):
-    """Record every cubature call made by verification (`flow_residuals`
-    imports it from scipy.integrate when it runs) as a namespace holding
-    its result, the number of nodes passed to each integrand call, and the
-    number of dual-engine (`dualnum.d1`) calls the integrand made."""
+def quad_calls(monkeypatch):
+    """Record every call of `verification.quad` as a namespace holding the
+    rule's node count, its estimate, the number of nodes passed to each
+    integrand call, and the number of dual-engine (`dualnum.d1`) calls the
+    integrand made."""
     calls = []
-    real = scipy.integrate.cubature
+    real = verification.quad
     real_d1 = dualnum.d1
     engine_calls = [0]
 
@@ -213,62 +212,65 @@ def cubature_calls(monkeypatch):
         engine_calls[0] += 1
         return real_d1(*args)
 
-    def spy(f, *args, **kwargs):
-        call = types.SimpleNamespace(nodes=[], engine_calls=0, result=None)
+    def spy(f, lo, hi, n):
+        call = types.SimpleNamespace(n=n, nodes=[], engine_calls=0, estimate=None)
 
-        def counted(x, *fargs):
+        def counted(x):
             call.nodes.append(len(x))
             before = engine_calls[0]
-            out = f(x, *fargs)
+            out = f(x)
             call.engine_calls += engine_calls[0] - before
             return out
 
-        call.result = real(counted, *args, **kwargs)
+        call.estimate = real(counted, lo, hi, n)
         calls.append(call)
-        return call.result
+        return call.estimate
 
     monkeypatch.setattr(dualnum, "d1", d1)
-    monkeypatch.setattr(scipy.integrate, "cubature", spy)
+    monkeypatch.setattr(verification, "quad", spy)
     return calls
 
 
 class TestFluxEvolutionQuadrature:
     @pytest.mark.parametrize("a", [1.0, 2.0])
     @pytest.mark.parametrize("eps", [0.5, 0.0, -1.2])
-    def test_vector_integral_matches_per_tau_oracle(self, eps, a, cubature_calls):
+    def test_vector_integral_matches_per_tau_oracle(self, eps, a, quad_calls):
         grid = standard_grid(a)
         flow_residuals(eps, grid, DUAL)
-        call, = cubature_calls
-        assert call.result.status == "converged"
+        coarse, fine = quad_calls
         oracle = per_tau_quad_integral(eps, grid[0], a, DUAL)
-        assert np.max(np.abs(call.result.estimate - oracle)) <= 1e-15
+        assert np.max(np.abs(fine.estimate - oracle)) <= 1e-15
 
     @pytest.mark.parametrize("a", [1.0, 2.0])
     @pytest.mark.parametrize("eps", [0.5, 0.0, -0.7, -1.2])
-    def test_fd_mode_converges_within_limit(self, eps, a, cubature_calls):
+    def test_fd_mode_converges_within_limit(self, eps, a, quad_calls):
+        # the two rules agree to the fd tolerance at every tau
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             reports = flow_residuals(eps, standard_grid(a), FD)
         assert reports["flux_evolution"].passed
-        call, = cubature_calls
-        assert call.result.status == "converged"
-        assert call.result.subdivisions <= verification.FLUX_QUAD_LIMIT
+        coarse, fine = quad_calls
+        gap = np.abs(fine.estimate - coarse.estimate)
+        assert np.all(gap <= verification.FLUX_QUAD_EPSABS["fd"] + 1e-12 * np.abs(fine.estimate))
 
-    def test_engine_runs_once_per_batch_of_nodes(self, cubature_calls):
-        # each integrand call takes every node of a region, and the dual
-        # engine evaluates them together rather than one node at a time
+    def test_engine_runs_once_per_batch_of_nodes(self, quad_calls):
+        # each rule passes all its nodes to one integrand call, and the
+        # dual engine evaluates them together rather than one node at a time
         flow_residuals(0.5)
-        call, = cubature_calls
-        assert len(call.nodes) <= 3
-        assert min(call.nodes) >= 21
-        assert call.engine_calls == len(call.nodes)
+        assert len(quad_calls) == 2
+        for call in quad_calls:
+            assert call.nodes == [call.n]
+            assert call.n >= 21
+            assert call.engine_calls == 1
 
     def test_unconverged_integral_fails_the_check(self, monkeypatch):
-        def unconverged(f, a, b, **kwargs):
-            return types.SimpleNamespace(estimate=np.zeros(standard_grid()[0].size),
-                                         status="not_converged")
+        # the 42-node rule disagrees with the 21-node one at every tau
+        real = verification.quad
 
-        monkeypatch.setattr(scipy.integrate, "cubature", unconverged)
+        def disagreeing(f, lo, hi, n):
+            return real(f, lo, hi, n) + (1e-6 if n == 42 else 0.0)
+
+        monkeypatch.setattr(verification, "quad", disagreeing)
         reports = flow_residuals(0.5)
         assert math.isnan(reports["flux_evolution"].max_abs)
         assert not reports["flux_evolution"].passed
