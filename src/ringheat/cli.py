@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 
@@ -103,6 +104,16 @@ def _count(value, name: str) -> int:
     return int(value)
 
 
+def _real(value, name: str) -> float:
+    """value as a float: an int or a float (not a bool, not a string)."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as e:
+        raise ConfigError(f"{name} is too large: {e}") from e
+
+
 def _block(cfg: dict, label: str, allowed: set) -> dict:
     block = cfg.get(label, {})
     if not isinstance(block, dict):
@@ -125,10 +136,12 @@ def resolve_config(args) -> RunConfig:
     phys = None
     try:
         if phys_block is not None:
-            phys = PhysicalParams(**_block(cfg, "physical", _PHYS_KEYS))
+            phys = PhysicalParams(**{k: _real(v, f"physical.{k}") for k, v
+                                     in _block(cfg, "physical", _PHYS_KEYS).items()})
             params = reduce_params(phys)
         elif reduced_block is not None:
-            params = ReducedParams(**_block(cfg, "reduced", _REDUCED_KEYS))
+            params = ReducedParams(**{k: _real(v, f"reduced.{k}") for k, v
+                                      in _block(cfg, "reduced", _REDUCED_KEYS).items()})
         else:
             params = ReferenceCase().params
     except (TypeError, ValueError) as e:
@@ -140,12 +153,12 @@ def resolve_config(args) -> RunConfig:
     prof_block = _block(cfg, "profile", _PROFILE_KEYS)
 
     try:
-        C3 = float(const_block.get("C3", 0.125))
-        C5 = float(const_block.get("C5", C5_MIN))
+        C3 = _real(const_block.get("C3", 0.125), "constants.C3")
+        C5 = _real(const_block.get("C5", C5_MIN), "constants.C5")
         if getattr(args, "c5", None) is not None:
             C5 = args.c5
         if "K" in const_block:
-            K = float(const_block["K"])
+            K = _real(const_block["K"], "constants.K")
         else:
             # default K: the amplitude making the wall temperatures coincide
             # at tau = 0 (the reference tuple gives exactly -5/18432)
@@ -163,9 +176,9 @@ def resolve_config(args) -> RunConfig:
             raise ConfigError(f"solver.levels must be a list of integers, got {levels!r}")
         rc.levels = [_count(n, "solver.levels") for n in levels]
         if solver_block.get("dt") is not None:
-            solver["dt"] = float(solver_block["dt"])
+            solver["dt"] = _real(solver_block["dt"], "solver.dt")
         if "tau_end" in solver_block:
-            solver["t_end"] = float(solver_block["tau_end"])
+            solver["t_end"] = _real(solver_block["tau_end"], "solver.tau_end")
         for key in ("scheme", "bc_mode"):
             if key in solver_block:
                 solver[key] = solver_block[key]
@@ -173,7 +186,15 @@ def resolve_config(args) -> RunConfig:
         if rc.out is not None and not isinstance(rc.out, str):
             raise ConfigError("output.path must be a string")
         rc.fmt = str(out_block.get("format", rc.fmt))
-        rc.profile_tau = [float(t) for t in prof_block.get("tau", rc.profile_tau)]
+        taus = prof_block.get("tau", rc.profile_tau)
+        if not isinstance(taus, list):
+            raise ConfigError(f"profile.tau must be a list of numbers, got {taus!r}")
+        rc.profile_tau = [_real(t, f"profile.tau[{i}]") for i, t in enumerate(taus)]
+        for i, t in enumerate(rc.profile_tau):
+            # tau < 0 is before the expansion starts (and -C3 is singular);
+            # inf and nan would print a NaN profile
+            if not (math.isfinite(t) and t >= 0.0):
+                raise ConfigError(f"profile.tau[{i}] must be finite and >= 0, got {t!r}")
         rc.profile_n_eta = _count(prof_block.get("n_eta", rc.profile_n_eta), "profile.n_eta")
         if rc.profile_n_eta < 2:
             raise ConfigError("profile.n_eta must be >= 2")

@@ -277,6 +277,12 @@ class NonnegativityReport(NamedTuple):
     threshold_ok: bool
 
 
+#: c5_nonnegativity_bound evaluates theta_general on blocks of
+#: max(1, _SCAN_BLOCK_ELEMS // len(eta_grid)) tau rows, so it holds no
+#: full-grid temporaries
+_SCAN_BLOCK_ELEMS = 8192
+
+
 def c5_nonnegativity_bound(params: ReducedParams, consts: SolutionConstants,
                            tau_grid=None, eta_grid=None, tol=1e-12) -> NonnegativityReport:
     """Scan theta_general for its minimum over the grid plus the tau->inf level.
@@ -284,7 +290,8 @@ def c5_nonnegativity_bound(params: ReducedParams, consts: SolutionConstants,
     Defaults to a 201 x 201 uniform grid on [0, 10] x [0, a], dense enough
     to catch the tau = 0 boundary tangency of the reference case at
     C5 = 5/3.  The reduction is deterministic: first minimum in row-major
-    (tau, eta) order wins, so ties break lexicographically.
+    (tau, eta) order wins, so ties break lexicographically, and the first
+    NaN wins over any number, as np.argmin over the whole grid would give.
     """
     if tau_grid is None:
         tau_grid = np.linspace(0.0, 10.0, 201)
@@ -292,11 +299,23 @@ def c5_nonnegativity_bound(params: ReducedParams, consts: SolutionConstants,
         eta_grid = np.linspace(0.0, params.a, 201)
     tau_grid = np.asarray(tau_grid, dtype=float)
     eta_grid = np.asarray(eta_grid, dtype=float)
-    vals = theta_general(tau_grid[:, None], eta_grid[None, :], params, consts)
-    flat = int(np.argmin(vals))
-    i, j = divmod(flat, vals.shape[1])
-    min_value = float(vals[i, j])
-    argmin = (float(tau_grid[i]), float(eta_grid[j]))
+    if tau_grid.size == 0 or eta_grid.size == 0:
+        raise ValidationError("c5_nonnegativity_bound needs a non-empty tau_grid and eta_grid")
+    # the whole grid's tau guard first, so a singular tau in a later block
+    # raises what a full-grid evaluation would, before an earlier block's s guard
+    _check_P(tau_grid + consts.C3, consts.C3)
+    rows = max(1, _SCAN_BLOCK_ELEMS // eta_grid.size)
+    best, best_i, best_j = math.inf, 0, 0
+    for start in range(0, tau_grid.size, rows):
+        vals = theta_general(tau_grid[start:start + rows, None], eta_grid[None, :],
+                             params, consts)
+        i, j = divmod(int(np.argmin(vals)), eta_grid.size)
+        v = float(vals[i, j])
+        if v < best or start == 0 or math.isnan(v):
+            best, best_i, best_j = v, start + i, j
+            if math.isnan(v):
+                break
+    min_value, argmin = best, (float(tau_grid[best_i]), float(eta_grid[best_j]))
     level = 0.5 * consts.C5
     if level < min_value:
         min_value, argmin = level, (math.inf, math.nan)

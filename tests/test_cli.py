@@ -260,14 +260,29 @@ class TestProfile:
         _, rows = read_csv(out_path)
         assert all(abs(r["theta"] - 1.0) < 1e-4 for r in rows)
 
-    def test_singular_time_request_exit_1(self, tmp_path, capsys):
-        # tau at or below -C3 makes the general solution singular
+    @pytest.mark.parametrize("tau", [-0.2, -0.01])
+    def test_negative_time_request_exit_2(self, tau, tmp_path, capsys):
+        # a time before the expansion starts is a bad input, whether or not
+        # it reaches the singular time -C3 = -0.125
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"profile": {"tau": [-0.2], "n_eta": 5}}))
+        cfg.write_text(json.dumps({"profile": {"tau": [0.5, tau], "n_eta": 5}}))
+        out = tmp_path / "p.csv"
+        rc, _, err = run(["profile", "--config", str(cfg), "--out", str(out)], capsys)
+        assert rc == 2
+        assert "profile.tau[1]" in err and ">= 0" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("tau", [float("inf"), float("nan")])
+    def test_non_finite_time_request_exit_2(self, tau, tmp_path, capsys):
+        # json writes these as Infinity and NaN, which json.load reads back;
+        # either would print a NaN profile
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"profile": {"tau": [tau]}}))
         rc, _, err = run(["profile", "--config", str(cfg),
                           "--out", str(tmp_path / "p.csv")], capsys)
-        assert rc == 1
-        assert "singular" in err
+        assert rc == 2
+        assert "profile.tau[0]" in err and "finite" in err
 
 
 class TestConvergence:
@@ -376,6 +391,62 @@ def test_non_integral_count_exit_2(argv, cfg, field, tmp_path, capsys):
     assert field in err and "integer" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+_REDUCED = {"A": 0.75, "B": 6.0, "eps": 0.5, "a": 1.0}
+_PHYSICAL = {"rho": 1.0, "Cp": 3.0, "k_cond": 24.0, "mu": 1.0, "mu0": 0.5, "T0": 1.0,
+             "R10": 2.0 ** 0.5, "R20": 1.0, "p_inf": 0.0}
+#: (block, key) of every real-valued config field
+_REAL_FIELDS = ([("constants", k) for k in ("C3", "C5", "K")]
+                + [("solver", "dt"), ("solver", "tau_end"), ("profile", "tau")]
+                + [("reduced", k) for k in _REDUCED] + [("physical", k) for k in _PHYSICAL])
+
+
+@pytest.mark.parametrize("bad", [True, False, "0.5", [1.0]],
+                         ids=["true", "false", "string", "list"])
+@pytest.mark.parametrize("block, key", _REAL_FIELDS, ids=[f"{b}.{k}" for b, k in _REAL_FIELDS])
+def test_non_number_real_exit_2(block, key, bad, tmp_path, capsys):
+    # a bool is a JSON boolean, not the number float() would make of it
+    cfg = {"reduced": dict(_REDUCED), "physical": dict(_PHYSICAL)}
+    field = f"{block}.{key}"
+    if block == "profile":
+        cfg["profile"] = {"tau": [0.0, bad]}
+        field = "profile.tau[1]"
+    else:
+        cfg.setdefault(block, {})[key] = bad
+    del cfg["physical" if block == "reduced" else "reduced"]
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    rc, _, err = run(["solve", "--grid", "16", "--config", str(path), "--out", str(out)],
+                     capsys)
+    assert rc == 2
+    assert f"{field} must be a number" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_huge_integer_real_exit_2(tmp_path, capsys):
+    # float() of a JSON integer beyond the double range raises OverflowError
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"constants": {"K": 10 ** 400}}))
+    rc, _, err = run(["profile", "--config", str(path), "--out", str(tmp_path / "o")],
+                     capsys)
+    assert rc == 2
+    assert "constants.K is too large" in err
+
+
+def test_integer_reals_accepted(tmp_path, capsys):
+    # JSON integers are numbers: B = 6, a = 1 give the reference case itself
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"reduced": {"A": 0.75, "B": 6, "eps": 0.5, "a": 1},
+                                "constants": {"C3": 0.125, "C5": 2},
+                                "profile": {"tau": [0, 1]}}))
+    out = tmp_path / "int.csv"
+    assert main(["profile", "--config", str(path), "--out", str(out)]) == 0
+    ref = tmp_path / "ref.csv"
+    assert main(["profile", "--c5", "2", "--out", str(ref)]) == 0
+    assert read_csv(out)[1] == [r for r in read_csv(ref)[1] if r["tau"] in (0.0, 1.0)]
 
 
 def test_integral_float_counts_accepted(tmp_path, capsys):
@@ -504,10 +575,12 @@ from ringheat import flow, verification
 state = {"after_import": scipy_modules(),
          "multiprocessing_after_import": "multiprocessing" in sys.modules,
          "legendre_after_import": "numpy.polynomial.legendre" in sys.modules,
+         "numpy_random_after_import": "numpy.random" in sys.modules,
          "quad_callable": callable(flow.quad) and callable(verification.quad)}
 with contextlib.redirect_stdout(io.StringIO()):
     state["rc"] = cli.main(json.loads(sys.argv[1]))
 state["after_run"] = scipy_modules()
+state["numpy_random_after_run"] = "numpy.random" in sys.modules
 print(json.dumps(state))
 """
 
@@ -527,6 +600,11 @@ def test_no_subcommand_loads_scipy(argv):
     # the Gauss-Legendre nodes load numpy.polynomial only when verify integrates
     assert not state["multiprocessing_after_import"]
     assert not state["legendre_after_import"]
+    # verify draws its sample points with the stdlib's random, which is
+    # loaded anyway; numpy.random (and the secrets and hashlib it pulls in)
+    # would cost ~5.6 MB of peak memory
+    assert not state["numpy_random_after_import"]
+    assert not state["numpy_random_after_run"]
     # the benchmark's tracer wraps both names by attribute
     assert state["quad_callable"]
 

@@ -1,4 +1,5 @@
 import math
+import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -194,6 +195,18 @@ class TestSymbolicReference:
         for _, eta, C5 in self.POINTS:
             assert initial_profile(eta, C5) == pytest.approx(theta0(eta, C5),
                                                              rel=1e-14, abs=1e-15)
+
+    def test_general_is_reference_at_the_worked_rationals(self, ref_forms):
+        # theta_general's form at A = 3/4, B = 6, eps = 1/2, C3 = 1/8,
+        # K = -5/18432 (8A/B = 1, so the power is s/P) is theta_reference
+        sp, f = ref_forms
+        A, B, eps, C3, K = (sp.Rational(3, 4), sp.Integer(6), sp.Rational(1, 2),
+                            sp.Rational(1, 8), sp.Rational(-5, 18432))
+        P, Q = f.tau + C3, 1 + f.eta - 8 * C3
+        general = (K * ((A * Q - B * P) / P ** 3) * sp.exp(-A * Q / (B * P))
+                   * (f.s / P) ** (8 * A / B)
+                   + f.C5 / 2 - 16 * (1 + eps ** 2) / (f.s * (B + 8 * A)))
+        assert sp.simplify(general - f.theta) == 0
 
     def test_equal_boundary_amplitude_is_exact(self, ref):
         # theta_general at tau = 0 with A = 3/4, B = 6, eps = 1/2, a = 1,
@@ -401,6 +414,116 @@ class TestNonnegativity:
                                      tau_grid=np.linspace(0.0, 1.0, 11))
         assert rep.argmin[0] == math.inf
         assert rep.min_value == 1.0
+
+
+def full_grid_scan(params, consts, tau_grid=None, eta_grid=None, tol=1e-12):
+    """c5_nonnegativity_bound as one full-grid np.argmin, frozen as the oracle
+    of the blockwise scan."""
+    if tau_grid is None:
+        tau_grid = np.linspace(0.0, 10.0, 201)
+    if eta_grid is None:
+        eta_grid = np.linspace(0.0, params.a, 201)
+    tau_grid = np.asarray(tau_grid, dtype=float)
+    eta_grid = np.asarray(eta_grid, dtype=float)
+    vals = temperature.theta_general(tau_grid[:, None], eta_grid[None, :], params, consts)
+    flat = int(np.argmin(vals))
+    i, j = divmod(flat, vals.shape[1])
+    min_value = float(vals[i, j])
+    argmin = (float(tau_grid[i]), float(eta_grid[j]))
+    level = 0.5 * consts.C5
+    if level < min_value:
+        min_value, argmin = level, (math.inf, math.nan)
+    return temperature.NonnegativityReport(min_value, argmin, bool(min_value >= -tol))
+
+
+def bits(report):
+    # every float as its IEEE bit pattern, so -0.0 != 0.0 and nan == nan
+    return (struct.pack("<d", report.min_value), struct.pack("<2d", *report.argmin),
+            report.threshold_ok)
+
+
+class TestBlockScan:
+    """c5_nonnegativity_bound scans the grid in blocks of tau rows; its
+    reports must be bit-equal to one full-grid argmin."""
+
+    GENERAL = [(ReducedParams(A=0.9, B=5.0, eps=0.4, a=1.0), 0.15, 2.0),
+               (ReducedParams(A=1.3, B=3.5, eps=-0.7, a=2.0), 0.2, 1.5)]
+
+    @staticmethod
+    def border_row(n_eta):
+        return temperature._SCAN_BLOCK_ELEMS // n_eta
+
+    @pytest.mark.parametrize("C5", [C5_MIN, 1.0, 2.0])
+    def test_reference_tuple(self, ref, C5):
+        consts = SolutionConstants(C3=ref.C3, C5=C5, K=ref.K)
+        assert bits(c5_nonnegativity_bound(ref.params, consts)) == bits(
+            full_grid_scan(ref.params, consts))
+
+    @pytest.mark.parametrize("case", range(len(GENERAL)))
+    def test_general_tuples(self, case):
+        params, C3, C5 = self.GENERAL[case]
+        consts = SolutionConstants(C3=C3, C5=C5, K=k_for_equal_boundaries(params, C3))
+        got = c5_nonnegativity_bound(params, consts)
+        assert bits(got) == bits(full_grid_scan(params, consts))
+        assert bits(c5_nonnegativity_bound(params, consts, tau_grid=np.linspace(0, 1, 500))) \
+            == bits(full_grid_scan(params, consts, tau_grid=np.linspace(0, 1, 500)))
+
+    @pytest.mark.parametrize("block_elems", [None, 1, 201, 403])
+    def test_tied_minimum_straddles_block_border(self, ref, monkeypatch, block_elems):
+        # tau = 1e-300 and tau = 0 round to the same P and s, so their rows
+        # are bitwise equal and hold the minimum (the tau = 0 wall tangency);
+        # the first in row-major order, tau = 1e-300, must win
+        if block_elems is not None:
+            monkeypatch.setattr(temperature, "_SCAN_BLOCK_ELEMS", block_elems)
+        n_eta = 201
+        border = max(1, self.border_row(n_eta))
+        taus = np.linspace(5.0, 10.0, 3 * border + 1)
+        taus[border - 1], taus[border] = 1e-300, 0.0
+        eta = np.linspace(0.0, 1.0, n_eta)
+        rows = theta_general(taus[border - 1:border + 1, None], eta[None, :],
+                             ref.params, ref.consts)
+        assert np.array_equal(rows[0].view(np.int64), rows[1].view(np.int64))
+        got = c5_nonnegativity_bound(ref.params, ref.consts, tau_grid=taus, eta_grid=eta)
+        assert bits(got) == bits(full_grid_scan(ref.params, ref.consts, taus, eta))
+        assert got.argmin[0] == 1e-300
+
+    def test_first_nan_wins(self, ref, monkeypatch):
+        # NaNs at two points of the last block, after a finite minimum in the
+        # first: np.argmin over the whole grid reports the first NaN
+        taus = np.linspace(0.0, 10.0, 201)
+        eta = np.linspace(0.0, 1.0, 201)
+        nan_at = [(taus[-2], eta[7]), (taus[-1], eta[3])]
+        assert len(taus) - 2 >= self.border_row(len(eta))
+        real = temperature.theta_general
+
+        def planted(tau, eta, params, consts):
+            vals = real(tau, eta, params, consts)
+            for t, e in nan_at:
+                vals = np.where((tau == t) & (eta == e), np.nan, vals)
+            return vals
+
+        monkeypatch.setattr(temperature, "theta_general", planted)
+        want = full_grid_scan(ref.params, ref.consts)
+        assert math.isnan(want.min_value) and want.argmin == nan_at[0]
+        assert bits(c5_nonnegativity_bound(ref.params, ref.consts)) == bits(want)
+
+    @pytest.mark.parametrize("grids", [([], None), (None, []), ([], [])])
+    def test_empty_grid_raises(self, ref, grids):
+        tau_grid, eta_grid = grids
+        with pytest.raises(ValidationError, match="non-empty"):
+            c5_nonnegativity_bound(ref.params, ref.consts, tau_grid=tau_grid,
+                                   eta_grid=eta_grid)
+
+    def test_singular_tau_in_a_later_block(self, ref):
+        # a full-grid evaluation checks tau + C3 before 8*tau + eta + 1, so a
+        # singular tau in the last block wins over a bad eta in the first
+        taus = np.linspace(0.0, 10.0, 201)
+        taus[-1] = -ref.C3
+        eta = np.linspace(-2.0, 1.0, 201)
+        with pytest.raises(SingularTimeError):
+            full_grid_scan(ref.params, ref.consts, taus, eta)
+        with pytest.raises(SingularTimeError):
+            c5_nonnegativity_bound(ref.params, ref.consts, tau_grid=taus, eta_grid=eta)
 
 
 class TestWrappers:
