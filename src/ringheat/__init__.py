@@ -34,10 +34,7 @@ from .flow import (
 )
 from .temperature import (
     BoundaryTraces,
-    InvariantSolutionGeneral,
-    InvariantSolutionSimple,
     boundary_difference_C,
-    boundary_traces,
     c5_nonnegativity_bound,
     dimensional_T,
     initial_profile,

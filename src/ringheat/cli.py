@@ -34,6 +34,9 @@ from .core import (
 from . import solver as _solver
 from . import temperature
 from .solver import (
+    BC_MODES,
+    MAX_CELLS,
+    SCHEMES,
     DivergenceError,
     Grid1D,
     SolverConfig,
@@ -153,7 +156,7 @@ def resolve_config(args) -> RunConfig:
     prof_block = _block(cfg, "profile", _PROFILE_KEYS)
 
     try:
-        C3 = _real(const_block.get("C3", 0.125), "constants.C3")
+        C3 = _real(const_block.get("C3", ReferenceCase().C3), "constants.C3")
         C5 = _real(const_block.get("C5", C5_MIN), "constants.C5")
         if getattr(args, "c5", None) is not None:
             C5 = args.c5
@@ -196,8 +199,9 @@ def resolve_config(args) -> RunConfig:
             if not (math.isfinite(t) and t >= 0.0):
                 raise ConfigError(f"profile.tau[{i}] must be finite and >= 0, got {t!r}")
         rc.profile_n_eta = _count(prof_block.get("n_eta", rc.profile_n_eta), "profile.n_eta")
-        if rc.profile_n_eta < 2:
-            raise ConfigError("profile.n_eta must be >= 2")
+        if not 2 <= rc.profile_n_eta <= MAX_CELLS + 1:
+            raise ConfigError(f"profile.n_eta must be >= 2 and <= {MAX_CELLS + 1}, "
+                              f"got {rc.profile_n_eta}")
     except ConfigError:
         raise
     except (TypeError, ValueError) as e:
@@ -229,9 +233,9 @@ def resolve_config(args) -> RunConfig:
     return rc
 
 
-def _write_text(path: str | None, text: str, stream=None):
+def _write_text(path: str | None, text: str):
     if path is None:
-        (stream or sys.stdout).write(text)
+        sys.stdout.write(text)
     else:
         with open(path, "w", encoding="utf-8", newline="\n") as f:
             f.write(text)
@@ -290,16 +294,15 @@ def cmd_solve(args) -> int:
               "which is inconsistent with the exact solution; expect an error "
               "plateau near 0.5 instead of convergence", file=sys.stderr)
     grid = Grid1D(n_cells=rc.grid_n, a=rc.params.a)
-    result = solve_general(rc.params, rc.consts, grid, rc.solver)
+    try:
+        result = solve_general(rc.params, rc.consts, grid, rc.solver)
+    except OverflowError as e:
+        raise ConfigError(f"tau_end = {rc.solver.t_end!r} is too large: a closed form "
+                          "overflows the float range on the way to it") from e
     nodes = grid.nodes
     rows = []
     for tau_s, theta in result.snapshots:
-        # the last snapshot's tau can miss t_end by an ulp; only at t_end
-        # itself is the field the norms were measured against the right one
-        if tau_s == result.config.t_end:
-            ex = result.exact_end
-        else:
-            ex = np.asarray(result.exact(tau_s, nodes), dtype=float)
+        ex = np.asarray(result.exact(tau_s, nodes), dtype=float)
         for eta_j, th_j, ex_j in zip(nodes.tolist(), theta.tolist(), ex.tolist()):
             rows.append((tau_s, eta_j, th_j, ex_j, abs(th_j - ex_j)))
     text = _csv(rows, ["tau", "eta", "theta_numeric", "theta_exact", "abs_err"])
@@ -316,12 +319,17 @@ def cmd_profile(args) -> int:
     header = ["tau", "eta", "theta"]
     if rc.phys is not None:
         header += ["t", "r", "T"]
-    for tau_s in rc.profile_tau:
-        th = temperature.theta_general(tau_s, eta, rc.params, rc.consts)
+    for i, tau_s in enumerate(rc.profile_tau):
+        try:
+            th = temperature.theta_general(tau_s, eta, rc.params, rc.consts)
+            if rc.phys is not None:
+                t_s, r_s = from_reduced(tau_s, eta, rc.phys)
+                T_s = temperature.dimensional_T(t_s, r_s, rc.phys, rc.consts)
+        except OverflowError as e:
+            raise ConfigError(f"profile.tau[{i}] = {tau_s!r} is too large: the closed "
+                              "form overflows the float range") from e
         th = np.broadcast_to(np.asarray(th, dtype=float), eta.shape)
         if rc.phys is not None:
-            t_s, r_s = from_reduced(tau_s, eta, rc.phys)
-            T_s = temperature.dimensional_T(t_s, r_s, rc.phys, rc.consts)
             for e, v, tt, rr, TT in zip(eta, th, np.broadcast_to(t_s, eta.shape), r_s, T_s):
                 rows.append((tau_s, e, v, tt, rr, TT))
         else:
@@ -378,11 +386,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--format", dest="fmt", choices=["csv"], help="output format")
         if solver_flags:
             sp.add_argument("--bc-mode", dest="bc_mode",
-                            choices=["derived", "paper", "dirichlet"],
+                            choices=BC_MODES,
                             help="boundary data: exact Neumann | published Neumann | exact Dirichlet")
             sp.add_argument("--grid", help="node count N, or comma list for convergence")
             sp.add_argument("--tau-end", dest="tau_end", type=float, help="final tau")
-            sp.add_argument("--scheme", choices=["cn", "euler"], help="time scheme")
+            sp.add_argument("--scheme", choices=SCHEMES, help="time scheme")
 
     sp = sub.add_parser("verify", help="run the residual/invariant/conservation suite")
     common(sp, solver_flags=False)

@@ -59,6 +59,12 @@ def _require(cond, field, msg):
         raise ValidationError(f"{field} {msg}")
 
 
+def _require_C3(C3):
+    _require(C3 > 0, "C3", "must be > 0")
+    # the closed forms take (tau + C3) ** 3, which raises past ~5.6e102
+    _require(math.isfinite(C3 * C3 * C3), "C3", f"must keep C3^3 finite, got {C3!r}")
+
+
 @dataclass(frozen=True)
 class PhysicalParams:
     """Dimensional inputs defining the ring problem.
@@ -117,6 +123,9 @@ class ReducedParams:
     def __post_init__(self):
         for name in ("A", "B", "eps", "a"):
             _require(math.isfinite(getattr(self, name)), name, "must be a finite number")
+        # every closed form has 16*(1 + eps^2); past |eps| ~ 1.3e154 eps ** 2 raises
+        _require(math.isfinite(16.0 * (1.0 + self.eps * self.eps)), "eps",
+                 f"must keep 16*(1 + eps^2) finite (|eps| < ~3.3e153), got {self.eps!r}")
         _require(self.A > 0, "A", "must be > 0")
         _require(self.B > 0, "B", "must be > 0")
         _require(self.a >= 0, "a", "must be >= 0")
@@ -138,7 +147,7 @@ class SolutionConstants:
     def __post_init__(self):
         for name in ("C3", "C5", "K"):
             _require(math.isfinite(getattr(self, name)), name, "must be a finite number")
-        _require(self.C3 > 0, "C3", "must be > 0")
+        _require_C3(self.C3)
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ substitution, so what remains of its cost is the sweep's float arithmetic.
 `scipy.linalg.solve_banded` would be faster still, but it rounds
 differently: it moves the error norms by ~5e-9 relative, past the 1e-12
 agreement the recorded benchmark norms demand.
-A march is limited to `MAX_STEPS` time steps.
+A march is bounded by `MAX_STEPS`, `MAX_NODE_STEPS` and `MAX_CELLS`.
 
 `march` assembles its coefficients a block of steps at a time: one call of
 the diffusivity at each face set and one of the source give every step's
@@ -76,7 +76,11 @@ __all__ = [
     "PUBLISHED_FLUX_ERROR_FLOOR",
     "N_SNAPSHOTS",
     "MAX_STEPS",
+    "MAX_NODE_STEPS",
+    "MAX_CELLS",
     "BLOCK_ELEMS",
+    "SCHEMES",
+    "BC_MODES",
 ]
 
 #: Frozen regression level of the 'paper' boundary-mode error plateau.
@@ -91,6 +95,18 @@ N_SNAPSHOTS = 5
 #: non-finite one, before it allocates anything, so a mistyped t_end or dt
 #: is a ValidationError instead of a march that runs for hours.
 MAX_STEPS = 1_000_000
+
+#: Node-update budget of one march, steps * (n_cells + 1), checked with
+#: MAX_STEPS: ~10 minutes at the ~0.6 us a node update takes at N = 1024 on 2 cores.
+MAX_NODE_STEPS = 1_000_000_000
+
+#: Largest Grid1D, checked before any node array exists; it bounds the 5
+#: snapshots a march keeps and the CSV rows `solve` writes from them.
+MAX_CELLS = 65536
+
+#: Time schemes and boundary modes a SolverConfig accepts.
+SCHEMES = ("cn", "euler")
+BC_MODES = ("derived", "paper", "dirichlet")
 
 #: Elements per coefficient array of one block of steps: `march` assembles
 #: the bands of max(1, BLOCK_ELEMS // (n + 1)) steps at once, so each
@@ -112,6 +128,8 @@ class Grid1D:
     def __post_init__(self):
         if self.n_cells < 8:
             raise ValidationError("n_cells must be >= 8")
+        if self.n_cells > MAX_CELLS:
+            raise ValidationError(f"n_cells must be <= {MAX_CELLS}, got {self.n_cells!r}")
         if self.a <= 0:
             raise ValidationError("a must be > 0")
 
@@ -150,11 +168,10 @@ class SolverConfig:
             raise ValidationError("dt_over_h must be > 0")
         if self.t_end < 0:
             raise ValidationError("t_end must be >= 0")
-        if self.scheme not in ("cn", "euler"):
-            raise ValidationError(f"scheme must be 'cn' or 'euler', got {self.scheme!r}")
-        if self.bc_mode not in ("derived", "paper", "dirichlet"):
-            raise ValidationError("bc_mode must be 'derived', 'paper' or 'dirichlet', "
-                                  f"got {self.bc_mode!r}")
+        if self.scheme not in SCHEMES:
+            raise ValidationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if self.bc_mode not in BC_MODES:
+            raise ValidationError(f"bc_mode must be one of {BC_MODES}, got {self.bc_mode!r}")
 
 
 @dataclass
@@ -167,7 +184,6 @@ class SolveResult:
     error_inf: float
     error_l2: float
     exact: Callable | None = None  # exact(tau, eta) the norms were measured against
-    exact_end: np.ndarray | None = None  # exact(t_end, grid.nodes), the field of the norms
     observed_order: float | None = None  # filled by convergence_study
 
     @property
@@ -219,18 +235,22 @@ def _result(snapshots, grid, config, exact):
     w = np.full(grid.n_cells + 1, grid.h)
     w[0] = w[-1] = 0.5 * grid.h  # composite trapezoid weights
     return SolveResult(snapshots, grid, config, float(np.max(np.abs(err))),
-                       float(np.sqrt(np.sum(w * err * err))), exact, ex)
+                       float(np.sqrt(np.sum(w * err * err))), exact)
 
 
 def _steps(grid: Grid1D, config: SolverConfig) -> float:
     """t_end / dt of a march as a float; ValidationError when it is not
-    finite or exceeds MAX_STEPS."""
+    finite or breaks MAX_STEPS or MAX_NODE_STEPS."""
     dt = config.dt if config.dt is not None else config.dt_over_h * grid.h
     steps = config.t_end / dt  # a float: inf when the ratio overflows
     if not (math.isfinite(steps) and steps <= MAX_STEPS):
         raise ValidationError(
             f"t_end / dt = {config.t_end!r} / {dt!r} = {steps:.6g} steps exceeds "
             f"the budget of {MAX_STEPS} steps; raise dt or lower t_end")
+    if steps * (grid.n_cells + 1) > MAX_NODE_STEPS:
+        raise ValidationError(
+            f"t_end / dt = {steps:.6g} steps on {grid.n_cells + 1} nodes exceeds the budget "
+            f"of {MAX_NODE_STEPS} node updates; coarsen the grid, raise dt or lower t_end")
     return steps
 
 
@@ -251,8 +271,9 @@ def march(grid: Grid1D, config: SolverConfig,
     tau and are called once per step.  Neumann data enter through
     second-order ghost nodes; Dirichlet rows are identities at the new time
     level.  Deterministic: identical inputs give bit-identical snapshots.
-    A t_end / dt that is not finite or exceeds MAX_STEPS raises
-    ValidationError.
+    A t_end / dt that is not finite or breaks MAX_STEPS or MAX_NODE_STEPS
+    raises ValidationError; a zero pivot, like a non-finite solution, raises
+    DivergenceError.
     """
     h = grid.h
     n = grid.n_cells
@@ -335,7 +356,11 @@ def march(grid: Grid1D, config: SolverConfig,
             else:
                 rhs[n] = float(data_out(tau_new))
 
-            theta = thomas_solve(lower[i], diag[i], upper[i], rhs)
+            try:
+                theta = thomas_solve(lower[i], diag[i], upper[i], rhs)
+            except ZeroDivisionError:
+                raise DivergenceError(
+                    f"zero pivot at step {k + 1} of {nsteps} (tau = {tau_new:.6g})") from None
             if not np.isfinite(theta).all():
                 raise DivergenceError(
                     f"non-finite solution at step {k + 1} of {nsteps} (tau = {tau_new:.6g})")

@@ -36,6 +36,7 @@ from .core import (
     SingularTimeError,
     SolutionConstants,
     ValidationError,
+    _require_C3,
     reduce_params,
 )
 from .dualnum import exp, log, value
@@ -48,14 +49,11 @@ __all__ = [
     "published_flux_inner",
     "published_flux_outer",
     "initial_profile",
-    "boundary_traces",
     "boundary_difference_C",
     "k_for_equal_boundaries",
     "dimensional_T",
     "c5_nonnegativity_bound",
     "NonnegativityReport",
-    "InvariantSolutionSimple",
-    "InvariantSolutionGeneral",
     "BoundaryTraces",
 ]
 
@@ -197,16 +195,6 @@ def _trace_inner(tau, params: ReducedParams, consts: SolutionConstants):
             + 0.5 * consts.C5 - 16.0 * (1.0 + params.eps ** 2) / (s0 * (B + 8.0 * A)))
 
 
-def boundary_traces(tau, params: ReducedParams, consts: SolutionConstants):
-    """(Theta1, Theta2) = temperatures at the outer (eta = a) and inner (eta = 0) walls.
-
-    Evaluated through standalone trace expressions; restriction of
-    `theta_general` to the boundaries gives the same values, which the test
-    suite checks as a transcription guard.
-    """
-    return _trace_outer(tau, params, consts), _trace_inner(tau, params, consts)
-
-
 def _boundary_difference_terms(params: ReducedParams, C3: float):
     """(first, slope) with C = first + slope*K: the gap is affine in K."""
     A, B, eps, a = params.A, params.B, params.eps, params.a
@@ -237,8 +225,7 @@ def k_for_equal_boundaries(params: ReducedParams, C3: float) -> float:
     the reference parameters this reproduces `core.reference_case_K`; at
     C3 = 1/8 it gives -5/18432.
     """
-    if C3 <= 0:
-        raise ValidationError("C3 must be > 0")
+    _require_C3(C3)
     first, slope = _boundary_difference_terms(params, C3)
     if not np.isfinite(slope) or slope == 0.0:
         raise SingularConstantError(
@@ -284,7 +271,7 @@ _SCAN_BLOCK_ELEMS = 8192
 
 
 def c5_nonnegativity_bound(params: ReducedParams, consts: SolutionConstants,
-                           tau_grid=None, eta_grid=None, tol=1e-12) -> NonnegativityReport:
+                           tau_grid=None, eta_grid=None) -> NonnegativityReport:
     """Scan theta_general for its minimum over the grid plus the tau->inf level.
 
     Defaults to a 201 x 201 uniform grid on [0, 10] x [0, a], dense enough
@@ -292,6 +279,7 @@ def c5_nonnegativity_bound(params: ReducedParams, consts: SolutionConstants,
     C5 = 5/3.  The reduction is deterministic: first minimum in row-major
     (tau, eta) order wins, so ties break lexicographically, and the first
     NaN wins over any number, as np.argmin over the whole grid would give.
+    threshold_ok is min_value >= -1e-12.
     """
     if tau_grid is None:
         tau_grid = np.linspace(0.0, 10.0, 201)
@@ -319,38 +307,17 @@ def c5_nonnegativity_bound(params: ReducedParams, consts: SolutionConstants,
     level = 0.5 * consts.C5
     if level < min_value:
         min_value, argmin = level, (math.inf, math.nan)
-    return NonnegativityReport(min_value, argmin, bool(min_value >= -tol))
-
-
-@dataclass(frozen=True)
-class InvariantSolutionSimple:
-    """Callable wrapper for the simple family; `level` is its tau->inf value."""
-
-    params: ReducedParams
-    level: float
-
-    def __call__(self, tau, eta):
-        return theta_simple(tau, eta, self.params, self.level)
-
-
-@dataclass(frozen=True)
-class InvariantSolutionGeneral:
-    """Callable wrapper for the general solution.
-
-    Reduces to InvariantSolutionSimple with level C5/2 when K = 0 and tends
-    to C5/2 as tau -> infinity for every fixed eta.
-    """
-
-    params: ReducedParams
-    consts: SolutionConstants
-
-    def __call__(self, tau, eta):
-        return theta_general(tau, eta, self.params, self.consts)
+    return NonnegativityReport(min_value, argmin, bool(min_value >= -1e-12))
 
 
 @dataclass(frozen=True)
 class BoundaryTraces:
-    """Wall-temperature histories theta1 (eta = a) and theta2 (eta = 0)."""
+    """Wall-temperature histories theta1 (eta = a) and theta2 (eta = 0).
+
+    Evaluated through standalone trace expressions, transcribed apart from
+    `theta_general` as an independent oracle: its restriction to the walls
+    gives the same values, which `verify` and the test suite check.
+    """
 
     params: ReducedParams
     consts: SolutionConstants

@@ -32,6 +32,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import partial
 from typing import Sequence
 
 import numpy as np
@@ -78,6 +79,8 @@ __all__ = [
 
 DUAL_TOL = 1e-9
 FD_TOL = 1e-5
+#: relative steps of the 'fd' mode's first and second derivatives
+_FD_STEP, _FD_STEP2 = 1e-4, 1e-3
 #: dual-vs-difference disagreement beyond this raises UnreliableDerivativesError
 ENGINE_AGREEMENT_TOL = 1e-5
 #: absolute tolerance of the flux-evolution quadrature per derivative mode:
@@ -97,15 +100,13 @@ class DerivativeEngine:
     has that shape, and is a float for float arguments.  mode 'dual' seeds
     (nested) dual numbers through the field via `dualnum.d1`/`d2`; mode
     'fd' uses 4th-order central differences with the elementwise relative
-    step h = step*max(1, |x|).  The second-derivative step is wider
-    (1e-3): at 1e-4 the h^-2 roundoff (~4e-8) times the equation
+    step h = _FD_STEP*max(1, |x|).  The second-derivative step _FD_STEP2 is
+    wider (1e-3): at 1e-4 the h^-2 roundoff (~4e-8) times the equation
     coefficient B*s at the far grid corner would break the documented 1e-5
     fd residual tolerance, while truncation at 1e-3 is still ~1e-12.
     """
 
     mode: str = "dual"
-    fd_step: float = 1e-4
-    fd_step2: float = 1e-3
 
     def __post_init__(self):
         if self.mode not in ("dual", "fd"):
@@ -116,7 +117,7 @@ class DerivativeEngine:
         g = _section(f, args, i)
         if self.mode == "dual":
             return _shaped(dualnum.d1(g, args[i]), args)
-        x, h = _fd_step(args[i], self.fd_step)
+        x, h = _fd_step(args[i], _FD_STEP)
         return _shaped((g(x - 2 * h) - 8 * g(x - h) + 8 * g(x + h) - g(x + 2 * h)) / (12 * h),
                        args)
 
@@ -125,7 +126,7 @@ class DerivativeEngine:
         g = _section(f, args, i)
         if self.mode == "dual":
             return _shaped(dualnum.d2(g, args[i]), args)
-        x, h = _fd_step(args[i], self.fd_step2)
+        x, h = _fd_step(args[i], _FD_STEP2)
         return _shaped((-g(x - 2 * h) + 16 * g(x - h) - 30 * g(x) + 16 * g(x + h) - g(x + 2 * h))
                        / (12 * h * h), args)
 
@@ -155,15 +156,19 @@ def _shaped(y, args):
 
 @dataclass(frozen=True)
 class ResidualReport:
-    """Max-abs and RMS residuals of a field against a governing equation."""
+    """Max-abs residual of a field against a governing equation."""
 
     name: str
     max_abs: float
-    l2: float  # root-mean-square over the sample set
     worst_point: tuple
     n_samples: int
     tol: float
     passed: bool
+
+
+def _passes(value, tol) -> bool:
+    """The pass rule of every check: value <= tol, so a NaN value fails."""
+    return bool(value <= tol)
 
 
 def _report(name, residual, coords, tol) -> ResidualReport:
@@ -175,9 +180,8 @@ def _report(name, residual, coords, tol) -> ResidualReport:
     # minimal among ties; argmax takes the first NaN, which then fails
     k = int(np.argmax(np.abs(r)))
     worst = float(abs(r.flat[k]))
-    return ResidualReport(name, worst, float(np.sqrt(np.mean(r * r))),
-                          tuple(float(np.ravel(c)[k]) for c in coords), r.size, tol,
-                          worst < tol)
+    return ResidualReport(name, worst, tuple(float(np.ravel(c)[k]) for c in coords),
+                          r.size, tol, _passes(worst, tol))
 
 
 def _confirm(pairs, TT, EE, tol):
@@ -205,18 +209,12 @@ def _mesh(grid):
                        indexing="ij")
 
 
-def _default_tol(engine: DerivativeEngine, tol):
-    if tol is not None:
-        return tol
-    return DUAL_TOL if engine.mode == "dual" else FD_TOL
-
-
 def _partials(fld, TT, EE, engine, cross_check=False):
     """(f_tau, f_eta, f_etaeta) over the mesh, optionally confirmed by the other mode."""
     args = (TT, EE)
     mine = engine.d1(fld, args, 0), engine.d1(fld, args, 1), engine.d2(fld, args, 1)
     if cross_check:
-        other = replace(engine, mode="fd" if engine.mode == "dual" else "dual")
+        other = DerivativeEngine("fd" if engine.mode == "dual" else "dual")
         theirs = other.d1(fld, args, 0), other.d1(fld, args, 1), other.d2(fld, args, 1)
         labels = ("d/dtau", "d/deta", "d2/deta2")
         _confirm([(f"{lab} disagrees between dual and fd modes", m, t)
@@ -226,7 +224,7 @@ def _partials(fld, TT, EE, engine, cross_check=False):
 
 def pde_residual(field, A: float, B: float, source, grid,
                  engine: DerivativeEngine | None = None, cross_check: bool = False,
-                 tol=None, name: str = "pde") -> ResidualReport:
+                 name: str = "pde") -> ResidualReport:
     """Residual of A*f_tau - B*(f_eta + s*f_etaeta) - source(tau, eta, s) on the grid mesh.
 
     s = 8*tau + eta + 1; grid = (tau values, eta values).  The
@@ -238,23 +236,22 @@ def pde_residual(field, A: float, B: float, source, grid,
     s = 8.0 * TT + EE + 1.0
     f_t, f_e, f_ee = _partials(field, TT, EE, engine, cross_check)
     res = A * f_t - B * (f_e + s * f_ee) - source(TT, EE, s)
-    return _report(name, res, (TT, EE), _default_tol(engine, tol))
+    return _report(name, res, (TT, EE), DUAL_TOL if engine.mode == "dual" else FD_TOL)
 
 
 def temperature_equation_residual(fld, params: ReducedParams, grid=None,
                                   engine: DerivativeEngine | None = None,
-                                  cross_check: bool = False, tol=None,
-                                  name: str = "temperature_equation") -> ResidualReport:
+                                  cross_check: bool = False) -> ResidualReport:
     """Residual of A*Theta_tau - B*(Theta_eta + s*Theta_etaeta) - 16*(1+eps^2)/s^2."""
     q = 16.0 * (1.0 + params.eps ** 2)
     return pde_residual(fld, params.A, params.B, lambda tau, eta, s: q / (s * s),
                         grid if grid is not None else standard_grid(params.a),
-                        engine, cross_check, tol, name)
+                        engine, cross_check, "temperature_equation")
 
 
 def reference_equation_residual(fld=None, C5: float = C5_MIN, grid=None,
                                 engine: DerivativeEngine | None = None,
-                                cross_check: bool = False, tol=None) -> ResidualReport:
+                                cross_check: bool = False) -> ResidualReport:
     """Residual of Theta_tau - 8*(Theta_eta + s*Theta_etaeta) - 80/(3*s^2).
 
     The reference-case equation (the general one divided by A at the worked
@@ -264,7 +261,7 @@ def reference_equation_residual(fld=None, C5: float = C5_MIN, grid=None,
         fld = lambda tau, eta: temperature.theta_reference(tau, eta, C5)
     return pde_residual(fld, 1.0, 8.0, lambda tau, eta, s: 80.0 / (3.0 * s * s),
                         grid if grid is not None else standard_grid(1.0),
-                        engine, cross_check, tol, "reference_equation")
+                        engine, cross_check, "reference_equation")
 
 
 def flow_residuals(eps: float, grid=None,
@@ -326,7 +323,7 @@ def flow_residuals(eps: float, grid=None,
 def determining_equation_residual(b2, C1: float, C2: float, C4: float,
                                   params: ReducedParams, grid=None,
                                   engine: DerivativeEngine | None = None,
-                                  cross_check: bool = False, tol=None) -> ResidualReport:
+                                  cross_check: bool = False) -> ResidualReport:
     """Residual of the linear condition on the generator coefficient b2.
 
     A*b2_tau - B*(b2_eta + s*b2_etaeta)
@@ -344,7 +341,7 @@ def determining_equation_residual(b2, C1: float, C2: float, C4: float,
 
     return pde_residual(b2, A, B, source,
                         grid if grid is not None else standard_grid(params.a),
-                        engine, cross_check, tol, "determining_equation")
+                        engine, cross_check, "determining_equation")
 
 
 def operator_coefficients(C1: float, C2: float, C3: float, C4: float,
@@ -411,7 +408,8 @@ def annihilation_values(operator_coeffs, invariant, grid=None,
 
     operator_coeffs is the raw (C1, C2, C3, C4, b2) tuple.  Annihilation
     must hold identically in Theta, so X(J) is evaluated on the (grid point
-    x substituted Theta) mesh; returns (points, values[n_pts, n_theta]).
+    x substituted Theta) mesh; returns values[n_pts, n_theta], the points in
+    row-major (tau, eta) order.
     """
     engine = engine or DerivativeEngine()
     C1, C2, C3, C4, b2 = operator_coeffs
@@ -422,24 +420,20 @@ def annihilation_values(operator_coeffs, invariant, grid=None,
                                np.asarray(theta_samples, dtype=float)[None, :])
     tau, eta, th = args
     j_t, j_e, j_th = (engine.d1(invariant, args, i) for i in range(3))
-    vals = xi1(tau) * j_t + xi2(tau, eta) * j_e + eta1(tau, eta, th) * j_th
-    pts = list(zip(TT.ravel().tolist(), EE.ravel().tolist()))
-    return pts, vals
+    return xi1(tau) * j_t + xi2(tau, eta) * j_e + eta1(tau, eta, th) * j_th
 
 
 def invariant_annihilation(operator_coeffs, invariant, grid=None,
-                           theta_samples=(-1.0, 0.4, 1.7),
                            params: ReducedParams | None = None,
                            engine: DerivativeEngine | None = None) -> float:
-    """max |X(J)| over the grid and the substituted Theta values."""
-    _, vals = annihilation_values(operator_coeffs, invariant, grid,
-                                  theta_samples, params, engine)
+    """max |X(J)| over the grid and annihilation_values' default Theta values."""
+    vals = annihilation_values(operator_coeffs, invariant, grid,
+                               params=params, engine=engine)
     return float(np.max(np.abs(vals)))
 
 
 def reduced_ode_residual(phi, params: ReducedParams, I1_samples,
-                         engine: DerivativeEngine | None = None,
-                         tol: float = 1e-10) -> ResidualReport:
+                         engine: DerivativeEngine | None = None) -> ResidualReport:
     """Residual of B*I1*phi'' + (B - 8A)*phi' + 16*(1+eps^2)/I1^2.
 
     The single-variable reduction of the temperature equation along the
@@ -453,7 +447,7 @@ def reduced_ode_residual(phi, params: ReducedParams, I1_samples,
     p1 = engine.d1(phi, (i1,), 0)
     p2 = engine.d2(phi, (i1,), 0)
     res = B * i1 * p2 + (B - 8.0 * A) * p1 + 16.0 * (1.0 + params.eps ** 2) / (i1 * i1)
-    return _report("reduced_ode", res, (i1,), tol)
+    return _report("reduced_ode", res, (i1,), 1e-10)
 
 
 @dataclass(frozen=True)
@@ -485,24 +479,22 @@ def published_gap_at(tau: float) -> float:
     return float(temperature.published_flux_outer(tau) - temperature.reference_flux(tau, 1.0))
 
 
-def published_flux_discrepancy(tau_samples=None, C5: float = C5_MIN,
-                               engine: DerivativeEngine | None = None) -> FluxDiscrepancyReport:
+def published_flux_discrepancy(tau_samples=None) -> FluxDiscrepancyReport:
     """Evaluate both flux formulas against the exact boundary derivative.
 
-    The derived fluxes are engine-computed from theta_reference and
-    cross-checked against the closed form `reference_flux` (disagreement
-    beyond 1e-8 raises UnreliableDerivativesError).
+    The derived fluxes are dual-engine derivatives of theta_reference (its
+    eta derivative does not depend on C5), cross-checked against the closed
+    form `reference_flux` (disagreement beyond 1e-8 raises
+    UnreliableDerivativesError).
     """
-    engine = engine or DerivativeEngine()
     if tau_samples is None:
         tau_samples = np.linspace(0.0, 1.0, 21)
     tau_samples = np.asarray(tau_samples, dtype=float)
 
     TT, EE = _mesh((tau_samples, [0.0, 1.0]))
-    fld = lambda tau, eta: temperature.theta_reference(tau, eta, C5)
     closed = np.asarray(temperature.reference_flux(TT, EE), dtype=float)
-    _confirm([("boundary flux: engine vs closed form", engine.d1(fld, (TT, EE), 1), closed)],
-             TT, EE, 1e-8)
+    derived = DerivativeEngine().d1(temperature.theta_reference, (TT, EE), 1)
+    _confirm([("boundary flux: engine vs closed form", derived, closed)], TT, EE, 1e-8)
 
     return FluxDiscrepancyReport(
         tau=tau_samples,
@@ -538,7 +530,7 @@ class SuiteResult:
 
 def _check(name, val, tol, note=""):
     val = float(val)
-    return CheckResult(name, val, tol, val <= tol, note)
+    return CheckResult(name, val, tol, _passes(val, tol), note)
 
 
 def run_suite(params: ReducedParams, consts: SolutionConstants,
@@ -562,13 +554,11 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
         checks.append(_check(f"flow_{rep.name}", rep.max_abs, rep.tol))
 
     # temperature closed forms in the general equation
-    simple = temperature.InvariantSolutionSimple(params, level=consts.C5)
-    general = temperature.InvariantSolutionGeneral(params, consts)
-    rep = temperature_equation_residual(simple, params, grid, engine,
-                                        name="theta_simple")
+    simple = partial(temperature.theta_simple, params=params, level=consts.C5)
+    general = partial(temperature.theta_general, params=params, consts=consts)
+    rep = temperature_equation_residual(simple, params, grid, engine)
     checks.append(_check("pde_theta_simple", rep.max_abs, rep.tol))
-    rep = temperature_equation_residual(general, params, grid, engine,
-                                        name="theta_general")
+    rep = temperature_equation_residual(general, params, grid, engine)
     checks.append(_check("pde_theta_general", rep.max_abs, rep.tol))
 
     # symmetry machinery
@@ -592,14 +582,15 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
     checks.append(_check("reduced_ode_profile", rep.max_abs, rep.tol))
 
     # boundary structure
-    th1, th2 = temperature.boundary_traces(0.0, params, consts)
+    traces = temperature.BoundaryTraces(params, consts)
+    th1, th2 = traces.theta1(0.0), traces.theta2(0.0)
     checks.append(_check("boundary_equality_tau0", abs(th1 - th2), 1e-12,
                          note="wall temperatures at tau = 0"))
     checks.append(_check("boundary_difference_C",
                          abs(temperature.boundary_difference_C(params, consts)), 1e-12,
                          note="closed-form C; zero for the configured K"))
     tau4 = np.array([0.0, 0.1, 1.0, 10.0])
-    t1, t2 = temperature.boundary_traces(tau4, params, consts)
+    t1, t2 = traces.theta1(tau4), traces.theta2(tau4)
     dev = max(np.max(np.abs(t1 - temperature.theta_general(tau4, params.a, params, consts))),
               np.max(np.abs(t2 - temperature.theta_general(tau4, 0.0, params, consts))))
     checks.append(_check("trace_vs_restriction", dev, 1e-12))

@@ -7,6 +7,7 @@ whole module finishes in well under a minute.
 import math
 import time
 from fractions import Fraction
+from functools import partial
 
 import numpy as np
 
@@ -30,14 +31,13 @@ from ringheat.solver import (
     PUBLISHED_FLUX_ERROR_FLOOR,
 )
 from ringheat.temperature import (
-    InvariantSolutionGeneral,
-    InvariantSolutionSimple,
+    BoundaryTraces,
     boundary_difference_C,
-    boundary_traces,
     c5_nonnegativity_bound,
     dimensional_T,
     theta_general,
     theta_reference,
+    theta_simple,
 )
 from ringheat.verification import (
     determining_equation_residual,
@@ -78,9 +78,9 @@ def test_criterion_02_exact_solution_residuals():
     worst = {}
     worst["reference_eq"] = reference_equation_residual(C5=C5_MIN).max_abs
     worst["general_eq_general"] = temperature_equation_residual(
-        InvariantSolutionGeneral(REF.params, REF.consts), REF.params).max_abs
+        partial(theta_general, params=REF.params, consts=REF.consts), REF.params).max_abs
     worst["general_eq_simple"] = temperature_equation_residual(
-        InvariantSolutionSimple(REF.params, level=C5_MIN), REF.params).max_abs
+        partial(theta_simple, params=REF.params, level=C5_MIN), REF.params).max_abs
     fl = flow_residuals(REF.eps)
     worst["flow_interior"] = fl["azimuthal_momentum"].max_abs
     worst["flow_boundary"] = fl["boundary_flux"].max_abs
@@ -92,7 +92,8 @@ def test_criterion_02_exact_solution_residuals():
 
 
 def test_criterion_03_boundary_equality():
-    th1, th2 = boundary_traces(0.0, REF.params, REF.consts)
+    traces = BoundaryTraces(REF.params, REF.consts)
+    th1, th2 = traces.theta1(0.0), traces.theta2(0.0)
     c_val = boundary_difference_C(REF.params, REF.consts)
     ok = abs(th1 - th2) < 1e-12 and abs(c_val) < 1e-12
     _report(3, "boundary equality", ok,
@@ -117,7 +118,7 @@ def test_criterion_05_nonnegativity_threshold():
 
 
 def test_criterion_06_symmetry_machinery():
-    b2 = InvariantSolutionSimple(REF.params, level=REF.C5)
+    b2 = partial(theta_simple, params=REF.params, level=REF.C5)
     det = determining_equation_residual(b2, 0.0, 1.0, -2.0, REF.params).max_abs
     I1, _ = translation_invariants()
     trans = invariant_annihilation((0.0, 0.0, REF.C3, 0.0, None), I1, params=REF.params)

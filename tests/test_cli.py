@@ -160,8 +160,8 @@ class TestSolve:
             assert r["theta_exact"] == float(real(r["tau"], r["eta"]))
         last_tau = rows[-1]["tau"]
         assert (last_tau == float(tau_end)) == (tau_end == "0.25")
-        # one evaluation per snapshot, the one at t_end shared with the norms
-        assert len(calls) == 5 + (last_tau != float(tau_end))
+        # one evaluation for the norms at t_end, then one per snapshot
+        assert calls == [float(tau_end)] + [r["tau"] for r in rows[::int(grid) + 1]]
 
     def test_euler_scheme_end_to_end(self, tmp_path, capsys):
         out_path = tmp_path / "euler.csv"
@@ -497,6 +497,61 @@ def test_non_finite_input_exit_2(argv, field, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, cfg, field", [
+    # P ** 3 in theta_general
+    (["profile"], {"profile": {"tau": [0.0, 1e103]}}, "profile.tau[1] = 1e+103"),
+    # eps ** 2 in the equal-boundary K and in every closed form
+    (["verify"], {"reduced": {"A": 0.75, "B": 6.0, "eps": 1e155, "a": 1.0}}, "eps"),
+    (["solve", "--grid", "16", "--bc-mode", "dirichlet"],
+     {"reduced": {"A": 0.75, "B": 6.0, "eps": -2e154, "a": 1.0}, "constants": {"K": 0.0}},
+     "eps"),
+    # C3 ** 3 in the equal-boundary K, (tau + C3) ** 3 in theta_general
+    (["verify"], {"constants": {"C3": 1e103}}, "C3"),
+    (["solve", "--grid", "16", "--bc-mode", "dirichlet"],
+     {"constants": {"C3": 6e102, "K": 0.0}}, "C3"),
+    # c ** 5 in reference_flux
+    (["solve", "--grid", "16", "--tau-end", "1e103"], {"solver": {"dt": 1e103}},
+     "tau_end = 1e+103"),
+], ids=["profile-tau", "verify-eps", "solve-eps", "verify-C3", "solve-C3", "solve-tau_end"])
+def test_float_overflow_exit_2(argv, cfg, field, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    rc, _, err = run(argv + ["--config", str(path), "--out", str(out)], capsys)
+    assert rc == 2
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+def test_zero_pivot_exit_1(tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"solver": {"dt": 1e30, "tau_end": 1e30}}))
+    rc, _, err = run(["solve", "--grid", "16", "--config", str(path),
+                      "--out", str(tmp_path / "o")], capsys)
+    assert rc == 1
+    assert err == "error: solver diverged: zero pivot at step 1 of 1 (tau = 1e+30)\n"
+
+
+@pytest.mark.parametrize("argv, cfg, field", [
+    (["solve", "--grid", "100000000", "--tau-end", "1e-9"], {}, "n_cells must be <= 65536"),
+    (["solve", "--grid", "1048576", "--tau-end", "0.1"], {}, "n_cells must be <= 65536"),
+    (["convergence", "--grid", "64,65537"], {}, "n_cells must be <= 65536"),
+    (["solve", "--grid", "65536", "--tau-end", "0.25"], {}, "of 1000000000 node updates"),
+    (["profile"], {"profile": {"n_eta": 10 ** 8}}, "profile.n_eta must be >= 2 and <= 65537"),
+], ids=["solve-1e8-cells", "solve-2^20-cells", "convergence-cells", "solve-node-steps",
+        "profile-n_eta"])
+def test_size_bounds_exit_2(argv, cfg, field, tmp_path, capsys):
+    # each is rejected before its grid is allocated
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    rc, _, err = run(argv + ["--config", str(path), "--out", str(out)], capsys)
+    assert rc == 2
+    assert err.startswith("error: ") and field in err
+    assert not out.exists()
+
+
 class TestConfigFuzz:
     scalars = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
                         st.integers(min_value=-10, max_value=10), st.text(max_size=8))
@@ -519,6 +574,37 @@ class TestConfigFuzz:
                        "--out", str(path.with_suffix(".csv"))])
         except Exception as e:  # noqa: BLE001 - the assertion is "no leak"
             raise AssertionError(f"config fuzz leaked {type(e).__name__}: {e}") from e
+        assert rc in (0, 1, 2)
+
+    # every example is fast: at most 64 cells (999 from a 3-character
+    # text), and a tau_end <= 0.05 or one past the step budget
+    grids = st.one_of(st.integers(min_value=-10, max_value=64).map(str),
+                      st.lists(st.integers(min_value=-10, max_value=64), min_size=1,
+                               max_size=3).map(lambda ns: ",".join(map(str, ns))),
+                      st.text(max_size=3))
+    tau_ends = st.one_of(st.floats(min_value=0.0, max_value=0.05).map(repr),
+                         st.floats(min_value=1e5).map(repr),
+                         st.floats(max_value=0.0).map(repr),
+                         st.sampled_from(["nan", "inf", "-inf"]), st.text(max_size=4))
+    c5s = st.one_of(st.floats().map(repr), st.text(max_size=4))
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(cmd=st.sampled_from(["solve", "convergence"]), grid=grids, tau_end=tau_ends,
+           c5=c5s)
+    def test_flags_never_crash(self, cmd, grid, tau_end, c5, tmp_path_factory):
+        # a flag value comes back as a clean exit code; argparse's own
+        # rejection of a non-number is SystemExit(2)
+        out = tmp_path_factory.mktemp("fuzz") / "o.csv"
+        argv = [cmd, f"--grid={grid}", f"--tau-end={tau_end}", f"--c5={c5}",
+                "--out", str(out)]
+        try:
+            rc = main(argv)
+        except SystemExit as e:
+            assert e.code == 2, argv
+            return
+        except Exception as e:  # noqa: BLE001 - the assertion is "no leak"
+            raise AssertionError(f"{argv} leaked {type(e).__name__}: {e}") from e
         assert rc in (0, 1, 2)
 
 

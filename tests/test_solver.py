@@ -47,6 +47,23 @@ class TestGridAndConfig:
         with pytest.raises(ValidationError):
             Grid1D(16, a=0.0)
 
+    def test_grid_size_cap(self):
+        # the cap is checked before any node array exists
+        assert Grid1D(solver.MAX_CELLS).n_cells == solver.MAX_CELLS
+        for n in (solver.MAX_CELLS + 1, 10 ** 8):
+            with pytest.raises(ValidationError, match="n_cells must be <= 65536"):
+                Grid1D(n)
+
+    @pytest.mark.parametrize("n, t_end", [(solver.MAX_CELLS, 0.25), (8192, 2.0)])
+    def test_node_step_budget(self, n, t_end, monkeypatch):
+        # under MAX_STEPS, over MAX_NODE_STEPS: rejected before any allocation
+        monkeypatch.setattr(Grid1D, "nodes", property(lambda g: pytest.fail("allocated")))
+        msg = "exceeds the budget of 1000000000 node updates"
+        with pytest.raises(ValidationError, match=msg):
+            solve_reference(Grid1D(n), SolverConfig(t_end=t_end))
+        with pytest.raises(ValidationError, match=msg):
+            convergence_study([64, n], SolverConfig(t_end=t_end))
+
     @pytest.mark.parametrize("kw", [
         dict(dt=-0.1), dict(t_end=-1.0), dict(scheme="rk4"),
         dict(bc_mode="mixed"), dict(dt_over_h=0.0),
@@ -513,6 +530,13 @@ class TestMarchProperties:
                   lambda eta: np.where(np.asarray(eta) == 0.0, np.inf, 0.0),
                   ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0))
 
+    @pytest.mark.parametrize("kw", [dict(dt=1e30, t_end=1e30), dict(dt=1e20, t_end=1e20),
+                                    dict(dt=1e30, t_end=1e30, scheme="euler")])
+    def test_zero_pivot_is_a_divergence(self, kw):
+        # a huge dt cancels a pivot of the elimination to exactly 0
+        with pytest.raises(DivergenceError, match="^zero pivot at step 1 of 1"):
+            solve_reference(Grid1D(16), SolverConfig(**kw))
+
 
 class TestConvergenceStudy:
     def test_orders_near_two(self):
@@ -528,11 +552,12 @@ class TestConvergenceStudy:
         assert results[0].error_inf > 0.0
 
     def test_result_keeps_the_exact_field_at_t_end(self):
-        # t_end = 0.05 on 16 cells: the last step lands an ulp off t_end
+        # t_end = 0.05 on 16 cells: the last step lands an ulp off t_end,
+        # and the norms are still measured against the field at t_end
         for config in (SolverConfig(t_end=0.05), SolverConfig(t_end=0.0)):
             res = solve_reference(Grid1D(16), config)
-            assert np.array_equal(res.exact_end, res.exact(config.t_end, res.grid.nodes))
-            assert res.error_inf == float(np.max(np.abs(res.final[1] - res.exact_end)))
+            exact_end = res.exact(config.t_end, res.grid.nodes)
+            assert res.error_inf == float(np.max(np.abs(res.final[1] - exact_end)))
 
     def test_repeated_level_rejected_before_any_check(self, monkeypatch):
         # log(h/h) = 0 would make the order NaN; the 4-cell level would fail
@@ -621,7 +646,6 @@ class TestForkedStudy:
                 assert np.array_equal(v1, v2)
             assert (res.error_inf, res.error_l2) == (exp.error_inf, exp.error_l2)
             assert res.observed_order == exp.observed_order
-            assert np.array_equal(res.exact_end, exp.exact_end)
             assert res.exact(0.1, 0.5) == exp.exact(0.1, 0.5)
         # the finest level marched here, the others in one other process
         pids = marched_in(results)

@@ -18,10 +18,7 @@ from ringheat.core import (
 from ringheat.dualnum import Dual
 from ringheat.temperature import (
     BoundaryTraces,
-    InvariantSolutionGeneral,
-    InvariantSolutionSimple,
     boundary_difference_C,
-    boundary_traces,
     c5_nonnegativity_bound,
     dimensional_T,
     initial_profile,
@@ -304,8 +301,9 @@ class TestReferenceCaseForms:
 
 class TestBoundaryStructure:
     def test_traces_equal_restriction(self, ref):
+        tr = BoundaryTraces(ref.params, ref.consts)
         for tau in (0.0, 0.1, 1.0, 10.0):
-            th1, th2 = boundary_traces(tau, ref.params, ref.consts)
+            th1, th2 = tr.theta1(tau), tr.theta2(tau)
             assert th1 == pytest.approx(
                 theta_general(tau, 1.0, ref.params, ref.consts), abs=1e-12)
             assert th2 == pytest.approx(
@@ -323,8 +321,8 @@ class TestBoundaryStructure:
         # without the exponential mode the depression -1/s is deeper at eta = 0
         params = ReducedParams(A=A_val, B=2.0, eps=0.3, a=a_val)
         consts = SolutionConstants(C3=0.2, C5=1.0, K=0.0)
-        th1, th2 = boundary_traces(tau, params, consts)
-        assert th1 > th2
+        tr = BoundaryTraces(params, consts)
+        assert tr.theta1(tau) > tr.theta2(tau)
 
     def test_difference_constant_reference_is_zero(self, ref):
         assert abs(boundary_difference_C(ref.params, ref.consts)) < 1e-12
@@ -342,7 +340,8 @@ class TestBoundaryStructure:
     def test_difference_matches_trace_difference(self, ref):
         for K in (0.0, ref.K, 0.01):
             consts = SolutionConstants(C3=0.125, C5=2.0, K=K)
-            th1, th2 = boundary_traces(0.0, ref.params, consts)
+            tr = BoundaryTraces(ref.params, consts)
+            th1, th2 = tr.theta1(0.0), tr.theta2(0.0)
             assert boundary_difference_C(ref.params, consts) == pytest.approx(
                 th1 - th2, abs=1e-12)
 
@@ -524,11 +523,3 @@ class TestBlockScan:
             full_grid_scan(ref.params, ref.consts, taus, eta)
         with pytest.raises(SingularTimeError):
             c5_nonnegativity_bound(ref.params, ref.consts, tau_grid=taus, eta_grid=eta)
-
-
-class TestWrappers:
-    def test_callable_wrappers(self, ref):
-        simple = InvariantSolutionSimple(ref.params, level=0.5)
-        general = InvariantSolutionGeneral(ref.params, ref.consts)
-        assert simple(0.0, 0.0) == theta_simple(0.0, 0.0, ref.params, 0.5)
-        assert general(0.3, 0.4) == theta_general(0.3, 0.4, ref.params, ref.consts)

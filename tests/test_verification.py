@@ -1,6 +1,7 @@
 import math
 import types
 import warnings
+from functools import partial
 
 import numpy as np
 import pytest
@@ -10,8 +11,6 @@ from ringheat import dualnum, flow, verification
 from ringheat.core import ReducedParams, SolutionConstants, ValidationError
 from ringheat.dualnum import value
 from ringheat.temperature import (
-    InvariantSolutionGeneral,
-    InvariantSolutionSimple,
     theta_general,
     theta_reference,
     theta_simple,
@@ -41,8 +40,8 @@ FD = DerivativeEngine(mode="fd")
 class TestEngine:
     def test_modes_agree_on_closed_forms(self, ref):
         fields = [
-            InvariantSolutionSimple(ref.params, level=ref.C5),
-            InvariantSolutionGeneral(ref.params, ref.consts),
+            partial(theta_simple, params=ref.params, level=ref.C5),
+            partial(theta_general, params=ref.params, consts=ref.consts),
             lambda tau, eta: theta_reference(tau, eta, ref.C5),
         ]
         tau_vals, eta_vals = standard_grid(1.0)
@@ -78,33 +77,33 @@ class TestEngine:
 class TestTemperatureEquation:
     def test_simple_solution_residual(self, ref):
         rep = temperature_equation_residual(
-            InvariantSolutionSimple(ref.params, level=0.9), ref.params)
+            partial(theta_simple, params=ref.params, level=0.9), ref.params)
         assert rep.max_abs < 1e-9
         assert rep.passed
         assert rep.n_samples == 24 * 21
 
     def test_general_solution_residual(self, ref):
         rep = temperature_equation_residual(
-            InvariantSolutionGeneral(ref.params, ref.consts), ref.params)
+            partial(theta_general, params=ref.params, consts=ref.consts), ref.params)
         assert rep.max_abs < 1e-9
 
     def test_general_solution_any_K(self, ref):
         # the exponential mode solves the homogeneous equation for every K
         consts = SolutionConstants(C3=0.125, C5=1.0, K=0.37)
         rep = temperature_equation_residual(
-            InvariantSolutionGeneral(ref.params, consts), ref.params)
+            partial(theta_general, params=ref.params, consts=consts), ref.params)
         assert rep.max_abs < 1e-9
 
     def test_nonreference_parameters(self):
         params = ReducedParams(A=1.3, B=2.1, eps=-0.7, a=2.0)
         consts = SolutionConstants(C3=0.3, C5=0.8, K=0.05)
         rep = temperature_equation_residual(
-            InvariantSolutionGeneral(params, consts), params)
+            partial(theta_general, params=params, consts=consts), params)
         assert rep.max_abs < 1e-9
 
     def test_perturbed_field_residual_hand_oracle(self, ref):
         # adding eta^2 contributes -B*d/deta(s*2*eta) = -2*B*(8*tau + 2*eta + 1)
-        base = InvariantSolutionGeneral(ref.params, ref.consts)
+        base = partial(theta_general, params=ref.params, consts=ref.consts)
         fld = lambda tau, eta: base(tau, eta) + eta ** 2
         rep0 = temperature_equation_residual(fld, ref.params, grid=([0.0], [0.0]))
         assert rep0.max_abs == pytest.approx(2.0 * ref.params.B, abs=1e-9)
@@ -113,8 +112,8 @@ class TestTemperatureEquation:
             abs(-2.0 * ref.params.B * (8.0 * 0.5 + 2.0 * 0.25 + 1.0)), abs=1e-9)
 
     def test_fd_mode_tolerance(self, ref):
-        rep = temperature_equation_residual(
-            InvariantSolutionGeneral(ref.params, ref.consts), ref.params, engine=FD)
+        fld = partial(theta_general, params=ref.params, consts=ref.consts)
+        rep = temperature_equation_residual(fld, ref.params, engine=FD)
         assert rep.tol == 1e-5
         assert rep.passed
 
@@ -127,16 +126,16 @@ class TestTemperatureEquation:
         assert not rep.passed
 
     def test_empty_grid_rejected(self, ref):
+        fld = partial(theta_general, params=ref.params, consts=ref.consts)
         with pytest.raises(ValidationError):
-            temperature_equation_residual(InvariantSolutionGeneral(ref.params, ref.consts),
-                                          ref.params, grid=([], [0.0]))
+            temperature_equation_residual(fld, ref.params, grid=([], [0.0]))
 
     # fd values on arrays may differ from scalar ones by the difference
     # quotient's roundoff, since numpy's vector exp need not round like its
     # scalar one
     @pytest.mark.parametrize("engine, atol", [(DUAL, 1e-15), (FD, 1e-9)], ids=["dual", "fd"])
     def test_engine_on_arrays_matches_scalars(self, ref, engine, atol):
-        fld = InvariantSolutionGeneral(ref.params, ref.consts)
+        fld = partial(theta_general, params=ref.params, consts=ref.consts)
         tau, eta = np.meshgrid([0.0, 0.5, 5.0], [0.0, 0.3, 1.0], indexing="ij")
         for d, i in ((engine.d1, 0), (engine.d1, 1), (engine.d2, 1)):
             arr = d(fld, (tau, eta), i)
@@ -330,7 +329,7 @@ class TestSymbolicFlowBranch:
 class TestDeterminingEquation:
     def test_simple_profile_solves_it(self, ref):
         # source factor -(C2+C4) = 1 reproduces the inhomogeneous equation
-        b2 = InvariantSolutionSimple(ref.params, level=ref.C5)
+        b2 = partial(theta_simple, params=ref.params, level=ref.C5)
         rep = determining_equation_residual(b2, 0.0, 1.0, -2.0, ref.params)
         assert rep.max_abs < 1e-9
 
@@ -363,17 +362,17 @@ class TestSymmetryMachinery:
 
     def test_scaling_invariants_annihilated(self, ref):
         J1, J2 = scaling_invariants(ref.params, ref.consts)
-        b2 = InvariantSolutionSimple(ref.params, level=ref.C5)
+        b2 = partial(theta_simple, params=ref.params, level=ref.C5)
         coeffs = (0.0, 1.0, 0.125, -2.0, b2)
         assert invariant_annihilation(coeffs, J1, params=ref.params) < 1e-9
         assert invariant_annihilation(coeffs, J2, params=ref.params) < 1e-8
 
     def test_annihilation_independent_of_theta_for_J1(self, ref):
         J1, _ = scaling_invariants(ref.params, ref.consts)
-        b2 = InvariantSolutionSimple(ref.params, level=ref.C5)
-        _, vals = annihilation_values((0.0, 1.0, 0.125, -2.0, b2), J1,
-                                      theta_samples=(-3.0, 0.0, 2.0, 11.0),
-                                      params=ref.params)
+        b2 = partial(theta_simple, params=ref.params, level=ref.C5)
+        vals = annihilation_values((0.0, 1.0, 0.125, -2.0, b2), J1,
+                                   theta_samples=(-3.0, 0.0, 2.0, 11.0),
+                                   params=ref.params)
         assert float(np.var(vals, axis=1).max()) < 1e-14
 
     def test_operator_coefficient_structure(self, ref):
