@@ -2,11 +2,12 @@
 
 Subcommands: verify, solve, profile, convergence.  Runs are configured by a
 JSON file with blocks ``physical``, ``reduced``, ``constants``, ``solver``,
-``output``, ``profile`` (exactly one of physical/reduced); every CLI flag
-overrides the file.  CSV output is UTF-8, comma-separated, LF line endings,
-17-significant-digit decimals (round-trip exact), so reruns are
-bit-identical.  Exit codes: 0 pass, 1 check/solve failure, 2 usage/config
-error.
+``output``, ``profile`` (exactly one of physical/reduced).  Every CLI flag is
+a config key: it replaces the file's value before anything is validated, so
+a value is checked by the same code whichever way it comes.  CSV output is
+UTF-8, comma-separated, LF line endings, 17-significant-digit decimals
+(round-trip exact), so reruns are bit-identical.  Exit codes: 0 pass,
+1 check/solve failure, 2 usage/config error.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,6 +37,7 @@ from . import temperature
 from .solver import (
     BC_MODES,
     MAX_CELLS,
+    N_SNAPSHOTS,
     SCHEMES,
     DivergenceError,
     Grid1D,
@@ -50,13 +52,20 @@ __all__ = ["main", "RunConfig", "ConfigError"]
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
-_CONFIG_BLOCKS = {"physical", "reduced", "constants", "solver", "output", "profile"}
-_PHYS_KEYS = {"rho", "Cp", "k_cond", "mu", "mu0", "T0", "R10", "R20", "p_inf"}
-_REDUCED_KEYS = {"A", "B", "eps", "a"}
-_CONST_KEYS = {"C3", "C5", "K"}
-_SOLVER_KEYS = {"grid", "levels", "dt", "tau_end", "scheme", "bc_mode"}
-_OUTPUT_KEYS = {"path", "format"}
-_PROFILE_KEYS = {"tau", "n_eta"}
+#: The keys each config block takes.
+_BLOCKS = {
+    "physical": {"rho", "Cp", "k_cond", "mu", "mu0", "T0", "R10", "R20", "p_inf"},
+    "reduced": {"A", "B", "eps", "a"},
+    "constants": {"C3", "C5", "K"},
+    "solver": {"grid", "levels", "dt", "tau_end", "scheme", "bc_mode"},
+    "output": {"path", "format"},
+    "profile": {"tau", "n_eta"},
+}
+#: The (block, key) each flag sets, by its argparse dest; `resolve_config`
+#: reads --grid itself, since one --grid sets solver.grid and solver.levels.
+_FLAGS = {"c5": ("constants", "C5"), "tau_end": ("solver", "tau_end"),
+          "scheme": ("solver", "scheme"), "bc_mode": ("solver", "bc_mode"),
+          "out": ("output", "path"), "fmt": ("output", "format")}
 
 
 class ConfigError(Exception):
@@ -65,18 +74,17 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Fully resolved run settings (file defaults overridden by flags)."""
+    """Fully resolved run settings; every default is set in `resolve_config`."""
 
     params: ReducedParams
     consts: SolutionConstants
-    phys: PhysicalParams | None = None
-    grid_n: int = 128
-    levels: list = field(default_factory=list)
-    solver: SolverConfig = field(default_factory=SolverConfig)
-    out: str | None = None
-    fmt: str = "csv"
-    profile_tau: list = field(default_factory=lambda: [0.0, 0.125, 1.0, 1e4])
-    profile_n_eta: int = 101
+    phys: PhysicalParams | None
+    grid_n: int
+    levels: list
+    solver: SolverConfig
+    out: str | None
+    profile_tau: list
+    profile_n_eta: int
 
 
 def _fmt17(x) -> str:
@@ -89,11 +97,11 @@ def _load_json(path: str) -> dict:
             cfg = json.load(f)
     except OSError as e:
         raise ConfigError(f"cannot read config {path}: {e}") from e
-    except json.JSONDecodeError as e:
+    except (ValueError, RecursionError) as e:  # not UTF-8 or JSON, too deep, a 4301+ digit int
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(cfg) - _CONFIG_BLOCKS
+    unknown = set(cfg) - set(_BLOCKS)
     if unknown:
         raise ConfigError(f"unknown config blocks: {sorted(unknown)}")
     return cfg
@@ -117,120 +125,102 @@ def _real(value, name: str) -> float:
         raise ConfigError(f"{name} is too large: {e}") from e
 
 
-def _block(cfg: dict, label: str, allowed: set) -> dict:
+def _block(cfg: dict, label: str) -> dict:
     block = cfg.get(label, {})
     if not isinstance(block, dict):
         raise ConfigError(f"'{label}' block must be a JSON object, got {type(block).__name__}")
-    unknown = set(block) - allowed
+    unknown = set(block) - _BLOCKS[label]
     if unknown:
         raise ConfigError(f"unknown keys in '{label}' block: {sorted(unknown)}")
     return dict(block)
 
 
-def resolve_config(args) -> RunConfig:
-    """Merge JSON config (if any) with CLI flags into a RunConfig."""
-    cfg = _load_json(args.config) if getattr(args, "config", None) else {}
+def _dataclass(cls, label: str, block: dict):
+    """cls of the block's reals, each named by its key."""
+    try:
+        return cls(**{k: _real(v, f"{label}.{k}") for k, v in block.items()})
+    except TypeError as e:  # a required key is missing
+        raise ConfigError(f"incomplete '{label}' block: {e}") from e
 
-    phys_block = cfg.get("physical")
-    reduced_block = cfg.get("reduced")
-    if phys_block is not None and reduced_block is not None:
+
+def resolve_config(args) -> RunConfig:
+    """Write the flags into the JSON config's blocks, then validate every key once."""
+    cfg = _load_json(args.config) if args.config else {}
+    if "physical" in cfg and "reduced" in cfg:
         raise ConfigError("give exactly one of the 'physical' and 'reduced' blocks")
+    blocks = {label: _block(cfg, label) for label in _BLOCKS}
+    for dest, (label, key) in _FLAGS.items():
+        if getattr(args, dest, None) is not None:
+            blocks[label][key] = getattr(args, dest)
+    if getattr(args, "grid", None) is not None:
+        try:  # the text of a JSON list, so its values are counts like the file's
+            ns = json.loads(f"[{args.grid}]")
+        except (ValueError, RecursionError):
+            ns = []
+        if not ns:
+            raise ConfigError(f"--grid must be a number or a comma list of numbers, "
+                              f"got {args.grid!r}")
+        blocks["solver"]["grid"] = ns[0]
+        if len(ns) > 1 or args.cmd == "convergence":
+            blocks["solver"]["levels"] = ns
 
     phys = None
-    try:
-        if phys_block is not None:
-            phys = PhysicalParams(**{k: _real(v, f"physical.{k}") for k, v
-                                     in _block(cfg, "physical", _PHYS_KEYS).items()})
-            params = reduce_params(phys)
-        elif reduced_block is not None:
-            params = ReducedParams(**{k: _real(v, f"reduced.{k}") for k, v
-                                      in _block(cfg, "reduced", _REDUCED_KEYS).items()})
-        else:
-            params = ReferenceCase().params
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad parameter block: {e}") from e
+    if "physical" in cfg:
+        phys = _dataclass(PhysicalParams, "physical", blocks["physical"])
+        params = reduce_params(phys)
+    elif "reduced" in cfg:
+        params = _dataclass(ReducedParams, "reduced", blocks["reduced"])
+    else:
+        params = ReferenceCase().params
 
-    const_block = _block(cfg, "constants", _CONST_KEYS)
-    solver_block = _block(cfg, "solver", _SOLVER_KEYS)
-    out_block = _block(cfg, "output", _OUTPUT_KEYS)
-    prof_block = _block(cfg, "profile", _PROFILE_KEYS)
+    const = blocks["constants"]
+    C3 = _real(const.get("C3", ReferenceCase().C3), "constants.C3")
+    consts = SolutionConstants(
+        C3=C3, C5=_real(const.get("C5", C5_MIN), "constants.C5"),
+        # default K: the amplitude making the wall temperatures coincide at
+        # tau = 0 (the reference tuple gives exactly -5/18432)
+        K=(_real(const["K"], "constants.K") if "K" in const
+           else temperature.k_for_equal_boundaries(params, C3)))
 
-    try:
-        C3 = _real(const_block.get("C3", ReferenceCase().C3), "constants.C3")
-        C5 = _real(const_block.get("C5", C5_MIN), "constants.C5")
-        if getattr(args, "c5", None) is not None:
-            C5 = args.c5
-        if "K" in const_block:
-            K = _real(const_block["K"], "constants.K")
-        else:
-            # default K: the amplitude making the wall temperatures coincide
-            # at tau = 0 (the reference tuple gives exactly -5/18432)
-            K = temperature.k_for_equal_boundaries(params, C3)
-        consts = SolutionConstants(C3=C3, C5=C5, K=K)
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad constants block: {e}") from e
+    sol = blocks["solver"]
+    levels = sol.get("levels", [])
+    if not isinstance(levels, list):
+        raise ConfigError(f"solver.levels must be a list of integers, got {levels!r}")
+    levels = [_count(n, "solver.levels") for n in levels]
+    solver = {key: sol[key] for key in ("scheme", "bc_mode") if key in sol}
+    if sol.get("dt") is not None:
+        solver["dt"] = _real(sol["dt"], "solver.dt")
+    if "tau_end" in sol:
+        solver["t_end"] = _real(sol["tau_end"], "solver.tau_end")
 
-    rc = RunConfig(params=params, consts=consts, phys=phys)
-    solver = {}  # SolverConfig fields the file or the flags set
-    try:
-        rc.grid_n = _count(solver_block.get("grid", rc.grid_n), "solver.grid")
-        levels = solver_block.get("levels", [])
-        if not isinstance(levels, list):
-            raise ConfigError(f"solver.levels must be a list of integers, got {levels!r}")
-        rc.levels = [_count(n, "solver.levels") for n in levels]
-        if solver_block.get("dt") is not None:
-            solver["dt"] = _real(solver_block["dt"], "solver.dt")
-        if "tau_end" in solver_block:
-            solver["t_end"] = _real(solver_block["tau_end"], "solver.tau_end")
-        for key in ("scheme", "bc_mode"):
-            if key in solver_block:
-                solver[key] = solver_block[key]
-        rc.out = out_block.get("path", None)
-        if rc.out is not None and not isinstance(rc.out, str):
-            raise ConfigError("output.path must be a string")
-        rc.fmt = str(out_block.get("format", rc.fmt))
-        taus = prof_block.get("tau", rc.profile_tau)
-        if not isinstance(taus, list):
-            raise ConfigError(f"profile.tau must be a list of numbers, got {taus!r}")
-        rc.profile_tau = [_real(t, f"profile.tau[{i}]") for i, t in enumerate(taus)]
-        for i, t in enumerate(rc.profile_tau):
-            # tau < 0 is before the expansion starts (and -C3 is singular);
-            # inf and nan would print a NaN profile
-            if not (math.isfinite(t) and t >= 0.0):
-                raise ConfigError(f"profile.tau[{i}] must be finite and >= 0, got {t!r}")
-        rc.profile_n_eta = _count(prof_block.get("n_eta", rc.profile_n_eta), "profile.n_eta")
-        if not 2 <= rc.profile_n_eta <= MAX_CELLS + 1:
-            raise ConfigError(f"profile.n_eta must be >= 2 and <= {MAX_CELLS + 1}, "
-                              f"got {rc.profile_n_eta}")
-    except ConfigError:
-        raise
-    except (TypeError, ValueError) as e:
-        raise ConfigError(f"bad solver/output/profile block: {e}") from e
+    out = blocks["output"].get("path")
+    if out is not None and not isinstance(out, str):
+        raise ConfigError("output.path must be a string")
+    fmt = blocks["output"].get("format", "csv")
+    if fmt != "csv":
+        raise ConfigError(f"output.format must be 'csv', got {fmt!r}")
 
-    # flag overrides
-    if getattr(args, "grid", None) is not None:
-        parts = str(args.grid).split(",")
-        try:
-            ns = [int(p) for p in parts if p != ""]
-        except ValueError as e:
-            raise ConfigError(f"--grid expects an integer or comma list: {e}") from e
-        if not ns:
-            raise ConfigError("--grid got an empty list")
-        rc.grid_n = ns[0]
-        if len(ns) > 1 or args.cmd == "convergence":
-            rc.levels = ns
-    for flag, name in (("tau_end", "t_end"), ("scheme", "scheme"), ("bc_mode", "bc_mode")):
-        if getattr(args, flag, None) is not None:
-            solver[name] = getattr(args, flag)
-    if getattr(args, "out", None) is not None:
-        rc.out = args.out
-    if getattr(args, "fmt", None) is not None:
-        rc.fmt = args.fmt
+    taus = blocks["profile"].get("tau", [0.0, 0.125, 1.0, 1e4])
+    if not isinstance(taus, list):
+        raise ConfigError(f"profile.tau must be a list of numbers, got {taus!r}")
+    taus = [_real(t, f"profile.tau[{i}]") for i, t in enumerate(taus)]
+    for i, t in enumerate(taus):
+        # tau < 0 is before the expansion starts (and -C3 is singular);
+        # inf and nan would print a NaN profile
+        if not (math.isfinite(t) and t >= 0.0):
+            raise ConfigError(f"profile.tau[{i}] must be finite and >= 0, got {t!r}")
+    n_eta = _count(blocks["profile"].get("n_eta", 101), "profile.n_eta")
+    if not 2 <= n_eta <= MAX_CELLS + 1:
+        raise ConfigError(f"profile.n_eta must be >= 2 and <= {MAX_CELLS + 1}, got {n_eta}")
+    # at most the rows `solve` can write: N_SNAPSHOTS of the largest grid
+    if len(taus) * n_eta > N_SNAPSHOTS * (MAX_CELLS + 1):
+        raise ConfigError(f"profile.tau has {len(taus)} times of {n_eta} points, over the "
+                          f"{N_SNAPSHOTS * (MAX_CELLS + 1)} rows a profile may have")
 
-    if rc.fmt != "csv":
-        raise ConfigError(f"unsupported format {rc.fmt!r} (only 'csv')")
-    rc.solver = SolverConfig(**solver)
-    return rc
+    return RunConfig(params=params, consts=consts, phys=phys,
+                     grid_n=_count(sol.get("grid", 128), "solver.grid"), levels=levels,
+                     solver=SolverConfig(**solver), out=out, profile_tau=taus,
+                     profile_n_eta=n_eta)
 
 
 def _write_text(path: str | None, text: str):
@@ -280,9 +270,7 @@ def cmd_verify(args) -> int:
             },
             "all_passed": suite.passed,
         }
-        with open(rc.out, "w", encoding="utf-8", newline="\n") as f:
-            json.dump(report, f, indent=2)
-            f.write("\n")
+        _write_text(rc.out, json.dumps(report, indent=2) + "\n")
     print(f"\n{'all checks passed' if suite.passed else 'CHECK FAILURES present'}")
     return EXIT_OK if suite.passed else EXIT_FAIL
 
@@ -316,42 +304,31 @@ def cmd_profile(args) -> int:
     rc = resolve_config(args)
     eta = np.linspace(0.0, rc.params.a, rc.profile_n_eta)
     rows = []
-    header = ["tau", "eta", "theta"]
-    if rc.phys is not None:
-        header += ["t", "r", "T"]
+    header = ["tau", "eta", "theta"] + (["t", "r", "T"] if rc.phys is not None else [])
     for i, tau_s in enumerate(rc.profile_tau):
         try:
-            th = temperature.theta_general(tau_s, eta, rc.params, rc.consts)
+            cols = [temperature.theta_general(tau_s, eta, rc.params, rc.consts)]
             if rc.phys is not None:
                 t_s, r_s = from_reduced(tau_s, eta, rc.phys)
-                T_s = temperature.dimensional_T(t_s, r_s, rc.phys, rc.consts)
+                cols += [t_s, r_s, temperature.dimensional_T(t_s, r_s, rc.phys, rc.consts)]
         except OverflowError as e:
             raise ConfigError(f"profile.tau[{i}] = {tau_s!r} is too large: the closed "
                               "form overflows the float range") from e
-        th = np.broadcast_to(np.asarray(th, dtype=float), eta.shape)
-        if rc.phys is not None:
-            for e, v, tt, rr, TT in zip(eta, th, np.broadcast_to(t_s, eta.shape), r_s, T_s):
-                rows.append((tau_s, e, v, tt, rr, TT))
-        else:
-            for e, v in zip(eta, th):
-                rows.append((tau_s, e, v))
+        rows.extend(zip(*np.broadcast_arrays(tau_s, eta, *cols)))
     _write_text(rc.out, _csv(rows, header))
     return EXIT_OK
 
 
 def cmd_convergence(args) -> int:
     rc = resolve_config(args)
-    levels = rc.levels if rc.levels else []
-    if len(levels) < 2:
-        print("error: convergence needs at least 2 grid levels, e.g. --grid 64,128,256",
-              file=sys.stderr)
-        return EXIT_USAGE
-    results = convergence_study(levels, rc.solver, rc.params, rc.consts)
+    if len(rc.levels) < 2:
+        raise ConfigError("convergence needs at least 2 grid levels, e.g. --grid 64,128,256")
+    results = convergence_study(rc.levels, rc.solver, rc.params, rc.consts)
 
     print(f"{'n_cells':>8} {'h':>12} {'error_inf':>14} {'order':>8}")
     rows = []
     for res in results:
-        # the first level has no coarser one to observe an order against
+        # None: the first level, or a pair with a zero error, has no order
         order = res.observed_order
         print(f"{res.grid.n_cells:>8} {res.grid.h:>12.6g} {res.error_inf:>14.6e} "
               f"{'-' if order is None else format(order, '.3f'):>8}")
@@ -383,14 +360,13 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output path (default: stdout)")
         sp.add_argument("--c5", type=float, help="free level constant C5 (default 5/3)")
-        sp.add_argument("--format", dest="fmt", choices=["csv"], help="output format")
+        sp.add_argument("--format", dest="fmt", metavar="csv", help="output format")
         if solver_flags:
-            sp.add_argument("--bc-mode", dest="bc_mode",
-                            choices=BC_MODES,
+            sp.add_argument("--bc-mode", dest="bc_mode", metavar="|".join(BC_MODES),
                             help="boundary data: exact Neumann | published Neumann | exact Dirichlet")
             sp.add_argument("--grid", help="node count N, or comma list for convergence")
             sp.add_argument("--tau-end", dest="tau_end", type=float, help="final tau")
-            sp.add_argument("--scheme", choices=SCHEMES, help="time scheme")
+            sp.add_argument("--scheme", metavar="|".join(SCHEMES), help="time scheme")
 
     sp = sub.add_parser("verify", help="run the residual/invariant/conservation suite")
     common(sp, solver_flags=False)
@@ -415,19 +391,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as e:
+    except (ConfigError, ValidationError, SingularConstantError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValidationError, SingularConstantError, OSError) as e:
-        print(f"error: {e}", file=sys.stderr)
-        return EXIT_USAGE
-    except SingularTimeError as e:
-        print(f"error: singular time requested: {e}", file=sys.stderr)
+    except (SingularTimeError, DivergenceError) as e:
+        what = "solver diverged" if isinstance(e, DivergenceError) else "singular time requested"
+        print(f"error: {what}: {e}", file=sys.stderr)
         return EXIT_FAIL
-    except DivergenceError as e:
-        print(f"error: solver diverged: {e}", file=sys.stderr)
-        return EXIT_FAIL
-
 
 if __name__ == "__main__":
     sys.exit(main())

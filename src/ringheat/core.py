@@ -192,12 +192,18 @@ def reduce_params(phys: PhysicalParams) -> ReducedParams:
     """Dimensionless groups from dimensional inputs.
 
     A = rho*Cp*R20^2*T0 / (4*mu^2),  B = k*R20^2*T0 / (4*mu^3),
-    eps = nu0/nu,  a = R10^2/R20^2 - 1.
+    eps = nu0/nu,  a = R10^2/R20^2 - 1.  A float power or quotient outside
+    the double range raises ValidationError.
     """
-    A = phys.rho * phys.Cp * phys.R20 ** 2 * phys.T0 / (4.0 * phys.mu ** 2)
-    B = phys.k_cond * phys.R20 ** 2 * phys.T0 / (4.0 * phys.mu ** 3)
-    eps = phys.nu0 / phys.nu
-    a = phys.R10 ** 2 / phys.R20 ** 2 - 1.0
+    try:
+        A = phys.rho * phys.Cp * phys.R20 ** 2 * phys.T0 / (4.0 * phys.mu ** 2)
+        B = phys.k_cond * phys.R20 ** 2 * phys.T0 / (4.0 * phys.mu ** 3)
+        eps = phys.nu0 / phys.nu
+        a = phys.R10 ** 2 / phys.R20 ** 2 - 1.0
+    except (OverflowError, ZeroDivisionError) as e:
+        # a float power past the double range raises; one below it gives 0
+        raise ValidationError("physical parameters take a reduced group out of the "
+                              f"float range: {e}") from e
     return ReducedParams(A=A, B=B, eps=eps, a=a)
 
 

@@ -489,7 +489,8 @@ def convergence_study(levels, config: SolverConfig,
     params and consts default to the reference case; every level's grid
     spans [0, params.a].  Returns one SolveResult per level, in the given
     order, with observed_order filled from consecutive pairs (log error
-    ratio over log h ratio); a single level yields errors only.  t_end = 0
+    ratio over log h ratio); a single level yields errors only, and a pair
+    with a zero error leaves the finer level's order None.  t_end = 0
     raises ValidationError: every level would return the initial data,
     whose error is 0, and leave no order to observe.  So does a repeated
     level: two equal grids have no h ratio to divide by.
@@ -539,7 +540,8 @@ def convergence_study(levels, config: SolverConfig,
     for res in outcomes:
         if isinstance(res, Exception):
             raise res
-        if results:
+        # a zero error on either side leaves no ratio to take the log of
+        if results and results[-1].error_inf > 0.0 and res.error_inf > 0.0:
             prev = results[-1]
             res.observed_order = float(
                 np.log(prev.error_inf / res.error_inf)

@@ -5,7 +5,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from ringheat.cli import main
 
@@ -66,6 +66,18 @@ class TestVerify:
         rc, _, err = run(["verify", "--config", str(cfg)], capsys)
         assert rc == 2
         assert "error" in err
+
+    @pytest.mark.parametrize("raw", [b'{"solver": {"grid": ' + b"9" * 5000 + b"}}",
+                                     b"[" * 100000, b'{"reduced": "\xff"}'],
+                             ids=["4301+-digit-int", "deep-nesting", "not-utf-8"])
+    def test_unparsable_config_exit_2(self, raw, tmp_path, capsys):
+        # json.load raises a plain ValueError, a RecursionError or a
+        # UnicodeDecodeError here, none of them a JSONDecodeError
+        cfg = tmp_path / "c.json"
+        cfg.write_bytes(raw)
+        rc, _, err = run(["solve", "--config", str(cfg)], capsys)
+        assert rc == 2
+        assert err.startswith(f"error: config {cfg} is not valid JSON: ")
 
     def test_both_parameter_blocks_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -318,6 +330,17 @@ class TestConvergence:
         assert rc == 2
         assert "at least 2" in err
 
+    def test_zero_error_levels_have_no_order(self, capsys):
+        # both levels' errors are exactly 0.0 here, and their ratio raised
+        # ZeroDivisionError: no order is observed, so the study fails
+        rc, out, err = run(["convergence", "--grid", "8,9", "--tau-end",
+                            "1.21154754723797e-110", "--c5", "0"], capsys)
+        assert rc == 1
+        table = [ln.split() for ln in out.splitlines() if ln.split()[:1] in (["8"], ["9"])]
+        assert [row[2:] for row in table] == [["0.000000e+00", "-"]] * 2
+        assert "order outside [1.8, 2.2]" in out
+        assert err == ""
+
     def test_table_csv(self, tmp_path, capsys):
         out_path = tmp_path / "conv.csv"
         rc, _, _ = run(["convergence", "--grid", "32,64", "--out", str(out_path)], capsys)
@@ -424,6 +447,51 @@ def test_non_number_real_exit_2(block, key, bad, tmp_path, capsys):
     assert f"{field} must be a number" in err
     assert "Traceback" not in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("phys", [
+    {"R10": 2e200, "R20": 1e200},    # R20 ** 2 overflows
+    {"mu": 1e120},                   # mu ** 3 overflows
+    {"mu": 1e-200},                  # mu ** 2 underflows to a zero divisor
+    {"R10": 1e-160, "R20": 1e-170},  # R20 ** 2 underflows to a zero divisor
+], ids=["R20-squared", "mu-cubed", "mu-squared-zero", "R20-squared-zero"])
+def test_physical_out_of_float_range_exit_2(phys, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"physical": {**_PHYSICAL, **phys}}))
+    out = tmp_path / "o"
+    rc, _, err = run(["profile", "--config", str(path), "--out", str(out)], capsys)
+    assert rc == 2
+    assert err.startswith("error: physical parameters") and "float range" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("n_tau, reached", [(5, True), (6, False)], ids=["at-bound", "over"])
+def test_profile_row_bound(n_tau, reached, tmp_path, capsys, monkeypatch):
+    # a profile has at most the rows solve can write, N_SNAPSHOTS times of
+    # MAX_CELLS + 1 nodes: 5 * 65537; one past that is rejected before any
+    # closed form is evaluated
+    from ringheat import temperature
+
+    class Evaluated(Exception):
+        pass
+
+    def evaluated(*args, **kwargs):
+        raise Evaluated
+
+    monkeypatch.setattr(temperature, "theta_general", evaluated)
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps({"profile": {"tau": [0.0] * n_tau, "n_eta": 65537}}))
+    argv = ["profile", "--config", str(path), "--out", str(tmp_path / "o")]
+    if reached:
+        with pytest.raises(Evaluated):
+            main(argv)
+        return
+    rc, _, err = run(argv, capsys)
+    assert rc == 2
+    assert err == ("error: profile.tau has 6 times of 65537 points, over the 327685 rows "
+                   "a profile may have\n")
+    assert not (tmp_path / "o").exists()
 
 
 def test_huge_integer_real_exit_2(tmp_path, capsys):
@@ -552,6 +620,87 @@ def test_size_bounds_exit_2(argv, cfg, field, tmp_path, capsys):
     assert not out.exists()
 
 
+#: flag, its text, the (block, key, value) a config file gives instead, the
+#: argv around it; OUT is the --out path, which the command writes to
+_GOOD_FLAGS = [
+    ("--c5", "2.0", "constants", "C5", 2.0, ["profile"]),
+    ("--tau-end", "0.05", "solver", "tau_end", 0.05, ["solve", "--grid", "16"]),
+    ("--scheme", "euler", "solver", "scheme", "euler",
+     ["solve", "--grid", "16", "--tau-end", "0.05"]),
+    ("--bc-mode", "dirichlet", "solver", "bc_mode", "dirichlet",
+     ["solve", "--grid", "16", "--tau-end", "0.05"]),
+    ("--grid", "16", "solver", "grid", 16, ["solve", "--tau-end", "0.05"]),
+    ("--grid", "32,64", "solver", "levels", [32, 64], ["convergence", "--tau-end", "0.05"]),
+    ("--out", "OUT", "output", "path", "OUT", ["solve", "--grid", "16", "--tau-end", "0.05"]),
+    ("--format", "csv", "output", "format", "csv", ["profile"]),
+]
+#: the same, with a bad value and the field its error names
+_BAD_FLAGS = [
+    ("--c5", "nan", "constants", "C5", float("nan"), ["profile"], "C5 must be a finite"),
+    ("--tau-end", "-1", "solver", "tau_end", -1.0, ["solve", "--grid", "16"], "t_end"),
+    ("--scheme", "rk4", "solver", "scheme", "rk4", ["solve", "--grid", "16"], "scheme"),
+    ("--bc-mode", "mixed", "solver", "bc_mode", "mixed", ["solve", "--grid", "16"], "bc_mode"),
+    ("--grid", "16.5", "solver", "grid", 16.5, ["solve"], "solver.grid must be an integer"),
+    ("--grid", "16.5,32", "solver", "levels", [16.5, 32], ["convergence"],
+     "solver.levels must be an integer"),
+    ("--out", "OUT/o", "output", "path", "OUT/o", ["profile"], "No such file"),
+    ("--format", "tsv", "output", "format", "tsv", ["profile"], "output.format"),
+]
+
+
+def _by_flag_and_by_file(flag, text, block, key, value, argv, tmp_path, capsys):
+    """(exit code, stdout, stderr, bytes written to OUT) with the value
+    given by the flag, then by the config file."""
+    out = tmp_path / "o.csv"
+    path = tmp_path / "c.json"
+    runs = []
+    for extra, cfg in (([flag, text.replace("OUT", str(out))], {}),
+                       ([], {block: {key: value.replace("OUT", str(out))
+                                     if isinstance(value, str) else value}})):
+        path.write_text(json.dumps(cfg))
+        runs.append(run(argv + extra + ["--config", str(path)], capsys)
+                    + (out.read_bytes() if out.is_file() else None,))
+        if out.is_file():
+            out.unlink()
+    return runs
+
+
+@pytest.mark.parametrize("flag, text, block, key, value, argv", _GOOD_FLAGS,
+                         ids=[f"{c[0]}={c[1]}" for c in _GOOD_FLAGS])
+def test_flag_and_file_key_give_the_same_output(flag, text, block, key, value, argv,
+                                                tmp_path, capsys):
+    by_flag, by_file = _by_flag_and_by_file(flag, text, block, key, value, argv,
+                                            tmp_path, capsys)
+    assert by_flag[0] == 0
+    assert by_flag == by_file
+
+
+@pytest.mark.parametrize("flag, text, block, key, value, argv, field", _BAD_FLAGS,
+                         ids=[f"{c[0]}={c[1]}" for c in _BAD_FLAGS])
+def test_flag_and_file_key_give_the_same_error(flag, text, block, key, value, argv, field,
+                                               tmp_path, capsys):
+    by_flag, by_file = _by_flag_and_by_file(flag, text, block, key, value, argv,
+                                            tmp_path, capsys)
+    assert by_flag[0] == 2
+    assert by_flag[2].startswith("error: ") and field in by_flag[2]
+    assert by_flag == by_file
+
+
+@pytest.mark.parametrize("grid", ["64,", "64,,128", ",64", "", "6_4", "0x40", "[64]",
+                                  "9" * 5000, "[" * 100000],
+                         ids=["64,", "64,,128", ",64", "empty", "6_4", "0x40", "[64]",
+                              "4301+-digits", "deep-nesting"])
+def test_malformed_grid_flag_exit_2(grid, tmp_path, capsys):
+    # --grid is read as the JSON list [<text>]: a stray comma is an error,
+    # not a skipped value
+    out = tmp_path / "o"
+    rc, _, err = run(["solve", f"--grid={grid}", "--tau-end", "0.01", "--out", str(out)],
+                     capsys)
+    assert rc == 2
+    assert err.startswith("error: ") and ("--grid" in err or "solver." in err)
+    assert not out.exists()
+
+
 class TestConfigFuzz:
     scalars = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
                         st.integers(min_value=-10, max_value=10), st.text(max_size=8))
@@ -592,6 +741,8 @@ class TestConfigFuzz:
               suppress_health_check=[HealthCheck.too_slow])
     @given(cmd=st.sampled_from(["solve", "convergence"]), grid=grids, tau_end=tau_ends,
            c5=c5s)
+    # every level's error is exactly 0.0, which left no ratio for an order
+    @example(cmd="convergence", grid="8,9", tau_end="1.21154754723797e-110", c5="0")
     def test_flags_never_crash(self, cmd, grid, tau_end, c5, tmp_path_factory):
         # a flag value comes back as a clean exit code; argparse's own
         # rejection of a non-number is SystemExit(2)

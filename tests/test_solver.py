@@ -2,6 +2,7 @@ import multiprocessing
 import os
 import signal
 import time
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -576,6 +577,26 @@ class TestConvergenceStudy:
         results = convergence_study([16, 32], SolverConfig(t_end=0.25, dt=123.0))
         # the study overrides any explicit dt with dt_over_h * h
         assert results[0].config.dt is None
+
+    @pytest.mark.parametrize("errors, orders", [
+        ({16: 0.0, 32: 4e-3, 64: 1e-3}, [None, None, pytest.approx(2.0)]),
+        ({16: 4e-3, 32: 0.0, 64: 1e-3}, [None, None, None]),
+    ], ids=["coarser-zero", "finer-zero"])
+    def test_zero_error_leaves_no_order(self, monkeypatch, errors, orders):
+        # log(0) is -inf with a RuntimeWarning, and x / 0.0 raises
+        # ZeroDivisionError: neither is an order
+        real = solver.solve_general
+
+        def with_errors(params, consts, grid, config):
+            res = real(params, consts, grid, config)
+            res.error_inf = errors[grid.n_cells]
+            return res
+
+        monkeypatch.setattr(solver, "solve_general", with_errors)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            results = convergence_study([16, 32, 64], SolverConfig(t_end=0.05))
+        assert [r.observed_order for r in results] == orders
 
 
 def per_level_oracle(levels, config, params, consts):
