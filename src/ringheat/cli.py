@@ -54,18 +54,18 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 #: The keys each config block takes.
 _BLOCKS = {
-    "physical": {"rho", "Cp", "k_cond", "mu", "mu0", "T0", "R10", "R20", "p_inf"},
+    "physical": {"rho", "Cp", "k_cond", "mu", "mu0", "T0", "R10", "R20"},
     "reduced": {"A", "B", "eps", "a"},
     "constants": {"C3", "C5", "K"},
-    "solver": {"grid", "levels", "dt", "tau_end", "scheme", "bc_mode"},
-    "output": {"path", "format"},
+    "solver": {"grid", "dt", "tau_end", "scheme", "bc_mode"},
+    "output": {"path"},
     "profile": {"tau", "n_eta"},
 }
 #: The (block, key) each flag sets, by its argparse dest; `resolve_config`
-#: reads --grid itself, since one --grid sets solver.grid and solver.levels.
+#: reads --grid itself, as the JSON list [<text>] it writes to solver.grid.
 _FLAGS = {"c5": ("constants", "C5"), "tau_end": ("solver", "tau_end"),
           "scheme": ("solver", "scheme"), "bc_mode": ("solver", "bc_mode"),
-          "out": ("output", "path"), "fmt": ("output", "format")}
+          "out": ("output", "path")}
 
 
 class ConfigError(Exception):
@@ -79,8 +79,7 @@ class RunConfig:
     params: ReducedParams
     consts: SolutionConstants
     phys: PhysicalParams | None
-    grid_n: int
-    levels: list
+    grid: list[int]
     solver: SolverConfig
     out: str | None
     profile_tau: list
@@ -160,9 +159,7 @@ def resolve_config(args) -> RunConfig:
         if not ns:
             raise ConfigError(f"--grid must be a number or a comma list of numbers, "
                               f"got {args.grid!r}")
-        blocks["solver"]["grid"] = ns[0]
-        if len(ns) > 1 or args.cmd == "convergence":
-            blocks["solver"]["levels"] = ns
+        blocks["solver"]["grid"] = ns
 
     phys = None
     if "physical" in cfg:
@@ -183,10 +180,8 @@ def resolve_config(args) -> RunConfig:
            else temperature.k_for_equal_boundaries(params, C3)))
 
     sol = blocks["solver"]
-    levels = sol.get("levels", [])
-    if not isinstance(levels, list):
-        raise ConfigError(f"solver.levels must be a list of integers, got {levels!r}")
-    levels = [_count(n, "solver.levels") for n in levels]
+    grid = sol.get("grid", 128)  # a count, or a list of counts for `convergence`
+    grid = [_count(n, "solver.grid") for n in (grid if isinstance(grid, list) else [grid])]
     solver = {key: sol[key] for key in ("scheme", "bc_mode") if key in sol}
     if sol.get("dt") is not None:
         solver["dt"] = _real(sol["dt"], "solver.dt")
@@ -196,9 +191,6 @@ def resolve_config(args) -> RunConfig:
     out = blocks["output"].get("path")
     if out is not None and not isinstance(out, str):
         raise ConfigError("output.path must be a string")
-    fmt = blocks["output"].get("format", "csv")
-    if fmt != "csv":
-        raise ConfigError(f"output.format must be 'csv', got {fmt!r}")
 
     taus = blocks["profile"].get("tau", [0.0, 0.125, 1.0, 1e4])
     if not isinstance(taus, list):
@@ -217,8 +209,7 @@ def resolve_config(args) -> RunConfig:
         raise ConfigError(f"profile.tau has {len(taus)} times of {n_eta} points, over the "
                           f"{N_SNAPSHOTS * (MAX_CELLS + 1)} rows a profile may have")
 
-    return RunConfig(params=params, consts=consts, phys=phys,
-                     grid_n=_count(sol.get("grid", 128), "solver.grid"), levels=levels,
+    return RunConfig(params=params, consts=consts, phys=phys, grid=grid,
                      solver=SolverConfig(**solver), out=out, profile_tau=taus,
                      profile_n_eta=n_eta)
 
@@ -277,11 +268,14 @@ def cmd_verify(args) -> int:
 
 def cmd_solve(args) -> int:
     rc = resolve_config(args)
+    if len(rc.grid) != 1:
+        raise ConfigError(f"solve takes one solver.grid count, got {rc.grid}; "
+                          "a list of counts is for convergence")
     if rc.solver.bc_mode == "paper":
         print("warning: 'paper' boundary mode feeds the published outer flux, "
               "which is inconsistent with the exact solution; expect an error "
               "plateau near 0.5 instead of convergence", file=sys.stderr)
-    grid = Grid1D(n_cells=rc.grid_n, a=rc.params.a)
+    grid = Grid1D(n_cells=rc.grid[0], a=rc.params.a)
     try:
         result = solve_general(rc.params, rc.consts, grid, rc.solver)
     except OverflowError as e:
@@ -321,9 +315,9 @@ def cmd_profile(args) -> int:
 
 def cmd_convergence(args) -> int:
     rc = resolve_config(args)
-    if len(rc.levels) < 2:
+    if len(rc.grid) < 2:
         raise ConfigError("convergence needs at least 2 grid levels, e.g. --grid 64,128,256")
-    results = convergence_study(rc.levels, rc.solver, rc.params, rc.consts)
+    results = convergence_study(rc.grid, rc.solver, rc.params, rc.consts)
 
     print(f"{'n_cells':>8} {'h':>12} {'error_inf':>14} {'order':>8}")
     rows = []
@@ -360,11 +354,11 @@ def build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output path (default: stdout)")
         sp.add_argument("--c5", type=float, help="free level constant C5 (default 5/3)")
-        sp.add_argument("--format", dest="fmt", metavar="csv", help="output format")
         if solver_flags:
             sp.add_argument("--bc-mode", dest="bc_mode", metavar="|".join(BC_MODES),
                             help="boundary data: exact Neumann | published Neumann | exact Dirichlet")
-            sp.add_argument("--grid", help="node count N, or comma list for convergence")
+            sp.add_argument("--grid", help="cell count N (N + 1 nodes), or a comma list "
+                                           "of counts for convergence")
             sp.add_argument("--tau-end", dest="tau_end", type=float, help="final tau")
             sp.add_argument("--scheme", metavar="|".join(SCHEMES), help="time scheme")
 

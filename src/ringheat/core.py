@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -71,9 +72,7 @@ class PhysicalParams:
 
     The kinematic viscosities nu = mu/rho and nu0 = mu0/rho are derived
     properties, so those ratios hold exactly by construction.  mu0 (the
-    nondissipative viscosity) may take any sign.  p_inf is the kinematic
-    (pressure/density) far-field offset; the free boundaries are exactly
-    stress free when it is zero.
+    nondissipative viscosity) may take any sign.
     """
 
     rho: float
@@ -84,7 +83,6 @@ class PhysicalParams:
     T0: float
     R10: float
     R20: float
-    p_inf: float = 0.0
 
     def __post_init__(self):
         _require(self.rho > 0, "rho", "must be > 0")
@@ -157,16 +155,17 @@ class ReferenceCase:
     K is the exact rational -5/(6^2 * 8^3) = -5/18432, the unique amplitude
     for which the boundary temperature difference vanishes given the other
     constants (see `reference_case_K`).  C5 = 5/3 is the smallest value
-    keeping the temperature nonnegative.
+    keeping the temperature nonnegative and the default of the one field;
+    the other six values are fixed.
     """
 
     C5: float = C5_MIN
-    A: float = 0.75
-    B: float = 6.0
-    eps: float = 0.5
-    a: float = 1.0
-    C3: float = 0.125
-    K: float = -5.0 / 18432.0
+    A: ClassVar[float] = 0.75
+    B: ClassVar[float] = 6.0
+    eps: ClassVar[float] = 0.5
+    a: ClassVar[float] = 1.0
+    C3: ClassVar[float] = 0.125
+    K: ClassVar[float] = -5.0 / 18432.0
 
     @property
     def params(self) -> ReducedParams:

@@ -92,20 +92,19 @@ def pressure(r, nu, nu0, p_inf=0.0):
     return p_inf - 8.0 * (nu * nu + nu0 * nu0) / (r * r)
 
 
-def stress_components(r, t, phys: PhysicalParams, p_inf=None):
+def stress_components(r, t, phys: PhysicalParams, p_inf=0.0):
     """(T_rr, T_rtheta) on the exact branch, kinematic units.
 
     T_rr     = -(p + 2*nu*Phi/r^2) + nu0*(dv/dr - v/r)
     T_rtheta =  nu*(dv/dr - v/r) + 2*nu0*Phi/r^2
 
-    Both vanish identically when p_inf = 0, which is the stress-free
-    free-boundary condition; t enters only through the boundary positions,
-    not the stress values themselves.
+    p_inf is the kinematic far-field pressure offset.  Both vanish
+    identically when p_inf = 0, which is the stress-free free-boundary
+    condition; t enters only through the boundary positions, not the
+    stress values themselves.
     """
     if np.any(np.asarray(r) <= 0):
         raise ValidationError("r must be > 0")
-    if p_inf is None:
-        p_inf = phys.p_inf
     nu, nu0 = phys.nu, phys.nu0
     phi = 4.0 * nu
     shear = -8.0 * nu0 / (r * r)  # dv/dr - v/r for v = 4*nu0/r

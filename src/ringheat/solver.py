@@ -48,7 +48,7 @@ those of marching the levels one after another.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -490,8 +490,9 @@ def convergence_study(levels, config: SolverConfig,
     spans [0, params.a].  Returns one SolveResult per level, in the given
     order, with observed_order filled from consecutive pairs (log error
     ratio over log h ratio); a single level yields errors only, and a pair
-    with a zero error leaves the finer level's order None.  t_end = 0
-    raises ValidationError: every level would return the initial data,
+    with a zero error leaves the finer level's order None.  A config with
+    dt set raises ValidationError, since a fixed dt would not shrink with h;
+    so does t_end = 0: every level would return the initial data,
     whose error is 0, and leave no order to observe.  So does a repeated
     level: two equal grids have no h ratio to divide by.
 
@@ -509,7 +510,9 @@ def convergence_study(levels, config: SolverConfig,
     case = ReferenceCase()
     params = case.params if params is None else params
     consts = case.consts if consts is None else consts
-    config = replace(config, dt=None)
+    if config.dt is not None:
+        raise ValidationError(f"dt must not be set for a convergence study, got "
+                              f"{config.dt!r}: each level's dt is dt_over_h * h")
     if config.t_end == 0.0:
         raise ValidationError("t_end must be > 0 for a convergence study: at t_end = 0 "
                               "every level returns its initial data, with no error to "

@@ -365,7 +365,7 @@ class TestConvergence:
 
     def test_levels_from_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"solver": {"levels": [32, 64]}}))
+        cfg.write_text(json.dumps({"solver": {"grid": [32, 64]}}))
         rc, out, _ = run(["convergence", "--config", str(cfg)], capsys)
         assert rc == 0
         assert "32" in out and "64" in out
@@ -397,8 +397,8 @@ def test_bad_solver_block_exit_2(solver, field, tmp_path, capsys):
 
 
 @pytest.mark.parametrize("argv, cfg, field", [
-    (["convergence"], {"solver": {"levels": [64.9, 128.2]}}, "solver.levels"),
-    (["convergence"], {"solver": {"levels": [True, 64]}}, "solver.levels"),
+    (["convergence"], {"solver": {"grid": [64.9, 128.2]}}, "solver.grid"),
+    (["convergence"], {"solver": {"grid": [True, 64]}}, "solver.grid"),
     (["solve"], {"solver": {"grid": True}}, "solver.grid"),
     (["solve"], {"solver": {"grid": 16.5}}, "solver.grid"),
     (["profile"], {"profile": {"n_eta": 5.5}}, "profile.n_eta"),
@@ -418,7 +418,7 @@ def test_non_integral_count_exit_2(argv, cfg, field, tmp_path, capsys):
 
 _REDUCED = {"A": 0.75, "B": 6.0, "eps": 0.5, "a": 1.0}
 _PHYSICAL = {"rho": 1.0, "Cp": 3.0, "k_cond": 24.0, "mu": 1.0, "mu0": 0.5, "T0": 1.0,
-             "R10": 2.0 ** 0.5, "R20": 1.0, "p_inf": 0.0}
+             "R10": 2.0 ** 0.5, "R20": 1.0}
 #: (block, key) of every real-valued config field
 _REAL_FIELDS = ([("constants", k) for k in ("C3", "C5", "K")]
                 + [("solver", "dt"), ("solver", "tau_end"), ("profile", "tau")]
@@ -519,7 +519,7 @@ def test_integer_reals_accepted(tmp_path, capsys):
 
 def test_integral_float_counts_accepted(tmp_path, capsys):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"solver": {"grid": 16.0, "levels": [32.0, 64.0]},
+    path.write_text(json.dumps({"solver": {"grid": [32.0, 64.0]},
                                 "profile": {"tau": [0.0], "n_eta": 5.0}}))
     out = tmp_path / "o.csv"
     assert main(["profile", "--config", str(path), "--out", str(out)]) == 0
@@ -527,6 +527,7 @@ def test_integral_float_counts_accepted(tmp_path, capsys):
     rc, stdout, _ = run(["convergence", "--config", str(path), "--tau-end", "0.05"], capsys)
     assert rc == 0
     assert [ln.split()[0] for ln in stdout.splitlines()[1:3]] == ["32", "64"]
+    path.write_text(json.dumps({"solver": {"grid": 16.0}}))
     rc, _, _ = run(["solve", "--config", str(path), "--tau-end", "0.01",
                     "--out", str(out)], capsys)
     assert rc == 0
@@ -630,9 +631,8 @@ _GOOD_FLAGS = [
     ("--bc-mode", "dirichlet", "solver", "bc_mode", "dirichlet",
      ["solve", "--grid", "16", "--tau-end", "0.05"]),
     ("--grid", "16", "solver", "grid", 16, ["solve", "--tau-end", "0.05"]),
-    ("--grid", "32,64", "solver", "levels", [32, 64], ["convergence", "--tau-end", "0.05"]),
+    ("--grid", "32,64", "solver", "grid", [32, 64], ["convergence", "--tau-end", "0.05"]),
     ("--out", "OUT", "output", "path", "OUT", ["solve", "--grid", "16", "--tau-end", "0.05"]),
-    ("--format", "csv", "output", "format", "csv", ["profile"]),
 ]
 #: the same, with a bad value and the field its error names
 _BAD_FLAGS = [
@@ -641,10 +641,9 @@ _BAD_FLAGS = [
     ("--scheme", "rk4", "solver", "scheme", "rk4", ["solve", "--grid", "16"], "scheme"),
     ("--bc-mode", "mixed", "solver", "bc_mode", "mixed", ["solve", "--grid", "16"], "bc_mode"),
     ("--grid", "16.5", "solver", "grid", 16.5, ["solve"], "solver.grid must be an integer"),
-    ("--grid", "16.5,32", "solver", "levels", [16.5, 32], ["convergence"],
-     "solver.levels must be an integer"),
+    ("--grid", "16.5,32", "solver", "grid", [16.5, 32], ["convergence"],
+     "solver.grid must be an integer"),
     ("--out", "OUT/o", "output", "path", "OUT/o", ["profile"], "No such file"),
-    ("--format", "tsv", "output", "format", "tsv", ["profile"], "output.format"),
 ]
 
 
@@ -684,6 +683,37 @@ def test_flag_and_file_key_give_the_same_error(flag, text, block, key, value, ar
     assert by_flag[0] == 2
     assert by_flag[2].startswith("error: ") and field in by_flag[2]
     assert by_flag == by_file
+
+
+@pytest.mark.parametrize("argv, cfg, field", [
+    # solve marches one grid; it used to march the first of a list and drop the rest
+    (["solve", "--grid", "16,32"], {}, "solver.grid"),
+    (["solve"], {"solver": {"grid": [16, 32]}}, "solver.grid"),
+    # a fixed dt would not shrink with h, so a study does not take one
+    (["convergence", "--grid", "16,32"], {"solver": {"dt": 1e300}}, "dt"),
+    # removed keys: the free boundaries fix p_inf at 0, CSV is the only
+    # format, and solver.grid holds the levels
+    (["verify"], {"physical": {**_PHYSICAL, "p_inf": 7.5}}, "'p_inf'"),
+    (["profile"], {"output": {"format": "csv"}}, "'format'"),
+    (["convergence"], {"solver": {"levels": [16, 32]}}, "'levels'"),
+], ids=["solve-grid-list-flag", "solve-grid-list-file", "convergence-dt", "p_inf",
+        "format", "levels"])
+def test_setting_that_would_not_run_exit_2(argv, cfg, field, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    rc, stdout, err = run(argv + ["--config", str(path), "--out", str(out)], capsys)
+    assert rc == 2
+    assert err.startswith("error: ") and field in err
+    assert "Traceback" not in err
+    assert stdout == "" and not out.exists()
+
+
+def test_format_flag_removed(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["profile", "--format", "csv"])
+    assert exc.value.code == 2
+    assert "--format" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("grid", ["64,", "64,,128", ",64", "", "6_4", "0x40", "[64]",

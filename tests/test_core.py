@@ -202,3 +202,5 @@ class TestConstants:
         assert ref.params == ReducedParams(A=0.75, B=6.0, eps=0.5, a=1.0)
         assert ref.consts.C3 == 0.125
         assert ReferenceCase(C5=2.0).consts.C5 == 2.0
+        with pytest.raises(TypeError):  # C5 is the one field; the rest are fixed
+            ReferenceCase(K=0.0)

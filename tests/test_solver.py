@@ -574,9 +574,9 @@ class TestConvergenceStudy:
         assert 1.8 <= results[1].observed_order <= 2.2
 
     def test_dt_tied_to_h(self):
-        results = convergence_study([16, 32], SolverConfig(t_end=0.25, dt=123.0))
-        # the study overrides any explicit dt with dt_over_h * h
-        assert results[0].config.dt is None
+        # each level's dt is dt_over_h * h; an explicit dt is an error, not dropped
+        with pytest.raises(ValidationError, match="^dt must not be set"):
+            convergence_study([16, 32], SolverConfig(t_end=0.25, dt=123.0))
 
     @pytest.mark.parametrize("errors, orders", [
         ({16: 0.0, 32: 4e-3, 64: 1e-3}, [None, None, pytest.approx(2.0)]),
