@@ -1,14 +1,14 @@
 """Command-line front end: verification suite, IBVP solves, profiles, refinement studies.
 
-Subcommands: verify, solve, profile, convergence.  Runs are configured by a
-JSON file with blocks ``physical``, ``reduced``, ``constants``, ``solver``,
-``output``, ``profile`` (exactly one of physical/reduced).  Every CLI flag is
-a config key: it replaces the file's value before anything is validated, so
-a value is checked by the same code whichever way it comes.  CSV output is
-UTF-8, comma-separated, LF line endings, 17-significant-digit decimals
-(round-trip exact), so reruns are bit-identical.  Exit codes: 0 pass,
-1 check/solve failure, 2 usage/config error.
-"""
+Subcommands: verify, solve, profile, convergence, each configured by a JSON
+file of the blocks it reads (`_COMMANDS`): ``physical`` or ``reduced`` (not
+both), ``constants``, ``output``, and ``profile`` for profile or ``solver``
+(with its flags) for solve and convergence; any other block exits 2.  Every
+CLI flag is a config key: it replaces the file's value before anything is
+validated, so a value is checked by the same code whichever way it comes.
+CSV output is UTF-8, comma-separated, LF line endings, 17-significant-digit
+decimals (round-trip exact), so reruns are bit-identical.  Exit codes: 0 pass,
+1 check/solve failure, 2 usage/config error."""
 
 from __future__ import annotations
 
@@ -52,8 +52,8 @@ __all__ = ["main", "RunConfig", "ConfigError"]
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
-#: The keys each config block takes.
-_BLOCKS = {
+#: The keys each config block takes; `_COMMANDS` says which subcommand reads which.
+_KEYS = {
     "physical": {"rho", "Cp", "k_cond", "mu", "mu0", "T0", "R10", "R20"},
     "reduced": {"A", "B", "eps", "a"},
     "constants": {"C3", "C5", "K"},
@@ -74,23 +74,23 @@ class ConfigError(Exception):
 
 @dataclass
 class RunConfig:
-    """Fully resolved run settings; every default is set in `resolve_config`."""
+    """Resolved run settings, defaults set in `resolve_config`; None if not read."""
 
     params: ReducedParams
     consts: SolutionConstants
     phys: PhysicalParams | None
-    grid: list[int]
-    solver: SolverConfig
     out: str | None
-    profile_tau: list
-    profile_n_eta: int
+    grid: list[int] | None = None
+    solver: SolverConfig | None = None
+    profile_tau: list | None = None
+    profile_n_eta: int | None = None
 
 
 def _fmt17(x) -> str:
     return format(float(x), ".17g")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str, cmd: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
@@ -100,9 +100,9 @@ def _load_json(path: str) -> dict:
         raise ConfigError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a JSON object")
-    unknown = set(cfg) - set(_BLOCKS)
+    unknown = set(cfg) - set(_READ_BY_ALL + _COMMANDS[cmd][2])
     if unknown:
-        raise ConfigError(f"unknown config blocks: {sorted(unknown)}")
+        raise ConfigError(f"unknown config blocks for {cmd}: {sorted(unknown)}")
     return cfg
 
 
@@ -128,7 +128,7 @@ def _block(cfg: dict, label: str) -> dict:
     block = cfg.get(label, {})
     if not isinstance(block, dict):
         raise ConfigError(f"'{label}' block must be a JSON object, got {type(block).__name__}")
-    unknown = set(block) - _BLOCKS[label]
+    unknown = set(block) - _KEYS[label]
     if unknown:
         raise ConfigError(f"unknown keys in '{label}' block: {sorted(unknown)}")
     return dict(block)
@@ -143,11 +143,11 @@ def _dataclass(cls, label: str, block: dict):
 
 
 def resolve_config(args) -> RunConfig:
-    """Write the flags into the JSON config's blocks, then validate every key once."""
-    cfg = _load_json(args.config) if args.config else {}
+    """Write the flags into the config blocks args.cmd reads, then validate every key once."""
+    cfg = _load_json(args.config, args.cmd) if args.config else {}
     if "physical" in cfg and "reduced" in cfg:
         raise ConfigError("give exactly one of the 'physical' and 'reduced' blocks")
-    blocks = {label: _block(cfg, label) for label in _BLOCKS}
+    blocks = {label: _block(cfg, label) for label in _READ_BY_ALL + _COMMANDS[args.cmd][2]}
     for dest, (label, key) in _FLAGS.items():
         if getattr(args, dest, None) is not None:
             blocks[label][key] = getattr(args, dest)
@@ -179,39 +179,42 @@ def resolve_config(args) -> RunConfig:
         K=(_real(const["K"], "constants.K") if "K" in const
            else temperature.k_for_equal_boundaries(params, C3)))
 
-    sol = blocks["solver"]
-    grid = sol.get("grid", 128)  # a count, or a list of counts for `convergence`
-    grid = [_count(n, "solver.grid") for n in (grid if isinstance(grid, list) else [grid])]
-    solver = {key: sol[key] for key in ("scheme", "bc_mode") if key in sol}
-    if sol.get("dt") is not None:
-        solver["dt"] = _real(sol["dt"], "solver.dt")
-    if "tau_end" in sol:
-        solver["t_end"] = _real(sol["tau_end"], "solver.tau_end")
+    settings = {}
+    if "solver" in blocks:
+        sol = blocks["solver"]
+        grid = sol.get("grid", 128)  # a count, or a list of counts for `convergence`
+        grid = [_count(n, "solver.grid") for n in (grid if isinstance(grid, list) else [grid])]
+        solver = {key: sol[key] for key in ("scheme", "bc_mode") if key in sol}
+        if sol.get("dt") is not None:
+            solver["dt"] = _real(sol["dt"], "solver.dt")
+        if "tau_end" in sol:
+            solver["t_end"] = _real(sol["tau_end"], "solver.tau_end")
+        settings.update(grid=grid, solver=SolverConfig(**solver))
 
     out = blocks["output"].get("path")
     if out is not None and not isinstance(out, str):
         raise ConfigError("output.path must be a string")
 
-    taus = blocks["profile"].get("tau", [0.0, 0.125, 1.0, 1e4])
-    if not isinstance(taus, list):
-        raise ConfigError(f"profile.tau must be a list of numbers, got {taus!r}")
-    taus = [_real(t, f"profile.tau[{i}]") for i, t in enumerate(taus)]
-    for i, t in enumerate(taus):
-        # tau < 0 is before the expansion starts (and -C3 is singular);
-        # inf and nan would print a NaN profile
-        if not (math.isfinite(t) and t >= 0.0):
-            raise ConfigError(f"profile.tau[{i}] must be finite and >= 0, got {t!r}")
-    n_eta = _count(blocks["profile"].get("n_eta", 101), "profile.n_eta")
-    if not 2 <= n_eta <= MAX_CELLS + 1:
-        raise ConfigError(f"profile.n_eta must be >= 2 and <= {MAX_CELLS + 1}, got {n_eta}")
-    # at most the rows `solve` can write: N_SNAPSHOTS of the largest grid
-    if len(taus) * n_eta > N_SNAPSHOTS * (MAX_CELLS + 1):
-        raise ConfigError(f"profile.tau has {len(taus)} times of {n_eta} points, over the "
-                          f"{N_SNAPSHOTS * (MAX_CELLS + 1)} rows a profile may have")
+    if "profile" in blocks:
+        taus = blocks["profile"].get("tau", [0.0, 0.125, 1.0, 1e4])
+        if not isinstance(taus, list):
+            raise ConfigError(f"profile.tau must be a list of numbers, got {taus!r}")
+        taus = [_real(t, f"profile.tau[{i}]") for i, t in enumerate(taus)]
+        for i, t in enumerate(taus):
+            # tau < 0 is before the expansion starts (and -C3 is singular);
+            # inf and nan would print a NaN profile
+            if not (math.isfinite(t) and t >= 0.0):
+                raise ConfigError(f"profile.tau[{i}] must be finite and >= 0, got {t!r}")
+        n_eta = _count(blocks["profile"].get("n_eta", 101), "profile.n_eta")
+        if not 2 <= n_eta <= MAX_CELLS + 1:
+            raise ConfigError(f"profile.n_eta must be >= 2 and <= {MAX_CELLS + 1}, got {n_eta}")
+        # at most the rows `solve` can write: N_SNAPSHOTS of the largest grid
+        if len(taus) * n_eta > N_SNAPSHOTS * (MAX_CELLS + 1):
+            raise ConfigError(f"profile.tau has {len(taus)} times of {n_eta} points, over the "
+                              f"{N_SNAPSHOTS * (MAX_CELLS + 1)} rows a profile may have")
+        settings.update(profile_tau=taus, profile_n_eta=n_eta)
 
-    return RunConfig(params=params, consts=consts, phys=phys, grid=grid,
-                     solver=SolverConfig(**solver), out=out, profile_tau=taus,
-                     profile_n_eta=n_eta)
+    return RunConfig(params=params, consts=consts, phys=phys, out=out, **settings)
 
 
 def _write_text(path: str | None, text: str):
@@ -308,6 +311,11 @@ def cmd_profile(args) -> int:
         except OverflowError as e:
             raise ConfigError(f"profile.tau[{i}] = {tau_s!r} is too large: the closed "
                               "form overflows the float range") from e
+        # numpy does not raise on overflow: it gives inf, and nan after it
+        bad = [name for name, col in zip(header[2:], cols) if not np.all(np.isfinite(col))]
+        if bad:
+            raise ConfigError(f"profile.tau[{i}] = {tau_s!r} gives a non-finite {bad[0]}: "
+                              "a closed form overflows the float range")
         rows.extend(zip(*np.broadcast_arrays(tau_s, eta, *cols)))
     _write_text(rc.out, _csv(rows, header))
     return EXIT_OK
@@ -343,40 +351,36 @@ def cmd_convergence(args) -> int:
     return EXIT_OK if ok else EXIT_FAIL
 
 
+#: Each subcommand: its function, its help line and the config blocks it
+#: reads besides _READ_BY_ALL; it has the solver flags when it reads 'solver'.
+_READ_BY_ALL = ("physical", "reduced", "constants", "output")
+_COMMANDS = {
+    "verify": (cmd_verify, "run the residual/invariant/conservation suite", ()),
+    "solve": (cmd_solve, "march the IBVP and emit snapshots vs exact", ("solver",)),
+    "profile": (cmd_profile, "emit temperature tables (reduced and dimensional)", ("profile",)),
+    "convergence": (cmd_convergence, "grid refinement study with observed orders", ("solver",)),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
         prog="ringheat",
         description="Exact temperature fields in an expanding rotating liquid ring: "
                     "residual verification, IBVP solves, profiles, refinement studies.")
     sub = p.add_subparsers(dest="cmd", required=True)
-
-    def common(sp, solver_flags=True):
+    for name, (func, help_line, labels) in _COMMANDS.items():
+        sp = sub.add_parser(name, help=help_line)
+        sp.set_defaults(func=func)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output path (default: stdout)")
         sp.add_argument("--c5", type=float, help="free level constant C5 (default 5/3)")
-        if solver_flags:
+        if "solver" in labels:
             sp.add_argument("--bc-mode", dest="bc_mode", metavar="|".join(BC_MODES),
                             help="boundary data: exact Neumann | published Neumann | exact Dirichlet")
             sp.add_argument("--grid", help="cell count N (N + 1 nodes), or a comma list "
                                            "of counts for convergence")
             sp.add_argument("--tau-end", dest="tau_end", type=float, help="final tau")
             sp.add_argument("--scheme", metavar="|".join(SCHEMES), help="time scheme")
-
-    sp = sub.add_parser("verify", help="run the residual/invariant/conservation suite")
-    common(sp, solver_flags=False)
-    sp.set_defaults(func=cmd_verify)
-
-    sp = sub.add_parser("solve", help="march the IBVP and emit snapshots vs exact")
-    common(sp)
-    sp.set_defaults(func=cmd_solve)
-
-    sp = sub.add_parser("profile", help="emit temperature tables (reduced and dimensional)")
-    common(sp, solver_flags=False)
-    sp.set_defaults(func=cmd_profile)
-
-    sp = sub.add_parser("convergence", help="grid refinement study with observed orders")
-    common(sp)
-    sp.set_defaults(func=cmd_convergence)
     return p
 
 

@@ -231,11 +231,18 @@ def _result(snapshots, grid, config, exact):
     if exact is None:
         return SolveResult(snapshots, grid, config, math.nan, math.nan)
     ex = np.asarray(exact(config.t_end, grid.nodes), dtype=float)
-    err = snapshots[-1][1] - ex
     w = np.full(grid.n_cells + 1, grid.h)
     w[0] = w[-1] = 0.5 * grid.h  # composite trapezoid weights
-    return SolveResult(snapshots, grid, config, float(np.max(np.abs(err))),
-                       float(np.sqrt(np.sum(w * err * err))), exact)
+    with np.errstate(over="ignore"):
+        err = snapshots[-1][1] - ex
+        err_inf = float(np.max(np.abs(err)))
+        err_l2 = float(np.sqrt(np.sum(w * err * err)))
+    if math.isinf(err_l2) and math.isfinite(err_inf):
+        # err * err overflowed (errors past ~1e154); the norm scaled by the
+        # max error is in range
+        s = err / err_inf
+        err_l2 = err_inf * float(np.sqrt(np.sum(w * s * s)))
+    return SolveResult(snapshots, grid, config, err_inf, err_l2, exact)
 
 
 def _steps(grid: Grid1D, config: SolverConfig) -> float:

@@ -7,7 +7,9 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from ringheat import cli
 from ringheat.cli import main
+from ringheat.core import SingularConstantError, ValidationError
 
 
 def run(argv, capsys):
@@ -296,6 +298,22 @@ class TestProfile:
         assert rc == 2
         assert "profile.tau[0]" in err and "finite" in err
 
+    # numpy overflows these arrays to inf (K = 1e308) and then to nan (K = 1e300
+    # with C3 = 1e-5) without raising, and warns on the way
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    @pytest.mark.parametrize("constants", [{"K": 1e308}, {"K": 1e300, "C3": 1e-5}],
+                             ids=["inf", "nan"])
+    def test_non_finite_profile_exit_2(self, constants, tmp_path, capsys):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"constants": constants,
+                                   "profile": {"tau": [0.0, 1.0], "n_eta": 3}}))
+        out = tmp_path / "p.csv"
+        rc, stdout, err = run(["profile", "--config", str(cfg), "--out", str(out)], capsys)
+        assert rc == 2
+        assert err.startswith("error: profile.tau[0] = 0.0 gives a non-finite theta")
+        assert "Traceback" not in err
+        assert stdout == "" and not out.exists()
+
 
 class TestConvergence:
     def test_derived_mode_passes(self, capsys):
@@ -441,8 +459,8 @@ def test_non_number_real_exit_2(block, key, bad, tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
     out = tmp_path / "o"
-    rc, _, err = run(["solve", "--grid", "16", "--config", str(path), "--out", str(out)],
-                     capsys)
+    argv = ["profile"] if block == "profile" else ["solve", "--grid", "16"]
+    rc, _, err = run(argv + ["--config", str(path), "--out", str(out)], capsys)
     assert rc == 2
     assert f"{field} must be a number" in err
     assert "Traceback" not in err
@@ -519,11 +537,11 @@ def test_integer_reals_accepted(tmp_path, capsys):
 
 def test_integral_float_counts_accepted(tmp_path, capsys):
     path = tmp_path / "c.json"
-    path.write_text(json.dumps({"solver": {"grid": [32.0, 64.0]},
-                                "profile": {"tau": [0.0], "n_eta": 5.0}}))
+    path.write_text(json.dumps({"profile": {"tau": [0.0], "n_eta": 5.0}}))
     out = tmp_path / "o.csv"
     assert main(["profile", "--config", str(path), "--out", str(out)]) == 0
     assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + 5
+    path.write_text(json.dumps({"solver": {"grid": [32.0, 64.0]}}))
     rc, stdout, _ = run(["convergence", "--config", str(path), "--tau-end", "0.05"], capsys)
     assert rc == 0
     assert [ln.split()[0] for ln in stdout.splitlines()[1:3]] == ["32", "64"]
@@ -709,6 +727,45 @@ def test_setting_that_would_not_run_exit_2(argv, cfg, field, tmp_path, capsys):
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("argv, cfg, block", [
+    (["verify"], {"solver": {"grid": 16}}, "solver"),
+    (["verify"], {"profile": {"tau": [1.0]}}, "profile"),
+    # the two runs that used to ignore the block: a CSV byte-identical to the
+    # one without it
+    (["profile"], {"solver": {"tau_end": 5.0, "grid": [1, 2, 3], "scheme": "euler"}}, "solver"),
+    (["solve", "--grid", "16", "--tau-end", "0.01"], {"profile": {"tau": [1.0], "n_eta": 7}},
+     "profile"),
+    (["convergence", "--grid", "16,32"], {"profile": {"n_eta": 7}}, "profile"),
+], ids=["verify-solver", "verify-profile", "profile-solver", "solve-profile",
+        "convergence-profile"])
+def test_block_the_subcommand_does_not_read_exit_2(argv, cfg, block, tmp_path, capsys):
+    path = tmp_path / "c.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "o"
+    rc, stdout, err = run(argv + ["--config", str(path), "--out", str(out)], capsys)
+    assert rc == 2
+    assert err == f"error: unknown config blocks for {argv[0]}: ['{block}']\n"
+    assert stdout == "" and not out.exists()
+
+
+def test_readme_configs_accepted(tmp_path):
+    # every JSON example in the README is a config some subcommand takes
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    examples = [part.split("```", 1)[0] for part in readme.split("```json\n")[1:]]
+    assert examples
+    path = tmp_path / "c.json"
+    for text in examples:
+        path.write_text(text, encoding="utf-8")
+        accepted = []
+        for cmd in cli._COMMANDS:
+            try:
+                cli.resolve_config(cli.build_parser().parse_args([cmd, "--config", str(path)]))
+            except cli.ConfigError:
+                continue
+            accepted.append(cmd)
+        assert accepted, text
+
+
 def test_format_flag_removed(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["profile", "--format", "csv"])
@@ -742,18 +799,19 @@ class TestConfigFuzz:
 
     @settings(max_examples=30, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
-    @given(cfg=blocks)
-    def test_loader_never_crashes(self, cfg, tmp_path_factory):
-        # any malformed config must come back as a clean exit code,
-        # never an unhandled traceback
+    @given(cmd=st.sampled_from(sorted(cli._COMMANDS)), cfg=blocks)
+    def test_loader_never_crashes(self, cmd, cfg, tmp_path_factory):
+        # any malformed config must raise an error that main turns into
+        # exit 2, never one that escapes as a traceback; resolve_config
+        # validates and does not run, so every subcommand is fast here
         path = tmp_path_factory.mktemp("fuzz") / "c.json"
         path.write_text(json.dumps(cfg))
         try:
-            rc = main(["profile", "--config", str(path),
-                       "--out", str(path.with_suffix(".csv"))])
+            cli.resolve_config(cli.build_parser().parse_args([cmd, "--config", str(path)]))
+        except (cli.ConfigError, ValidationError, SingularConstantError, OSError):
+            pass
         except Exception as e:  # noqa: BLE001 - the assertion is "no leak"
-            raise AssertionError(f"config fuzz leaked {type(e).__name__}: {e}") from e
-        assert rc in (0, 1, 2)
+            raise AssertionError(f"{cmd} config fuzz leaked {type(e).__name__}: {e}") from e
 
     # every example is fast: at most 64 cells (999 from a 3-character
     # text), and a tau_end <= 0.05 or one past the step budget
@@ -773,6 +831,8 @@ class TestConfigFuzz:
            c5=c5s)
     # every level's error is exactly 0.0, which left no ratio for an order
     @example(cmd="convergence", grid="8,9", tau_end="1.21154754723797e-110", c5="0")
+    # errors near 1e154, whose squares overflowed the L2 norm's sum
+    @example(cmd="solve", grid="12", tau_end="0.03125", c5="2.3666423509319384e+169")
     def test_flags_never_crash(self, cmd, grid, tau_end, c5, tmp_path_factory):
         # a flag value comes back as a clean exit code; argparse's own
         # rejection of a non-number is SystemExit(2)

@@ -326,6 +326,16 @@ class TestOneSolvePath:
         assert float(err) == res.error_inf
         assert res.exact(0.0, 0.5) == theta_reference(0.0, 0.5, 2.0)
 
+    def test_norms_of_errors_whose_squares_overflow(self):
+        # a C5 this large leaves errors near 1e154, whose squares overflow:
+        # error_l2 is still finite, below error_inf, and no warning is raised
+        res = solve_reference(Grid1D(12), SolverConfig(t_end=0.03125),
+                              C5=2.3666423509319384e+169)
+        tau_f, theta_f = res.final
+        err = theta_f - res.exact(tau_f, res.grid.nodes)
+        assert res.error_inf == float(np.max(np.abs(err))) > 1e154
+        assert 0.0 < res.error_l2 <= res.error_inf
+
 
 def stepwise_march(grid, config, diffusivity, source, initial, bc_inner, bc_outer,
                    exact=None):
