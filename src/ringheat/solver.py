@@ -26,14 +26,13 @@ a one-step-at-a-time loop, so the snapshots are bit-identical to it.
 
 The marcher is a manufactured-solution check: with correct boundary data it
 must converge to the closed forms at second order in h.  There is one solve
-path, `solve_general`: it builds the equation's coefficients from the
-reduced parameters and picks the initial data, exact field and wall data
-that go with the constants.  The reference case is one member of the family
-with compact closed forms and exact Neumann data, so it runs in every
-boundary mode; any other constants have exact Dirichlet data only.  The
-'paper' boundary mode deliberately feeds the originally published
-(inconsistent) outer flux so the resulting error plateau can be measured;
-it is never the default.
+path, `solve_general`: it builds the coefficients from the reduced
+parameters, takes the initial data, exact field, wall fluxes (exact Neumann
+data exist for every member of the family) and wall values that go with the
+constants, and picks the wall data once by boundary mode.  The 'paper' mode
+deliberately feeds the originally published (inconsistent) reference-case
+outer flux so the resulting error plateau can be measured; it runs at the
+reference constants only and is never the default.
 
 `convergence_study` marches its levels in two processes: the level with
 the most cells in the calling process, the others in one child forked for
@@ -61,7 +60,7 @@ from .core import (
     SolutionConstants,
     ValidationError,
 )
-from . import temperature
+from . import dualnum, temperature
 
 __all__ = [
     "Grid1D",
@@ -393,27 +392,33 @@ def _march_args(params: ReducedParams, consts: SolutionConstants,
         return 16.0 * (1.0 + eps ** 2) / (A * (8.0 * tau + eta + 1.0) ** 2)
 
     # exact is a partial, not a lambda, so a SolveResult pickles
-    if ReferenceCase().matches(params, consts):
-        C5 = consts.C5
-        initial = lambda eta: temperature.initial_profile(eta, C5)
-        exact = partial(temperature.theta_reference, C5=C5)
-        if config.bc_mode == "derived":
-            bc_in = ("flux", lambda tau: temperature.reference_flux(tau, 0.0))
-            bc_out = ("flux", lambda tau: temperature.reference_flux(tau, 1.0))
-        elif config.bc_mode == "paper":
-            bc_in = ("flux", temperature.published_flux_inner)
-            bc_out = ("flux", temperature.published_flux_outer)
-        else:
-            bc_in = ("value", lambda tau: temperature.theta_reference(tau, 0.0, C5))
-            bc_out = ("value", lambda tau: temperature.theta_reference(tau, 1.0, C5))
-    elif config.bc_mode != "dirichlet":
-        raise ValidationError(f"bc_mode {config.bc_mode!r} needs the reference constants; "
-                              "any other constants run only with bc_mode 'dirichlet'")
+    reference = ReferenceCase().matches(params, consts)
+    if reference:
+        exact = partial(temperature.theta_reference, C5=consts.C5)
+        initial = partial(temperature.initial_profile, C5=consts.C5)
+        fluxes = [partial(temperature.reference_flux, eta=w) for w in (0.0, 1.0)]
+        values = [partial(exact, eta=w) for w in (0.0, 1.0)]
     else:
-        traces = temperature.BoundaryTraces(params, consts)
-        initial = lambda eta: temperature.theta_general(0.0, eta, params, consts)
         exact = partial(temperature.theta_general, params=params, consts=consts)
-        bc_in, bc_out = ("value", traces.theta2), ("value", traces.theta1)
+        initial = partial(exact, 0.0)
+        with np.errstate(all="ignore"):  # numpy overflows to inf without raising
+            bad = grid.nodes[~np.isfinite(initial(grid.nodes))]
+        if bad.size:
+            raise ValidationError(f"constants.K = {consts.K!r} and constants.C3 = {consts.C3!r} "
+                                  f"overflow theta(0, eta) at eta = {float(bad[0])!r}")
+        fluxes = [lambda tau, w=w: dualnum.d1(partial(exact, tau), w) for w in (0.0, params.a)]
+        traces = temperature.BoundaryTraces(params, consts)
+        values = [traces.theta2, traces.theta1]
+    if config.bc_mode == "derived":
+        bc_in, bc_out = (("flux", g) for g in fluxes)
+    elif config.bc_mode == "dirichlet":
+        bc_in, bc_out = (("value", v) for v in values)
+    elif reference:
+        bc_in = ("flux", temperature.published_flux_inner)
+        bc_out = ("flux", temperature.published_flux_outer)
+    else:
+        raise ValidationError("bc_mode 'paper' feeds the published reference-case fluxes; "
+                              "other constants take bc_mode 'derived' or 'dirichlet'")
     return dif, src, initial, bc_in, bc_out, exact
 
 
@@ -422,13 +427,13 @@ def solve_general(params: ReducedParams, consts: SolutionConstants,
     """March A*theta_tau = B*d/deta((8*tau+eta+1)*theta_eta) + 16*(1+eps^2)/(8*tau+eta+1)^2.
 
     When `ReferenceCase().matches(params, consts)` the run starts from
-    `initial_profile` and is measured against `theta_reference`, in any
-    config.bc_mode: 'derived' feeds `reference_flux` at both walls, 'paper'
-    the published fluxes (whose outer inconsistency makes the error plateau
-    near 0.5), 'dirichlet' the values of `theta_reference`.  Any other
-    constants start from `theta_general` at tau = 0, take their wall values
-    from the boundary traces and need bc_mode 'dirichlet' (no general
-    Neumann data exists).
+    `initial_profile`, is measured against `theta_reference` and takes its
+    walls' `reference_flux` and `theta_reference` values.  Any other
+    constants start from `theta_general` at tau = 0 (ValidationError naming
+    K and C3 where it overflows) and take the `dualnum.d1` eta-derivative
+    of `theta_general` and the `BoundaryTraces` at eta = 0 and a.  bc_mode
+    'derived' feeds the flux, 'dirichlet' the values, 'paper' the published
+    reference-case fluxes (error plateau near 0.5; other constants raise).
     """
     return march(grid, config, *_march_args(params, consts, grid, config))
 

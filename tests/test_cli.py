@@ -186,15 +186,23 @@ class TestSolve:
         final_err = max(r["abs_err"] for r in rows if r["tau"] == 0.25)
         assert final_err < 5e-3  # first order in time, still converged
 
-    def test_general_constants_require_dirichlet(self, tmp_path, capsys):
+    def test_general_constants_run_in_derived_mode(self, tmp_path, capsys):
+        # the default bc_mode feeds the exact general-family wall flux
+        from ringheat.core import ReducedParams, SolutionConstants
+        from ringheat.temperature import k_for_equal_boundaries, theta_general
+
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"reduced": {"A": 1.5, "B": 6.0, "eps": 0.5, "a": 1.0}}))
-        rc, _, err = run(["solve", "--config", str(cfg), "--grid", "16",
-                          "--out", str(tmp_path / "x.csv")], capsys)
-        assert rc == 2
+        out_path = tmp_path / "x.csv"
         rc, _, _ = run(["solve", "--config", str(cfg), "--grid", "16",
-                        "--bc-mode", "dirichlet", "--out", str(tmp_path / "y.csv")], capsys)
+                        "--out", str(out_path)], capsys)
         assert rc == 0
+        _, rows = read_csv(out_path)
+        params = ReducedParams(A=1.5, B=6.0, eps=0.5, a=1.0)
+        consts = SolutionConstants(C3=0.125, C5=5.0 / 3.0,
+                                   K=k_for_equal_boundaries(params, 0.125))
+        for r in rows:
+            assert r["theta_exact"] == float(theta_general(r["tau"], r["eta"], params, consts))
 
     def test_configured_K_runs_the_general_solve(self, tmp_path, capsys):
         # reference (A, B, eps, a, C3) with a K of its own is not the
@@ -215,13 +223,19 @@ class TestSolve:
             assert r["theta_exact"] == float(theta_general(r["tau"], r["eta"], params, consts))
         assert rows[0]["theta_exact"] != 0.0  # the reference field vanishes there
 
-    def test_configured_K_requires_dirichlet(self, tmp_path, capsys):
+    def test_configured_K_runs_derived_and_rejects_paper(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"constants": {"C3": 0.125, "K": 0.37}}))
+        rc, _, _ = run(["solve", "--config", str(cfg), "--grid", "16",
+                        "--bc-mode", "derived", "--out", str(tmp_path / "x.csv")], capsys)
+        assert rc == 0
+        # the published fluxes are the reference case's only
+        out = tmp_path / "p.csv"
         rc, _, err = run(["solve", "--config", str(cfg), "--grid", "16",
-                          "--bc-mode", "derived", "--out", str(tmp_path / "x.csv")], capsys)
+                          "--bc-mode", "paper", "--out", str(out)], capsys)
         assert rc == 2
-        assert "dirichlet" in err
+        assert err.splitlines()[-1].startswith("error: ") and "bc_mode" in err
+        assert not out.exists()
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -387,6 +401,24 @@ class TestConvergence:
         rc, out, _ = run(["convergence", "--config", str(cfg)], capsys)
         assert rc == 0
         assert "32" in out and "64" in out
+
+    def test_general_constants_default_mode(self, tmp_path, capsys):
+        # the benchmark's converge-general tuple (seed 1) without --bc-mode:
+        # exact Neumann data, second order
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({
+            "reduced": {"A": 0.6343642441124012, "B": 7.237168684686163,
+                        "eps": 0.763774618976614, "a": 1.0},
+            "constants": {"C3": 0.15101380514788434, "C5": 1.990870174183882},
+        }))
+        rc, _, _ = run(["solve", "--config", str(cfg), "--grid", "64",
+                        "--out", str(tmp_path / "s.csv")], capsys)
+        assert rc == 0
+        rc, out, _ = run(["convergence", "--config", str(cfg), "--grid", "64,128,256,512"],
+                         capsys)
+        assert rc == 0
+        orders = [float(ln.split()[3]) for ln in out.splitlines()[2:5]]
+        assert len(orders) == 3 and all(1.8 <= o <= 2.2 for o in orders)
 
     def test_general_constants_dirichlet_study(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -584,6 +616,9 @@ def test_non_finite_input_exit_2(argv, field, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+_HUGE_K = "constants.K = 1e+308 and constants.C3 = 0.125 overflow theta(0, eta) at eta = 0.0"
+
+
 @pytest.mark.parametrize("argv, cfg, field", [
     # P ** 3 in theta_general
     (["profile"], {"profile": {"tau": [0.0, 1e103]}}, "profile.tau[1] = 1e+103"),
@@ -599,7 +634,13 @@ def test_non_finite_input_exit_2(argv, field, tmp_path, capsys):
     # c ** 5 in reference_flux
     (["solve", "--grid", "16", "--tau-end", "1e103"], {"solver": {"dt": 1e103}},
      "tau_end = 1e+103"),
-], ids=["profile-tau", "verify-eps", "solve-eps", "verify-C3", "solve-C3", "solve-tau_end"])
+    # K * (...) in theta_general's initial data, where numpy overflows to inf
+    (["solve", "--grid", "16", "--tau-end", "0.01", "--bc-mode", "dirichlet"],
+     {"constants": {"K": 1e308}}, _HUGE_K),
+    (["convergence", "--grid", "16,32", "--bc-mode", "dirichlet"],
+     {"constants": {"K": 1e308}}, _HUGE_K),
+], ids=["profile-tau", "verify-eps", "solve-eps", "verify-C3", "solve-C3", "solve-tau_end",
+        "solve-K", "convergence-K"])
 def test_float_overflow_exit_2(argv, cfg, field, tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
