@@ -10,6 +10,9 @@ so in the reduced variables
 the inner boundary sits at eta = 0 and the outer at eta = a for all time,
 and the moving-boundary heat problem becomes a fixed-domain one.  The
 identity 8*tau + eta + 1 = r^2/R20^2 holds pointwise.
+
+`_require_domain` is the package's one domain guard of closed-form
+arguments, for floats, numpy arrays and Duals over either.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .dualnum import sqrt
+from .dualnum import sqrt, value
 
 __all__ = [
     "ValidationError",
@@ -58,6 +61,19 @@ class SingularConstantError(ValueError):
 def _require(cond, field, msg):
     if not cond:
         raise ValidationError(f"{field} {msg}")
+
+
+def _require_domain(x, message, *fmt, allow_zero=False, error=ValidationError):
+    """Raise error(message.format(*fmt)) where the value part of x (a float,
+    an array or a Dual over either) is <= 0, or < 0 with allow_zero; NaN passes."""
+    v = value(x)
+    if isinstance(v, float):  # np.float64 too: np.any would dominate a scalar trace call
+        bad = v < 0.0 if allow_zero else v <= 0.0
+    else:
+        v = np.asarray(v)
+        bad = np.any(v < 0.0 if allow_zero else v <= 0.0)
+    if bad:
+        raise error(message.format(*fmt))
 
 
 def _require_C3(C3):
@@ -208,8 +224,7 @@ def reduce_params(phys: PhysicalParams) -> ReducedParams:
 
 def to_reduced(t, r, phys: PhysicalParams):
     """(t, r) -> (tau, eta).  Warns (but still evaluates) outside the ring."""
-    if np.any(np.asarray(t) < 0):
-        raise ValidationError("t must be >= 0")
+    _require_domain(t, "t must be >= 0", allow_zero=True)
     R20sq = phys.R20 ** 2
     tau = phys.nu * t / R20sq
     r2sq = 8.0 * phys.nu * t + R20sq
@@ -223,10 +238,8 @@ def to_reduced(t, r, phys: PhysicalParams):
 
 def from_reduced(tau, eta, phys: PhysicalParams):
     """(tau, eta) -> (t, r): exact inverse of `to_reduced` on tau >= 0, eta >= 0."""
-    if np.any(np.asarray(tau) < 0):
-        raise ValidationError("tau must be >= 0")
-    if np.any(np.asarray(eta) < 0):
-        raise ValidationError("eta must be >= 0")
+    _require_domain(tau, "tau must be >= 0", allow_zero=True)
+    _require_domain(eta, "eta must be >= 0", allow_zero=True)
     R20sq = phys.R20 ** 2
     t = tau * R20sq / phys.nu
     r = phys.R20 * sqrt(8.0 * tau + eta + 1.0)

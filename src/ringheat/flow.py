@@ -14,10 +14,8 @@ from __future__ import annotations
 
 import functools
 
-import numpy as np
-
-from .core import PhysicalParams, ValidationError
-from .dualnum import sqrt, value
+from .core import PhysicalParams, _require_domain
+from .dualnum import sqrt
 
 __all__ = [
     "PSI",
@@ -65,8 +63,7 @@ def xi(tau):
 def exact_omega(tau, eta, eps):
     """Scaled azimuthal velocity omega = 4*eps/(xi(tau) + eta)."""
     s = xi(tau) + eta
-    if np.any(value(s) <= 0):
-        raise ValidationError("xi(tau) + eta must be > 0")
+    _require_domain(s, "xi(tau) + eta must be > 0")
     return 4.0 * eps / s
 
 
@@ -77,8 +74,7 @@ def radii(t, phys: PhysicalParams):
 
 def velocities(r, nu, nu0):
     """(radial, azimuthal) velocity at radius r: (4*nu/r, 4*nu0/r)."""
-    if np.any(np.asarray(r) <= 0):
-        raise ValidationError("r must be > 0")
+    _require_domain(r, "r must be > 0")
     return 4.0 * nu / r, 4.0 * nu0 / r
 
 
@@ -103,8 +99,7 @@ def stress_components(r, t, phys: PhysicalParams, p_inf=0.0):
     condition; t enters only through the boundary positions, not the
     stress values themselves.
     """
-    if np.any(np.asarray(r) <= 0):
-        raise ValidationError("r must be > 0")
+    _require_domain(r, "r must be > 0")
     nu, nu0 = phys.nu, phys.nu0
     phi = 4.0 * nu
     shear = -8.0 * nu0 / (r * r)  # dv/dr - v/r for v = 4*nu0/r
@@ -119,8 +114,7 @@ def angular_momentum(t, phys: PhysicalParams) -> float:
     Integral of r^2 * v(r) across the ring; independent of t because the
     ring area is conserved.
     """
-    if np.any(np.asarray(t) < 0):
-        raise ValidationError("t must be >= 0")
+    _require_domain(t, "t must be >= 0", allow_zero=True)
     return 2.0 * phys.nu0 * (phys.R10 ** 2 - phys.R20 ** 2)
 
 

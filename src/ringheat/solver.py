@@ -49,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -145,15 +145,15 @@ class Grid1D:
 class SolverConfig:
     """March settings.
 
-    dt = None means dt = dt_over_h * h (default h/8, which keeps temporal
-    error subordinate; both schemes are unconditionally stable so the choice
+    dt = None means dt = dt_over_h * h, a fixed h/8, which keeps temporal
+    error subordinate (both schemes are unconditionally stable, so the choice
     is accuracy-driven).  bc_mode: 'derived' = exact Neumann data from the
     closed form, 'paper' = originally published Neumann data (inconsistent
     at the outer wall), 'dirichlet' = exact boundary values.
     """
 
     dt: float | None = None
-    dt_over_h: float = 0.125
+    dt_over_h: ClassVar[float] = 0.125
     t_end: float = 0.25
     scheme: str = "cn"        # "cn" | "euler"
     bc_mode: str = "derived"  # "derived" | "paper" | "dirichlet"
@@ -163,8 +163,6 @@ class SolverConfig:
             raise ValidationError(f"dt must be a finite number > 0, got {self.dt!r}")
         if not math.isfinite(self.t_end):
             raise ValidationError(f"t_end must be a finite number, got {self.t_end!r}")
-        if self.dt_over_h <= 0:
-            raise ValidationError("dt_over_h must be > 0")
         if self.t_end < 0:
             raise ValidationError("t_end must be >= 0")
         if self.scheme not in SCHEMES:
@@ -444,40 +442,40 @@ def solve_reference(grid: Grid1D, config: SolverConfig, C5: float = C5_MIN) -> S
     return solve_general(case.params, case.consts, grid, config)
 
 
-def _march_levels(params, consts, grids, config) -> list:
-    """`solve_general` of each grid in order, up to the first that raises:
-    its SolveResults, then that exception if one was raised."""
+def _march_levels(prepared, config) -> list:
+    """`march` of each (grid, march arguments) level in order, up to the first
+    that raises: its SolveResults, then that exception if one was raised."""
     outcomes = []
-    for grid in grids:
+    for grid, args in prepared:
         try:
-            outcomes.append(solve_general(params, consts, grid, config))
+            outcomes.append(march(grid, config, *args))
         except Exception as e:
             outcomes.append(e)
             break
     return outcomes
 
 
-def _send_levels(conn, params, consts, grids, config):
+def _send_levels(conn, prepared, config):
     # the forked child's whole work; an interrupt is for the caller, which
     # then kills the child
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    conn.send(_march_levels(params, consts, grids, config))
+    conn.send(_march_levels(prepared, config))
 
 
-def _march_forked(ctx, params, consts, grids, config) -> list:
-    """`_march_levels` of grids, the one with the most cells marched in this
-    process and the others in one child forked from ctx.  The outcomes come
-    in grid order; past a failure the list may lack levels.  The child does
-    not outlive the call."""
-    fine = max(range(len(grids)), key=lambda i: grids[i].n_cells)
-    coarse = grids[:fine] + grids[fine + 1:]
+def _march_forked(ctx, prepared, config) -> list:
+    """`_march_levels` of the prepared levels, the one with the most cells
+    marched in this process and the others in one child forked from ctx.
+    The outcomes come in level order; past a failure the list may lack
+    levels.  The child does not outlive the call."""
+    fine = max(range(len(prepared)), key=lambda i: prepared[i][0].n_cells)
+    coarse = prepared[:fine] + prepared[fine + 1:]
     recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_levels, args=(send, params, consts, coarse, config))
+    child = ctx.Process(target=_send_levels, args=(send, coarse, config))
     child.start()
     send.close()
     try:
-        here = _march_levels(params, consts, [grids[fine]], config)
+        here = _march_levels([prepared[fine]], config)
         try:
             there = recv.recv()
         except EOFError:
@@ -532,24 +530,24 @@ def convergence_study(levels, config: SolverConfig,
     if len(set(levels)) < len(levels):
         raise ValidationError(f"levels must be distinct, got {list(levels)}: two equal "
                               "grids have no h ratio to observe an order from")
-    grids = []
+    prepared = []
     for n in levels:  # what each level's solve checks before its march
         grid = Grid1D(n_cells=int(n), a=params.a)
-        _march_args(params, consts, grid, config)
+        args = _march_args(params, consts, grid, config)
         _steps(grid, config)
-        grids.append(grid)
+        prepared.append((grid, args))
 
     ctx = None
-    if len(grids) > 1:
+    if len(prepared) > 1:
         import multiprocessing  # here, so importing the solver loads numpy only
         try:
             ctx = multiprocessing.get_context("fork")
         except ValueError:  # no 'fork' on this platform
             pass
     if ctx is None:
-        outcomes = _march_levels(params, consts, grids, config)
+        outcomes = _march_levels(prepared, config)
     else:
-        outcomes = _march_forked(ctx, params, consts, grids, config)
+        outcomes = _march_forked(ctx, prepared, config)
 
     results: list[SolveResult] = []
     for res in outcomes:

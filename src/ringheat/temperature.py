@@ -37,9 +37,10 @@ from .core import (
     SolutionConstants,
     ValidationError,
     _require_C3,
+    _require_domain,
     reduce_params,
 )
-from .dualnum import exp, log, value
+from .dualnum import exp, log
 
 __all__ = [
     "theta_simple",
@@ -63,21 +64,9 @@ def _pow(base, p):
     return exp(p * log(base))
 
 
-def _any_nonpositive(x):
-    # One float (np.float64 is one) compares directly: np.any would be most
-    # of the cost of a scalar wall-trace call.  NaN is not <= 0 either way.
-    v = value(x)
-    return v <= 0.0 if isinstance(v, float) else bool(np.any(v <= 0.0))
-
-
-def _check_s(s):
-    if _any_nonpositive(s):
-        raise ValidationError("8*tau + eta + 1 must be > 0")
-
-
-def _check_P(P, C3):
-    if _any_nonpositive(P):
-        raise SingularTimeError(f"tau + C3 must be > 0 (C3={C3})")
+#: messages of the guards on s = 8*tau + eta + 1 and P = tau + C3
+_S_DOMAIN = "8*tau + eta + 1 must be > 0"
+_P_DOMAIN = "tau + C3 must be > 0 (C3={})"
 
 
 def theta_simple(tau, eta, params: ReducedParams, level):
@@ -87,7 +76,7 @@ def theta_simple(tau, eta, params: ReducedParams, level):
     and C5/2 when this profile appears inside the general solution.
     """
     s = 8.0 * tau + eta + 1.0
-    _check_s(s)
+    _require_domain(s, _S_DOMAIN)
     return level - 16.0 * (1.0 + params.eps ** 2) / (s * (params.B + 8.0 * params.A))
 
 
@@ -103,9 +92,9 @@ def theta_general(tau, eta, params: ReducedParams, consts: SolutionConstants):
     """
     A, B = params.A, params.B
     P = tau + consts.C3
-    _check_P(P, consts.C3)
+    _require_domain(P, _P_DOMAIN, consts.C3, error=SingularTimeError)
     s = 8.0 * tau + eta + 1.0
-    _check_s(s)
+    _require_domain(s, _S_DOMAIN)
     Q = 1.0 + eta - 8.0 * consts.C3
     mode = (consts.K * ((A * Q - B * P) / P ** 3)
             * exp(-A * Q / (B * P)) * _pow(s / P, 8.0 * A / B))
@@ -121,7 +110,7 @@ def theta_reference(tau, eta, C5=C5_MIN):
     """
     c = 8.0 * tau + 1.0
     s = c + eta
-    _check_s(s)
+    _require_domain(s, _S_DOMAIN)
     return 0.5 * C5 - (5.0 / 6.0) * (2.0 / s + ((eta ** 2 - c ** 2) / c ** 4) * exp(-eta / c))
 
 
@@ -175,7 +164,7 @@ def _trace_outer(tau, params: ReducedParams, consts: SolutionConstants):
     # boundary value at eta = a, transcribed as its own expression
     A, B = params.A, params.B
     P = tau + consts.C3
-    _check_P(P, consts.C3)
+    _require_domain(P, _P_DOMAIN, consts.C3, error=SingularTimeError)
     qa = 1.0 + params.a - 8.0 * consts.C3
     sa = 8.0 * tau + params.a + 1.0
     return (consts.K * ((A * qa - B * P) / P ** 3) * exp(-A * qa / (B * P))
@@ -187,7 +176,7 @@ def _trace_inner(tau, params: ReducedParams, consts: SolutionConstants):
     # boundary value at eta = 0
     A, B = params.A, params.B
     P = tau + consts.C3
-    _check_P(P, consts.C3)
+    _require_domain(P, _P_DOMAIN, consts.C3, error=SingularTimeError)
     q0 = 1.0 - 8.0 * consts.C3
     s0 = 8.0 * tau + 1.0
     return (consts.K * ((A * q0 - B * P) / P ** 3) * exp(-A * q0 / (B * P))
@@ -226,10 +215,12 @@ def k_for_equal_boundaries(params: ReducedParams, C3: float) -> float:
     C3 = 1/8 it gives -5/18432.
     """
     _require_C3(C3)
-    first, slope = _boundary_difference_terms(params, C3)
+    # an overflowing ((1 + a)/C3)^(8A/B) makes the slope NaN, raised below
+    with np.errstate(over="ignore", invalid="ignore"):
+        first, slope = _boundary_difference_terms(params, C3)
     if not np.isfinite(slope) or slope == 0.0:
         raise SingularConstantError(
-            f"equal-boundary condition is singular at C3={C3!r} (slope={slope!r})")
+            f"equal-boundary condition is singular at C3={C3!r} (slope={float(slope)!r})")
     return float(-first / slope)
 
 
@@ -239,17 +230,15 @@ def dimensional_T(t, r, phys: PhysicalParams, consts: SolutionConstants):
     Transcription of the general solution pushed through the coordinate
     map; equals T0 * theta_general(to_reduced(t, r)) to roundoff.
     """
-    if np.any(np.asarray(t) < 0):
-        raise ValidationError("t must be >= 0")
-    if np.any(np.asarray(r) <= 0):
-        raise ValidationError("r must be > 0")
+    _require_domain(t, "t must be >= 0", allow_zero=True)
+    _require_domain(r, "r must be > 0")
     rp = reduce_params(phys)
     A, B, eps = rp.A, rp.B, rp.eps
     T0 = phys.T0
     R2sq = phys.R20 ** 2
     Pd = phys.nu * t + consts.C3 * R2sq
-    if _any_nonpositive(Pd):
-        raise SingularTimeError(f"nu*t + C3*R20^2 must be > 0 (C3={consts.C3})")
+    _require_domain(Pd, "nu*t + C3*R20^2 must be > 0 (C3={})", consts.C3,
+                    error=SingularTimeError)
     pw = 8.0 * A / B
     mode = (T0 * consts.K
             * ((A * R2sq ** 2 * r ** 2 - (8.0 * A + B) * (phys.nu * R2sq ** 2 * t + consts.C3 * R2sq ** 3))
@@ -291,7 +280,7 @@ def c5_nonnegativity_bound(params: ReducedParams, consts: SolutionConstants,
         raise ValidationError("c5_nonnegativity_bound needs a non-empty tau_grid and eta_grid")
     # the whole grid's tau guard first, so a singular tau in a later block
     # raises what a full-grid evaluation would, before an earlier block's s guard
-    _check_P(tau_grid + consts.C3, consts.C3)
+    _require_domain(tau_grid + consts.C3, _P_DOMAIN, consts.C3, error=SingularTimeError)
     rows = max(1, _SCAN_BLOCK_ELEMS // eta_grid.size)
     best, best_i, best_j = math.inf, 0, 0
     for start in range(0, tau_grid.size, rows):

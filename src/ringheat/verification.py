@@ -45,6 +45,7 @@ from .core import (
     ReferenceCase,
     SolutionConstants,
     ValidationError,
+    _require_domain,
     from_reduced,
     reference_case_K,
     to_reduced,
@@ -442,8 +443,7 @@ def reduced_ode_residual(phi, params: ReducedParams, I1_samples,
     engine = engine or DerivativeEngine()
     B, A = params.B, params.A
     i1 = np.asarray(I1_samples, dtype=float)
-    if np.any(i1 <= 0):
-        raise ValidationError("I1 samples must be > 0")
+    _require_domain(i1, "I1 samples must be > 0")
     p1 = engine.d1(phi, (i1,), 0)
     p2 = engine.d2(phi, (i1,), 0)
     res = B * i1 * p2 + (B - 8.0 * A) * p1 + 16.0 * (1.0 + params.eps ** 2) / (i1 * i1)

@@ -237,6 +237,19 @@ class TestSolve:
         assert err.splitlines()[-1].startswith("error: ") and "bc_mode" in err
         assert not out.exists()
 
+    def test_singular_equal_boundary_K_is_one_error(self, tmp_path, capsys):
+        # ((1 + a)/C3)^(8A/B) overflows, so no K equalises the walls: one
+        # error line, with no numpy RuntimeWarning before it
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"reduced": {"A": 10.0, "B": 0.3, "eps": 0.5, "a": 5.0},
+                                   "constants": {"C3": 0.05}}))
+        rc, out, err = run(["solve", "--config", str(cfg), "--grid", "16",
+                            "--out", str(tmp_path / "s.csv")], capsys)
+        assert rc == 2
+        assert out == ""
+        assert err.splitlines() == [
+            "error: equal-boundary condition is singular at C3=0.05 (slope=nan)"]
+
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text(json.dumps({"solver": {"grid": 64}}))

@@ -76,7 +76,7 @@ class TestGridAndConfig:
 
     @pytest.mark.parametrize("kw", [
         dict(dt=-0.1), dict(t_end=-1.0), dict(scheme="rk4"),
-        dict(bc_mode="mixed"), dict(dt_over_h=0.0),
+        dict(bc_mode="mixed"),
     ])
     def test_config_validation(self, kw):
         with pytest.raises(ValidationError):
@@ -641,14 +641,14 @@ class TestConvergenceStudy:
     def test_zero_error_leaves_no_order(self, monkeypatch, errors, orders):
         # log(0) is -inf with a RuntimeWarning, and x / 0.0 raises
         # ZeroDivisionError: neither is an order
-        real = solver.solve_general
+        real = solver.march
 
-        def with_errors(params, consts, grid, config):
-            res = real(params, consts, grid, config)
+        def with_errors(grid, config, *args):
+            res = real(grid, config, *args)
             res.error_inf = errors[grid.n_cells]
             return res
 
-        monkeypatch.setattr(solver, "solve_general", with_errors)
+        monkeypatch.setattr(solver, "march", with_errors)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             results = convergence_study([16, 32, 64], SolverConfig(t_end=0.05))
@@ -673,28 +673,42 @@ def general_case():
 @pytest.fixture
 def marched_in(monkeypatch):
     """Record, per level, the pid of the process that marched it."""
-    real = solver.solve_general
+    real = solver.march
 
-    def recording(params, consts, grid, config):
-        res = real(params, consts, grid, config)
+    def recording(grid, config, *args):
+        res = real(grid, config, *args)
         res.pid = os.getpid()  # pickled back with the result
         return res
 
-    monkeypatch.setattr(solver, "solve_general", recording)
+    monkeypatch.setattr(solver, "march", recording)
     return lambda results: [res.pid for res in results]
 
 
 def failing_at(monkeypatch, failures):
-    """Make solve_general raise failures[n_cells] at those levels; in a
-    forked child too, which inherits the patch."""
-    real = solver.solve_general
+    """Make march raise failures[n_cells] at those levels; in a forked
+    child too, which inherits the patch."""
+    real = solver.march
 
-    def failing(params, consts, grid, config):
+    def failing(grid, config, *args):
         if grid.n_cells in failures:
             raise failures[grid.n_cells]
-        return real(params, consts, grid, config)
+        return real(grid, config, *args)
 
-    monkeypatch.setattr(solver, "solve_general", failing)
+    monkeypatch.setattr(solver, "march", failing)
+
+
+@pytest.fixture
+def no_fork(monkeypatch):
+    """A platform without 'fork': convergence_study marches every level here."""
+    real = multiprocessing.get_context
+
+    def get_context(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return real(method)
+
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(os, "fork", None)
 
 
 class TestForkedStudy:
@@ -767,16 +781,7 @@ class TestForkedStudy:
         assert np.array_equal(res.final[1], exp.final[1])
         assert multiprocessing.active_children() == []
 
-    def test_without_fork_every_level_marches_here(self, monkeypatch, ref, marched_in):
-        real = multiprocessing.get_context
-
-        def no_fork(method=None):
-            if method == "fork":
-                raise ValueError("cannot find context for 'fork'")
-            return real(method)
-
-        monkeypatch.setattr(multiprocessing, "get_context", no_fork)
-        monkeypatch.setattr(os, "fork", None)
+    def test_without_fork_every_level_marches_here(self, no_fork, ref, marched_in):
         levels, config = [64, 16, 32], SolverConfig(t_end=0.25)
         results = convergence_study(levels, config)
         expect = per_level_oracle(levels, config, ref.params, ref.consts)
@@ -784,45 +789,60 @@ class TestForkedStudy:
             [(e.error_inf, e.observed_order) for e in expect]
         assert marched_in(results) == [os.getpid()] * 3
 
-    def test_child_that_dies_is_an_error(self, monkeypatch):
-        real = solver.solve_general
+    def test_march_arguments_built_once_per_level(self, monkeypatch, no_fork):
+        # the checks before marching build each level's arguments, and the
+        # march takes those
+        real, built = solver._march_args, []
 
-        def dying(params, consts, grid, config):
-            if grid.n_cells == 16:
-                os._exit(3)
+        def counting(params, consts, grid, config):
+            built.append(grid.n_cells)
             return real(params, consts, grid, config)
 
-        monkeypatch.setattr(solver, "solve_general", dying)
+        monkeypatch.setattr(solver, "_march_args", counting)
+        for params, consts in ((None, None), general_case()):
+            built.clear()
+            convergence_study([64, 16, 32], SolverConfig(t_end=0.05), params, consts)
+            assert built == [64, 16, 32]
+
+    def test_child_that_dies_is_an_error(self, monkeypatch):
+        real = solver.march
+
+        def dying(grid, config, *args):
+            if grid.n_cells == 16:
+                os._exit(3)
+            return real(grid, config, *args)
+
+        monkeypatch.setattr(solver, "march", dying)
         with pytest.raises(RuntimeError, match="exited without sending"):
             convergence_study([16, 32], SolverConfig(t_end=0.25))
         assert multiprocessing.active_children() == []
 
     def test_child_leaves_an_interrupt_to_the_caller(self, monkeypatch, ref):
-        real = solver.solve_general
+        real = solver.march
 
-        def interrupted(params, consts, grid, config):
+        def interrupted(grid, config, *args):
             if os.getpid() != parent:
                 os.kill(os.getpid(), signal.SIGINT)  # as Ctrl-C reaches both
-            return real(params, consts, grid, config)
+            return real(grid, config, *args)
 
         parent = os.getpid()
-        monkeypatch.setattr(solver, "solve_general", interrupted)
+        monkeypatch.setattr(solver, "march", interrupted)
         levels, config = [16, 32], SolverConfig(t_end=0.25)
         results = convergence_study(levels, config)
         expect = per_level_oracle(levels, config, ref.params, ref.consts)
         assert [r.error_inf for r in results] == [e.error_inf for e in expect]
 
     def test_child_does_not_outlive_an_interrupt(self, monkeypatch):
-        real = solver.solve_general
+        real = solver.march
 
-        def slow_or_interrupted(params, consts, grid, config):
+        def slow_or_interrupted(grid, config, *args):
             if grid.n_cells == 16:
                 time.sleep(60)  # the child, still marching when the caller stops
             elif grid.n_cells == 32:
                 raise KeyboardInterrupt
-            return real(params, consts, grid, config)
+            return real(grid, config, *args)
 
-        monkeypatch.setattr(solver, "solve_general", slow_or_interrupted)
+        monkeypatch.setattr(solver, "march", slow_or_interrupted)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             convergence_study([16, 32], SolverConfig(t_end=0.25))

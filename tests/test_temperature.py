@@ -1,4 +1,5 @@
 import math
+import re
 import struct
 from types import SimpleNamespace
 
@@ -6,10 +7,12 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ringheat import temperature
+from ringheat import flow, temperature
 from ringheat.core import (
     C5_MIN,
+    PhysicalParams,
     ReducedParams,
+    ReferenceCase,
     SingularTimeError,
     SolutionConstants,
     ValidationError,
@@ -30,7 +33,8 @@ from ringheat.temperature import (
     theta_reference,
     theta_simple,
 )
-from ringheat.core import to_reduced
+from ringheat.core import from_reduced, to_reduced, unit_embedding
+from ringheat.verification import ENGINE_AGREEMENT_TOL, DerivativeEngine, reduced_ode_residual
 
 
 class TestThetaSimple:
@@ -231,26 +235,87 @@ GUARD_FORMS = {
     "dual-of-array": lambda x: Dual(np.array([1.0, x]), np.ones(2)),
 }
 
+REF = ReferenceCase()
+#: nu = 1 and a ring wide enough to hold r = 5 for 0 <= t <= 3
+WIDE = PhysicalParams(rho=1.0, Cp=3.0, k_cond=24.0, mu=1.0, mu0=0.5, T0=1.0,
+                      R10=10.0, R20=1.0)
+#: the largest argument a `>= 0` guard rejects
+BELOW_ZERO = -math.ulp(0.0)
+TRACES = BoundaryTraces(REF.params, REF.consts)
+S_MSG = "8*tau + eta + 1 must be > 0"
+P_MSG = "tau + C3 must be > 0 (C3=0.125)"
+
+#: (call(x), edge, error, message) of every guarded public field
+#: function, x in the guarded argument.  call(edge + bad) puts the guarded
+#: quantity at bad (a `>= 0` guard's at bad - 5e-324), and call(good) puts
+#: it at good or more, since every edge is <= 0.
+FIELD_GUARDS = [
+    (lambda x: to_reduced(x, 5.0, WIDE), BELOW_ZERO, ValidationError, "t must be >= 0"),
+    (lambda x: from_reduced(x, 0.5, WIDE), BELOW_ZERO, ValidationError, "tau must be >= 0"),
+    (lambda x: from_reduced(0.5, x, WIDE), BELOW_ZERO, ValidationError, "eta must be >= 0"),
+    (lambda x: flow.exact_omega(0.0, x, 0.5), -1.0, ValidationError, "xi(tau) + eta must be > 0"),
+    (lambda x: flow.velocities(x, 1.0, 0.5), 0.0, ValidationError, "r must be > 0"),
+    (lambda x: flow.stress_components(x, 0.0, WIDE), 0.0, ValidationError, "r must be > 0"),
+    (lambda x: flow.angular_momentum(x, WIDE), BELOW_ZERO, ValidationError, "t must be >= 0"),
+    (lambda x: theta_simple(0.0, x, REF.params, 1.0), -1.0, ValidationError, S_MSG),
+    (lambda x: theta_general(x, 0.5, REF.params, REF.consts), -REF.C3, SingularTimeError, P_MSG),
+    (lambda x: theta_general(0.0, x, REF.params, REF.consts), -1.0, ValidationError, S_MSG),
+    (lambda x: theta_reference(0.0, x), -1.0, ValidationError, S_MSG),
+    (TRACES.theta1, -REF.C3, SingularTimeError, P_MSG),
+    (TRACES.theta2, -REF.C3, SingularTimeError, P_MSG),
+    (lambda x: dimensional_T(x, 5.0, WIDE, REF.consts), BELOW_ZERO,
+     ValidationError, "t must be >= 0"),
+    (lambda x: dimensional_T(0.0, x, WIDE, REF.consts), 0.0, ValidationError, "r must be > 0"),
+]
+
+#: the guarded public functions of 1-D float samples, as FIELD_GUARDS
+SAMPLE_GUARDS = [
+    (lambda x: c5_nonnegativity_bound(REF.params, REF.consts, tau_grid=x, eta_grid=[0.0, 1.0]),
+     -REF.C3, SingularTimeError, P_MSG),
+    (lambda x: reduced_ode_residual(lambda i1: 1.0 / i1, REF.params, x),
+     0.0, ValidationError, "I1 samples must be > 0"),
+]
+
+
+def assert_rejects(call, x, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$") as exc:
+        call(x)
+    assert type(exc.value) is error
+
+
+def assert_passes(call, x):
+    # past the guard, 1/r^2 at r = 1e-300 may divide by an underflowed zero
+    try:
+        with np.errstate(all="ignore"):
+            call(x)
+    except ZeroDivisionError:
+        pass
+
 
 class TestDomainGuards:
-    """`_check_P` and `_check_s` reject a P or s <= 0 in every form, and let
-    NaN through as they always have; one float skips np.any."""
+    """Every guarded public function rejects an argument out of its domain
+    in every form with the type and message it always had, and lets one
+    inside it, or NaN, through; all go through `core._require_domain`."""
 
     @pytest.mark.parametrize("form", sorted(GUARD_FORMS))
     @pytest.mark.parametrize("bad", [0.0, -0.5])
     def test_nonpositive_rejected(self, form, bad):
-        x = GUARD_FORMS[form](bad)
-        with pytest.raises(SingularTimeError, match="tau \\+ C3"):
-            temperature._check_P(x, 0.125)
-        with pytest.raises(ValidationError, match="8\\*tau"):
-            temperature._check_s(x)
+        for call, edge, error, message in FIELD_GUARDS:
+            assert_rejects(call, GUARD_FORMS[form](edge + bad), error, message)
 
     @pytest.mark.parametrize("form", sorted(GUARD_FORMS))
     @pytest.mark.parametrize("good", [1e-300, 0.5, math.nan])
     def test_positive_or_nan_passes(self, form, good):
-        x = GUARD_FORMS[form](good)
-        assert temperature._check_P(x, 0.125) is None
-        assert temperature._check_s(x) is None
+        for call, edge, error, message in FIELD_GUARDS:
+            assert_passes(call, GUARD_FORMS[form](good))
+
+    @pytest.mark.parametrize("x", [0.0, -0.5, 1e-300, 0.5, math.nan])
+    def test_sample_guards(self, x):
+        for call, edge, error, message in SAMPLE_GUARDS:
+            if x <= 0.0:
+                assert_rejects(call, np.array([1.0, edge + x, 2.0]), error, message)
+            else:
+                assert_passes(call, np.array([1.0, x, 2.0]))
 
     def test_scalar_trace_rejects_singular_time(self, ref):
         traces = BoundaryTraces(ref.params, ref.consts)
@@ -376,6 +441,27 @@ class TestDimensionalField:
 
     def test_reference_embedding_zero_at_inner_wall(self, ref, ref_phys):
         assert dimensional_T(0.0, 1.0, ref_phys, ref.consts) == pytest.approx(0.0, abs=1e-13)
+
+    @pytest.mark.parametrize("phys, consts", [
+        (unit_embedding(REF.params), REF.consts),
+        (PhysicalParams(rho=2.0, Cp=3.0, k_cond=5.0, mu=0.7, mu0=-0.3, T0=300.0,
+                        R10=2.0, R20=1.3), SolutionConstants(C3=0.15, C5=2.0, K=0.01)),
+    ], ids=["reference-unit-embedding", "general"])
+    def test_mesh_derivatives_agree_across_engines(self, phys, consts):
+        # dual numbers over a whole (t, r) mesh, as verification passes them;
+        # t starts past 0, where the fd stencil would step below t = 0
+        a = phys.R10 ** 2 / phys.R20 ** 2 - 1.0
+        t, r = from_reduced(*np.meshgrid(np.linspace(0.05, 1.0, 6), np.linspace(0.0, a, 5),
+                                         indexing="ij"), phys)
+
+        def field(t, r):
+            return dimensional_T(t, r, phys, consts)
+
+        for order, i in (("d1", 0), ("d1", 1), ("d2", 1)):
+            dual, fd = (getattr(DerivativeEngine(mode), order)(field, (t, r), i)
+                        for mode in ("dual", "fd"))
+            assert dual.shape == t.shape
+            assert np.max(np.abs(dual - fd)) <= ENGINE_AGREEMENT_TOL * np.max(np.abs(dual))
 
     def test_scales_with_T0(self, ref, ref_phys):
         import dataclasses
