@@ -300,6 +300,7 @@ def cmd_solve(args) -> int:
 def cmd_profile(args) -> int:
     rc = resolve_config(args)
     eta = np.linspace(0.0, rc.params.a, rc.profile_n_eta)
+    temperature.require_finite_start(eta, rc.params, rc.consts)
     rows = []
     header = ["tau", "eta", "theta"] + (["t", "r", "T"] if rc.phys is not None else [])
     for i, tau_s in enumerate(rc.profile_tau):

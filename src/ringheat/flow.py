@@ -78,24 +78,24 @@ def velocities(r, nu, nu0):
     return 4.0 * nu / r, 4.0 * nu0 / r
 
 
-def pressure(r, nu, nu0, p_inf=0.0):
-    """Kinematic pressure p(r) = p_inf - 8*(nu^2 + nu0^2)/r^2.
+def pressure(r, nu, nu0):
+    """Kinematic pressure p(r) = -8*(nu^2 + nu0^2)/r^2.
 
     Closed form of the radial momentum balance on the exact branch,
     dp/dr = Phi^2/r^3 + v^2/r with Phi = 4*nu and v = 4*nu0/r, integrated
-    inward from r -> infinity where p -> p_inf.
+    inward from r -> infinity where p -> 0: the far-field pressure that
+    leaves both free boundaries stress free.
     """
-    return p_inf - 8.0 * (nu * nu + nu0 * nu0) / (r * r)
+    return -8.0 * (nu * nu + nu0 * nu0) / (r * r)
 
 
-def stress_components(r, t, phys: PhysicalParams, p_inf=0.0):
+def stress_components(r, t, phys: PhysicalParams):
     """(T_rr, T_rtheta) on the exact branch, kinematic units.
 
     T_rr     = -(p + 2*nu*Phi/r^2) + nu0*(dv/dr - v/r)
     T_rtheta =  nu*(dv/dr - v/r) + 2*nu0*Phi/r^2
 
-    p_inf is the kinematic far-field pressure offset.  Both vanish
-    identically when p_inf = 0, which is the stress-free free-boundary
+    Both vanish identically, which is the stress-free free-boundary
     condition; t enters only through the boundary positions, not the
     stress values themselves.
     """
@@ -103,7 +103,7 @@ def stress_components(r, t, phys: PhysicalParams, p_inf=0.0):
     nu, nu0 = phys.nu, phys.nu0
     phi = 4.0 * nu
     shear = -8.0 * nu0 / (r * r)  # dv/dr - v/r for v = 4*nu0/r
-    t_rr = -(pressure(r, nu, nu0, p_inf) + 2.0 * nu * phi / (r * r)) + nu0 * shear
+    t_rr = -(pressure(r, nu, nu0) + 2.0 * nu * phi / (r * r)) + nu0 * shear
     t_rtheta = nu * shear + 2.0 * nu0 * phi / (r * r)
     return t_rr, t_rtheta
 

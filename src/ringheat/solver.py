@@ -398,12 +398,8 @@ def _march_args(params: ReducedParams, consts: SolutionConstants,
         values = [partial(exact, eta=w) for w in (0.0, 1.0)]
     else:
         exact = partial(temperature.theta_general, params=params, consts=consts)
+        temperature.require_finite_start(grid.nodes, params, consts)
         initial = partial(exact, 0.0)
-        with np.errstate(all="ignore"):  # numpy overflows to inf without raising
-            bad = grid.nodes[~np.isfinite(initial(grid.nodes))]
-        if bad.size:
-            raise ValidationError(f"constants.K = {consts.K!r} and constants.C3 = {consts.C3!r} "
-                                  f"overflow theta(0, eta) at eta = {float(bad[0])!r}")
         fluxes = [lambda tau, w=w: dualnum.d1(partial(exact, tau), w) for w in (0.0, params.a)]
         traces = temperature.BoundaryTraces(params, consts)
         values = [traces.theta2, traces.theta1]

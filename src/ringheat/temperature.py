@@ -45,6 +45,7 @@ from .dualnum import exp, log
 __all__ = [
     "theta_simple",
     "theta_general",
+    "require_finite_start",
     "theta_reference",
     "reference_flux",
     "published_flux_inner",
@@ -99,6 +100,17 @@ def theta_general(tau, eta, params: ReducedParams, consts: SolutionConstants):
     mode = (consts.K * ((A * Q - B * P) / P ** 3)
             * exp(-A * Q / (B * P)) * _pow(s / P, 8.0 * A / B))
     return mode + 0.5 * consts.C5 - 16.0 * (1.0 + params.eps ** 2) / (s * (B + 8.0 * A))
+
+
+def require_finite_start(eta, params: ReducedParams, consts: SolutionConstants):
+    """ValidationError naming constants.K and constants.C3 unless theta_general(0, eta)
+    is finite at every eta of the array, so a K near the float limit is an
+    input error and not a run of inf and nan values."""
+    with np.errstate(all="ignore"):  # numpy overflows to inf without raising
+        bad = eta[~np.isfinite(theta_general(0.0, eta, params, consts))]
+    if bad.size:
+        raise ValidationError(f"constants.K = {consts.K!r} and constants.C3 = {consts.C3!r} "
+                              f"overflow theta(0, eta) at eta = {float(bad[0])!r}")
 
 
 def theta_reference(tau, eta, C5=C5_MIN):
@@ -250,7 +262,6 @@ def dimensional_T(t, r, phys: PhysicalParams, consts: SolutionConstants):
 class NonnegativityReport(NamedTuple):
     min_value: float
     argmin: tuple  # (tau, eta); (inf, nan) when the asymptotic level is the minimum
-    threshold_ok: bool
 
 
 #: c5_nonnegativity_bound evaluates theta_general on blocks of
@@ -268,7 +279,6 @@ def c5_nonnegativity_bound(params: ReducedParams, consts: SolutionConstants,
     C5 = 5/3.  The reduction is deterministic: first minimum in row-major
     (tau, eta) order wins, so ties break lexicographically, and the first
     NaN wins over any number, as np.argmin over the whole grid would give.
-    threshold_ok is min_value >= -1e-12.
     """
     if tau_grid is None:
         tau_grid = np.linspace(0.0, 10.0, 201)
@@ -296,7 +306,7 @@ def c5_nonnegativity_bound(params: ReducedParams, consts: SolutionConstants,
     level = 0.5 * consts.C5
     if level < min_value:
         min_value, argmin = level, (math.inf, math.nan)
-    return NonnegativityReport(min_value, argmin, bool(min_value >= -1e-12))
+    return NonnegativityReport(min_value, argmin)
 
 
 @dataclass(frozen=True)

@@ -325,9 +325,10 @@ class TestProfile:
         assert rc == 2
         assert "profile.tau[0]" in err and "finite" in err
 
-    # numpy overflows these arrays to inf (K = 1e308) and then to nan (K = 1e300
-    # with C3 = 1e-5) without raising, and warns on the way
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    # numpy overflows theta(0, eta) to inf (K = 1e308) and then to nan
+    # (K = 1e300 with C3 = 1e-5) without raising; the scan of it names K
+    # before any profile row is computed, and nothing warns
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     @pytest.mark.parametrize("constants", [{"K": 1e308}, {"K": 1e300, "C3": 1e-5}],
                              ids=["inf", "nan"])
     def test_non_finite_profile_exit_2(self, constants, tmp_path, capsys):
@@ -337,8 +338,22 @@ class TestProfile:
         out = tmp_path / "p.csv"
         rc, stdout, err = run(["profile", "--config", str(cfg), "--out", str(out)], capsys)
         assert rc == 2
-        assert err.startswith("error: profile.tau[0] = 0.0 gives a non-finite theta")
+        assert err.startswith(f"error: constants.K = {constants['K']!r} and constants.C3 = ")
+        assert "overflow theta(0, eta)" in err
         assert "Traceback" not in err
+        assert stdout == "" and not out.exists()
+
+
+    def test_non_finite_dimensional_profile_exit_2(self, tmp_path, capsys):
+        # theta = C5/2 is finite, T = T0*theta overflows; checked per profile.tau
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"physical": {**_PHYSICAL, "T0": 300.0},
+                                   "constants": {"C5": 1e308, "K": 0.0},
+                                   "profile": {"tau": [0.0, 1.0], "n_eta": 3}}))
+        out = tmp_path / "p.csv"
+        rc, stdout, err = run(["profile", "--config", str(cfg), "--out", str(out)], capsys)
+        assert rc == 2
+        assert err.startswith("error: profile.tau[0] = 0.0 gives a non-finite T")
         assert stdout == "" and not out.exists()
 
 
@@ -647,13 +662,17 @@ _HUGE_K = "constants.K = 1e+308 and constants.C3 = 0.125 overflow theta(0, eta) 
     # c ** 5 in reference_flux
     (["solve", "--grid", "16", "--tau-end", "1e103"], {"solver": {"dt": 1e103}},
      "tau_end = 1e+103"),
-    # K * (...) in theta_general's initial data, where numpy overflows to inf
+    # K * (...) in theta_general's initial data, where numpy overflows to inf:
+    # every subcommand scans theta(0, eta) before it computes anything
     (["solve", "--grid", "16", "--tau-end", "0.01", "--bc-mode", "dirichlet"],
      {"constants": {"K": 1e308}}, _HUGE_K),
     (["convergence", "--grid", "16,32", "--bc-mode", "dirichlet"],
      {"constants": {"K": 1e308}}, _HUGE_K),
+    (["verify"], {"constants": {"K": 1e308}}, _HUGE_K),
+    (["profile"], {"constants": {"K": 1e308}}, _HUGE_K),
 ], ids=["profile-tau", "verify-eps", "solve-eps", "verify-C3", "solve-C3", "solve-tau_end",
-        "solve-K", "convergence-K"])
+        "solve-K", "convergence-K", "verify-K", "profile-K"])
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_float_overflow_exit_2(argv, cfg, field, tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps(cfg))
@@ -802,10 +821,14 @@ def test_block_the_subcommand_does_not_read_exit_2(argv, cfg, block, tmp_path, c
     assert stdout == "" and not out.exists()
 
 
+def _readme_blocks(lang):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    return [part.split("```", 1)[0] for part in readme.split(f"```{lang}\n")[1:]]
+
+
 def test_readme_configs_accepted(tmp_path):
     # every JSON example in the README is a config some subcommand takes
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
-    examples = [part.split("```", 1)[0] for part in readme.split("```json\n")[1:]]
+    examples = _readme_blocks("json")
     assert examples
     path = tmp_path / "c.json"
     for text in examples:
@@ -818,6 +841,31 @@ def test_readme_configs_accepted(tmp_path):
                 continue
             accepted.append(cmd)
         assert accepted, text
+
+
+def test_readme_commands_exit_as_documented(tmp_path, monkeypatch, capsys):
+    # every `ringheat ...` line of the README's sh blocks, run in tmp_path so
+    # its outputs land there; run.json is the README's profile example
+    # without its profile block, which the README says runs verify
+    commands = []
+    for block in _readme_blocks("sh"):
+        for line in block.splitlines():
+            text, _, comment = line.partition("#")
+            words = text.split()
+            if words[:1] == ["ringheat"]:
+                commands.append((words[1:], comment))
+    assert len(commands) == 10
+    config = json.loads(_readme_blocks("json")[0])
+    del config["profile"]
+    (tmp_path / "run.json").write_text(json.dumps(config), encoding="utf-8")
+    monkeypatch.chdir(tmp_path)
+    for argv, comment in commands:
+        paper = "--bc-mode" in argv and argv[argv.index("--bc-mode") + 1] == "paper"
+        # the comment of a line that exits 1 says so
+        assert paper == ("exit 1" in comment or "expected failure" in comment), argv
+        assert main(argv) == (1 if paper else 0), argv
+        capsys.readouterr()
+    assert {"report.json", "solve.csv", "profiles.csv"} <= {p.name for p in tmp_path.iterdir()}
 
 
 def test_format_flag_removed(capsys):

@@ -94,20 +94,20 @@ class TestVelocities:
 
 class TestPressure:
     def test_inviscid_limit(self):
-        assert pressure(3.0, 0.0, 0.0, p_inf=2.5) == 2.5
+        # no flux and no swirl: the pressure is the far-field 0 everywhere
+        assert pressure(3.0, 0.0, 0.0) == 0.0
 
     def test_against_quadrature_oracle(self):
         # independent oracle: integrate dp/dr = Phi^2/r^3 + v^2/r from r to infinity
-        def oracle(r, nu, nu0, p_inf):
+        def oracle(r, nu, nu0):
             dp = lambda s: (4.0 * nu) ** 2 / s ** 3 + (4.0 * nu0 / s) ** 2 / s
             tail, _ = quad(dp, r, np.inf, epsabs=1e-12)
-            return p_inf - tail
+            return -tail
 
-        assert oracle(2.0, 1.0, 0.0, 0.0) == pytest.approx(-2.0, abs=1e-10)
-        assert pressure(2.0, 1.0, 0.0, 0.0) == pytest.approx(-2.0, rel=1e-15)
-        for r, nu, nu0, p_inf in [(1.5, 0.7, 0.3, 0.0), (3.0, 1.0, -0.5, 1.0)]:
-            assert pressure(r, nu, nu0, p_inf) == pytest.approx(
-                oracle(r, nu, nu0, p_inf), abs=1e-10)
+        assert oracle(2.0, 1.0, 0.0) == pytest.approx(-2.0, abs=1e-10)
+        assert pressure(2.0, 1.0, 0.0) == pytest.approx(-2.0, rel=1e-15)
+        for r, nu, nu0 in [(1.5, 0.7, 0.3), (3.0, 1.0, -0.5)]:
+            assert pressure(r, nu, nu0) == pytest.approx(oracle(r, nu, nu0), abs=1e-10)
 
 
 class TestStress:
@@ -118,17 +118,20 @@ class TestStress:
             assert abs(t_rt) < 1e-14
 
     def test_free_boundaries_stress_free(self):
-        # with p_inf = 0 the normal stress vanishes at both walls simultaneously
+        # the normal stress vanishes at both walls simultaneously
         p = phys(mu0=0.5)
         for t in (0.0, 1.0):
             for r in radii(t, p):
-                t_rr, t_rt = stress_components(float(r), t, p, p_inf=0.0)
+                t_rr, t_rt = stress_components(float(r), t, p)
                 assert abs(t_rr) < 1e-12
                 assert abs(t_rt) < 1e-12
 
-    def test_nonzero_far_field_shifts_normal_stress(self):
-        t_rr, _ = stress_components(1.0, 0.0, phys(), p_inf=0.3)
-        assert t_rr == pytest.approx(-0.3, rel=1e-13)
+    def test_normal_stress_vanishes_everywhere(self):
+        # the pressure's far-field value 0 is what frees both boundaries: the
+        # normal stress is zero at every radius, not only at the walls
+        for r in (0.3, 1.0, 2.0, 11.0):
+            t_rr, _ = stress_components(r, 0.0, phys(mu0=0.7))
+            assert abs(t_rr) < 1e-12
 
     def test_zero_mu0_trivial(self):
         _, t_rt = stress_components(1.7, 0.5, phys(mu0=0.0))

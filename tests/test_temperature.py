@@ -476,7 +476,6 @@ class TestNonnegativity:
     def test_threshold_C5_is_tangent(self, ref):
         rep = c5_nonnegativity_bound(ref.params, ref.consts)
         assert rep.min_value >= -1e-12
-        assert rep.threshold_ok
         assert rep.argmin[0] == 0.0  # attained at tau = 0
         assert rep.argmin[1] in (0.0, 1.0)  # at a wall
 
@@ -489,7 +488,6 @@ class TestNonnegativity:
         consts = SolutionConstants(C3=0.125, C5=1.0, K=ref.K)
         rep = c5_nonnegativity_bound(ref.params, consts)
         assert rep.min_value < 0.0
-        assert not rep.threshold_ok
 
     def test_asymptotic_level_can_be_minimum(self, ref):
         # C3 = 0.3 keeps A*Q - B*P < 0 on the whole grid, so K < 0 lifts the
@@ -501,7 +499,7 @@ class TestNonnegativity:
         assert rep.min_value == 1.0
 
 
-def full_grid_scan(params, consts, tau_grid=None, eta_grid=None, tol=1e-12):
+def full_grid_scan(params, consts, tau_grid=None, eta_grid=None):
     """c5_nonnegativity_bound as one full-grid np.argmin, frozen as the oracle
     of the blockwise scan."""
     if tau_grid is None:
@@ -518,13 +516,12 @@ def full_grid_scan(params, consts, tau_grid=None, eta_grid=None, tol=1e-12):
     level = 0.5 * consts.C5
     if level < min_value:
         min_value, argmin = level, (math.inf, math.nan)
-    return temperature.NonnegativityReport(min_value, argmin, bool(min_value >= -tol))
+    return temperature.NonnegativityReport(min_value, argmin)
 
 
 def bits(report):
     # every float as its IEEE bit pattern, so -0.0 != 0.0 and nan == nan
-    return (struct.pack("<d", report.min_value), struct.pack("<2d", *report.argmin),
-            report.threshold_ok)
+    return struct.pack("<d", report.min_value), struct.pack("<2d", *report.argmin)
 
 
 class TestBlockScan:

@@ -17,7 +17,6 @@ from ringheat.temperature import (
 )
 from ringheat.verification import (
     DerivativeEngine,
-    UnreliableDerivativesError,
     annihilation_values,
     determining_equation_residual,
     flow_residuals,
@@ -63,15 +62,26 @@ class TestEngine:
         with pytest.raises(ValidationError):
             DerivativeEngine(mode="autodiff")
 
-    def test_cross_check_flags_kinked_field(self, ref):
+    def test_modes_agree_on_standard_grid_not_on_kinked_field(self, ref):
         def kinked(tau, eta):
             # z^2 for eta > 0.5, else 0, written array-safe: the second
             # derivative jumps at eta = 0.5 where the two modes disagree
             z = eta - 0.5
             return z * z * (value(z) > 0.0)
 
-        with pytest.raises(UnreliableDerivativesError):
-            temperature_equation_residual(kinked, ref.params, cross_check=True)
+        def partials(engine, fld):
+            args = np.meshgrid(*standard_grid(1.0), indexing="ij")
+            return engine.d1(fld, args, 0), engine.d1(fld, args, 1), engine.d2(fld, args, 1)
+
+        def worst_gap(fld):
+            return max(float(np.max(np.abs(d - f)))
+                       for d, f in zip(partials(DUAL, fld), partials(FD, fld)))
+
+        for fld in (partial(theta_simple, params=ref.params, level=ref.C5),
+                    partial(theta_general, params=ref.params, consts=ref.consts),
+                    partial(theta_reference, C5=ref.C5)):
+            assert worst_gap(fld) <= verification.ENGINE_AGREEMENT_TOL
+        assert worst_gap(kinked) > verification.ENGINE_AGREEMENT_TOL
 
 
 class TestTemperatureEquation:
@@ -158,9 +168,11 @@ class TestReferenceEquation:
         rep = reference_equation_residual(grid=grid)
         assert rep.max_abs < 1e-9
 
-    def test_constant_field_residual_is_source(self):
-        rep = reference_equation_residual(fld=lambda tau, eta: 5.0 / 6.0,
-                                          grid=([0.0], [0.0]))
+    def test_constant_field_residual_is_source(self, monkeypatch):
+        # a constant in place of theta_reference leaves the source 80/(3*s^2)
+        monkeypatch.setattr(verification.temperature, "theta_reference",
+                            lambda tau, eta, C5: 5.0 / 6.0)
+        rep = reference_equation_residual(grid=([0.0], [0.0]))
         assert rep.max_abs == pytest.approx(80.0 / 3.0, rel=1e-13)
 
     def test_coefficients_consistent_with_general_equation(self, ref):
@@ -370,19 +382,15 @@ class TestSymmetryMachinery:
     def test_annihilation_independent_of_theta_for_J1(self, ref):
         J1, _ = scaling_invariants(ref.params, ref.consts)
         b2 = partial(theta_simple, params=ref.params, level=ref.C5)
-        vals = annihilation_values((0.0, 1.0, 0.125, -2.0, b2), J1,
-                                   theta_samples=(-3.0, 0.0, 2.0, 11.0),
-                                   params=ref.params)
+        vals = annihilation_values((0.0, 1.0, 0.125, -2.0, b2), J1, ref.params)
+        assert vals.shape[1] == len(verification.THETA_SAMPLES)
         assert float(np.var(vals, axis=1).max()) < 1e-14
 
     def test_operator_coefficient_structure(self, ref):
-        xi1, xi2, eta1 = operator_coefficients(0.0, 1.0, 0.125, -2.0, None)
+        xi1, xi2, eta1 = operator_coefficients(0.0, 1.0, 0.125, -2.0, None, ref.params)
         assert xi1(2.0) == 2.125
         assert xi2(0.0, 0.5) == 1.5 - 1.0
         assert eta1(0.0, 0.0, 3.0) == -6.0
-        from ringheat.core import ValidationError
-        with pytest.raises(ValidationError):
-            operator_coefficients(1.0, 0.0, 0.125, 0.0, None)  # C1 != 0 needs params
 
     def test_general_coefficients_with_C1(self, ref):
         xi1, xi2, eta1 = operator_coefficients(2.0, 0.0, 0.125, 0.0, None, ref.params)
@@ -409,11 +417,13 @@ class TestReducedOde:
 
 class TestFluxDiscrepancy:
     def test_inner_flux_agrees(self):
-        rep = published_flux_discrepancy(np.linspace(0.0, 1.0, 21))
+        rep = published_flux_discrepancy()
+        assert rep.tau.tolist() == np.linspace(0.0, 1.0, 21).tolist()
         assert float(np.max(np.abs(rep.inner_gap))) < 1e-10
 
     def test_outer_flux_sign_flip_at_tau0(self):
-        rep = published_flux_discrepancy(np.array([0.0]))
+        rep = published_flux_discrepancy()
+        assert rep.tau[0] == 0.0
         pub, der = float(rep.published_outer[0]), float(rep.derived_outer[0])
         assert pub == pytest.approx(0.20833, abs=1e-5)
         assert der == pytest.approx(-0.19646, abs=1e-5)
@@ -441,14 +451,14 @@ class TestFluxDiscrepancy:
         assert abs(verification.published_gap_at(0.0) - want) <= math.ulp(want)
 
     def test_gap_decays(self):
-        rep = published_flux_discrepancy(np.array([100.0]))
-        assert abs(float(rep.outer_gap[0])) < 1e-4
+        gaps = np.abs(published_flux_discrepancy().outer_gap)
+        assert np.all(np.diff(gaps) < 0.0)
+        assert abs(verification.published_gap_at(100.0)) < 1e-4
 
     def test_gap_at_matches_report(self):
-        taus = [0.0, 0.5, 100.0]
-        rep = published_flux_discrepancy(np.array(taus))
+        rep = published_flux_discrepancy()
         # scalar vs vector evaluation: equal up to the last bit of each flux
-        assert [verification.published_gap_at(t) for t in taus] == pytest.approx(
+        assert [verification.published_gap_at(t) for t in rep.tau.tolist()] == pytest.approx(
             rep.outer_gap.tolist(), rel=1e-12, abs=1e-18)
 
 
