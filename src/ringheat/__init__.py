@@ -2,61 +2,15 @@
 
 The ring of incompressible liquid (two viscosities: dissipative mu,
 nondissipative mu0) expands by inertia with both free boundaries stress
-free.  This package carries the exact flow branch, the closed-form
-temperature solutions in reduced and dimensional variables, a residual
-engine that substitutes each form back into its governing equation, and an
+free.  `core` holds the parameters and coordinate maps, `flow` the exact
+flow branch, `temperature` the closed-form temperature solutions in reduced
+and dimensional variables, `verification` a residual engine that
+substitutes each form back into its governing equation, `solver` an
 independent finite-difference solver that must converge to the closed forms
-at second order (method of manufactured solutions).
+at second order (method of manufactured solutions), `dualnum` the dual
+numbers behind every exact derivative, and `cli` the command line.  Each
+name is imported from its module, e.g. `from ringheat.verification import
+run_suite`; importing the package loads none of them.
 """
-
-from .core import (
-    C5_MIN,
-    PhysicalParams,
-    ReducedParams,
-    ReferenceCase,
-    SingularConstantError,
-    SingularTimeError,
-    SolutionConstants,
-    ValidationError,
-    from_reduced,
-    reduce_params,
-    reference_case_K,
-    to_reduced,
-    unit_embedding,
-)
-from .flow import (
-    angular_momentum,
-    exact_omega,
-    pressure,
-    radii,
-    stress_components,
-    velocities,
-)
-from .temperature import (
-    BoundaryTraces,
-    boundary_difference_C,
-    c5_nonnegativity_bound,
-    dimensional_T,
-    initial_profile,
-    k_for_equal_boundaries,
-    theta_general,
-    theta_reference,
-    theta_simple,
-)
-from .verification import (
-    DerivativeEngine,
-    ResidualReport,
-    published_flux_discrepancy,
-    run_suite,
-)
-from .solver import (
-    DivergenceError,
-    Grid1D,
-    SolveResult,
-    SolverConfig,
-    convergence_study,
-    solve_general,
-    solve_reference,
-)
 
 __version__ = "0.1.0"

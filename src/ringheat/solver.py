@@ -47,6 +47,7 @@ those of marching the levels one after another.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, ClassVar
@@ -223,6 +224,11 @@ def thomas_solve(lower, diag, upper, rhs):
     return np.fromiter(reversed(xs), float, len(xs))
 
 
+#: Smallest sum of squared weighted errors `_result` takes as computed: below
+#: it, terms that fell into the subnormals may have moved it by over an ulp.
+_L2_SUM_MIN = sys.float_info.min * 2.0 ** 53
+
+
 def _result(snapshots, grid, config, exact):
     """SolveResult of a march ending at snapshots[-1], with its norms at t_end."""
     if exact is None:
@@ -233,12 +239,14 @@ def _result(snapshots, grid, config, exact):
     with np.errstate(over="ignore"):
         err = snapshots[-1][1] - ex
         err_inf = float(np.max(np.abs(err)))
-        err_l2 = float(np.sqrt(np.sum(w * err * err)))
-    if math.isinf(err_l2) and math.isfinite(err_inf):
-        # err * err overflowed (errors past ~1e154); the norm scaled by the
-        # max error is in range
+        sq = float(np.sum(w * err * err))
+    err_l2 = math.sqrt(sq)
+    if 0.0 < err_inf < math.inf and not _L2_SUM_MIN <= sq < math.inf:
+        # err * err overflowed (errors past ~1e154) or fell into the
+        # subnormals, where its terms lose bits or vanish (errors below
+        # ~1e-146); the norm scaled by the max error is in range
         s = err / err_inf
-        err_l2 = err_inf * float(np.sqrt(np.sum(w * s * s)))
+        err_l2 = err_inf * math.sqrt(np.sum(w * s * s))
     return SolveResult(snapshots, grid, config, err_inf, err_l2, exact)
 
 

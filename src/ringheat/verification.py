@@ -517,6 +517,19 @@ def _check(name, val, tol, note=""):
     return CheckResult(name, val, tol, _passes(val, tol), note)
 
 
+def _require_resolved_width(a: float, phys: PhysicalParams | None, tau):
+    """ValidationError naming the input that sets a, unless 1 + a/xi(tau) > 1
+    at every tau: where it rounds to 1 the squared wall radii xi and xi + a
+    are no longer told apart, and the flux-evolution balance divides by
+    log(1 + a/xi) = 0."""
+    xi_max = float(flow.xi(np.max(tau)))
+    if 1.0 + a / xi_max == 1.0:
+        field = (f"physical.R10 = {phys.R10!r} with physical.R20 = {phys.R20!r} (a = {a!r})"
+                 if phys is not None else f"reduced.a = {a!r}")
+        raise ValidationError(f"{field} makes the ring too thin to verify: "
+                              f"1 + a/xi rounds to 1 at xi = {xi_max!r}")
+
+
 def run_suite(params: ReducedParams, consts: SolutionConstants,
               phys: PhysicalParams | None = None) -> SuiteResult:
     """Full residual/invariant/conservation suite for one parameter set.
@@ -527,11 +540,13 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
     published-flux inconsistency is reported separately and never gates
     `passed`.  Every derivative comes from the dual engine.  Constants whose
     theta_general(0, eta) overflows on the grid raise ValidationError
-    (`temperature.require_finite_start`) before any check runs.
+    (`temperature.require_finite_start`) before any check runs, and so does
+    a ring too thin for the grid's largest xi (`_require_resolved_width`).
     """
     engine = DerivativeEngine()
     checks: list[CheckResult] = []
     grid = standard_grid(params.a)
+    _require_resolved_width(params.a, phys, grid[0])
     temperature.require_finite_start(grid[1], params, consts)
     emb = phys if phys is not None else unit_embedding(params)
 
@@ -585,6 +600,9 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
     r1v, r2v = flow.radii(t_pts, emb)
     r_pts = r2v + (r1v - r2v) * np.array([rng.random() for _ in range(50)])
     tau_pts, eta_pts = to_reduced(t_pts, r_pts, emb)
+    # r >= R2(t) by construction, so an eta below 0 is rounding (a point
+    # near the inner wall), which `from_reduced` would reject
+    eta_pts = np.maximum(eta_pts, 0.0)
     ident = np.max(np.abs((8.0 * tau_pts + eta_pts + 1.0) * emb.R20 ** 2 / r_pts ** 2 - 1.0))
     checks.append(_check("coordinate_identity", ident, 1e-12))
     tb, rb = from_reduced(tau_pts, eta_pts, emb)

@@ -62,6 +62,34 @@ class TestVerify:
         assert "FAIL" in lines["boundary_difference_C"]
         assert "PASS" in lines["pde_theta_general"]  # any K solves the equation
 
+    @pytest.mark.parametrize("block, field", [
+        ({"physical": {"rho": 1, "Cp": 1, "k_cond": 1, "mu": 1, "mu0": 0, "T0": 1,
+                       "R10": 1.0000000000000002, "R20": 1}}, "physical.R10"),
+        ({"reduced": {"A": 0.75, "B": 6.0, "eps": 0.5, "a": 8e-15}}, "reduced.a"),
+    ], ids=["physical", "reduced"])
+    def test_ring_too_thin_to_verify_exit_2(self, block, field, tmp_path, capsys):
+        # a = 2**-51 and 8e-15: 1 + a/xi rounds to 1 at the grid's xi = 81,
+        # so the flux balance would divide 0 by 0; a leaked RuntimeWarning
+        # fails this test through the suite's filter
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps(block))
+        rc, out, err = run(["verify", "--config", str(cfg)], capsys)
+        assert rc == 2
+        assert err.startswith(f"error: {field} = ") and "too thin to verify" in err
+        assert out == ""
+
+    def test_thin_ring_reaches_a_verdict(self, tmp_path, capsys):
+        # just above that width, sampled points near the inner wall round to
+        # an eta just below 0; the suite runs to its verdict, and the area
+        # check, which cannot resolve so thin a ring, stays a visible failure
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"reduced": {"A": 0.75, "B": 6.0, "eps": 0.5, "a": 1e-14}}))
+        rc, out, err = run(["verify", "--config", str(cfg)], capsys)
+        assert rc == 1
+        failed = [ln.split()[0] for ln in out.splitlines() if ln.endswith(" FAIL")]
+        assert failed == ["area_conservation"]
+        assert err == ""
+
     def test_malformed_config_exit_2(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
         cfg.write_text("{not json")
@@ -977,6 +1005,8 @@ class TestEntryPoint:
         assert proc.returncode == 0
         assert proc.stdout == self.run_module("profile").stdout
         assert self.run_module("frobnicate", module="ringheat").returncode == 2
+        help_ = self.run_module("--help", module="ringheat")
+        assert help_.returncode == 0 and help_.stdout.startswith("usage: ringheat")
 
 
 def _python(code, *argv):
@@ -990,6 +1020,26 @@ def _python(code, *argv):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     return json.loads(proc.stdout)
+
+
+_ROOT_PROBE = """
+import json, sys
+import ringheat
+
+print(json.dumps({"public": sorted(n for n in vars(ringheat) if not n.startswith("_")),
+                  "version": ringheat.__version__,
+                  "loaded": sorted(m for m in sys.modules
+                                   if m == "numpy" or m.startswith("ringheat."))}))
+"""
+
+
+def test_package_root_binds_only_its_version():
+    # each name is imported from the module that defines it, so importing
+    # the package loads no submodule and no numpy
+    state = _python(_ROOT_PROBE)
+    assert state["public"] == []
+    assert isinstance(state["version"], str)
+    assert state["loaded"] == []
 
 
 _SCIPY_PROBE = """

@@ -382,6 +382,15 @@ class TestOneSolvePath:
         assert res.error_inf == float(np.max(np.abs(err))) > 1e154
         assert 0.0 < res.error_l2 <= res.error_inf
 
+    @pytest.mark.parametrize("t_end", [1e-300, 5e-324])
+    def test_norms_of_errors_whose_squares_underflow(self, t_end):
+        # a march this short leaves errors near 1e-300 (or subnormal), whose
+        # squares underflow to 0: error_l2 is still nonzero and bounded by
+        # sqrt(a) * error_inf
+        res = solve_reference(Grid1D(8), SolverConfig(t_end=t_end))
+        assert 0.0 < res.error_inf < 1e-290
+        assert 0.0 < res.error_l2 <= math.sqrt(res.grid.a) * res.error_inf
+
 
 def stepwise_march(grid, config, diffusivity, source, initial, bc_inner, bc_outer,
                    exact=None):
