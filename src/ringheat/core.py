@@ -35,6 +35,7 @@ __all__ = [
     "SolutionConstants",
     "ReferenceCase",
     "C5_MIN",
+    "RING_SLACK",
     "reduce_params",
     "to_reduced",
     "from_reduced",
@@ -44,6 +45,10 @@ __all__ = [
 
 #: Smallest C5 keeping the reference-case temperature nonnegative.
 C5_MIN = 5.0 / 3.0
+
+#: How far a reduced eta may lie outside [0, a] and still count as inside
+#: the ring: `to_reduced` of a wall point rounds to within ~1e-14 of it.
+RING_SLACK = 1e-12
 
 
 class ValidationError(ValueError):
@@ -230,16 +235,20 @@ def to_reduced(t, r, phys: PhysicalParams):
     r2sq = 8.0 * phys.nu * t + R20sq
     eta = (r * r - r2sq) / R20sq
     a = phys.R10 ** 2 / R20sq - 1.0
-    if np.any(eta < -1e-12) or np.any(eta > a + 1e-12):
+    if np.any(eta < -RING_SLACK) or np.any(eta > a + RING_SLACK):
         warnings.warn("r outside the ring [R2(t), R1(t)]; evaluation continues",
                       RuntimeWarning, stacklevel=2)
     return tau, eta
 
 
 def from_reduced(tau, eta, phys: PhysicalParams):
-    """(tau, eta) -> (t, r): exact inverse of `to_reduced` on tau >= 0, eta >= 0."""
+    """(tau, eta) -> (t, r): exact inverse of `to_reduced` on tau >= 0, eta >= -RING_SLACK.
+
+    An eta that rounded below 0 at the inner wall maps back to its r, as
+    `to_reduced` counts it inside the ring.
+    """
     _require_domain(tau, "tau must be >= 0", allow_zero=True)
-    _require_domain(eta, "eta must be >= 0", allow_zero=True)
+    _require_domain(value(eta) + RING_SLACK, "eta must be >= 0", allow_zero=True)
     R20sq = phys.R20 ** 2
     t = tau * R20sq / phys.nu
     r = phys.R20 * sqrt(8.0 * tau + eta + 1.0)

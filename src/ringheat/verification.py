@@ -1,10 +1,10 @@
 """Residual engine: substitute every closed form back into its governing equation.
 
-The default derivative mode is nested forward dual arithmetic (exact to
-machine precision on closed forms); 4th-order central differences with a
-relative step are the second mode, an oracle for the first.  Residual
-tolerances are matched to the engine: 1e-9 for dual mode, 1e-5 for
-differences.
+Every derivative is taken with nested forward dual arithmetic, exact to
+machine precision on closed forms, so the residual tolerances are 1e-9.
+The independent oracle for these derivatives, 4th-order central
+differences, lives with the tests (`tests/conftest.py`); the library
+takes derivatives one way.
 
 Every check evaluates its field once per derivative over the whole
 (tau, eta) mesh, so residual fields must accept numpy arrays, and Dual
@@ -19,9 +19,8 @@ every tau, independent of the mesh evaluation.  `flow.quad` integrates it
 for all tau at once with the 21- and the 42-node Gauss-Legendre rules; the
 integrand receives all nodes of a rule in one call, so the derivative
 engine runs once per rule rather than once per node.  At a tau where the
-two estimates differ by more than the mode's tolerance
-(`FLUX_QUAD_EPSABS`) the integral counts as unconverged and fails the
-check.
+two estimates differ by more than `FLUX_QUAD_EPSABS` (plus 1e-12
+relative) the integral counts as unconverged and fails the check.
 
 Besides the per-equation residual evaluators this module carries
 `run_suite`, the aggregate check list the CLI `verify` subcommand prints,
@@ -80,57 +79,39 @@ __all__ = [
 ]
 
 DUAL_TOL = 1e-9
-FD_TOL = 1e-5
-#: relative steps of the 'fd' mode's first and second derivatives
-_FD_STEP, _FD_STEP2 = 1e-4, 1e-3
-#: the most the two modes' derivatives of a smooth closed form may differ by
-ENGINE_AGREEMENT_TOL = 1e-5
-#: absolute tolerance of the flux-evolution quadrature per derivative mode:
-#: the ~1e-12 noise of fd derivatives keeps two rules from agreeing to 1e-12
-FLUX_QUAD_EPSABS = {"dual": 1e-12, "fd": 1e-10}
+#: absolute tolerance of the flux-evolution quadrature: how far the 21- and
+#: the 42-node rule may differ at a tau
+FLUX_QUAD_EPSABS = 1e-12
 
 
 class UnreliableDerivativesError(RuntimeError):
     """A derivative disagrees beyond tolerance with its oracle."""
 
 
-@dataclass(frozen=True)
 class DerivativeEngine:
     """First/second partial derivatives of fields over floats or arrays.
 
     The arguments may be floats or numpy arrays of one shape; the result
-    has that shape, and is a float for float arguments.  mode 'dual' seeds
-    (nested) dual numbers through the field via `dualnum.d1`/`d2`; mode
-    'fd' uses 4th-order central differences with the elementwise relative
-    step h = _FD_STEP*max(1, |x|).  The second-derivative step _FD_STEP2 is
-    wider (1e-3): at 1e-4 the h^-2 roundoff (~4e-8) times the equation
-    coefficient B*s at the far grid corner would break the documented 1e-5
-    fd residual tolerance, while truncation at 1e-3 is still ~1e-12.
+    has that shape, and is a float for float arguments.  The derivatives
+    seed (nested) dual numbers through the field via `dualnum.d1`/`d2`;
+    there is no other mode.  The class has no state: it stays a class, with
+    the constant `mode`, because the benchmark's tracer wraps `d1`/`d2` at
+    this class and reads `mode`.  The finite-difference oracle the tests
+    check it against is in `tests/conftest.py`.
     """
 
-    mode: str = "dual"
-
-    def __post_init__(self):
-        if self.mode not in ("dual", "fd"):
-            raise ValidationError(f"mode must be 'dual' or 'fd', got {self.mode!r}")
+    mode = "dual"
 
     def d1(self, f, args: Sequence, i: int):
         """First partial of f with respect to args[i]."""
-        g = _section(f, args, i)
-        if self.mode == "dual":
-            return _shaped(dualnum.d1(g, args[i]), args)
-        x, h = _fd_step(args[i], _FD_STEP)
-        return _shaped((g(x - 2 * h) - 8 * g(x - h) + 8 * g(x + h) - g(x + 2 * h)) / (12 * h),
-                       args)
+        return _shaped(dualnum.d1(_section(f, args, i), args[i]), args)
 
     def d2(self, f, args: Sequence, i: int):
         """Second partial of f with respect to args[i]."""
-        g = _section(f, args, i)
-        if self.mode == "dual":
-            return _shaped(dualnum.d2(g, args[i]), args)
-        x, h = _fd_step(args[i], _FD_STEP2)
-        return _shaped((-g(x - 2 * h) + 16 * g(x - h) - 30 * g(x) + 16 * g(x + h) - g(x + 2 * h))
-                       / (12 * h * h), args)
+        return _shaped(dualnum.d2(_section(f, args, i), args[i]), args)
+
+
+_ENGINE = DerivativeEngine()
 
 
 def _section(f, args, i):
@@ -142,11 +123,6 @@ def _section(f, args, i):
         return f(*a)
 
     return g
-
-
-def _fd_step(x, step):
-    x = np.asarray(x, dtype=float)
-    return x, step * np.maximum(1.0, np.abs(x))
 
 
 def _shaped(y, args):
@@ -211,53 +187,45 @@ def _mesh(grid):
                        indexing="ij")
 
 
-def _partials(fld, TT, EE, engine):
+def _partials(fld, TT, EE):
     """(f_tau, f_eta, f_etaeta) over the mesh."""
     args = (TT, EE)
-    return engine.d1(fld, args, 0), engine.d1(fld, args, 1), engine.d2(fld, args, 1)
+    return _ENGINE.d1(fld, args, 0), _ENGINE.d1(fld, args, 1), _ENGINE.d2(fld, args, 1)
 
 
-def pde_residual(field, A: float, B: float, source, grid,
-                 engine: DerivativeEngine | None = None,
-                 name: str = "pde") -> ResidualReport:
+def pde_residual(field, A: float, B: float, source, grid, name: str) -> ResidualReport:
     """Residual of A*f_tau - B*(f_eta + s*f_etaeta) - source(tau, eta, s) on the grid mesh.
 
     s = 8*tau + eta + 1; grid = (tau values, eta values).  The
     temperature, reference and determining equations are this form with
     their own (A, B, source).
     """
-    engine = engine or DerivativeEngine()
     TT, EE = _mesh(grid)
     s = 8.0 * TT + EE + 1.0
-    f_t, f_e, f_ee = _partials(field, TT, EE, engine)
+    f_t, f_e, f_ee = _partials(field, TT, EE)
     res = A * f_t - B * (f_e + s * f_ee) - source(TT, EE, s)
-    return _report(name, res, (TT, EE), DUAL_TOL if engine.mode == "dual" else FD_TOL)
+    return _report(name, res, (TT, EE), DUAL_TOL)
 
 
-def temperature_equation_residual(fld, params: ReducedParams, grid=None,
-                                  engine: DerivativeEngine | None = None) -> ResidualReport:
+def temperature_equation_residual(fld, params: ReducedParams, grid) -> ResidualReport:
     """Residual of A*Theta_tau - B*(Theta_eta + s*Theta_etaeta) - 16*(1+eps^2)/s^2."""
     q = 16.0 * (1.0 + params.eps ** 2)
-    return pde_residual(fld, params.A, params.B, lambda tau, eta, s: q / (s * s),
-                        grid if grid is not None else standard_grid(params.a),
-                        engine, "temperature_equation")
+    return pde_residual(fld, params.A, params.B, lambda tau, eta, s: q / (s * s), grid,
+                        "temperature_equation")
 
 
-def reference_equation_residual(C5: float = C5_MIN, grid=None,
-                                engine: DerivativeEngine | None = None) -> ResidualReport:
+def reference_equation_residual(grid, C5: float = C5_MIN) -> ResidualReport:
     """Residual of theta_reference in Theta_tau - 8*(Theta_eta + s*Theta_etaeta) - 80/(3*s^2).
 
     The reference-case equation (the general one divided by A at the worked
     constants).
     """
     fld = lambda tau, eta: temperature.theta_reference(tau, eta, C5)
-    return pde_residual(fld, 1.0, 8.0, lambda tau, eta, s: 80.0 / (3.0 * s * s),
-                        grid if grid is not None else standard_grid(1.0),
-                        engine, "reference_equation")
+    return pde_residual(fld, 1.0, 8.0, lambda tau, eta, s: 80.0 / (3.0 * s * s), grid,
+                        "reference_equation")
 
 
-def flow_residuals(eps: float, grid=None,
-                   engine: DerivativeEngine | None = None) -> dict[str, ResidualReport]:
+def flow_residuals(eps: float, grid) -> dict[str, ResidualReport]:
     """Substitute the exact flow branch into its governing relations.
 
     Keys: 'azimuthal_momentum' (interior transport of omega),
@@ -266,8 +234,7 @@ def flow_residuals(eps: float, grid=None,
     omega depends on eta while the right side must not), and
     'ring_scale' (dxi/dtau = 2*Psi with xi(0) = 1).
     """
-    engine = engine or DerivativeEngine()
-    tau_vals, eta_vals = grid if grid is not None else standard_grid(1.0)
+    tau_vals, eta_vals = grid
     tau = np.asarray(tau_vals, dtype=float)
     a = float(eta_vals[-1])
     psi = flow.PSI
@@ -277,12 +244,12 @@ def flow_residuals(eps: float, grid=None,
 
     TT, EE = _mesh((tau, eta_vals))
     s = 8.0 * TT + 1.0 + EE
-    om_t, om_e, om_ee = _partials(omega, TT, EE, engine)
+    om_t, om_e, om_ee = _partials(omega, TT, EE)
     interior = om_t + 2.0 * psi * omega(TT, EE) / s - 4.0 * s * om_ee - 8.0 * om_e
 
     TW, EW = _mesh((tau, [0.0, a]))
     sw = 8.0 * TW + 1.0 + EW
-    walls = engine.d1(omega, (TW, EW), 1) + eps * psi / (sw * sw)
+    walls = _ENGINE.d1(omega, (TW, EW), 1) + eps * psi / (sw * sw)
 
     # dPsi/dtau = 0 on the branch, so the right side must vanish too; its
     # eta integral at every tau comes from two Gauss-Legendre rules, an
@@ -295,14 +262,14 @@ def flow_residuals(eps: float, grid=None,
     def integrand(x):
         # x: the (n,) nodes of a rule; one engine call covers them all
         T, E = np.broadcast_arrays(tau, x[:, None])
-        return omega(T, E) ** 2 + 4.0 * eps * engine.d1(omega, (T, E), 1)
+        return omega(T, E) ** 2 + 4.0 * eps * _ENGINE.d1(omega, (T, E), 1)
 
     coarse = quad(integrand, 0.0, a, 21)
     fine = quad(integrand, 0.0, a, 42)
-    converged = np.abs(fine - coarse) <= FLUX_QUAD_EPSABS[engine.mode] + 1e-12 * np.abs(fine)
+    converged = np.abs(fine - coarse) <= FLUX_QUAD_EPSABS + 1e-12 * np.abs(fine)
     balance = -(term1 + np.where(converged, fine, np.nan) / lnf)
 
-    ring = np.append(engine.d1(flow.xi, (tau,), 0) - 2.0 * psi, flow.xi(0.0) - 1.0)
+    ring = np.append(_ENGINE.d1(flow.xi, (tau,), 0) - 2.0 * psi, flow.xi(0.0) - 1.0)
     zero = np.zeros(tau.size + 1)
     return {
         "azimuthal_momentum": _report("azimuthal_momentum", interior, (TT, EE), 1e-10),
@@ -313,8 +280,7 @@ def flow_residuals(eps: float, grid=None,
 
 
 def determining_equation_residual(b2, C1: float, C2: float, C4: float,
-                                  params: ReducedParams, grid=None,
-                                  engine: DerivativeEngine | None = None) -> ResidualReport:
+                                  params: ReducedParams, grid) -> ResidualReport:
     """Residual of the linear condition on the generator coefficient b2.
 
     A*b2_tau - B*(b2_eta + s*b2_etaeta)
@@ -330,9 +296,7 @@ def determining_equation_residual(b2, C1: float, C2: float, C4: float,
     def source(tau, eta, s):
         return q / (s * s) * (-(C2 + C4) - 0.5 * C1 * (tau - (A / B) * eta))
 
-    return pde_residual(b2, A, B, source,
-                        grid if grid is not None else standard_grid(params.a),
-                        engine, "determining_equation")
+    return pde_residual(b2, A, B, source, grid, "determining_equation")
 
 
 def operator_coefficients(C1: float, C2: float, C3: float, C4: float, b2,
@@ -393,8 +357,7 @@ def scaling_invariants(params: ReducedParams, consts: SolutionConstants):
 THETA_SAMPLES = (-1.0, 0.4, 1.7)
 
 
-def annihilation_values(operator_coeffs, invariant, params: ReducedParams, grid=None,
-                        engine: DerivativeEngine | None = None):
+def annihilation_values(operator_coeffs, invariant, params: ReducedParams, grid):
     """X(J) = xi1*J_tau + xi2*J_eta + eta1*J_Theta on the grid.
 
     operator_coeffs is the raw (C1, C2, C3, C4, b2) tuple.  Annihilation
@@ -402,36 +365,31 @@ def annihilation_values(operator_coeffs, invariant, params: ReducedParams, grid=
     x THETA_SAMPLES) mesh; returns values[n_pts, len(THETA_SAMPLES)], the
     points in row-major (tau, eta) order.
     """
-    engine = engine or DerivativeEngine()
     xi1, xi2, eta1 = operator_coefficients(*operator_coeffs, params)
-    TT, EE = _mesh(grid if grid is not None else standard_grid(params.a))
+    TT, EE = _mesh(grid)
     args = np.broadcast_arrays(TT.reshape(-1, 1), EE.reshape(-1, 1),
                                np.asarray(THETA_SAMPLES)[None, :])
     tau, eta, th = args
-    j_t, j_e, j_th = (engine.d1(invariant, args, i) for i in range(3))
+    j_t, j_e, j_th = (_ENGINE.d1(invariant, args, i) for i in range(3))
     return xi1(tau) * j_t + xi2(tau, eta) * j_e + eta1(tau, eta, th) * j_th
 
 
-def invariant_annihilation(operator_coeffs, invariant, params: ReducedParams, grid=None,
-                           engine: DerivativeEngine | None = None) -> float:
+def invariant_annihilation(operator_coeffs, invariant, params: ReducedParams, grid) -> float:
     """max |X(J)| over the grid and THETA_SAMPLES."""
-    return float(np.max(np.abs(annihilation_values(operator_coeffs, invariant, params,
-                                                   grid, engine))))
+    return float(np.max(np.abs(annihilation_values(operator_coeffs, invariant, params, grid))))
 
 
-def reduced_ode_residual(phi, params: ReducedParams, I1_samples,
-                         engine: DerivativeEngine | None = None) -> ResidualReport:
+def reduced_ode_residual(phi, params: ReducedParams, I1_samples) -> ResidualReport:
     """Residual of B*I1*phi'' + (B - 8A)*phi' + 16*(1+eps^2)/I1^2.
 
     The single-variable reduction of the temperature equation along the
     invariant I1 = 8*tau + eta + 1.
     """
-    engine = engine or DerivativeEngine()
     B, A = params.B, params.A
     i1 = np.asarray(I1_samples, dtype=float)
     _require_domain(i1, "I1 samples must be > 0")
-    p1 = engine.d1(phi, (i1,), 0)
-    p2 = engine.d2(phi, (i1,), 0)
+    p1 = _ENGINE.d1(phi, (i1,), 0)
+    p2 = _ENGINE.d2(phi, (i1,), 0)
     res = B * i1 * p2 + (B - 8.0 * A) * p1 + 16.0 * (1.0 + params.eps ** 2) / (i1 * i1)
     return _report("reduced_ode", res, (i1,), 1e-10)
 
@@ -477,7 +435,7 @@ def published_flux_discrepancy() -> FluxDiscrepancyReport:
     tau = np.linspace(0.0, 1.0, 21)
     TT, EE = _mesh((tau, [0.0, 1.0]))
     closed = np.asarray(temperature.reference_flux(TT, EE), dtype=float)
-    derived = DerivativeEngine().d1(temperature.theta_reference, (TT, EE), 1)
+    derived = _ENGINE.d1(temperature.theta_reference, (TT, EE), 1)
     _confirm([("boundary flux: engine vs closed form", derived, closed)], TT, EE, 1e-8)
 
     return FluxDiscrepancyReport(
@@ -543,7 +501,6 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
     (`temperature.require_finite_start`) before any check runs, and so does
     a ring too thin for the grid's largest xi (`_require_resolved_width`).
     """
-    engine = DerivativeEngine()
     checks: list[CheckResult] = []
     grid = standard_grid(params.a)
     _require_resolved_width(params.a, phys, grid[0])
@@ -551,32 +508,32 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
     emb = phys if phys is not None else unit_embedding(params)
 
     # flow branch
-    for rep in flow_residuals(params.eps, grid, engine).values():
+    for rep in flow_residuals(params.eps, grid).values():
         checks.append(_check(f"flow_{rep.name}", rep.max_abs, rep.tol))
 
     # temperature closed forms in the general equation
     simple = partial(temperature.theta_simple, params=params, level=consts.C5)
     general = partial(temperature.theta_general, params=params, consts=consts)
-    rep = temperature_equation_residual(simple, params, grid, engine)
+    rep = temperature_equation_residual(simple, params, grid)
     checks.append(_check("pde_theta_simple", rep.max_abs, rep.tol))
-    rep = temperature_equation_residual(general, params, grid, engine)
+    rep = temperature_equation_residual(general, params, grid)
     checks.append(_check("pde_theta_general", rep.max_abs, rep.tol))
 
     # symmetry machinery
-    rep = determining_equation_residual(simple, 0.0, 1.0, -2.0, params, grid, engine)
+    rep = determining_equation_residual(simple, 0.0, 1.0, -2.0, params, grid)
     checks.append(_check("determining_equation", rep.max_abs, rep.tol))
     I1, _ = translation_invariants()
-    val = invariant_annihilation((0.0, 0.0, consts.C3, 0.0, None), I1, params, grid, engine)
+    val = invariant_annihilation((0.0, 0.0, consts.C3, 0.0, None), I1, params, grid)
     checks.append(_check("translation_annihilation", val, 0.0,
                          note="exact zero expected"))
     J1, J2 = scaling_invariants(params, consts)
     coeffs = (0.0, 1.0, consts.C3, -2.0, simple)
     checks.append(_check("scaling_annihilation_J1",
-                         invariant_annihilation(coeffs, J1, params, grid, engine), 1e-9))
+                         invariant_annihilation(coeffs, J1, params, grid), 1e-9))
     checks.append(_check("scaling_annihilation_J2",
-                         invariant_annihilation(coeffs, J2, params, grid, engine), 1e-8))
+                         invariant_annihilation(coeffs, J2, params, grid), 1e-8))
     phi = lambda i1: temperature.theta_simple(0.0, i1 - 1.0, params, consts.C5)
-    rep = reduced_ode_residual(phi, params, np.linspace(1.0, 81.0, 41), engine)
+    rep = reduced_ode_residual(phi, params, np.linspace(1.0, 81.0, 41))
     checks.append(_check("reduced_ode_profile", rep.max_abs, rep.tol))
 
     # boundary structure
@@ -601,7 +558,8 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
     r_pts = r2v + (r1v - r2v) * np.array([rng.random() for _ in range(50)])
     tau_pts, eta_pts = to_reduced(t_pts, r_pts, emb)
     # r >= R2(t) by construction, so an eta below 0 is rounding (a point
-    # near the inner wall), which `from_reduced` would reject
+    # near the inner wall); `from_reduced` would take it, but the checks
+    # below sample the wall itself, eta = 0, as they always have
     eta_pts = np.maximum(eta_pts, 0.0)
     ident = np.max(np.abs((8.0 * tau_pts + eta_pts + 1.0) * emb.R20 ** 2 / r_pts ** 2 - 1.0))
     checks.append(_check("coordinate_identity", ident, 1e-12))
@@ -643,7 +601,7 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
                              max(abs(params.B / params.A - 8.0),
                                  abs(16.0 * (1.0 + params.eps ** 2) / params.A - 80.0 / 3.0)),
                              1e-12))
-        rep = reference_equation_residual(C5=consts.C5, grid=grid, engine=engine)
+        rep = reference_equation_residual(grid, C5=consts.C5)
         checks.append(_check("pde_theta_reference", rep.max_abs, rep.tol))
         g30 = np.linspace(0.0, 10.0, 30)
         e30 = np.linspace(0.0, 1.0, 30)

@@ -1,11 +1,63 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import reject, strategies as st
 
 from ringheat.core import (PhysicalParams, ReducedParams, ReferenceCase, SingularConstantError,
                            SolutionConstants)
 from ringheat.temperature import k_for_equal_boundaries
+
+
+#: relative steps of the finite-difference oracle's first and second derivatives
+FD_STEP, FD_STEP2 = 1e-4, 1e-3
+#: the most the dual engine and the finite-difference oracle may differ by
+#: on a smooth closed form
+ENGINE_AGREEMENT_TOL = 1e-5
+
+
+class FiniteDifferences:
+    """4th-order central differences, the independent oracle of the library's
+    dual-number `verification.DerivativeEngine`, with its `d1`/`d2` interface.
+
+    The step is elementwise relative, h = FD_STEP*max(1, |x|).  The
+    second-derivative step FD_STEP2 is wider (1e-3): at 1e-4 the h^-2
+    roundoff (~4e-8) times the equation coefficient B*s at the far corner of
+    the standard grid would reach 1e-5, while truncation at 1e-3 is still
+    ~1e-12.  Arguments may be floats or numpy arrays of one shape; the result
+    has that shape, and is a float for float arguments.
+    """
+
+    def d1(self, f, args, i):
+        g, x, h = _fd_section(f, args, i, FD_STEP)
+        return _fd_shaped((g(x - 2 * h) - 8 * g(x - h) + 8 * g(x + h) - g(x + 2 * h)) / (12 * h),
+                          args)
+
+    def d2(self, f, args, i):
+        g, x, h = _fd_section(f, args, i, FD_STEP2)
+        return _fd_shaped((-g(x - 2 * h) + 16 * g(x - h) - 30 * g(x) + 16 * g(x + h)
+                           - g(x + 2 * h)) / (12 * h * h), args)
+
+
+def _fd_section(f, args, i, step):
+    """(f of its i-th argument with the others held, that argument, its step)."""
+
+    def g(x):
+        a = list(args)
+        a[i] = x
+        return f(*a)
+
+    x = np.asarray(args[i], dtype=float)
+    return g, x, step * np.maximum(1.0, np.abs(x))
+
+
+def _fd_shaped(y, args):
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    y = np.broadcast_to(np.asarray(y, dtype=float), shape)
+    return float(y) if y.ndim == 0 else y.copy()
+
+
+FD = FiniteDifferences()
 
 
 @pytest.fixture

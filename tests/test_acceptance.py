@@ -47,11 +47,14 @@ from ringheat.verification import (
     reduced_ode_residual,
     reference_equation_residual,
     scaling_invariants,
+    standard_grid,
     temperature_equation_residual,
     translation_invariants,
 )
 
 REF = ReferenceCase()
+#: the grid `verify` checks the reference case on
+GRID = standard_grid(REF.a)
 
 
 def _report(num, name, ok, detail=""):
@@ -76,12 +79,12 @@ def test_criterion_01_constant_reproduction():
 def test_criterion_02_exact_solution_residuals():
     t0 = time.perf_counter()
     worst = {}
-    worst["reference_eq"] = reference_equation_residual(C5=C5_MIN).max_abs
+    worst["reference_eq"] = reference_equation_residual(GRID, C5=C5_MIN).max_abs
     worst["general_eq_general"] = temperature_equation_residual(
-        partial(theta_general, params=REF.params, consts=REF.consts), REF.params).max_abs
+        partial(theta_general, params=REF.params, consts=REF.consts), REF.params, GRID).max_abs
     worst["general_eq_simple"] = temperature_equation_residual(
-        partial(theta_simple, params=REF.params, level=C5_MIN), REF.params).max_abs
-    fl = flow_residuals(REF.eps)
+        partial(theta_simple, params=REF.params, level=C5_MIN), REF.params, GRID).max_abs
+    fl = flow_residuals(REF.eps, GRID)
     worst["flow_interior"] = fl["azimuthal_momentum"].max_abs
     worst["flow_boundary"] = fl["boundary_flux"].max_abs
     worst["flow_ring_scale"] = fl["ring_scale"].max_abs
@@ -119,13 +122,13 @@ def test_criterion_05_nonnegativity_threshold():
 
 def test_criterion_06_symmetry_machinery():
     b2 = partial(theta_simple, params=REF.params, level=REF.C5)
-    det = determining_equation_residual(b2, 0.0, 1.0, -2.0, REF.params).max_abs
+    det = determining_equation_residual(b2, 0.0, 1.0, -2.0, REF.params, GRID).max_abs
     I1, _ = translation_invariants()
-    trans = invariant_annihilation((0.0, 0.0, REF.C3, 0.0, None), I1, params=REF.params)
+    trans = invariant_annihilation((0.0, 0.0, REF.C3, 0.0, None), I1, params=REF.params, grid=GRID)
     J1, J2 = scaling_invariants(REF.params, REF.consts)
     coeffs = (0.0, 1.0, REF.C3, -2.0, b2)
-    xj1 = invariant_annihilation(coeffs, J1, params=REF.params)
-    xj2 = invariant_annihilation(coeffs, J2, params=REF.params)
+    xj1 = invariant_annihilation(coeffs, J1, params=REF.params, grid=GRID)
+    xj2 = invariant_annihilation(coeffs, J2, params=REF.params, grid=GRID)
     phi = lambda i1: REF.C5 - 16.0 * (1.0 + REF.eps ** 2) / ((8.0 * REF.A + REF.B) * i1)
     ode = reduced_ode_residual(phi, REF.params, np.linspace(1.0, 81.0, 41)).max_abs
     ok = det < 1e-9 and trans == 0.0 and xj1 < 1e-8 and xj2 < 1e-8 and ode < 1e-10

@@ -6,7 +6,9 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from ringheat import flow
 from ringheat.core import (
+    RING_SLACK,
     PhysicalParams,
     ReducedParams,
     ReferenceCase,
@@ -140,6 +142,24 @@ class TestCoordinateMaps:
         t, r = from_reduced(0.0, reduce_params(p).a, p)
         assert t == 0.0
         assert r == pytest.approx(p.R10, rel=1e-15)
+
+    def test_inner_wall_roundtrips(self):
+        # to_reduced of the inner wall rounds eta below 0 at some times, by
+        # far less than RING_SLACK, and from_reduced maps it back
+        p = unit_embedding(ReferenceCase().params)
+        t = np.linspace(0.0, 10.0, 101)
+        _, r2 = flow.radii(t, p)
+        tau, eta = to_reduced(t, r2, p)
+        assert np.count_nonzero(eta < 0.0) > 0
+        assert np.min(eta) >= -RING_SLACK
+        _, r = from_reduced(tau, eta, p)
+        assert np.max(np.abs(r - r2) / r2) <= 1e-15
+
+    @pytest.mark.parametrize("eta", [math.nextafter(-RING_SLACK, -math.inf), -1e-9,
+                                     np.array([0.0, -2e-12, 0.5])])
+    def test_eta_past_ring_slack_rejected(self, eta):
+        with pytest.raises(ValidationError, match="^eta must be >= 0$"):
+            from_reduced(0.1, eta, phys())
 
     def test_roundtrip_100_random_points(self):
         p = phys(rho=1.3, mu=0.7, R10=3.0, R20=1.2, Cp=2.0, k_cond=5.0)

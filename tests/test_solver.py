@@ -17,6 +17,7 @@ from conftest import general_family
 from ringheat import solver
 from ringheat.core import (
     ReducedParams,
+    ReferenceCase,
     SolutionConstants,
     ValidationError,
 )
@@ -32,7 +33,14 @@ from ringheat.solver import (
     N_SNAPSHOTS,
     PUBLISHED_FLUX_ERROR_FLOOR,
 )
-from ringheat.temperature import k_for_equal_boundaries, theta_reference, theta_simple
+from ringheat.temperature import (
+    k_for_equal_boundaries,
+    published_flux_inner,
+    published_flux_outer,
+    reference_flux,
+    theta_reference,
+    theta_simple,
+)
 
 
 def _member(A, B, eps, a, C3, C5):
@@ -195,6 +203,24 @@ class TestReferenceSolve:
         # moves it by well under 1%
         assert all(e > PUBLISHED_FLUX_ERROR_FLOOR for e in errs)
         assert max(errs) / min(errs) < 1.01
+
+    @pytest.mark.parametrize("n", [64, 128])
+    def test_paper_minus_derived_is_the_gap_march(self, n):
+        # the march is linear in its data, so paper minus derived is the
+        # march of the flux gap (published minus exact, at both walls) with
+        # no source and zero initial data on the same diffusivity
+        grid, config = Grid1D(n), SolverConfig(t_end=0.25)
+        paper = solve_reference(grid, replace(config, bc_mode="paper"))
+        derived = solve_reference(grid, config)
+        case = ReferenceCase()
+        dif = solver._march_args(case.params, case.consts, grid, config)[0]
+        gap = march(grid, config, dif, lambda tau, eta: 0.0, np.zeros_like,
+                    ("flux", lambda tau: published_flux_inner(tau) - reference_flux(tau, 0.0)),
+                    ("flux", lambda tau: published_flux_outer(tau) - reference_flux(tau, 1.0)))
+        assert len(gap.snapshots) == len(paper.snapshots) == len(derived.snapshots)
+        for (tp, p), (td, d), (tg, g) in zip(paper.snapshots, derived.snapshots, gap.snapshots):
+            assert tp == td == tg
+            assert np.max(np.abs((p - d) - g)) <= 1e-13
 
     def test_deterministic(self):
         r1 = solve_reference(Grid1D(64), SolverConfig(t_end=0.25))

@@ -7,9 +7,11 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import ENGINE_AGREEMENT_TOL, FD
 from ringheat import flow, temperature
 from ringheat.core import (
     C5_MIN,
+    RING_SLACK,
     PhysicalParams,
     ReducedParams,
     ReferenceCase,
@@ -34,7 +36,7 @@ from ringheat.temperature import (
     theta_simple,
 )
 from ringheat.core import from_reduced, to_reduced, unit_embedding
-from ringheat.verification import ENGINE_AGREEMENT_TOL, DerivativeEngine, reduced_ode_residual
+from ringheat.verification import DerivativeEngine, reduced_ode_residual
 
 
 class TestThetaSimple:
@@ -252,7 +254,9 @@ P_MSG = "tau + C3 must be > 0 (C3=0.125)"
 FIELD_GUARDS = [
     (lambda x: to_reduced(x, 5.0, WIDE), BELOW_ZERO, ValidationError, "t must be >= 0"),
     (lambda x: from_reduced(x, 0.5, WIDE), BELOW_ZERO, ValidationError, "tau must be >= 0"),
-    (lambda x: from_reduced(0.5, x, WIDE), BELOW_ZERO, ValidationError, "eta must be >= 0"),
+    # eta may round up to RING_SLACK below the inner wall
+    (lambda x: from_reduced(0.5, x, WIDE), math.nextafter(-RING_SLACK, -math.inf),
+     ValidationError, "eta must be >= 0"),
     (lambda x: flow.exact_omega(0.0, x, 0.5), -1.0, ValidationError, "xi(tau) + eta must be > 0"),
     (lambda x: flow.velocities(x, 1.0, 0.5), 0.0, ValidationError, "r must be > 0"),
     (lambda x: flow.stress_components(x, 0.0, WIDE), 0.0, ValidationError, "r must be > 0"),
@@ -458,8 +462,8 @@ class TestDimensionalField:
             return dimensional_T(t, r, phys, consts)
 
         for order, i in (("d1", 0), ("d1", 1), ("d2", 1)):
-            dual, fd = (getattr(DerivativeEngine(mode), order)(field, (t, r), i)
-                        for mode in ("dual", "fd"))
+            dual, fd = (getattr(engine, order)(field, (t, r), i)
+                        for engine in (DerivativeEngine(), FD))
             assert dual.shape == t.shape
             assert np.max(np.abs(dual - fd)) <= ENGINE_AGREEMENT_TOL * np.max(np.abs(dual))
 

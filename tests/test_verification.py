@@ -1,12 +1,12 @@
 import math
 import types
-import warnings
 from functools import partial
 
 import numpy as np
 import pytest
 from scipy.integrate import quad as scipy_quad
 
+from conftest import ENGINE_AGREEMENT_TOL, FD
 from ringheat import dualnum, flow, verification
 from ringheat.core import ReducedParams, SolutionConstants, ValidationError
 from ringheat.dualnum import value
@@ -32,8 +32,9 @@ from ringheat.verification import (
     translation_invariants,
 )
 
-DUAL = DerivativeEngine(mode="dual")
-FD = DerivativeEngine(mode="fd")
+DUAL = DerivativeEngine()
+#: the verification grid of the reference case's strip [0, 1]
+GRID = standard_grid(1.0)
 
 
 class TestEngine:
@@ -57,15 +58,10 @@ class TestEngine:
         assert DUAL.d2(fld, (2.0, 1.5), 1) == pytest.approx(6.0 * 1.5 * 3.0, rel=1e-14)
         assert DUAL.d1(fld, (2.0, 1.5), 0) == pytest.approx(1.5 ** 3, rel=1e-14)
 
-    def test_invalid_mode_rejected(self):
-        from ringheat.core import ValidationError
-        with pytest.raises(ValidationError):
-            DerivativeEngine(mode="autodiff")
-
     def test_modes_agree_on_standard_grid_not_on_kinked_field(self, ref):
         def kinked(tau, eta):
             # z^2 for eta > 0.5, else 0, written array-safe: the second
-            # derivative jumps at eta = 0.5 where the two modes disagree
+            # derivative jumps at eta = 0.5 where engine and oracle disagree
             z = eta - 0.5
             return z * z * (value(z) > 0.0)
 
@@ -80,35 +76,36 @@ class TestEngine:
         for fld in (partial(theta_simple, params=ref.params, level=ref.C5),
                     partial(theta_general, params=ref.params, consts=ref.consts),
                     partial(theta_reference, C5=ref.C5)):
-            assert worst_gap(fld) <= verification.ENGINE_AGREEMENT_TOL
-        assert worst_gap(kinked) > verification.ENGINE_AGREEMENT_TOL
+            assert worst_gap(fld) <= ENGINE_AGREEMENT_TOL
+        assert worst_gap(kinked) > ENGINE_AGREEMENT_TOL
 
 
 class TestTemperatureEquation:
     def test_simple_solution_residual(self, ref):
         rep = temperature_equation_residual(
-            partial(theta_simple, params=ref.params, level=0.9), ref.params)
+            partial(theta_simple, params=ref.params, level=0.9), ref.params, GRID)
         assert rep.max_abs < 1e-9
         assert rep.passed
         assert rep.n_samples == 24 * 21
 
     def test_general_solution_residual(self, ref):
         rep = temperature_equation_residual(
-            partial(theta_general, params=ref.params, consts=ref.consts), ref.params)
+            partial(theta_general, params=ref.params, consts=ref.consts), ref.params, GRID)
         assert rep.max_abs < 1e-9
 
     def test_general_solution_any_K(self, ref):
         # the exponential mode solves the homogeneous equation for every K
         consts = SolutionConstants(C3=0.125, C5=1.0, K=0.37)
         rep = temperature_equation_residual(
-            partial(theta_general, params=ref.params, consts=consts), ref.params)
+            partial(theta_general, params=ref.params, consts=consts), ref.params, GRID)
         assert rep.max_abs < 1e-9
 
     def test_nonreference_parameters(self):
         params = ReducedParams(A=1.3, B=2.1, eps=-0.7, a=2.0)
         consts = SolutionConstants(C3=0.3, C5=0.8, K=0.05)
         rep = temperature_equation_residual(
-            partial(theta_general, params=params, consts=consts), params)
+            partial(theta_general, params=params, consts=consts), params,
+            standard_grid(params.a))
         assert rep.max_abs < 1e-9
 
     def test_perturbed_field_residual_hand_oracle(self, ref):
@@ -121,16 +118,10 @@ class TestTemperatureEquation:
         assert rep1.max_abs == pytest.approx(
             abs(-2.0 * ref.params.B * (8.0 * 0.5 + 2.0 * 0.25 + 1.0)), abs=1e-9)
 
-    def test_fd_mode_tolerance(self, ref):
-        fld = partial(theta_general, params=ref.params, consts=ref.consts)
-        rep = temperature_equation_residual(fld, ref.params, engine=FD)
-        assert rep.tol == 1e-5
-        assert rep.passed
-
     def test_nan_residual_fails(self, ref):
         # NaN compares false against everything; the reduction must still
         # report it as the worst residual and fail
-        rep = temperature_equation_residual(lambda t, e: float("nan") * t, ref.params)
+        rep = temperature_equation_residual(lambda t, e: float("nan") * t, ref.params, GRID)
         assert math.isnan(rep.max_abs)
         assert rep.worst_point == (0.0, 0.0)
         assert not rep.passed
@@ -157,7 +148,7 @@ class TestTemperatureEquation:
 
     def test_worst_point_deterministic(self, ref):
         fld = lambda tau, eta: theta_general(tau, eta, ref.params, ref.consts) + eta ** 2
-        rep = temperature_equation_residual(fld, ref.params)
+        rep = temperature_equation_residual(fld, ref.params, GRID)
         # residual magnitude grows with tau and eta, so the worst point is the corner
         assert rep.worst_point == (10.0, 1.0)
 
@@ -185,7 +176,7 @@ class TestReferenceEquation:
 class TestFlowResiduals:
     @pytest.mark.parametrize("eps", [0.5, 0.0, -1.2])
     def test_exact_branch_everything_small(self, eps):
-        reports = flow_residuals(eps)
+        reports = flow_residuals(eps, GRID)
         assert reports["azimuthal_momentum"].max_abs < 1e-10
         assert reports["boundary_flux"].max_abs < 1e-12
         assert reports["flux_evolution"].max_abs < 1e-10
@@ -247,27 +238,15 @@ class TestFluxEvolutionQuadrature:
     @pytest.mark.parametrize("eps", [0.5, 0.0, -1.2])
     def test_vector_integral_matches_per_tau_oracle(self, eps, a, quad_calls):
         grid = standard_grid(a)
-        flow_residuals(eps, grid, DUAL)
+        flow_residuals(eps, grid)
         coarse, fine = quad_calls
         oracle = per_tau_quad_integral(eps, grid[0], a, DUAL)
         assert np.max(np.abs(fine.estimate - oracle)) <= 1e-15
 
-    @pytest.mark.parametrize("a", [1.0, 2.0])
-    @pytest.mark.parametrize("eps", [0.5, 0.0, -0.7, -1.2])
-    def test_fd_mode_converges_within_limit(self, eps, a, quad_calls):
-        # the two rules agree to the fd tolerance at every tau
-        with warnings.catch_warnings():
-            warnings.simplefilter("error")
-            reports = flow_residuals(eps, standard_grid(a), FD)
-        assert reports["flux_evolution"].passed
-        coarse, fine = quad_calls
-        gap = np.abs(fine.estimate - coarse.estimate)
-        assert np.all(gap <= verification.FLUX_QUAD_EPSABS["fd"] + 1e-12 * np.abs(fine.estimate))
-
     def test_engine_runs_once_per_batch_of_nodes(self, quad_calls):
         # each rule passes all its nodes to one integrand call, and the
         # dual engine evaluates them together rather than one node at a time
-        flow_residuals(0.5)
+        flow_residuals(0.5, GRID)
         assert len(quad_calls) == 2
         for call in quad_calls:
             assert call.nodes == [call.n]
@@ -282,7 +261,7 @@ class TestFluxEvolutionQuadrature:
             return real(f, lo, hi, n) + (1e-6 if n == 42 else 0.0)
 
         monkeypatch.setattr(verification, "quad", disagreeing)
-        reports = flow_residuals(0.5)
+        reports = flow_residuals(0.5, GRID)
         assert math.isnan(reports["flux_evolution"].max_abs)
         assert not reports["flux_evolution"].passed
         assert all(reports[k].passed for k in
@@ -342,11 +321,11 @@ class TestDeterminingEquation:
     def test_simple_profile_solves_it(self, ref):
         # source factor -(C2+C4) = 1 reproduces the inhomogeneous equation
         b2 = partial(theta_simple, params=ref.params, level=ref.C5)
-        rep = determining_equation_residual(b2, 0.0, 1.0, -2.0, ref.params)
+        rep = determining_equation_residual(b2, 0.0, 1.0, -2.0, ref.params, GRID)
         assert rep.max_abs < 1e-9
 
     def test_zero_b2_zero_source(self, ref):
-        rep = determining_equation_residual(None, 0.0, 1.0, -1.0, ref.params)
+        rep = determining_equation_residual(None, 0.0, 1.0, -1.0, ref.params, GRID)
         assert rep.max_abs == 0.0
 
     def test_zero_b2_unit_source(self, ref):
@@ -363,26 +342,83 @@ class TestDeterminingEquation:
         assert rep.max_abs == pytest.approx(abs(expected), rel=1e-12)
 
 
+class TestSymbolicDeterminingEquation:
+    """The generator's second prolongation applied to the reduced equation by
+    sympy: a symbolic oracle, beside the dual-number residuals, that
+    `operator_coefficients` generates a symmetry for every C1..C4 exactly
+    when b2 solves `determining_equation_residual`'s equation."""
+
+    @pytest.mark.parametrize("A, B, eps", [("3/4", "6", "1/2"), ("13/10", "21/10", "-7/10")],
+                             ids=["reference", "general"])
+    def test_prolongation_leaves_the_determining_equation(self, A, B, eps):
+        sp = pytest.importorskip("sympy")
+        A, B, eps = (sp.Rational(x) for x in (A, B, eps))
+        tau, eta, th, p, r = sp.symbols("tau eta theta p r")  # p, r: theta_eta, theta_etaeta
+        C1, C2, C3, C4 = sp.symbols("C1:5")
+        b2 = sp.Function("b2")(tau, eta)
+        theta = sp.Function("theta")(tau, eta)
+        xi1, xi2, eta1 = operator_coefficients(C1, C2, C3, C4, sp.Function("b2"),
+                                               ReducedParams(A=A, B=B, eps=eps, a=sp.Integer(1)))
+        # the code's float literals (0.5, 8.0) are binary fractions: exact as rationals
+        X1, X2, phi = (sp.nsimplify(e, rational=True)
+                       for e in (xi1(tau), xi2(tau, eta), eta1(tau, eta, theta)))
+        assert not X1.has(eta)
+
+        s = 8 * tau + eta + 1
+        q = 16 * (1 + eps ** 2)
+        th_t, th_e, th_ee = theta.diff(tau), theta.diff(eta), theta.diff(eta, 2)
+        # second prolongation (Olver, Applications of Lie Groups to
+        # Differential Equations, Thm. 2.36); xi1 does not depend on eta
+        e_t = phi.diff(tau) - th_t * X1.diff(tau) - th_e * X2.diff(tau)
+        e_e = phi.diff(eta) - th_e * X2.diff(eta)
+        e_ee = e_e.diff(eta) - th_ee * X2.diff(eta)
+        # F = A*theta_tau - B*(theta_eta + s*theta_etaeta) - q/s^2 depends
+        # on tau and eta explicitly through s alone
+        dF_ds = -B * th_ee + 2 * q / s ** 3
+        prX = (8 * X1 + X2) * dF_ds + A * e_t - B * e_e - B * s * e_ee
+        on_solutions = (prX.subs(th_ee, r).subs(th_e, p)
+                        .subs(th_t, (B * (p + s * r) + q / s ** 2) / A).subs(theta, th))
+        assert not on_solutions.has(sp.Derivative(theta, tau, eta))
+
+        for jet in (th, p, r):
+            assert sp.simplify(on_solutions.diff(jet)) == 0
+        left = on_solutions.subs({th: 0, p: 0, r: 0})
+        determining = (A * b2.diff(tau) - B * (b2.diff(eta) + s * b2.diff(eta, 2))
+                       + q / s ** 2 * ((C2 + C4) + C1 / 2 * (tau - A / B * eta)))
+        assert sp.simplify(left - determining) == 0
+
+        # ... and the code's residual is that equation, here at a polynomial b2
+        params = ReducedParams(A=float(A), B=float(B), eps=float(eps), a=1.0)
+        poly = tau ** 2 * eta - 3 * eta ** 3 + tau
+        consts = {C1: 0.5, C2: 1.0, C4: -2.5}
+        want = sp.lambdify((tau, eta), left.subs(b2, poly).doit().subs(consts))
+        for t, e in [(0.0, 0.0), (0.3, 0.7), (5.0, 1.0)]:
+            rep = determining_equation_residual(
+                lambda tau, eta: tau * tau * eta - 3.0 * eta ** 3 + tau,
+                consts[C1], consts[C2], consts[C4], params, ([t], [e]))
+            assert rep.max_abs == pytest.approx(abs(want(t, e)), rel=1e-12, abs=1e-13)
+
+
 class TestSymmetryMachinery:
     def test_translation_annihilates_I1_exactly(self, ref):
         I1, I2 = translation_invariants()
-        val = invariant_annihilation((0.0, 0.0, 0.125, 0.0, None), I1, params=ref.params)
+        val = invariant_annihilation((0.0, 0.0, 0.125, 0.0, None), I1, params=ref.params, grid=GRID)
         assert val == 0.0
         # I2 = Theta is annihilated too since eta1 = 0
         assert invariant_annihilation((0.0, 0.0, 0.125, 0.0, None), I2,
-                                      params=ref.params) == 0.0
+                                      params=ref.params, grid=GRID) == 0.0
 
     def test_scaling_invariants_annihilated(self, ref):
         J1, J2 = scaling_invariants(ref.params, ref.consts)
         b2 = partial(theta_simple, params=ref.params, level=ref.C5)
         coeffs = (0.0, 1.0, 0.125, -2.0, b2)
-        assert invariant_annihilation(coeffs, J1, params=ref.params) < 1e-9
-        assert invariant_annihilation(coeffs, J2, params=ref.params) < 1e-8
+        assert invariant_annihilation(coeffs, J1, params=ref.params, grid=GRID) < 1e-9
+        assert invariant_annihilation(coeffs, J2, params=ref.params, grid=GRID) < 1e-8
 
     def test_annihilation_independent_of_theta_for_J1(self, ref):
         J1, _ = scaling_invariants(ref.params, ref.consts)
         b2 = partial(theta_simple, params=ref.params, level=ref.C5)
-        vals = annihilation_values((0.0, 1.0, 0.125, -2.0, b2), J1, ref.params)
+        vals = annihilation_values((0.0, 1.0, 0.125, -2.0, b2), J1, ref.params, GRID)
         assert vals.shape[1] == len(verification.THETA_SAMPLES)
         assert float(np.var(vals, axis=1).max()) < 1e-14
 
