@@ -37,6 +37,7 @@ from .solver import (
     BC_MODES,
     MAX_CELLS,
     N_SNAPSHOTS,
+    ORDER_BAND,
     PUBLISHED_FLUX_ERROR_FLOOR,
     SCHEMES,
     DivergenceError,
@@ -324,8 +325,6 @@ def cmd_profile(args) -> int:
 
 def cmd_convergence(args) -> int:
     rc = resolve_config(args)
-    if len(rc.grid) < 2:
-        raise ConfigError("convergence needs at least 2 grid levels, e.g. --grid 64,128,256")
     results = convergence_study(rc.grid, rc.solver, rc.params, rc.consts)
 
     print(f"{'n_cells':>8} {'h':>12} {'error_inf':>14} {'order':>8}")
@@ -345,10 +344,11 @@ def cmd_convergence(args) -> int:
               f"{PUBLISHED_FLUX_ERROR_FLOOR}) "
               f"instead of converging at order 2.")
         return EXIT_FAIL
+    lo, hi = ORDER_BAND
     orders = [r.observed_order for r in results[1:]]
-    ok = all(o is not None and 1.8 <= o <= 2.2 for o in orders)
+    ok = all(o is not None and lo <= o <= hi for o in orders)
     if not ok:
-        print("\norder outside [1.8, 2.2]")
+        print(f"\norder outside [{lo}, {hi}]")
     return EXIT_OK if ok else EXIT_FAIL
 
 

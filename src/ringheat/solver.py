@@ -74,6 +74,7 @@ __all__ = [
     "solve_general",
     "convergence_study",
     "PUBLISHED_FLUX_ERROR_FLOOR",
+    "ORDER_BAND",
     "N_SNAPSHOTS",
     "MAX_STEPS",
     "MAX_NODE_STEPS",
@@ -87,6 +88,9 @@ __all__ = [
 #: Measured error_inf ~ 0.498 for N in {64, 128, 256, 512} at t_end = 0.25
 #: (drift < 0.1% per refinement); the plateau never falls below this floor.
 PUBLISHED_FLUX_ERROR_FLOOR = 0.49
+
+#: Observed orders `convergence` accepts: second order in h, within 0.2.
+ORDER_BAND = (1.8, 2.2)
 
 #: Snapshots a march keeps, evenly spaced in steps from tau = 0 to t_end.
 N_SNAPSHOTS = 5
@@ -181,12 +185,8 @@ class SolveResult:
     config: SolverConfig
     error_inf: float
     error_l2: float
-    exact: Callable | None = None  # exact(tau, eta) the norms were measured against
+    exact: Callable  # exact(tau, eta) the norms were measured against
     observed_order: float | None = None  # filled by convergence_study
-
-    @property
-    def final(self):
-        return self.snapshots[-1]
 
 
 def thomas_solve(lower, diag, upper, rhs):
@@ -231,8 +231,6 @@ _L2_SUM_MIN = sys.float_info.min * 2.0 ** 53
 
 def _result(snapshots, grid, config, exact):
     """SolveResult of a march ending at snapshots[-1], with its norms at t_end."""
-    if exact is None:
-        return SolveResult(snapshots, grid, config, math.nan, math.nan)
     ex = np.asarray(exact(config.t_end, grid.nodes), dtype=float)
     w = np.full(grid.n_cells + 1, grid.h)
     w[0] = w[-1] = 0.5 * grid.h  # composite trapezoid weights
@@ -268,8 +266,7 @@ def _steps(grid: Grid1D, config: SolverConfig) -> float:
 
 def march(grid: Grid1D, config: SolverConfig,
           diffusivity: Callable, source: Callable,
-          initial: Callable, bc_inner, bc_outer,
-          exact: Callable | None = None) -> SolveResult:
+          initial: Callable, bc_inner, bc_outer, exact: Callable) -> SolveResult:
     """Advance theta_tau = d/deta(D*theta_eta) + S from tau = 0 to t_end.
 
     diffusivity(tau, eta) and source(tau, eta) must broadcast over a tau
@@ -282,10 +279,11 @@ def march(grid: Grid1D, config: SolverConfig,
     wall or ("value", v) prescribing theta itself; g and v take one float
     tau and are called once per step.  Neumann data enter through
     second-order ghost nodes; Dirichlet rows are identities at the new time
-    level.  Deterministic: identical inputs give bit-identical snapshots.
-    A t_end / dt that is not finite or breaks MAX_STEPS or MAX_NODE_STEPS
-    raises ValidationError; a zero pivot, like a non-finite solution, raises
-    DivergenceError.
+    level.  exact(tau, eta) is the field the error norms at t_end are
+    measured against.  Deterministic: identical inputs give bit-identical
+    snapshots.  A t_end / dt that is not finite or breaks MAX_STEPS or
+    MAX_NODE_STEPS raises ValidationError; a zero pivot, like a non-finite
+    solution, raises DivergenceError.
     """
     h = grid.h
     n = grid.n_cells
@@ -496,34 +494,30 @@ def _march_forked(ctx, prepared, config) -> list:
 
 
 def convergence_study(levels, config: SolverConfig,
-                      params: ReducedParams | None = None,
-                      consts: SolutionConstants | None = None):
+                      params: ReducedParams, consts: SolutionConstants):
     """Refinement study of `solve_general` with dt tied to h (dt = dt_over_h * h).
 
-    params and consts default to the reference case; every level's grid
-    spans [0, params.a].  Returns one SolveResult per level, in the given
-    order, with observed_order filled from consecutive pairs (log error
-    ratio over log h ratio); a single level yields errors only, and a pair
-    with a zero error leaves the finer level's order None.  A config with
-    dt set raises ValidationError, since a fixed dt would not shrink with h;
-    so does t_end = 0: every level would return the initial data,
-    whose error is 0, and leave no order to observe.  So does a repeated
-    level: two equal grids have no h ratio to divide by.
+    Every level's grid spans [0, params.a].  Returns one SolveResult per
+    level, in the given order, with observed_order filled from consecutive
+    pairs (log error ratio over log h ratio); a pair with a zero error
+    leaves the finer level's order None.  Fewer than 2 levels raise
+    ValidationError, as there is no pair to observe an order from; so does
+    a config with dt set, since a fixed dt would not shrink with h; so does
+    t_end = 0: every level would return the initial data, whose error is 0,
+    and leave no order to observe.  So does a repeated level: two equal
+    grids have no h ratio to divide by.
 
     The levels are independent: the one with the most cells marches in this
     process while the others march, one after another, in one child forked
-    for the call (`multiprocessing`'s 'fork' start method).  A single level,
-    or a platform without 'fork', marches every level here.  The results are
-    bit-identical either way, and so are the errors: the checks a solve makes
-    before it marches run first for every level in the given order, and of
-    the exceptions the marches raise the caller gets the first failing
-    level's, as from a one-level-at-a-time loop.
+    for the call (`multiprocessing`'s 'fork' start method).  A platform
+    without 'fork' marches every level here.  The results are bit-identical
+    either way, and so are the errors: the checks a solve makes before it
+    marches run first for every level in the given order, and of the
+    exceptions the marches raise the caller gets the first failing level's,
+    as from a one-level-at-a-time loop.
     """
-    if len(levels) < 1:
-        raise ValidationError("at least one refinement level required")
-    case = ReferenceCase()
-    params = case.params if params is None else params
-    consts = case.consts if consts is None else consts
+    if len(levels) < 2:
+        raise ValidationError("convergence needs at least 2 grid levels, e.g. --grid 64,128,256")
     if config.dt is not None:
         raise ValidationError(f"dt must not be set for a convergence study, got "
                               f"{config.dt!r}: each level's dt is dt_over_h * h")
@@ -541,14 +535,10 @@ def convergence_study(levels, config: SolverConfig,
         _steps(grid, config)
         prepared.append((grid, args))
 
-    ctx = None
-    if len(prepared) > 1:
-        import multiprocessing  # here, so importing the solver loads numpy only
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # no 'fork' on this platform
-            pass
-    if ctx is None:
+    import multiprocessing  # here, so importing the solver loads numpy only
+    try:
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # no 'fork' on this platform
         outcomes = _march_levels(prepared, config)
     else:
         outcomes = _march_forked(ctx, prepared, config)

@@ -265,32 +265,23 @@ class NonnegativityReport(NamedTuple):
 
 
 #: c5_nonnegativity_bound evaluates theta_general on blocks of
-#: max(1, _SCAN_BLOCK_ELEMS // len(eta_grid)) tau rows, so it holds no
-#: full-grid temporaries
+#: max(1, _SCAN_BLOCK_ELEMS // 201) tau rows of its 201 eta points, so it
+#: holds no full-grid temporaries
 _SCAN_BLOCK_ELEMS = 8192
 
 
-def c5_nonnegativity_bound(params: ReducedParams, consts: SolutionConstants,
-                           tau_grid=None, eta_grid=None) -> NonnegativityReport:
+def c5_nonnegativity_bound(params: ReducedParams,
+                           consts: SolutionConstants) -> NonnegativityReport:
     """Scan theta_general for its minimum over the grid plus the tau->inf level.
 
-    Defaults to a 201 x 201 uniform grid on [0, 10] x [0, a], dense enough
-    to catch the tau = 0 boundary tangency of the reference case at
+    The grid is 201 x 201 uniform on [0, 10] x [0, a], dense enough to
+    catch the tau = 0 boundary tangency of the reference case at
     C5 = 5/3.  The reduction is deterministic: first minimum in row-major
     (tau, eta) order wins, so ties break lexicographically, and the first
     NaN wins over any number, as np.argmin over the whole grid would give.
     """
-    if tau_grid is None:
-        tau_grid = np.linspace(0.0, 10.0, 201)
-    if eta_grid is None:
-        eta_grid = np.linspace(0.0, params.a, 201)
-    tau_grid = np.asarray(tau_grid, dtype=float)
-    eta_grid = np.asarray(eta_grid, dtype=float)
-    if tau_grid.size == 0 or eta_grid.size == 0:
-        raise ValidationError("c5_nonnegativity_bound needs a non-empty tau_grid and eta_grid")
-    # the whole grid's tau guard first, so a singular tau in a later block
-    # raises what a full-grid evaluation would, before an earlier block's s guard
-    _require_domain(tau_grid + consts.C3, _P_DOMAIN, consts.C3, error=SingularTimeError)
+    tau_grid = np.linspace(0.0, 10.0, 201)
+    eta_grid = np.linspace(0.0, params.a, 201)
     rows = max(1, _SCAN_BLOCK_ELEMS // eta_grid.size)
     best, best_i, best_j = math.inf, 0, 0
     for start in range(0, tau_grid.size, rows):

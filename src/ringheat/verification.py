@@ -162,18 +162,6 @@ def _report(name, residual, coords, tol) -> ResidualReport:
                           r.size, tol, _passes(worst, tol))
 
 
-def _confirm(pairs, TT, EE, tol):
-    """Raise at the first mesh point where a (label, mine, theirs) pair differs by > tol."""
-    bad = [np.abs(mine - theirs) > tol for _, mine, theirs in pairs]
-    hit = np.logical_or.reduce(bad)
-    if hit.any():
-        k = int(np.argmax(hit))
-        label, mine, theirs = next(p for p, b in zip(pairs, bad) if b.flat[k])
-        raise UnreliableDerivativesError(
-            f"{label} at (tau={TT.flat[k]}, eta={EE.flat[k]}): "
-            f"{float(mine.flat[k])!r} vs {float(theirs.flat[k])!r}")
-
-
 def standard_grid(a: float = 1.0):
     """Verification grid: tau in {0, 0.05, ..., 1} + {2, 5, 10}, 21 eta points."""
     tau = np.concatenate([np.linspace(0.0, 1.0, 21), [2.0, 5.0, 10.0]])
@@ -286,10 +274,8 @@ def determining_equation_residual(b2, C1: float, C2: float, C4: float,
     A*b2_tau - B*(b2_eta + s*b2_etaeta)
       - (16*(1+eps^2)/s^2) * (-(C2+C4) - (C1/2)*(tau - (A/B)*eta)).
 
-    b2 may be None for the zero field.
+    b2(tau, eta) is a callable field; the zero field is lambda tau, eta: 0.0.
     """
-    if b2 is None:
-        b2 = lambda tau, eta: 0.0
     A, B = params.A, params.B
     q = 16.0 * (1.0 + params.eps ** 2)
 
@@ -307,10 +293,9 @@ def operator_coefficients(C1: float, C2: float, C3: float, C4: float, b2,
     xi2(tau, eta)       = C1*tau*(4*tau+eta+1) + C2*(eta+1) - 8*C3
     eta1(tau, eta, th)  = (C4 - C1*(tau + (A/B)*eta)/2)*th + b2(tau, eta)
 
-    b2 may be None for the zero field.
+    b2(tau, eta) is a callable field; the zero field is lambda tau, eta: 0.0.
     """
     ratio = params.A / params.B if C1 != 0.0 else 0.0
-    b2f = b2 if b2 is not None else (lambda tau, eta: 0.0)
 
     def xi1(tau):
         return 0.5 * C1 * tau ** 2 + C2 * tau + C3
@@ -319,7 +304,7 @@ def operator_coefficients(C1: float, C2: float, C3: float, C4: float, b2,
         return C1 * tau * (4.0 * tau + eta + 1.0) + C2 * (eta + 1.0) - 8.0 * C3
 
     def eta1(tau, eta, th):
-        return (C4 - 0.5 * C1 * (tau + ratio * eta)) * th + b2f(tau, eta)
+        return (C4 - 0.5 * C1 * (tau + ratio * eta)) * th + b2(tau, eta)
 
     return xi1, xi2, eta1
 
@@ -436,7 +421,12 @@ def published_flux_discrepancy() -> FluxDiscrepancyReport:
     TT, EE = _mesh((tau, [0.0, 1.0]))
     closed = np.asarray(temperature.reference_flux(TT, EE), dtype=float)
     derived = _ENGINE.d1(temperature.theta_reference, (TT, EE), 1)
-    _confirm([("boundary flux: engine vs closed form", derived, closed)], TT, EE, 1e-8)
+    hit = np.abs(derived - closed) > 1e-8
+    if hit.any():  # the first such point in row-major (tau, eta) order
+        k = int(np.argmax(hit))
+        raise UnreliableDerivativesError(
+            f"boundary flux: engine vs closed form at (tau={TT.flat[k]}, eta={EE.flat[k]}): "
+            f"{float(derived.flat[k])!r} vs {float(closed.flat[k])!r}")
 
     return FluxDiscrepancyReport(
         tau=tau,
@@ -523,7 +513,8 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
     rep = determining_equation_residual(simple, 0.0, 1.0, -2.0, params, grid)
     checks.append(_check("determining_equation", rep.max_abs, rep.tol))
     I1, _ = translation_invariants()
-    val = invariant_annihilation((0.0, 0.0, consts.C3, 0.0, None), I1, params, grid)
+    val = invariant_annihilation((0.0, 0.0, consts.C3, 0.0, lambda tau, eta: 0.0), I1,
+                                 params, grid)
     checks.append(_check("translation_annihilation", val, 0.0,
                          note="exact zero expected"))
     J1, J2 = scaling_invariants(params, consts)

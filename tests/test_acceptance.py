@@ -124,7 +124,8 @@ def test_criterion_06_symmetry_machinery():
     b2 = partial(theta_simple, params=REF.params, level=REF.C5)
     det = determining_equation_residual(b2, 0.0, 1.0, -2.0, REF.params, GRID).max_abs
     I1, _ = translation_invariants()
-    trans = invariant_annihilation((0.0, 0.0, REF.C3, 0.0, None), I1, params=REF.params, grid=GRID)
+    trans = invariant_annihilation((0.0, 0.0, REF.C3, 0.0, lambda tau, eta: 0.0), I1,
+                                   params=REF.params, grid=GRID)
     J1, J2 = scaling_invariants(REF.params, REF.consts)
     coeffs = (0.0, 1.0, REF.C3, -2.0, b2)
     xj1 = invariant_annihilation(coeffs, J1, params=REF.params, grid=GRID)
@@ -140,7 +141,8 @@ def test_criterion_06_symmetry_machinery():
 def test_criterion_07_manufactured_convergence():
     t0 = time.perf_counter()
     results = convergence_study([64, 128, 256],
-                                SolverConfig(t_end=0.25, scheme="cn", bc_mode="derived"))
+                                SolverConfig(t_end=0.25, scheme="cn", bc_mode="derived"),
+                                REF.params, REF.consts)
     elapsed = time.perf_counter() - t0
     orders = [r.observed_order for r in results[1:]]
     ok = all(1.8 <= o <= 2.2 for o in orders) and elapsed < 10.0

@@ -49,6 +49,9 @@ def _member(A, B, eps, a, C3, C5):
     return params, SolutionConstants(C3=C3, C5=C5, K=k_for_equal_boundaries(params, C3))
 
 
+REF = ReferenceCase()
+
+
 def const_field(c):
     return lambda tau, eta: np.full_like(np.asarray(eta, dtype=float), c)
 
@@ -80,7 +83,7 @@ class TestGridAndConfig:
         with pytest.raises(ValidationError, match=msg):
             solve_reference(Grid1D(n), SolverConfig(t_end=t_end))
         with pytest.raises(ValidationError, match=msg):
-            convergence_study([64, n], SolverConfig(t_end=t_end))
+            convergence_study([64, n], SolverConfig(t_end=t_end), REF.params, REF.consts)
 
     @pytest.mark.parametrize("kw", [
         dict(dt=-0.1), dict(t_end=-1.0), dict(scheme="rk4"),
@@ -216,7 +219,8 @@ class TestReferenceSolve:
         dif = solver._march_args(case.params, case.consts, grid, config)[0]
         gap = march(grid, config, dif, lambda tau, eta: 0.0, np.zeros_like,
                     ("flux", lambda tau: published_flux_inner(tau) - reference_flux(tau, 0.0)),
-                    ("flux", lambda tau: published_flux_outer(tau) - reference_flux(tau, 1.0)))
+                    ("flux", lambda tau: published_flux_outer(tau) - reference_flux(tau, 1.0)),
+                    const_field(0.0))
         assert len(gap.snapshots) == len(paper.snapshots) == len(derived.snapshots)
         for (tp, p), (td, d), (tg, g) in zip(paper.snapshots, derived.snapshots, gap.snapshots):
             assert tp == td == tg
@@ -393,7 +397,7 @@ class TestOneSolvePath:
 
     def test_result_keeps_its_exact_field(self):
         res = solve_reference(Grid1D(32), SolverConfig(t_end=0.25), C5=2.0)
-        tau_f, theta_f = res.final
+        tau_f, theta_f = res.snapshots[-1]
         err = np.max(np.abs(theta_f - res.exact(tau_f, res.grid.nodes)))
         assert float(err) == res.error_inf
         assert res.exact(0.0, 0.5) == theta_reference(0.0, 0.5, 2.0)
@@ -403,7 +407,7 @@ class TestOneSolvePath:
         # error_l2 is still finite, below error_inf, and no warning is raised
         res = solve_reference(Grid1D(12), SolverConfig(t_end=0.03125),
                               C5=2.3666423509319384e+169)
-        tau_f, theta_f = res.final
+        tau_f, theta_f = res.snapshots[-1]
         err = theta_f - res.exact(tau_f, res.grid.nodes)
         assert res.error_inf == float(np.max(np.abs(err))) > 1e154
         assert 0.0 < res.error_l2 <= res.error_inf
@@ -418,8 +422,7 @@ class TestOneSolvePath:
         assert 0.0 < res.error_l2 <= math.sqrt(res.grid.a) * res.error_inf
 
 
-def stepwise_march(grid, config, diffusivity, source, initial, bc_inner, bc_outer,
-                   exact=None):
+def stepwise_march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact):
     """The one-step-at-a-time march loop that block assembly replaced, frozen
     here as the bit-identity oracle: `march` must return exactly its
     snapshots and norms.  Returns (snapshots, error_inf, error_l2)."""
@@ -559,7 +562,8 @@ class TestBlockAssembly:
             return np.full(np.broadcast(tau, eta).shape, 2.0)
 
         march(Grid1D(16), SolverConfig(t_end=0.25), dif, const_field(0.0),
-              lambda eta: 0.0 * eta, ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0))
+              lambda eta: 0.0 * eta, ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0),
+              const_field(0.0))
         assert shapes == [(10, 17)] * 6 + [(2, 17)] * 2
 
     # Grid1D(16) at t_end = 0.1 marches 13 steps of dt = 0.1/13; the source
@@ -575,7 +579,7 @@ class TestBlockAssembly:
                   const_field(1.0),
                   lambda tau, eta: np.where(tau > 0.06, np.inf, 0.0) + 0.0 * eta,
                   lambda eta: 0.0 * eta,
-                  ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0))
+                  ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0), const_field(0.0))
 
 
 class TestSchemes:
@@ -620,7 +624,7 @@ class TestMarchProperties:
             march(Grid1D(16), SolverConfig(t_end=0.1),
                   const_field(1.0), const_field(0.0),
                   lambda eta: np.where(np.asarray(eta) == 0.0, np.inf, 0.0),
-                  ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0))
+                  ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0), const_field(0.0))
 
     @pytest.mark.parametrize("kw", [dict(dt=1e30, t_end=1e30), dict(dt=1e20, t_end=1e20),
                                     dict(dt=1e30, t_end=1e30, scheme="euler")])
@@ -632,16 +636,17 @@ class TestMarchProperties:
 
 class TestConvergenceStudy:
     def test_orders_near_two(self):
-        results = convergence_study([64, 128, 256], SolverConfig(t_end=0.25))
+        results = convergence_study([64, 128, 256], SolverConfig(t_end=0.25),
+                                    REF.params, REF.consts)
         assert results[0].observed_order is None
         for res in results[1:]:
             assert 1.8 <= res.observed_order <= 2.2
 
     def test_single_level_errors_only(self):
-        results = convergence_study([64], SolverConfig(t_end=0.25))
-        assert len(results) == 1
-        assert results[0].observed_order is None
-        assert results[0].error_inf > 0.0
+        msg = "^convergence needs at least 2 grid levels, e.g. --grid 64,128,256$"
+        for levels in ([64], []):
+            with pytest.raises(ValidationError, match=msg):
+                convergence_study(levels, SolverConfig(t_end=0.25), REF.params, REF.consts)
 
     def test_result_keeps_the_exact_field_at_t_end(self):
         # t_end = 0.05 on 16 cells: the last step lands an ulp off t_end,
@@ -649,7 +654,7 @@ class TestConvergenceStudy:
         for config in (SolverConfig(t_end=0.05), SolverConfig(t_end=0.0)):
             res = solve_reference(Grid1D(16), config)
             exact_end = res.exact(config.t_end, res.grid.nodes)
-            assert res.error_inf == float(np.max(np.abs(res.final[1] - exact_end)))
+            assert res.error_inf == float(np.max(np.abs(res.snapshots[-1][1] - exact_end)))
 
     def test_repeated_level_rejected_before_any_check(self, monkeypatch):
         # log(h/h) = 0 would make the order NaN; the 4-cell level would fail
@@ -657,17 +662,17 @@ class TestConvergenceStudy:
         monkeypatch.setattr(os, "fork", None)
         for levels in ([64, 64], [4, 4], [32, 64, 32]):
             with pytest.raises(ValidationError, match="^levels must be distinct"):
-                convergence_study(levels, SolverConfig(t_end=0.25))
+                convergence_study(levels, SolverConfig(t_end=0.25), REF.params, REF.consts)
 
     def test_descending_levels(self):
-        results = convergence_study([128, 64], SolverConfig(t_end=0.25))
+        results = convergence_study([128, 64], SolverConfig(t_end=0.25), REF.params, REF.consts)
         assert [r.grid.n_cells for r in results] == [128, 64]
         assert 1.8 <= results[1].observed_order <= 2.2
 
     def test_dt_tied_to_h(self):
         # each level's dt is dt_over_h * h; an explicit dt is an error, not dropped
         with pytest.raises(ValidationError, match="^dt must not be set"):
-            convergence_study([16, 32], SolverConfig(t_end=0.25, dt=123.0))
+            convergence_study([16, 32], SolverConfig(t_end=0.25, dt=123.0), REF.params, REF.consts)
 
     @pytest.mark.parametrize("errors, orders", [
         ({16: 0.0, 32: 4e-3, 64: 1e-3}, [None, None, pytest.approx(2.0)]),
@@ -686,7 +691,8 @@ class TestConvergenceStudy:
         monkeypatch.setattr(solver, "march", with_errors)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            results = convergence_study([16, 32, 64], SolverConfig(t_end=0.05))
+            results = convergence_study([16, 32, 64], SolverConfig(t_end=0.05),
+                                        REF.params, REF.consts)
         assert [r.observed_order for r in results] == orders
 
 
@@ -780,7 +786,7 @@ class TestForkedStudy:
     def test_coarse_failure_reaches_the_caller(self, monkeypatch):
         failing_at(monkeypatch, {32: DivergenceError("non-finite solution at step 7 of 64")})
         with pytest.raises(DivergenceError, match="^non-finite solution at step 7 of 64$"):
-            convergence_study([16, 32, 64], SolverConfig(t_end=0.25))
+            convergence_study([16, 32, 64], SolverConfig(t_end=0.25), REF.params, REF.consts)
         assert multiprocessing.active_children() == []
 
     @pytest.mark.parametrize("levels, first", [([16, 64, 32], 16), ([64, 16, 32], 64),
@@ -789,7 +795,7 @@ class TestForkedStudy:
         # the finest level (64) marches in this process, the rest in the child
         failing_at(monkeypatch, {n: ValidationError(f"level {n}") for n in (16, 32, 64)})
         with pytest.raises(ValidationError, match=f"^level {first}$"):
-            convergence_study(levels, SolverConfig(t_end=0.25))
+            convergence_study(levels, SolverConfig(t_end=0.25), REF.params, REF.consts)
         assert multiprocessing.active_children() == []
 
     def test_over_budget_names_the_first_level(self, monkeypatch):
@@ -797,7 +803,7 @@ class TestForkedStudy:
         # first, and the check runs before anything is forked
         monkeypatch.setattr(os, "fork", None)
         with pytest.raises(ValidationError, match=r"= 5\.12e\+06 steps exceeds"):
-            convergence_study([64, 128], SolverConfig(t_end=1e4))
+            convergence_study([64, 128], SolverConfig(t_end=1e4), REF.params, REF.consts)
 
     def test_checks_before_marching_keep_serial_order(self, monkeypatch):
         monkeypatch.setattr(os, "fork", None)
@@ -807,18 +813,11 @@ class TestForkedStudy:
             convergence_study([64, 128], SolverConfig(t_end=1e4, bc_mode="paper"),
                               params, consts)
         with pytest.raises(ValidationError, match="n_cells must be >= 8"):
-            convergence_study([4, 64], SolverConfig(t_end=1e4))
-
-    def test_one_level_forks_nothing(self, monkeypatch, ref):
-        monkeypatch.setattr(os, "fork", None)
-        (res,) = convergence_study([32], SolverConfig(t_end=0.25))
-        (exp,) = per_level_oracle([32], SolverConfig(t_end=0.25), ref.params, ref.consts)
-        assert np.array_equal(res.final[1], exp.final[1])
-        assert multiprocessing.active_children() == []
+            convergence_study([4, 64], SolverConfig(t_end=1e4), REF.params, REF.consts)
 
     def test_without_fork_every_level_marches_here(self, no_fork, ref, marched_in):
         levels, config = [64, 16, 32], SolverConfig(t_end=0.25)
-        results = convergence_study(levels, config)
+        results = convergence_study(levels, config, REF.params, REF.consts)
         expect = per_level_oracle(levels, config, ref.params, ref.consts)
         assert [(r.error_inf, r.observed_order) for r in results] == \
             [(e.error_inf, e.observed_order) for e in expect]
@@ -834,7 +833,7 @@ class TestForkedStudy:
             return real(params, consts, grid, config)
 
         monkeypatch.setattr(solver, "_march_args", counting)
-        for params, consts in ((None, None), general_case()):
+        for params, consts in ((REF.params, REF.consts), general_case()):
             built.clear()
             convergence_study([64, 16, 32], SolverConfig(t_end=0.05), params, consts)
             assert built == [64, 16, 32]
@@ -849,7 +848,7 @@ class TestForkedStudy:
 
         monkeypatch.setattr(solver, "march", dying)
         with pytest.raises(RuntimeError, match="exited without sending"):
-            convergence_study([16, 32], SolverConfig(t_end=0.25))
+            convergence_study([16, 32], SolverConfig(t_end=0.25), REF.params, REF.consts)
         assert multiprocessing.active_children() == []
 
     def test_child_leaves_an_interrupt_to_the_caller(self, monkeypatch, ref):
@@ -863,7 +862,7 @@ class TestForkedStudy:
         parent = os.getpid()
         monkeypatch.setattr(solver, "march", interrupted)
         levels, config = [16, 32], SolverConfig(t_end=0.25)
-        results = convergence_study(levels, config)
+        results = convergence_study(levels, config, REF.params, REF.consts)
         expect = per_level_oracle(levels, config, ref.params, ref.consts)
         assert [r.error_inf for r in results] == [e.error_inf for e in expect]
 
@@ -880,6 +879,6 @@ class TestForkedStudy:
         monkeypatch.setattr(solver, "march", slow_or_interrupted)
         start = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
-            convergence_study([16, 32], SolverConfig(t_end=0.25))
+            convergence_study([16, 32], SolverConfig(t_end=0.25), REF.params, REF.consts)
         assert multiprocessing.active_children() == []
         assert time.monotonic() - start < 30

@@ -7,7 +7,7 @@ import pytest
 from scipy.integrate import quad as scipy_quad
 
 from conftest import ENGINE_AGREEMENT_TOL, FD
-from ringheat import dualnum, flow, verification
+from ringheat import dualnum, flow, temperature, verification
 from ringheat.core import ReducedParams, SolutionConstants, ValidationError
 from ringheat.dualnum import value
 from ringheat.temperature import (
@@ -35,6 +35,11 @@ from ringheat.verification import (
 DUAL = DerivativeEngine()
 #: the verification grid of the reference case's strip [0, 1]
 GRID = standard_grid(1.0)
+
+
+def zero_field(tau, eta):
+    """b2 = 0: the generator coefficient of the pure translations."""
+    return 0.0
 
 
 class TestEngine:
@@ -325,18 +330,18 @@ class TestDeterminingEquation:
         assert rep.max_abs < 1e-9
 
     def test_zero_b2_zero_source(self, ref):
-        rep = determining_equation_residual(None, 0.0, 1.0, -1.0, ref.params, GRID)
+        rep = determining_equation_residual(zero_field, 0.0, 1.0, -1.0, ref.params, GRID)
         assert rep.max_abs == 0.0
 
     def test_zero_b2_unit_source(self, ref):
-        rep = determining_equation_residual(None, 0.0, 1.0, 0.0, ref.params,
+        rep = determining_equation_residual(zero_field, 0.0, 1.0, 0.0, ref.params,
                                             grid=([0.0], [0.0]))
         # residual = 16*(1+eps^2)/s^2 = 20 at the origin
         assert rep.max_abs == pytest.approx(20.0, rel=1e-13)
 
     def test_time_dependent_source_term(self, ref):
         # C1 != 0 activates the (tau - (A/B)*eta) factor; b2 = 0 leaves just the source
-        rep = determining_equation_residual(None, 2.0, 0.0, 0.0, ref.params,
+        rep = determining_equation_residual(zero_field, 2.0, 0.0, 0.0, ref.params,
                                             grid=([1.0], [0.0]))
         expected = 16.0 * 1.25 / 81.0 * (-(2.0 / 2.0) * (1.0 - 0.0))
         assert rep.max_abs == pytest.approx(abs(expected), rel=1e-12)
@@ -402,10 +407,11 @@ class TestSymbolicDeterminingEquation:
 class TestSymmetryMachinery:
     def test_translation_annihilates_I1_exactly(self, ref):
         I1, I2 = translation_invariants()
-        val = invariant_annihilation((0.0, 0.0, 0.125, 0.0, None), I1, params=ref.params, grid=GRID)
+        val = invariant_annihilation((0.0, 0.0, 0.125, 0.0, zero_field), I1,
+                                     params=ref.params, grid=GRID)
         assert val == 0.0
         # I2 = Theta is annihilated too since eta1 = 0
-        assert invariant_annihilation((0.0, 0.0, 0.125, 0.0, None), I2,
+        assert invariant_annihilation((0.0, 0.0, 0.125, 0.0, zero_field), I2,
                                       params=ref.params, grid=GRID) == 0.0
 
     def test_scaling_invariants_annihilated(self, ref):
@@ -423,13 +429,13 @@ class TestSymmetryMachinery:
         assert float(np.var(vals, axis=1).max()) < 1e-14
 
     def test_operator_coefficient_structure(self, ref):
-        xi1, xi2, eta1 = operator_coefficients(0.0, 1.0, 0.125, -2.0, None, ref.params)
+        xi1, xi2, eta1 = operator_coefficients(0.0, 1.0, 0.125, -2.0, zero_field, ref.params)
         assert xi1(2.0) == 2.125
         assert xi2(0.0, 0.5) == 1.5 - 1.0
         assert eta1(0.0, 0.0, 3.0) == -6.0
 
     def test_general_coefficients_with_C1(self, ref):
-        xi1, xi2, eta1 = operator_coefficients(2.0, 0.0, 0.125, 0.0, None, ref.params)
+        xi1, xi2, eta1 = operator_coefficients(2.0, 0.0, 0.125, 0.0, zero_field, ref.params)
         assert xi1(1.0) == pytest.approx(1.0 + 0.125)
         assert xi2(1.0, 0.5) == pytest.approx(2.0 * (4.0 + 0.5 + 1.0) - 1.0)
         assert eta1(1.0, 2.0, 1.0) == pytest.approx(-(1.0 + 0.125 * 2.0))
@@ -485,6 +491,21 @@ class TestFluxDiscrepancy:
         want = float(sp.N(exact_gap, 40))
         assert want == 0.40479906861907056
         assert abs(verification.published_gap_at(0.0) - want) <= math.ulp(want)
+
+    def test_engine_disagreement_names_the_point(self, monkeypatch):
+        # the closed-form flux off by 1e-6 at one mesh point, past the 1e-8
+        # the dual-engine derivative must agree with it to
+        real = temperature.reference_flux
+
+        def off(tau, eta):
+            return real(tau, eta) + np.where((tau == 0.5) & (eta == 1.0), 1e-6, 0.0)
+
+        monkeypatch.setattr(temperature, "reference_flux", off)
+        msg = r"^boundary flux: engine vs closed form at \(tau=0\.5, eta=1\.0\): "
+        with pytest.raises(verification.UnreliableDerivativesError, match=msg) as exc:
+            published_flux_discrepancy()
+        derived, closed = (float(x) for x in str(exc.value).split(": ")[-1].split(" vs "))
+        assert closed - derived == pytest.approx(1e-6, rel=1e-6)
 
     def test_gap_decays(self):
         gaps = np.abs(published_flux_discrepancy().outer_gap)
