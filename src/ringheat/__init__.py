@@ -7,7 +7,7 @@ flow branch, `temperature` the closed-form temperature solutions in reduced
 and dimensional variables, `verification` a residual engine that
 substitutes each form back into its governing equation, `solver` an
 independent finite-difference solver that must converge to the closed forms
-at second order (method of manufactured solutions), `dualnum` the dual
+at its scheme's order (method of manufactured solutions), `dualnum` the dual
 numbers behind every exact derivative, and `cli` the command line.  Each
 name is imported from its module, e.g. `from ringheat.verification import
 run_suite`; importing the package loads none of them.

@@ -37,7 +37,6 @@ from .solver import (
     BC_MODES,
     MAX_CELLS,
     N_SNAPSHOTS,
-    ORDER_BAND,
     PUBLISHED_FLUX_ERROR_FLOOR,
     SCHEMES,
     DivergenceError,
@@ -344,7 +343,7 @@ def cmd_convergence(args) -> int:
               f"{PUBLISHED_FLUX_ERROR_FLOOR}) "
               f"instead of converging at order 2.")
         return EXIT_FAIL
-    lo, hi = ORDER_BAND
+    _, (lo, hi) = SCHEMES[rc.solver.scheme]
     orders = [r.observed_order for r in results[1:]]
     ok = all(o is not None and lo <= o <= hi for o in orders)
     if not ok:

@@ -235,7 +235,8 @@ def to_reduced(t, r, phys: PhysicalParams):
     r2sq = 8.0 * phys.nu * t + R20sq
     eta = (r * r - r2sq) / R20sq
     a = phys.R10 ** 2 / R20sq - 1.0
-    if np.any(eta < -RING_SLACK) or np.any(eta > a + RING_SLACK):
+    v = value(eta)  # a Dual t or r is judged by its value part
+    if np.any(v < -RING_SLACK) or np.any(v > a + RING_SLACK):
         warnings.warn("r outside the ring [R2(t), R1(t)]; evaluation continues",
                       RuntimeWarning, stacklevel=2)
     return tau, eta

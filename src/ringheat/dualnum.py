@@ -69,19 +69,6 @@ class Dual:
         # constant (non-Dual) exponent only; integer p stays exact
         return Dual(self.a ** p, p * self.a ** (p - 1) * self.b)
 
-    # Comparisons act on the value part so domain guards run unchanged.
-    def __lt__(self, other):
-        return value(self) < value(other)
-
-    def __le__(self, other):
-        return value(self) <= value(other)
-
-    def __gt__(self, other):
-        return value(self) > value(other)
-
-    def __ge__(self, other):
-        return value(self) >= value(other)
-
 
 def value(x):
     """Strip all derivative parts, returning the underlying float/array."""

@@ -2,8 +2,12 @@
 
 Space: conservative second-order fluxes D(tau, eta_face)*(theta_{j+1} -
 theta_j)/h with face-centered diffusivity and ghost-node Neumann closure.
-Time: Crank-Nicolson with diffusivity, source, and flux data frozen at the
-half step (implicit midpoint, O(dt^2)), or implicit Euler.  The diffusivity
+Time: one theta-method.  Each scheme is a row of `SCHEMES`: its implicit
+weight w and the band its observed orders must fall in.  A step takes the
+share w of the spatial operator at the new level and 1 - w at the old one,
+with diffusivity, source and flux data frozen at tau_n + w*dt: w = 0.5 is
+Crank-Nicolson (implicit midpoint, O(dt^2)), w = 1 is implicit Euler
+(O(dt), so order 1 in a study that ties dt to h).  The diffusivity
 is >= 1 on the whole domain, so the tridiagonal systems are strictly
 diagonally dominant and plain Thomas elimination without pivoting is safe.
 `thomas_solve` runs that elimination on Python floats, in the operation
@@ -25,7 +29,7 @@ runs `thomas_solve`.  Every element is computed with the same operations as
 a one-step-at-a-time loop, so the snapshots are bit-identical to it.
 
 The marcher is a manufactured-solution check: with correct boundary data it
-must converge to the closed forms at second order in h.  There is one solve
+must converge to the closed forms at its scheme's order.  There is one solve
 path, `solve_general`: it builds the coefficients from the reduced
 parameters, takes the initial data, exact field, wall fluxes (exact Neumann
 data exist for every member of the family) and wall values that go with the
@@ -74,7 +78,6 @@ __all__ = [
     "solve_general",
     "convergence_study",
     "PUBLISHED_FLUX_ERROR_FLOOR",
-    "ORDER_BAND",
     "N_SNAPSHOTS",
     "MAX_STEPS",
     "MAX_NODE_STEPS",
@@ -88,9 +91,6 @@ __all__ = [
 #: Measured error_inf ~ 0.498 for N in {64, 128, 256, 512} at t_end = 0.25
 #: (drift < 0.1% per refinement); the plateau never falls below this floor.
 PUBLISHED_FLUX_ERROR_FLOOR = 0.49
-
-#: Observed orders `convergence` accepts: second order in h, within 0.2.
-ORDER_BAND = (1.8, 2.2)
 
 #: Snapshots a march keeps, evenly spaced in steps from tau = 0 to t_end.
 N_SNAPSHOTS = 5
@@ -108,8 +108,10 @@ MAX_NODE_STEPS = 1_000_000_000
 #: snapshots a march keeps and the CSV rows `solve` writes from them.
 MAX_CELLS = 65536
 
-#: Time schemes and boundary modes a SolverConfig accepts.
-SCHEMES = ("cn", "euler")
+#: Each time scheme a SolverConfig accepts: (implicit weight w, the band of
+#: observed orders `convergence` accepts with dt tied to h).
+SCHEMES = {"cn": (0.5, (1.8, 2.2)), "euler": (1.0, (0.8, 1.2))}
+#: Boundary modes a SolverConfig accepts.
 BC_MODES = ("derived", "paper", "dirichlet")
 
 #: Elements per coefficient array of one block of steps: `march` assembles
@@ -150,17 +152,19 @@ class Grid1D:
 class SolverConfig:
     """March settings.
 
-    dt = None means dt = dt_over_h * h, a fixed h/8, which keeps temporal
-    error subordinate (both schemes are unconditionally stable, so the choice
-    is accuracy-driven).  bc_mode: 'derived' = exact Neumann data from the
-    closed form, 'paper' = originally published Neumann data (inconsistent
-    at the outer wall), 'dirichlet' = exact boundary values.
+    scheme names the row of `SCHEMES` that gives the march its implicit
+    weight and a study its order band.  dt = None means dt = dt_over_h * h,
+    a fixed h/8, which keeps cn's temporal error subordinate (both schemes
+    are unconditionally stable, so the choice is accuracy-driven; euler's
+    O(dt) error then shows as order 1).  bc_mode: 'derived' = exact Neumann
+    data from the closed form, 'paper' = originally published Neumann data
+    (inconsistent at the outer wall), 'dirichlet' = exact boundary values.
     """
 
     dt: float | None = None
     dt_over_h: ClassVar[float] = 0.125
     t_end: float = 0.25
-    scheme: str = "cn"        # "cn" | "euler"
+    scheme: str = "cn"        # a key of SCHEMES: "cn" | "euler"
     bc_mode: str = "derived"  # "derived" | "paper" | "dirichlet"
 
     def __post_init__(self):
@@ -171,7 +175,7 @@ class SolverConfig:
         if self.t_end < 0:
             raise ValidationError("t_end must be >= 0")
         if self.scheme not in SCHEMES:
-            raise ValidationError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+            raise ValidationError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
         if self.bc_mode not in BC_MODES:
             raise ValidationError(f"bc_mode must be one of {BC_MODES}, got {self.bc_mode!r}")
 
@@ -267,7 +271,8 @@ def _steps(grid: Grid1D, config: SolverConfig) -> float:
 def march(grid: Grid1D, config: SolverConfig,
           diffusivity: Callable, source: Callable,
           initial: Callable, bc_inner, bc_outer, exact: Callable) -> SolveResult:
-    """Advance theta_tau = d/deta(D*theta_eta) + S from tau = 0 to t_end.
+    """Advance theta_tau = d/deta(D*theta_eta) + S from tau = 0 to t_end by
+    the theta-method whose implicit weight `SCHEMES` gives config.scheme.
 
     diffusivity(tau, eta) and source(tau, eta) must broadcast over a tau
     column (steps, 1) and an eta row (n + 1,): march calls each once per
@@ -303,9 +308,9 @@ def march(grid: Grid1D, config: SolverConfig,
     faces_hi = eta + 0.5 * h
     kind_in, data_in = bc_inner
     kind_out, data_out = bc_outer
-    cn = config.scheme == "cn"
-    r = dt / (2.0 * h * h) if cn else dt / (h * h)
-    offset = 0.5 * dt if cn else dt  # scheme's coefficient level past tau_n
+    wt, _ = SCHEMES[config.scheme]  # the implicit weight
+    r = wt * dt / (h * h)  # exact scalings, so cn's r is dt / (2 h^2) to the bit
+    rx = (1.0 - wt) * dt / (h * h)  # the explicit share: r for cn, 0 for euler
 
     rhs = np.empty(n + 1)
     j = slice(1, n)
@@ -314,9 +319,10 @@ def march(grid: Grid1D, config: SolverConfig,
     block = max(1, BLOCK_ELEMS // (n + 1))
 
     for k0 in range(0, nsteps, block):
-        # coefficients of the block's steps, one row per step, each element
-        # computed with the same operations as one step at a time would
-        tau_c = np.arange(k0, min(k0 + block, nsteps)) * dt + offset
+        # coefficients of the block's steps at tau_n + wt * dt, one row per
+        # step, each element computed with the same operations as one step
+        # at a time would
+        tau_c = np.arange(k0, min(k0 + block, nsteps)) * dt + wt * dt
         rows = (tau_c.size, n + 1)
         col = tau_c[:, None]
         d_lo = np.broadcast_to(diffusivity(col, faces_lo), rows)
@@ -343,26 +349,21 @@ def march(grid: Grid1D, config: SolverConfig,
         for i, tau_ci in enumerate(tau_c.tolist()):
             k = k0 + i
             tau_new = k * dt + dt
-            if cn:
-                rhs[j] = (theta[j]
-                          + r * (d_lo[i, j] * (theta[jm] - theta[j])
-                                 + d_hi[i, j] * (theta[jp] - theta[j]))
-                          + s_dt[i, j])
-            else:
-                rhs[j] = theta[j] + s_dt[i, j]
+            rhs[j] = (theta[j]
+                      + rx * (d_lo[i, j] * (theta[jm] - theta[j])
+                              + d_hi[i, j] * (theta[jp] - theta[j]))
+                      + s_dt[i, j])
 
             if kind_in == "flux":
                 g0 = float(data_in(tau_ci))
-                rhs[0] = theta[0] - 2.0 * dt * d_lo[i, 0] * g0 / h + s_dt[i, 0]
-                if cn:
-                    rhs[0] += r * w[i, 0] * (theta[1] - theta[0])
+                rhs[0] = (theta[0] - 2.0 * dt * d_lo[i, 0] * g0 / h + s_dt[i, 0]
+                          + rx * w[i, 0] * (theta[1] - theta[0]))
             else:
                 rhs[0] = float(data_in(tau_new))
             if kind_out == "flux":
                 g1 = float(data_out(tau_ci))
-                rhs[n] = theta[n] + 2.0 * dt * d_hi[i, n] * g1 / h + s_dt[i, n]
-                if cn:
-                    rhs[n] += r * w[i, n] * (theta[n - 1] - theta[n])
+                rhs[n] = (theta[n] + 2.0 * dt * d_hi[i, n] * g1 / h + s_dt[i, n]
+                          + rx * w[i, n] * (theta[n - 1] - theta[n]))
             else:
                 rhs[n] = float(data_out(tau_new))
 

@@ -397,6 +397,32 @@ class TestConvergence:
         assert rc == 1
         assert "plateau" in out
 
+    def test_euler_paper_mode_expected_failure(self, capsys):
+        # euler's own band does not let the published-flux plateau pass
+        rc, out, _ = run(["convergence", "--grid", "64,128,256", "--scheme", "euler",
+                          "--bc-mode", "paper"], capsys)
+        assert rc == 1
+        assert "expected failure: the published outer flux is inconsistent" in out
+
+    # each study is judged by its own scheme's band: implicit Euler with dt
+    # tied to h converges at order 1, so it passes inside [0.8, 1.2]
+    @pytest.mark.parametrize("extra, config", [
+        (["--grid", "32,64,128"], None),
+        (["--grid", "16,32,64", "--bc-mode", "dirichlet"],
+         {"reduced": {"A": 1.3, "B": 2.1, "eps": -0.7, "a": 2.0},
+          "constants": {"C3": 0.3, "C5": 0.8}}),
+    ], ids=["reference-derived", "general-dirichlet"])
+    def test_euler_study_passes_in_its_band(self, extra, config, tmp_path, capsys):
+        if config is not None:
+            cfg = tmp_path / "c.json"
+            cfg.write_text(json.dumps(config))
+            extra = extra + ["--config", str(cfg)]
+        rc, out, err = run(["convergence", "--scheme", "euler"] + extra, capsys)
+        assert rc == 0 and err == ""
+        orders = [float(ln.split()[3]) for ln in out.splitlines()[2:4]]
+        assert len(orders) == 2 and all(0.8 <= o <= 1.2 for o in orders)
+        assert "order outside" not in out
+
     def test_t_end_zero_exit_2(self, capsys):
         # every level's error is 0 at t_end = 0, so no order can be observed
         rc, out, err = run(["convergence", "--grid", "16,32", "--tau-end", "0"], capsys)
@@ -757,7 +783,8 @@ _GOOD_FLAGS = [
 _BAD_FLAGS = [
     ("--c5", "nan", "constants", "C5", float("nan"), ["profile"], "C5 must be a finite"),
     ("--tau-end", "-1", "solver", "tau_end", -1.0, ["solve", "--grid", "16"], "t_end"),
-    ("--scheme", "rk4", "solver", "scheme", "rk4", ["solve", "--grid", "16"], "scheme"),
+    ("--scheme", "rk4", "solver", "scheme", "rk4", ["solve", "--grid", "16"],
+     "scheme must be one of ('cn', 'euler'), got 'rk4'"),
     ("--bc-mode", "mixed", "solver", "bc_mode", "mixed", ["solve", "--grid", "16"], "bc_mode"),
     ("--grid", "16.5", "solver", "grid", 16.5, ["solve"], "solver.grid must be an integer"),
     ("--grid", "16.5,32", "solver", "grid", [16.5, 32], ["convergence"],
