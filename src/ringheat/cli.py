@@ -7,8 +7,10 @@ both), ``constants``, ``output``, and ``profile`` for profile or ``solver``
 CLI flag is a config key: it replaces the file's value before anything is
 validated, so a value is checked by the same code whichever way it comes.
 CSV output is UTF-8, comma-separated, LF line endings, 17-significant-digit
-decimals (round-trip exact), so reruns are bit-identical.  Exit codes: 0 pass,
-1 check/solve failure, 2 usage/config error."""
+decimals (round-trip exact), so reruns are bit-identical.  Exit codes: 0 pass;
+1 a failed check or order band, the expected `paper`-mode failure, or a
+diverged march (`DivergenceError`); 2 a rejected input (`core.ValidationError`,
+the message naming the field), an unreadable file, or a usage error."""
 
 from __future__ import annotations
 
@@ -25,8 +27,6 @@ from .core import (
     PhysicalParams,
     ReducedParams,
     ReferenceCase,
-    SingularConstantError,
-    SingularTimeError,
     SolutionConstants,
     ValidationError,
     from_reduced,
@@ -48,7 +48,7 @@ from .solver import (
 )
 from .verification import published_gap_at, run_suite
 
-__all__ = ["main", "RunConfig", "ConfigError"]
+__all__ = ["main", "RunConfig"]
 
 EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
@@ -66,10 +66,6 @@ _KEYS = {
 _FLAGS = {"c5": ("constants", "C5"), "tau_end": ("solver", "tau_end"),
           "scheme": ("solver", "scheme"), "bc_mode": ("solver", "bc_mode"),
           "out": ("output", "path")}
-
-
-class ConfigError(Exception):
-    """Malformed run configuration (file or flags)."""
 
 
 @dataclass
@@ -95,14 +91,14 @@ def _load_json(path: str, cmd: str) -> dict:
         with open(path, "r", encoding="utf-8") as f:
             cfg = json.load(f)
     except OSError as e:
-        raise ConfigError(f"cannot read config {path}: {e}") from e
+        raise ValidationError(f"cannot read config {path}: {e}") from e
     except (ValueError, RecursionError) as e:  # not UTF-8 or JSON, too deep, a 4301+ digit int
-        raise ConfigError(f"config {path} is not valid JSON: {e}") from e
+        raise ValidationError(f"config {path} is not valid JSON: {e}") from e
     if not isinstance(cfg, dict):
-        raise ConfigError("config root must be a JSON object")
+        raise ValidationError("config root must be a JSON object")
     unknown = set(cfg) - set(_READ_BY_ALL + _COMMANDS[cmd][2])
     if unknown:
-        raise ConfigError(f"unknown config blocks for {cmd}: {sorted(unknown)}")
+        raise ValidationError(f"unknown config blocks for {cmd}: {sorted(unknown)}")
     return cfg
 
 
@@ -110,27 +106,28 @@ def _count(value, name: str) -> int:
     """value as an int: an int, or a float with an integral value (not a bool)."""
     if (isinstance(value, bool) or not isinstance(value, (int, float))
             or (isinstance(value, float) and not value.is_integer())):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
+        raise ValidationError(f"{name} must be an integer, got {value!r}")
     return int(value)
 
 
 def _real(value, name: str) -> float:
     """value as a float: an int or a float (not a bool, not a string)."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
+        raise ValidationError(f"{name} must be a number, got {value!r}")
     try:
         return float(value)
     except OverflowError as e:
-        raise ConfigError(f"{name} is too large: {e}") from e
+        raise ValidationError(f"{name} is too large: {e}") from e
 
 
 def _block(cfg: dict, label: str) -> dict:
     block = cfg.get(label, {})
     if not isinstance(block, dict):
-        raise ConfigError(f"'{label}' block must be a JSON object, got {type(block).__name__}")
+        raise ValidationError(f"'{label}' block must be a JSON object, "
+                              f"got {type(block).__name__}")
     unknown = set(block) - _KEYS[label]
     if unknown:
-        raise ConfigError(f"unknown keys in '{label}' block: {sorted(unknown)}")
+        raise ValidationError(f"unknown keys in '{label}' block: {sorted(unknown)}")
     return dict(block)
 
 
@@ -139,14 +136,14 @@ def _dataclass(cls, label: str, block: dict):
     try:
         return cls(**{k: _real(v, f"{label}.{k}") for k, v in block.items()})
     except TypeError as e:  # a required key is missing
-        raise ConfigError(f"incomplete '{label}' block: {e}") from e
+        raise ValidationError(f"incomplete '{label}' block: {e}") from e
 
 
 def resolve_config(args) -> RunConfig:
     """Write the flags into the config blocks args.cmd reads, then validate every key once."""
     cfg = _load_json(args.config, args.cmd) if args.config else {}
     if "physical" in cfg and "reduced" in cfg:
-        raise ConfigError("give exactly one of the 'physical' and 'reduced' blocks")
+        raise ValidationError("give exactly one of the 'physical' and 'reduced' blocks")
     blocks = {label: _block(cfg, label) for label in _READ_BY_ALL + _COMMANDS[args.cmd][2]}
     for dest, (label, key) in _FLAGS.items():
         if getattr(args, dest, None) is not None:
@@ -157,8 +154,8 @@ def resolve_config(args) -> RunConfig:
         except (ValueError, RecursionError):
             ns = []
         if not ns:
-            raise ConfigError(f"--grid must be a number or a comma list of numbers, "
-                              f"got {args.grid!r}")
+            raise ValidationError(f"--grid must be a number or a comma list of numbers, "
+                                  f"got {args.grid!r}")
         blocks["solver"]["grid"] = ns
 
     phys = None
@@ -193,25 +190,26 @@ def resolve_config(args) -> RunConfig:
 
     out = blocks["output"].get("path")
     if out is not None and not isinstance(out, str):
-        raise ConfigError("output.path must be a string")
+        raise ValidationError("output.path must be a string")
 
     if "profile" in blocks:
         taus = blocks["profile"].get("tau", [0.0, 0.125, 1.0, 1e4])
         if not isinstance(taus, list):
-            raise ConfigError(f"profile.tau must be a list of numbers, got {taus!r}")
+            raise ValidationError(f"profile.tau must be a list of numbers, got {taus!r}")
         taus = [_real(t, f"profile.tau[{i}]") for i, t in enumerate(taus)]
         for i, t in enumerate(taus):
             # tau < 0 is before the expansion starts (and -C3 is singular);
             # inf and nan would print a NaN profile
             if not (math.isfinite(t) and t >= 0.0):
-                raise ConfigError(f"profile.tau[{i}] must be finite and >= 0, got {t!r}")
+                raise ValidationError(f"profile.tau[{i}] must be finite and >= 0, got {t!r}")
         n_eta = _count(blocks["profile"].get("n_eta", 101), "profile.n_eta")
         if not 2 <= n_eta <= MAX_CELLS + 1:
-            raise ConfigError(f"profile.n_eta must be >= 2 and <= {MAX_CELLS + 1}, got {n_eta}")
+            raise ValidationError(f"profile.n_eta must be >= 2 and <= {MAX_CELLS + 1}, "
+                                  f"got {n_eta}")
         # at most the rows `solve` can write: N_SNAPSHOTS of the largest grid
         if len(taus) * n_eta > N_SNAPSHOTS * (MAX_CELLS + 1):
-            raise ConfigError(f"profile.tau has {len(taus)} times of {n_eta} points, over the "
-                              f"{N_SNAPSHOTS * (MAX_CELLS + 1)} rows a profile may have")
+            raise ValidationError(f"profile.tau has {len(taus)} times of {n_eta} points, over the "
+                                  f"{N_SNAPSHOTS * (MAX_CELLS + 1)} rows a profile may have")
         settings.update(profile_tau=taus, profile_n_eta=n_eta)
 
     return RunConfig(params=params, consts=consts, phys=phys, out=out, **settings)
@@ -272,18 +270,14 @@ def cmd_verify(args) -> int:
 def cmd_solve(args) -> int:
     rc = resolve_config(args)
     if len(rc.grid) != 1:
-        raise ConfigError(f"solve takes one solver.grid count, got {rc.grid}; "
-                          "a list of counts is for convergence")
+        raise ValidationError(f"solve takes one solver.grid count, got {rc.grid}; "
+                              "a list of counts is for convergence")
     if rc.solver.bc_mode == "paper":
         print("warning: 'paper' boundary mode feeds the published outer flux, "
               "which is inconsistent with the exact solution; expect an error "
               "plateau near 0.5 instead of convergence", file=sys.stderr)
     grid = Grid1D(n_cells=rc.grid[0], a=rc.params.a)
-    try:
-        result = solve_general(rc.params, rc.consts, grid, rc.solver)
-    except OverflowError as e:
-        raise ConfigError(f"tau_end = {rc.solver.t_end!r} is too large: a closed form "
-                          "overflows the float range on the way to it") from e
+    result = solve_general(rc.params, rc.consts, grid, rc.solver)
     nodes = grid.nodes
     rows = []
     for tau_s, theta in result.snapshots:
@@ -310,13 +304,13 @@ def cmd_profile(args) -> int:
                 t_s, r_s = from_reduced(tau_s, eta, rc.phys)
                 cols += [t_s, r_s, temperature.dimensional_T(t_s, r_s, rc.phys, rc.consts)]
         except OverflowError as e:
-            raise ConfigError(f"profile.tau[{i}] = {tau_s!r} is too large: the closed "
-                              "form overflows the float range") from e
+            raise ValidationError(f"profile.tau[{i}] = {tau_s!r} is too large: the closed "
+                                  "form overflows the float range") from e
         # numpy does not raise on overflow: it gives inf, and nan after it
         bad = [name for name, col in zip(header[2:], cols) if not np.all(np.isfinite(col))]
         if bad:
-            raise ConfigError(f"profile.tau[{i}] = {tau_s!r} gives a non-finite {bad[0]}: "
-                              "a closed form overflows the float range")
+            raise ValidationError(f"profile.tau[{i}] = {tau_s!r} gives a non-finite {bad[0]}: "
+                                  "a closed form overflows the float range")
         rows.extend(zip(*np.broadcast_arrays(tau_s, eta, *cols)))
     _write_text(rc.out, _csv(rows, header))
     return EXIT_OK
@@ -337,13 +331,14 @@ def cmd_convergence(args) -> int:
     if rc.out:
         _write_text(rc.out, _csv(rows, ["n_cells", "h", "error_inf", "observed_order"]))
 
+    _, (lo, hi) = SCHEMES[rc.solver.scheme]
     if rc.solver.bc_mode == "paper":
+        # the scheme's order is the centre of its band
         print(f"\nexpected failure: the published outer flux is inconsistent with the "
               f"exact solution, so the error plateaus (frozen regression floor "
               f"{PUBLISHED_FLUX_ERROR_FLOOR}) "
-              f"instead of converging at order 2.")
+              f"instead of converging at order {round((lo + hi) / 2)}.")
         return EXIT_FAIL
-    _, (lo, hi) = SCHEMES[rc.solver.scheme]
     orders = [r.observed_order for r in results[1:]]
     ok = all(o is not None and lo <= o <= hi for o in orders)
     if not ok:
@@ -389,12 +384,11 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, SingularConstantError, OSError) as e:
+    except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE
-    except (SingularTimeError, DivergenceError) as e:
-        what = "solver diverged" if isinstance(e, DivergenceError) else "singular time requested"
-        print(f"error: {what}: {e}", file=sys.stderr)
+    except DivergenceError as e:
+        print(f"error: solver diverged: {e}", file=sys.stderr)
         return EXIT_FAIL
 
 if __name__ == "__main__":

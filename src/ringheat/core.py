@@ -28,8 +28,6 @@ from .dualnum import sqrt, value
 
 __all__ = [
     "ValidationError",
-    "SingularTimeError",
-    "SingularConstantError",
     "PhysicalParams",
     "ReducedParams",
     "SolutionConstants",
@@ -52,15 +50,9 @@ RING_SLACK = 1e-12
 
 
 class ValidationError(ValueError):
-    """A parameter failed its domain constraint; the message names the field."""
-
-
-class SingularTimeError(ValueError):
-    """Evaluation requested at or beyond the singular time tau = -C3."""
-
-
-class SingularConstantError(ValueError):
-    """A constants formula hit a numerically vanishing denominator."""
+    """An input was rejected; the message names the field.  The package's one
+    error for bad input: the CLI exits 2 on it, and 1 only on a failed check
+    or a diverged march (`solver.DivergenceError`)."""
 
 
 def _require(cond, field, msg):
@@ -68,9 +60,10 @@ def _require(cond, field, msg):
         raise ValidationError(f"{field} {msg}")
 
 
-def _require_domain(x, message, *fmt, allow_zero=False, error=ValidationError):
-    """Raise error(message.format(*fmt)) where the value part of x (a float,
-    an array or a Dual over either) is <= 0, or < 0 with allow_zero; NaN passes."""
+def _require_domain(x, message, *fmt, allow_zero=False):
+    """Raise ValidationError(message.format(*fmt)) where the value part of x
+    (a float, an array or a Dual over either) is <= 0, or < 0 with
+    allow_zero; NaN passes."""
     v = value(x)
     if isinstance(v, float):  # np.float64 too: np.any would dominate a scalar trace call
         bad = v < 0.0 if allow_zero else v <= 0.0
@@ -78,7 +71,7 @@ def _require_domain(x, message, *fmt, allow_zero=False, error=ValidationError):
         v = np.asarray(v)
         bad = np.any(v < 0.0 if allow_zero else v <= 0.0)
     if bad:
-        raise error(message.format(*fmt))
+        raise ValidationError(message.format(*fmt))
 
 
 def _require_C3(C3):
@@ -270,7 +263,7 @@ def reference_case_K(C3: float) -> float:
     den = (4.0 * (8.0 * C3 - 1.0) * math.exp(1.0 - 1.0 / (4.0 * C3))
            - (16.0 * C3 - 1.0) * math.exp(1.0 - 1.0 / (8.0 * C3)))
     if abs(den) <= 1e-14:
-        raise SingularConstantError(
+        raise ValidationError(
             f"denominator of the amplitude formula vanishes at C3={C3!r} (|den|={abs(den):.3e})")
     return num / den
 

@@ -287,9 +287,20 @@ def march(grid: Grid1D, config: SolverConfig,
     level.  exact(tau, eta) is the field the error norms at t_end are
     measured against.  Deterministic: identical inputs give bit-identical
     snapshots.  A t_end / dt that is not finite or breaks MAX_STEPS or
-    MAX_NODE_STEPS raises ValidationError; a zero pivot, like a non-finite
-    solution, raises DivergenceError.
+    MAX_NODE_STEPS raises ValidationError; so does a closed form that
+    overflows the float range on the way to t_end (the OverflowError of a
+    scalar wall-data call or of `exact`), naming tau_end.  A zero pivot, like
+    a non-finite solution, raises DivergenceError.
     """
+    try:
+        return _march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact)
+    except OverflowError as e:
+        raise ValidationError(f"tau_end = {config.t_end!r} is too large: a closed form "
+                              "overflows the float range on the way to it") from e
+
+
+def _march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact):
+    """`march` without its translation of OverflowError."""
     h = grid.h
     n = grid.n_cells
     steps = _steps(grid, config)

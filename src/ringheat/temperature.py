@@ -32,8 +32,6 @@ from .core import (
     C5_MIN,
     PhysicalParams,
     ReducedParams,
-    SingularConstantError,
-    SingularTimeError,
     SolutionConstants,
     ValidationError,
     _require_C3,
@@ -93,7 +91,7 @@ def theta_general(tau, eta, params: ReducedParams, consts: SolutionConstants):
     """
     A, B = params.A, params.B
     P = tau + consts.C3
-    _require_domain(P, _P_DOMAIN, consts.C3, error=SingularTimeError)
+    _require_domain(P, _P_DOMAIN, consts.C3)
     s = 8.0 * tau + eta + 1.0
     _require_domain(s, _S_DOMAIN)
     Q = 1.0 + eta - 8.0 * consts.C3
@@ -176,7 +174,7 @@ def _trace_outer(tau, params: ReducedParams, consts: SolutionConstants):
     # boundary value at eta = a, transcribed as its own expression
     A, B = params.A, params.B
     P = tau + consts.C3
-    _require_domain(P, _P_DOMAIN, consts.C3, error=SingularTimeError)
+    _require_domain(P, _P_DOMAIN, consts.C3)
     qa = 1.0 + params.a - 8.0 * consts.C3
     sa = 8.0 * tau + params.a + 1.0
     return (consts.K * ((A * qa - B * P) / P ** 3) * exp(-A * qa / (B * P))
@@ -188,7 +186,7 @@ def _trace_inner(tau, params: ReducedParams, consts: SolutionConstants):
     # boundary value at eta = 0
     A, B = params.A, params.B
     P = tau + consts.C3
-    _require_domain(P, _P_DOMAIN, consts.C3, error=SingularTimeError)
+    _require_domain(P, _P_DOMAIN, consts.C3)
     q0 = 1.0 - 8.0 * consts.C3
     s0 = 8.0 * tau + 1.0
     return (consts.K * ((A * q0 - B * P) / P ** 3) * exp(-A * q0 / (B * P))
@@ -227,11 +225,15 @@ def k_for_equal_boundaries(params: ReducedParams, C3: float) -> float:
     C3 = 1/8 it gives -5/18432.
     """
     _require_C3(C3)
-    # an overflowing ((1 + a)/C3)^(8A/B) makes the slope NaN, raised below
+    # an overflowing ((1 + a)/C3)^(8A/B), or a B*C3 that underflows to 0,
+    # makes the slope NaN, raised below
     with np.errstate(over="ignore", invalid="ignore"):
-        first, slope = _boundary_difference_terms(params, C3)
+        try:
+            first, slope = _boundary_difference_terms(params, C3)
+        except ZeroDivisionError:
+            slope = math.nan
     if not np.isfinite(slope) or slope == 0.0:
-        raise SingularConstantError(
+        raise ValidationError(
             f"equal-boundary condition is singular at C3={C3!r} (slope={float(slope)!r})")
     return float(-first / slope)
 
@@ -249,8 +251,7 @@ def dimensional_T(t, r, phys: PhysicalParams, consts: SolutionConstants):
     T0 = phys.T0
     R2sq = phys.R20 ** 2
     Pd = phys.nu * t + consts.C3 * R2sq
-    _require_domain(Pd, "nu*t + C3*R20^2 must be > 0 (C3={})", consts.C3,
-                    error=SingularTimeError)
+    _require_domain(Pd, "nu*t + C3*R20^2 must be > 0 (C3={})", consts.C3)
     pw = 8.0 * A / B
     mode = (T0 * consts.K
             * ((A * R2sq ** 2 * r ** 2 - (8.0 * A + B) * (phys.nu * R2sq ** 2 * t + consts.C3 * R2sq ** 3))

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import reject, strategies as st
 
-from ringheat.core import (PhysicalParams, ReducedParams, ReferenceCase, SingularConstantError,
-                           SolutionConstants)
+from ringheat.core import (PhysicalParams, ReducedParams, ReferenceCase, SolutionConstants,
+                           ValidationError)
 from ringheat.temperature import k_for_equal_boundaries
 
 
@@ -87,6 +87,6 @@ def general_family(draw):
     C3 = draw(_log_uniform(0.05, 1.0))
     try:
         K = k_for_equal_boundaries(params, C3)
-    except SingularConstantError:
+    except ValidationError:
         reject()
     return params, SolutionConstants(C3=C3, C5=draw(st.floats(0.0, 5.0)), K=K)

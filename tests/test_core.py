@@ -12,7 +12,6 @@ from ringheat.core import (
     PhysicalParams,
     ReducedParams,
     ReferenceCase,
-    SingularConstantError,
     SolutionConstants,
     ValidationError,
     from_reduced,
@@ -214,7 +213,7 @@ class TestConstants:
 
     def test_reference_case_K_singular_denominator(self):
         # as C3 -> 0+ both exponentials vanish, so the denominator underflows
-        with pytest.raises(SingularConstantError):
+        with pytest.raises(ValidationError, match="denominator of the amplitude formula vanishes"):
             reference_case_K(0.003)
 
     def test_reference_case_tuple(self, ref):
