@@ -272,12 +272,12 @@ def cmd_solve(args) -> int:
     if len(rc.grid) != 1:
         raise ValidationError(f"solve takes one solver.grid count, got {rc.grid}; "
                               "a list of counts is for convergence")
-    if rc.solver.bc_mode == "paper":
+    grid = Grid1D(n_cells=rc.grid[0], a=rc.params.a)
+    result = solve_general(rc.params, rc.consts, grid, rc.solver)
+    if rc.solver.bc_mode == "paper":  # only a run solve_general accepted warns
         print("warning: 'paper' boundary mode feeds the published outer flux, "
               "which is inconsistent with the exact solution; expect an error "
               "plateau near 0.5 instead of convergence", file=sys.stderr)
-    grid = Grid1D(n_cells=rc.grid[0], a=rc.params.a)
-    result = solve_general(rc.params, rc.consts, grid, rc.solver)
     nodes = grid.nodes
     rows = []
     for tau_s, theta in result.snapshots:

@@ -174,7 +174,7 @@ class SolverConfig:
             raise ValidationError(f"t_end must be a finite number, got {self.t_end!r}")
         if self.t_end < 0:
             raise ValidationError("t_end must be >= 0")
-        if self.scheme not in SCHEMES:
+        if not isinstance(self.scheme, str) or self.scheme not in SCHEMES:
             raise ValidationError(f"scheme must be one of {tuple(SCHEMES)}, got {self.scheme!r}")
         if self.bc_mode not in BC_MODES:
             raise ValidationError(f"bc_mode must be one of {BC_MODES}, got {self.bc_mode!r}")
@@ -312,7 +312,7 @@ def _march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact
         return _result(snapshots, grid, config, exact)
 
     nsteps = max(1, int(round(steps)))
-    dt = config.t_end / nsteps  # land exactly on t_end
+    dt = config.t_end / nsteps  # the last step is t_end; k*dt + dt can be an ulp off
     snap_at = set(np.linspace(0, nsteps, N_SNAPSHOTS).round().astype(int))
 
     faces_lo = eta - 0.5 * h
@@ -359,7 +359,7 @@ def _march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact
 
         for i, tau_ci in enumerate(tau_c.tolist()):
             k = k0 + i
-            tau_new = k * dt + dt
+            tau_new = k * dt + dt if k + 1 < nsteps else config.t_end
             rhs[j] = (theta[j]
                       + rx * (d_lo[i, j] * (theta[jm] - theta[j])
                               + d_hi[i, j] * (theta[jp] - theta[j]))
@@ -411,13 +411,11 @@ def _march_args(params: ReducedParams, consts: SolutionConstants,
     reference = ReferenceCase().matches(params, consts)
     if reference:
         exact = partial(temperature.theta_reference, C5=consts.C5)
-        initial = partial(temperature.initial_profile, C5=consts.C5)
         fluxes = [partial(temperature.reference_flux, eta=w) for w in (0.0, 1.0)]
         values = [partial(exact, eta=w) for w in (0.0, 1.0)]
     else:
         exact = partial(temperature.theta_general, params=params, consts=consts)
         temperature.require_finite_start(grid.nodes, params, consts)
-        initial = partial(exact, 0.0)
         fluxes = [lambda tau, w=w: dualnum.d1(partial(exact, tau), w) for w in (0.0, params.a)]
         traces = temperature.BoundaryTraces(params, consts)
         values = [traces.theta2, traces.theta1]
@@ -431,21 +429,21 @@ def _march_args(params: ReducedParams, consts: SolutionConstants,
     else:
         raise ValidationError("bc_mode 'paper' feeds the published reference-case fluxes; "
                               "other constants take bc_mode 'derived' or 'dirichlet'")
-    return dif, src, initial, bc_in, bc_out, exact
+    return dif, src, partial(exact, 0.0), bc_in, bc_out, exact
 
 
 def solve_general(params: ReducedParams, consts: SolutionConstants,
                   grid: Grid1D, config: SolverConfig) -> SolveResult:
     """March A*theta_tau = B*d/deta((8*tau+eta+1)*theta_eta) + 16*(1+eps^2)/(8*tau+eta+1)^2.
 
-    When `ReferenceCase().matches(params, consts)` the run starts from
-    `initial_profile`, is measured against `theta_reference` and takes its
-    walls' `reference_flux` and `theta_reference` values.  Any other
-    constants start from `theta_general` at tau = 0 (ValidationError naming
-    K and C3 where it overflows) and take the `dualnum.d1` eta-derivative
-    of `theta_general` and the `BoundaryTraces` at eta = 0 and a.  bc_mode
-    'derived' feeds the flux, 'dirichlet' the values, 'paper' the published
-    reference-case fluxes (error plateau near 0.5; other constants raise).
+    Every run starts from its exact field at tau = 0 and is measured against
+    it: `theta_reference` when `ReferenceCase().matches(params, consts)`, with
+    the walls' `reference_flux` and `theta_reference` values; otherwise
+    `theta_general` (ValidationError naming K and C3 where it overflows at
+    tau = 0), its `dualnum.d1` eta-derivative and the `BoundaryTraces` at
+    eta = 0 and a.  bc_mode 'derived' feeds the flux, 'dirichlet' the
+    values, 'paper' the published reference-case fluxes (error plateau near
+    0.5; other constants raise).
     """
     return march(grid, config, *_march_args(params, consts, grid, config))
 

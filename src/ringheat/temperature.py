@@ -164,8 +164,9 @@ def published_flux_outer(tau):
 def initial_profile(eta, C5=C5_MIN):
     """Reference-case temperature at tau = 0.
 
-    Theta(0, eta) = C5/2 - (5/6)*((eta^2 - 1)*exp(-eta) + 2/(eta+1));
-    identical to theta_reference(0, eta, C5).
+    Theta(0, eta) = C5/2 - (5/6)*((eta^2 - 1)*exp(-eta) + 2/(eta+1)); bit for
+    bit theta_reference(0, eta, C5), which the solver starts from.  Kept as the
+    independent oracle of `run_suite`'s `initial_profile_identity` check.
     """
     return 0.5 * C5 - (5.0 / 6.0) * ((eta ** 2 - 1.0) * exp(-eta) + 2.0 / (eta + 1.0))
 

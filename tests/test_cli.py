@@ -62,22 +62,6 @@ class TestVerify:
         assert "FAIL" in lines["boundary_difference_C"]
         assert "PASS" in lines["pde_theta_general"]  # any K solves the equation
 
-    @pytest.mark.parametrize("block, field", [
-        ({"physical": {"rho": 1, "Cp": 1, "k_cond": 1, "mu": 1, "mu0": 0, "T0": 1,
-                       "R10": 1.0000000000000002, "R20": 1}}, "physical.R10"),
-        ({"reduced": {"A": 0.75, "B": 6.0, "eps": 0.5, "a": 8e-15}}, "reduced.a"),
-    ], ids=["physical", "reduced"])
-    def test_ring_too_thin_to_verify_exit_2(self, block, field, tmp_path, capsys):
-        # a = 2**-51 and 8e-15: 1 + a/xi rounds to 1 at the grid's xi = 81,
-        # so the flux balance would divide 0 by 0; a leaked RuntimeWarning
-        # fails this test through the suite's filter
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps(block))
-        rc, out, err = run(["verify", "--config", str(cfg)], capsys)
-        assert rc == 2
-        assert err.startswith(f"error: {field} = ") and "too thin to verify" in err
-        assert out == ""
-
     def test_thin_ring_reaches_a_verdict(self, tmp_path, capsys):
         # just above that width, sampled points near the inner wall round to
         # an eta just below 0; the suite runs to its verdict, and the area
@@ -89,42 +73,6 @@ class TestVerify:
         failed = [ln.split()[0] for ln in out.splitlines() if ln.endswith(" FAIL")]
         assert failed == ["area_conservation"]
         assert err == ""
-
-    def test_malformed_config_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text("{not json")
-        rc, _, err = run(["verify", "--config", str(cfg)], capsys)
-        assert rc == 2
-        assert "error" in err
-
-    @pytest.mark.parametrize("raw", [b'{"solver": {"grid": ' + b"9" * 5000 + b"}}",
-                                     b"[" * 100000, b'{"reduced": "\xff"}'],
-                             ids=["4301+-digit-int", "deep-nesting", "not-utf-8"])
-    def test_unparsable_config_exit_2(self, raw, tmp_path, capsys):
-        # json.load raises a plain ValueError, a RecursionError or a
-        # UnicodeDecodeError here, none of them a JSONDecodeError
-        cfg = tmp_path / "c.json"
-        cfg.write_bytes(raw)
-        rc, _, err = run(["solve", "--config", str(cfg)], capsys)
-        assert rc == 2
-        assert err.startswith(f"error: config {cfg} is not valid JSON: ")
-
-    def test_both_parameter_blocks_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({
-            "reduced": {"A": 0.75, "B": 6.0, "eps": 0.5, "a": 1.0},
-            "physical": {"rho": 1.0, "Cp": 3.0, "k_cond": 24.0, "mu": 1.0,
-                         "mu0": 0.5, "T0": 1.0, "R10": 2.0 ** 0.5, "R20": 1.0},
-        }))
-        rc, _, err = run(["verify", "--config", str(cfg)], capsys)
-        assert rc == 2
-
-    def test_unknown_config_key_exit_2(self, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"reduced": {"A": 0.75, "B": 6.0, "eps": 0.5,
-                                               "a": 1.0, "oops": 3}}))
-        rc, _, err = run(["verify", "--config", str(cfg)], capsys)
-        assert rc == 2
 
 
 class TestSolve:
@@ -178,11 +126,12 @@ class TestSolve:
         for r in rows:
             assert r["theta_exact"] == float(theta_reference(r["tau"], r["eta"]))
 
-    @pytest.mark.parametrize("grid, tau_end", [("16", "0.25"), ("16", "0.05"), ("32", "0.7")])
+    @pytest.mark.parametrize("grid, tau_end", [("16", "0.25"), ("16", "0.05"), ("32", "0.7"),
+                                               ("12", "0.3"), ("8", "0.1")])
     def test_exact_column_at_every_snapshot_tau(self, tmp_path, capsys, monkeypatch,
                                                 grid, tau_end):
-        # at 16 cells to 0.05 and at 32 to 0.7 the last step lands an ulp off
-        # t_end, where the field the norms used is not the snapshot's
+        # past 0.25, k*dt + dt misses tau_end by an ulp at the last step: the
+        # last block still sits at tau_end, where the printed norms were taken
         from ringheat import temperature
 
         real = temperature.theta_reference
@@ -194,16 +143,17 @@ class TestSolve:
 
         monkeypatch.setattr(temperature, "theta_reference", counting)
         out_path = tmp_path / "solve.csv"
-        rc, _, _ = run(["solve", "--grid", grid, "--tau-end", tau_end,
-                        "--out", str(out_path)], capsys)
+        rc, out, _ = run(["solve", "--grid", grid, "--tau-end", tau_end,
+                          "--out", str(out_path)], capsys)
         assert rc == 0
         _, rows = read_csv(out_path)
         for r in rows:
             assert r["theta_exact"] == float(real(r["tau"], r["eta"]))
-        last_tau = rows[-1]["tau"]
-        assert (last_tau == float(tau_end)) == (tau_end == "0.25")
-        # one evaluation for the norms at t_end, then one per snapshot
-        assert calls == [float(tau_end)] + [r["tau"] for r in rows[::int(grid) + 1]]
+        last = rows[-int(grid) - 1:]
+        assert {r["tau"] for r in last} == {float(tau_end)}
+        assert float(out.split()[0].removeprefix("error_inf=")) == max(r["abs_err"] for r in last)
+        # the initial data, the norms at t_end, then one evaluation per snapshot
+        assert calls == [0.0, float(tau_end)] + [r["tau"] for r in rows[::int(grid) + 1]]
 
     def test_euler_scheme_end_to_end(self, tmp_path, capsys):
         out_path = tmp_path / "euler.csv"
@@ -256,27 +206,7 @@ class TestSolve:
         cfg.write_text(json.dumps({"constants": {"C3": 0.125, "K": 0.37}}))
         rc, _, _ = run(["solve", "--config", str(cfg), "--grid", "16",
                         "--bc-mode", "derived", "--out", str(tmp_path / "x.csv")], capsys)
-        assert rc == 0
-        # the published fluxes are the reference case's only
-        out = tmp_path / "p.csv"
-        rc, _, err = run(["solve", "--config", str(cfg), "--grid", "16",
-                          "--bc-mode", "paper", "--out", str(out)], capsys)
-        assert rc == 2
-        assert err.splitlines()[-1].startswith("error: ") and "bc_mode" in err
-        assert not out.exists()
-
-    def test_singular_equal_boundary_K_is_one_error(self, tmp_path, capsys):
-        # ((1 + a)/C3)^(8A/B) overflows, so no K equalises the walls: one
-        # error line, with no numpy RuntimeWarning before it
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"reduced": {"A": 10.0, "B": 0.3, "eps": 0.5, "a": 5.0},
-                                   "constants": {"C3": 0.05}}))
-        rc, out, err = run(["solve", "--config", str(cfg), "--grid", "16",
-                            "--out", str(tmp_path / "s.csv")], capsys)
-        assert rc == 2
-        assert out == ""
-        assert err.splitlines() == [
-            "error: equal-boundary condition is singular at C3=0.05 (slope=nan)"]
+        assert rc == 0  # REJECTED's paper-configured-K row is the 'paper' half
 
     def test_flag_overrides_config_file(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -329,61 +259,6 @@ class TestProfile:
         _, rows = read_csv(out_path)
         assert all(abs(r["theta"] - 1.0) < 1e-4 for r in rows)
 
-    @pytest.mark.parametrize("tau", [-0.2, -0.01])
-    def test_negative_time_request_exit_2(self, tau, tmp_path, capsys):
-        # a time before the expansion starts is a bad input, whether or not
-        # it reaches the singular time -C3 = -0.125
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"profile": {"tau": [0.5, tau], "n_eta": 5}}))
-        out = tmp_path / "p.csv"
-        rc, _, err = run(["profile", "--config", str(cfg), "--out", str(out)], capsys)
-        assert rc == 2
-        assert "profile.tau[1]" in err and ">= 0" in err
-        assert "Traceback" not in err
-        assert not out.exists()
-
-    @pytest.mark.parametrize("tau", [float("inf"), float("nan")])
-    def test_non_finite_time_request_exit_2(self, tau, tmp_path, capsys):
-        # json writes these as Infinity and NaN, which json.load reads back;
-        # either would print a NaN profile
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"profile": {"tau": [tau]}}))
-        rc, _, err = run(["profile", "--config", str(cfg),
-                          "--out", str(tmp_path / "p.csv")], capsys)
-        assert rc == 2
-        assert "profile.tau[0]" in err and "finite" in err
-
-    # numpy overflows theta(0, eta) to inf (K = 1e308) and then to nan
-    # (K = 1e300 with C3 = 1e-5) without raising; the scan of it names K
-    # before any profile row is computed, and nothing warns
-    @pytest.mark.filterwarnings("error::RuntimeWarning")
-    @pytest.mark.parametrize("constants", [{"K": 1e308}, {"K": 1e300, "C3": 1e-5}],
-                             ids=["inf", "nan"])
-    def test_non_finite_profile_exit_2(self, constants, tmp_path, capsys):
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"constants": constants,
-                                   "profile": {"tau": [0.0, 1.0], "n_eta": 3}}))
-        out = tmp_path / "p.csv"
-        rc, stdout, err = run(["profile", "--config", str(cfg), "--out", str(out)], capsys)
-        assert rc == 2
-        assert err.startswith(f"error: constants.K = {constants['K']!r} and constants.C3 = ")
-        assert "overflow theta(0, eta)" in err
-        assert "Traceback" not in err
-        assert stdout == "" and not out.exists()
-
-
-    def test_non_finite_dimensional_profile_exit_2(self, tmp_path, capsys):
-        # theta = C5/2 is finite, T = T0*theta overflows; checked per profile.tau
-        cfg = tmp_path / "c.json"
-        cfg.write_text(json.dumps({"physical": {**_PHYSICAL, "T0": 300.0},
-                                   "constants": {"C5": 1e308, "K": 0.0},
-                                   "profile": {"tau": [0.0, 1.0], "n_eta": 3}}))
-        out = tmp_path / "p.csv"
-        rc, stdout, err = run(["profile", "--config", str(cfg), "--out", str(out)], capsys)
-        assert rc == 2
-        assert err.startswith("error: profile.tau[0] = 0.0 gives a non-finite T")
-        assert stdout == "" and not out.exists()
-
 
 class TestConvergence:
     def test_derived_mode_passes(self, capsys):
@@ -425,27 +300,6 @@ class TestConvergence:
         orders = [float(ln.split()[3]) for ln in out.splitlines()[2:4]]
         assert len(orders) == 2 and all(0.8 <= o <= 1.2 for o in orders)
         assert "order outside" not in out
-
-    def test_t_end_zero_exit_2(self, capsys):
-        # every level's error is 0 at t_end = 0, so no order can be observed
-        rc, out, err = run(["convergence", "--grid", "16,32", "--tau-end", "0"], capsys)
-        assert rc == 2
-        assert "t_end" in err
-        assert "Traceback" not in err
-        assert out == ""
-
-    def test_repeated_level_exit_2(self, capsys):
-        # equal grids have no h ratio, so no order can be observed
-        rc, out, err = run(["convergence", "--grid", "64,64"], capsys)
-        assert rc == 2
-        assert "levels" in err
-        assert "Traceback" not in err and "RuntimeWarning" not in err
-        assert out == ""
-
-    def test_single_level_usage_error(self, capsys):
-        rc, _, err = run(["convergence", "--grid", "64"], capsys)
-        assert rc == 2
-        assert "at least 2" in err
 
     def test_zero_error_levels_have_no_order(self, capsys):
         # both levels' errors are exactly 0.0 here, and their ratio raised
@@ -516,89 +370,267 @@ class TestConvergence:
         assert rc == 0
 
 
-@pytest.mark.parametrize("solver, field", [
-    ({"scheme": "rk4"}, "scheme"),
-    ({"bc_mode": "mixed"}, "bc_mode"),
-    ({"dt": -0.1}, "dt"),
-])
-def test_bad_solver_block_exit_2(solver, field, tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"solver": solver}))
-    rc, _, err = run(["solve", "--config", str(cfg), "--grid", "16",
-                      "--out", str(tmp_path / "o")], capsys)
-    assert rc == 2
-    assert field in err
-    assert "Traceback" not in err
-
-
-@pytest.mark.parametrize("argv, cfg, field", [
-    (["convergence"], {"solver": {"grid": [64.9, 128.2]}}, "solver.grid"),
-    (["convergence"], {"solver": {"grid": [True, 64]}}, "solver.grid"),
-    (["solve"], {"solver": {"grid": True}}, "solver.grid"),
-    (["solve"], {"solver": {"grid": 16.5}}, "solver.grid"),
-    (["profile"], {"profile": {"n_eta": 5.5}}, "profile.n_eta"),
-    (["profile"], {"profile": {"n_eta": True}}, "profile.n_eta"),
-])
-def test_non_integral_count_exit_2(argv, cfg, field, tmp_path, capsys):
-    # a count that int() would truncate is rejected, not run
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "o"
-    rc, _, err = run(argv + ["--config", str(path), "--out", str(out)], capsys)
-    assert rc == 2
-    assert field in err and "integer" in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
 _REDUCED = {"A": 0.75, "B": 6.0, "eps": 0.5, "a": 1.0}
 _PHYSICAL = {"rho": 1.0, "Cp": 3.0, "k_cond": 24.0, "mu": 1.0, "mu0": 0.5, "T0": 1.0,
              "R10": 2.0 ** 0.5, "R20": 1.0}
-#: (block, key) of every real-valued config field
-_REAL_FIELDS = ([("constants", k) for k in ("C3", "C5", "K")]
-                + [("solver", "dt"), ("solver", "tau_end"), ("profile", "tau")]
-                + [("reduced", k) for k in _REDUCED] + [("physical", k) for k in _PHYSICAL])
+#: The kind of value each (block, key) of cli._KEYS takes.
+KINDS = {(block, key): {"grid": "count", "n_eta": "count", "tau": "list of reals",
+                        "scheme": "string", "bc_mode": "string", "path": "string"}.get(key, "real")
+         for block, keys in cli._KEYS.items() for key in sorted(keys)}
+_SOLVE16 = ["solve", "--grid", "16"]
 
 
-@pytest.mark.parametrize("bad", [True, False, "0.5", [1.0]],
-                         ids=["true", "false", "string", "list"])
-@pytest.mark.parametrize("block, key", _REAL_FIELDS, ids=[f"{b}.{k}" for b, k in _REAL_FIELDS])
-def test_non_number_real_exit_2(block, key, bad, tmp_path, capsys):
+def assert_rejected(argv, config, fragments, tmp_path, capsys):
+    """The rejected-input contract: argv with config (a dict, raw bytes, or None
+    for no --config) and --out (unless config sets output.path) exits 2 with no
+    stdout, no output file and one stderr line `error: ...` holding each fragment;
+    one starting `error: ` is its prefix, or with its newline all of it (TMP: tmp_path)."""
+    argv = [a.replace("TMP", str(tmp_path)) for a in argv]
+    if config is not None:
+        path = tmp_path / "c.json"
+        path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
+        argv += ["--config", str(path)]
+    out = tmp_path / "o"
+    if not (isinstance(config, dict) and "path" in config.get("output", {})):
+        argv += ["--out", str(out)]
+    rc, stdout, err = run(argv, capsys)
+    assert (rc, stdout) == (2, "")
+    assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
+    for fragment in (f.replace("TMP", str(tmp_path)) for f in fragments):
+        assert err.startswith(fragment) if fragment.startswith("error: ") else fragment in err
+    assert not out.exists()
+
+
+def _wrong_type(kinds, values):
+    """A row, block.key-<value's name>, for each value at each (block, key) of
+    KINDS whose kind is in kinds, in a config with a parameter block; a list
+    of reals gets the value as its second element."""
+    rows = []
+    for (block, key), kind in KINDS.items():
+        for name, value in values.items() if kind in kinds else ():
+            field = f"{block}.{key}"
+            if kind == "list of reals":
+                value, field = [0.0, value], f"{field}[1]"
+            cfg = {"physical": dict(_PHYSICAL)} if block != "reduced" else {block: dict(_REDUCED)}
+            cfg.setdefault(block, {})[key] = value
+            argv = ["profile"] if block == "profile" else _SOLVE16
+            rows.append((f"{block}.{key}-{name}", argv, cfg,
+                         [f"{key} must be " if kind == "string" else f"{field} must be a number"]))
+    return rows
+
+
+_HUGE_K = "constants.K = 1e+308 and constants.C3 = 0.125 overflow theta(0, eta) at eta = 0.0"
+#: Every rejected input: the test each key names (Class.test or test) holds its
+#: rows (id, argv, config, fragments), or one row without an id, so without
+#: parameters; positional ids (argv0-...) are those pytest gave the cases.
+REJECTED = {
+    # a = 2**-51 and 8e-15: 1 + a/xi rounds to 1 at the grid's xi = 81, so the
+    # flux balance would divide 0 by 0
+    "TestVerify.test_ring_too_thin_to_verify_exit_2": [
+        ("physical", ["verify"], {"physical": {**dict.fromkeys(_PHYSICAL, 1), "mu0": 0,
+                                               "R10": 1.0000000000000002}},
+         ["error: physical.R10 = ", "too thin to verify"]),
+        ("reduced", ["verify"], {"reduced": {**_REDUCED, "a": 8e-15}},
+         ["error: reduced.a = ", "too thin to verify"])],
+    "TestVerify.test_malformed_config_exit_2": [
+        (None, ["verify"], b"{not json", ["error: config TMP/c.json is not valid JSON: "])],
+    # json.load raises ValueError, RecursionError or UnicodeDecodeError, not JSONDecodeError
+    "TestVerify.test_unparsable_config_exit_2": [
+        (name, ["solve"], raw, ["error: config TMP/c.json is not valid JSON: "])
+        for name, raw in [("4301+-digit-int", b'{"solver": {"grid": ' + b"9" * 5000 + b"}}"),
+                          ("deep-nesting", b"[" * 100000), ("not-utf-8", b'{"reduced": "\xff"}')]],
+    "TestVerify.test_both_parameter_blocks_exit_2": [
+        (None, ["verify"], {"reduced": _REDUCED, "physical": _PHYSICAL},
+         ["error: give exactly one of the 'physical' and 'reduced' blocks\n"])],
+    "TestVerify.test_unknown_config_key_exit_2": [
+        (None, ["verify"], {"reduced": {**_REDUCED, "oops": 3}},
+         ["error: unknown keys in 'reduced' block: ['oops']\n"])],
+    # ((1 + a)/C3)^(8A/B) overflows, so no K equalises the walls
+    "TestSolve.test_singular_equal_boundary_K_is_one_error": [
+        (None, _SOLVE16, {"reduced": {"A": 10.0, "B": 0.3, "eps": 0.5, "a": 5.0},
+                          "constants": {"C3": 0.05}},
+         ["error: equal-boundary condition is singular at C3=0.05 (slope=nan)\n"])],
+    # a time before the expansion starts is bad, singular (-C3 = -0.125) or not; json
+    # writes inf and nan as Infinity and NaN, which json.load reads back into a NaN profile
+    "TestProfile.test_negative_time_request_exit_2": [
+        (repr(tau), ["profile"], {"profile": {"tau": [0.5, tau], "n_eta": 5}},
+         [f"error: profile.tau[1] must be finite and >= 0, got {tau!r}\n"])
+        for tau in (-0.2, -0.01)],
+    "TestProfile.test_non_finite_time_request_exit_2": [
+        (repr(tau), ["profile"], {"profile": {"tau": [tau]}},
+         [f"error: profile.tau[0] must be finite and >= 0, got {tau!r}\n"])
+        for tau in (float("inf"), float("nan"))],
+    # numpy overflows theta(0, eta) to inf (K = 1e308), then to nan (K = 1e300 with C3 =
+    # 1e-5), without raising; its scan names K before any profile row is computed
+    "TestProfile.test_non_finite_profile_exit_2": [
+        (name, ["profile"], {"constants": c, "profile": {"tau": [0.0, 1.0], "n_eta": 3}},
+         [f"error: constants.K = {c['K']!r} and constants.C3 = ", "overflow theta(0, eta)"])
+        for name, c in [("inf", {"K": 1e308}), ("nan", {"K": 1e300, "C3": 1e-5})]],
+    # theta = C5/2 is finite, T = T0*theta overflows; checked per profile.tau
+    "TestProfile.test_non_finite_dimensional_profile_exit_2": [
+        (None, ["profile"], {"physical": {**_PHYSICAL, "T0": 300.0},
+                             "constants": {"C5": 1e308, "K": 0.0},
+                             "profile": {"tau": [0.0, 1.0], "n_eta": 3}},
+         ["error: profile.tau[0] = 0.0 gives a non-finite T"])],
+    # at t_end = 0 every error is 0, and equal grids have no h ratio: no order to observe
+    "TestConvergence.test_t_end_zero_exit_2": [
+        (None, ["convergence", "--grid", "16,32", "--tau-end", "0"], None,
+         ["error: t_end must be > 0 for a convergence study"])],
+    "TestConvergence.test_repeated_level_exit_2": [
+        (None, ["convergence", "--grid", "64,64"], None, ["error: levels must be distinct"])],
+    "TestConvergence.test_single_level_usage_error": [
+        (None, ["convergence", "--grid", "64"], None, ["at least 2"])],
+    "test_bad_solver_block_exit_2": [
+        (f"solver{i}-{key}", _SOLVE16, {"solver": {key: bad}}, [key])
+        for i, (key, bad) in enumerate([("scheme", "rk4"), ("bc_mode", "mixed"), ("dt", -0.1)])],
+    # a count that int() would truncate is rejected, not run: a fraction and a
+    # bool at each count, and in a study's list of cell counts
+    "test_non_integral_count_exit_2": [
+        (f"argv{i}-cfg{i}-{field}", argv, cfg, [f"{field} must be an integer"])
+        for i, (argv, cfg, field) in enumerate(
+            [(["convergence"], {"solver": {"grid": [bad, 64]}}, "solver.grid")
+             for bad in (64.9, True)]
+            + [(["profile" if block == "profile" else "solve"], {block: {key: bad}},
+                f"{block}.{key}")
+               for (block, key), kind in KINDS.items() if kind == "count"
+               for bad in (True, 16.5)])],
     # a bool is a JSON boolean, not the number float() would make of it
-    cfg = {"reduced": dict(_REDUCED), "physical": dict(_PHYSICAL)}
-    field = f"{block}.{key}"
-    if block == "profile":
-        cfg["profile"] = {"tau": [0.0, bad]}
-        field = "profile.tau[1]"
-    else:
-        cfg.setdefault(block, {})[key] = bad
-    del cfg["physical" if block == "reduced" else "reduced"]
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "o"
-    argv = ["profile"] if block == "profile" else ["solve", "--grid", "16"]
-    rc, _, err = run(argv + ["--config", str(path), "--out", str(out)], capsys)
-    assert rc == 2
-    assert f"{field} must be a number" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+    "test_non_number_real_exit_2": _wrong_type(
+        {"real", "list of reals"}, {"true": True, "false": False, "string": "0.5", "list": [1.0]}),
+    # R20 ** 2 and mu ** 3 overflow; mu ** 2 and R20 ** 2 underflow to a 0 divisor
+    "test_physical_out_of_float_range_exit_2": [
+        (name, ["profile"], {"physical": {**_PHYSICAL, **phys}},
+         ["error: physical parameters", "float range"])
+        for name, phys in [("R20-squared", {"R10": 2e200, "R20": 1e200}),
+                           ("mu-cubed", {"mu": 1e120}), ("mu-squared-zero", {"mu": 1e-200}),
+                           ("R20-squared-zero", {"R10": 1e-160, "R20": 1e-170})]],
+    # float() of a JSON integer beyond the double range raises OverflowError
+    "test_huge_integer_real_exit_2": [
+        (None, ["profile"], {"constants": {"K": 10 ** 400}}, ["constants.K is too large"])],
+    "test_step_budget_exit_2": [
+        # 1e4 / (h/8) at h = 1/128: 10,240,000 steps, about 10x the budget
+        ("argv0-solver0-1.024e+07", ["solve", "--tau-end", "1e4", "--grid", "128"],
+         {"solver": {}}, ["t_end", "dt", "= 1.024e+07 steps"]),
+        # 0.25 / 5e-324 overflows to inf; int() of it used to escape as OverflowError
+        ("argv1-solver1-inf", _SOLVE16, {"solver": {"dt": 5e-324}},
+         ["t_end", "dt", "= inf steps"])],
+    "test_non_finite_input_exit_2": [
+        (f"argv{i}-{field}", argv, None, [field, "finite"]) for i, (argv, field) in enumerate([
+            (["solve", "--tau-end", "nan"], "t_end"), (["solve", "--tau-end", "inf"], "t_end"),
+            (["convergence", "--grid", "16,32", "--tau-end=-inf"], "t_end"),
+            (["profile", "--c5", "nan"], "C5"), (["profile", "--c5", "inf"], "C5"),
+            (["verify", "--c5", "nan"], "C5")])],
+    "test_float_overflow_exit_2": [
+        # P ** 3 in theta_general
+        ("profile-tau", ["profile"], {"profile": {"tau": [0.0, 1e103]}},
+         ["profile.tau[1] = 1e+103"]),
+        # eps ** 2 in the equal-boundary K and in every closed form
+        ("verify-eps", ["verify"], {"reduced": {**_REDUCED, "eps": 1e155}}, ["eps"]),
+        ("solve-eps", _SOLVE16 + ["--bc-mode", "dirichlet"],
+         {"reduced": {**_REDUCED, "eps": -2e154}, "constants": {"K": 0.0}}, ["eps"]),
+        # C3 ** 3 in the equal-boundary K, (tau + C3) ** 3 in theta_general
+        ("verify-C3", ["verify"], {"constants": {"C3": 1e103}}, ["C3"]),
+        ("solve-C3", _SOLVE16 + ["--bc-mode", "dirichlet"],
+         {"constants": {"C3": 6e102, "K": 0.0}}, ["C3"]),
+        # c ** 5 in reference_flux
+        ("solve-tau_end", _SOLVE16 + ["--tau-end", "1e103"], {"solver": {"dt": 1e103}},
+         ["tau_end = 1e+103"]),
+        # K * (...) in theta_general's initial data, where numpy overflows to
+        # inf: every subcommand scans theta(0, eta) before it computes anything
+        *[(f"{argv[0]}-K", argv, {"constants": {"K": 1e308}}, [_HUGE_K]) for argv in [
+            _SOLVE16 + ["--tau-end", "0.01", "--bc-mode", "dirichlet"],
+            ["convergence", "--grid", "16,32", "--bc-mode", "dirichlet"],
+            ["verify"], ["profile"]]],
+        # P ** 3 in a wide ring's derived wall flux: a study says so with a solve's line
+        *[(f"{cmd}-tau_end-wide", [cmd, "--grid", grid, "--tau-end", "1e103"],
+           {"reduced": {"A": 1.0, "B": 8.0, "eps": 0.5, "a": 1e100},
+            "constants": {"C3": 0.125, "C5": 1.0}},
+           ["error: tau_end = 1e+103 is too large: a closed form overflows the float range "
+            "on the way to it\n"]) for cmd, grid in [("solve", "8"), ("convergence", "8,16")]]],
+    # B*C3 underflows to 0 in the equal-boundary K's exponents: no K
+    # equalises the walls, and that is one error line, not a ZeroDivisionError
+    "test_underflowing_B_times_C3_exit_2": [
+        (argv[0], argv, {"reduced": {**_REDUCED, "B": 1e-320}, "constants": {"C3": 1e-5}},
+         ["error: equal-boundary condition is singular at C3=1e-05 (slope=nan)\n"])
+        for argv in (["verify"], ["profile"], _SOLVE16, ["convergence", "--grid", "16,32"])],
+    # each is rejected before its grid is allocated
+    "test_size_bounds_exit_2": [
+        *[(name, argv, {}, ["n_cells must be <= 65536"]) for name, argv in [
+            ("solve-1e8-cells", ["solve", "--grid", "100000000", "--tau-end", "1e-9"]),
+            ("solve-2^20-cells", ["solve", "--grid", "1048576", "--tau-end", "0.1"]),
+            ("convergence-cells", ["convergence", "--grid", "64,65537"])]],
+        ("solve-node-steps", ["solve", "--grid", "65536", "--tau-end", "0.25"], {},
+         ["of 1000000000 node updates"]),
+        ("profile-n_eta", ["profile"], {"profile": {"n_eta": 10 ** 8}},
+         ["profile.n_eta must be >= 2 and <= 65537"])],
+    "test_setting_that_would_not_run_exit_2": [
+        # solve marches one grid; it used to march the first of a list and drop the rest
+        ("solve-grid-list-flag", ["solve", "--grid", "16,32"], {}, ["solver.grid"]),
+        ("solve-grid-list-file", ["solve"], {"solver": {"grid": [16, 32]}}, ["solver.grid"]),
+        # a fixed dt would not shrink with h, so a study does not take one
+        ("convergence-dt", ["convergence", "--grid", "16,32"], {"solver": {"dt": 1e300}}, ["dt"]),
+        # removed keys: free boundaries fix p_inf at 0, CSV is the only format, grid has levels
+        ("p_inf", ["verify"], {"physical": {**_PHYSICAL, "p_inf": 7.5}}, ["'p_inf'"]),
+        ("format", ["profile"], {"output": {"format": "csv"}}, ["'format'"]),
+        ("levels", ["convergence"], {"solver": {"levels": [16, 32]}}, ["'levels'"])],
+    # profile-solver and solve-profile used to ignore the block and write the same CSV
+    "test_block_the_subcommand_does_not_read_exit_2": [
+        (f"{argv[0]}-{block}", argv, {block: cfg},
+         [f"error: unknown config blocks for {argv[0]}: ['{block}']\n"])
+        for argv, block, cfg in [
+            (["verify"], "solver", {"grid": 16}), (["verify"], "profile", {"tau": [1.0]}),
+            (["profile"], "solver", {"tau_end": 5.0, "grid": [1, 2, 3], "scheme": "euler"}),
+            (_SOLVE16 + ["--tau-end", "0.01"], "profile", {"tau": [1.0], "n_eta": 7}),
+            (["convergence", "--grid", "16,32"], "profile", {"n_eta": 7})]],
+    # --grid is read as the JSON list [<text>]: a stray comma is an error, not a skipped value
+    "test_malformed_grid_flag_exit_2": [
+        (name, ["solve", f"--grid={grid}", "--tau-end", "0.01"], None,
+         ["error: solver.grid must be an integer, got [64]\n" if grid == "[64]" else
+          "error: --grid must be a number or a comma list of numbers, got "])
+        for name, grid in [*((g, g) for g in ("64,", "64,,128", ",64", "6_4", "0x40", "[64]")),
+                           ("empty", ""), ("4301+-digits", "9" * 5000),
+                           ("deep-nesting", "[" * 100000)]],
+    "test_rejected": [
+        # the name of a scheme or a boundary mode, and a path, are strings
+        *_wrong_type({"string"}, {"list": ["cn"], "object": {"cn": "cn"}, "number": 5}),
+        *[(f"convergence-solver.scheme-{name}", ["convergence", "--grid", "16,32"],
+           {"solver": {"scheme": bad}},
+           [f"error: scheme must be one of ('cn', 'euler'), got {bad!r}\n"])
+          for name, bad in [("list", ["cn"]), ("object", {"cn": "cn"})]],
+        ("missing-config", ["verify", "--config", "TMP/missing.json"], None,
+         ["error: cannot read config TMP/missing.json: ", "No such file"]),
+        ("root-list", ["verify"], b"[1]", ["error: config root must be a JSON object\n"]),
+        ("solver-block-list", _SOLVE16, {"solver": [16]},
+         ["error: 'solver' block must be a JSON object, got list\n"]),
+        *[(f"incomplete-{block}", ["verify"], {block: {key: 1.0}},
+           [f"error: incomplete '{block}' block: "])
+          for block, key in [("physical", "rho"), ("reduced", "A")]],
+        ("profile.tau-not-a-list", ["profile"], {"profile": {"tau": 0.5}},
+         ["error: profile.tau must be a list of numbers, got 0.5\n"]),
+        # the published fluxes are the reference case's only, so a configured
+        # K has none; no 'paper' warning comes before the error
+        ("paper-configured-K", _SOLVE16 + ["--bc-mode", "paper"],
+         {"constants": {"C3": 0.125, "K": 0.37}},
+         ["error: bc_mode 'paper' feeds the published reference-case fluxes; other constants "
+          "take bc_mode 'derived' or 'dirichlet'\n"])],
+}
 
 
-@pytest.mark.parametrize("phys", [
-    {"R10": 2e200, "R20": 1e200},    # R20 ** 2 overflows
-    {"mu": 1e120},                   # mu ** 3 overflows
-    {"mu": 1e-200},                  # mu ** 2 underflows to a zero divisor
-    {"R10": 1e-160, "R20": 1e-170},  # R20 ** 2 underflows to a zero divisor
-], ids=["R20-squared", "mu-cubed", "mu-squared-zero", "R20-squared-zero"])
-def test_physical_out_of_float_range_exit_2(phys, tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"physical": {**_PHYSICAL, **phys}}))
-    out = tmp_path / "o"
-    rc, _, err = run(["profile", "--config", str(path), "--out", str(out)], capsys)
-    assert rc == 2
-    assert err.startswith("error: physical parameters") and "float range" in err
-    assert "Traceback" not in err
-    assert not out.exists()
+def _rejects(rows):
+    """The test that runs `assert_rejected` on each of rows."""
+    if rows[0][0] is None:
+        return lambda tmp_path, capsys: assert_rejected(*rows[0][1:], tmp_path, capsys)
+    @pytest.mark.parametrize("argv, config, fragments", [row[1:] for row in rows],
+                             ids=[row[0] for row in rows])
+    def test(argv, config, fragments, tmp_path, capsys):
+        assert_rejected(argv, config, fragments, tmp_path, capsys)
+    return test
+
+
+for _key, _rows in REJECTED.items():
+    _owner, _, _name = _key.rpartition(".")
+    setattr(globals()[_owner] if _owner else sys.modules[__name__], _name,
+            staticmethod(_rejects(_rows)) if _owner else _rejects(_rows))
 
 
 @pytest.mark.parametrize("n_tau, reached", [(5, True), (6, False)], ids=["at-bound", "over"])
@@ -627,16 +659,6 @@ def test_profile_row_bound(n_tau, reached, tmp_path, capsys, monkeypatch):
     assert err == ("error: profile.tau has 6 times of 65537 points, over the 327685 rows "
                    "a profile may have\n")
     assert not (tmp_path / "o").exists()
-
-
-def test_huge_integer_real_exit_2(tmp_path, capsys):
-    # float() of a JSON integer beyond the double range raises OverflowError
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"constants": {"K": 10 ** 400}}))
-    rc, _, err = run(["profile", "--config", str(path), "--out", str(tmp_path / "o")],
-                     capsys)
-    assert rc == 2
-    assert "constants.K is too large" in err
 
 
 def test_integer_reals_accepted(tmp_path, capsys):
@@ -670,103 +692,6 @@ def test_integral_float_counts_accepted(tmp_path, capsys):
     assert sum(row["tau"] == 0.0 for row in rows) == 17  # 16 cells
 
 
-@pytest.mark.parametrize("argv, solver, steps", [
-    # 1e4 / (h/8) at h = 1/128: 10,240,000 steps, about 10x the budget
-    (["solve", "--tau-end", "1e4", "--grid", "128"], {}, "1.024e+07"),
-    # 0.25 / 5e-324 overflows to inf; int() of it used to escape as OverflowError
-    (["solve", "--grid", "16"], {"dt": 5e-324}, "inf"),
-])
-def test_step_budget_exit_2(argv, solver, steps, tmp_path, capsys):
-    cfg = tmp_path / "c.json"
-    cfg.write_text(json.dumps({"solver": solver}))
-    rc, _, err = run(argv + ["--config", str(cfg), "--out", str(tmp_path / "o")], capsys)
-    assert rc == 2
-    assert "t_end" in err and "dt" in err and f"= {steps} steps" in err
-    assert "Traceback" not in err
-    assert not (tmp_path / "o").exists()
-
-
-@pytest.mark.parametrize("argv, field", [
-    (["solve", "--tau-end", "nan"], "t_end"),
-    (["solve", "--tau-end", "inf"], "t_end"),
-    (["convergence", "--grid", "16,32", "--tau-end=-inf"], "t_end"),
-    (["profile", "--c5", "nan"], "C5"),
-    (["profile", "--c5", "inf"], "C5"),
-    (["verify", "--c5", "nan"], "C5"),
-])
-def test_non_finite_input_exit_2(argv, field, tmp_path, capsys):
-    rc, _, err = run(argv + ["--out", str(tmp_path / "o")], capsys)
-    assert rc == 2
-    assert field in err and "finite" in err
-    assert "Traceback" not in err
-
-
-_HUGE_K = "constants.K = 1e+308 and constants.C3 = 0.125 overflow theta(0, eta) at eta = 0.0"
-_WIDE_RING = {"reduced": {"A": 1.0, "B": 8.0, "eps": 0.5, "a": 1e100},
-              "constants": {"C3": 0.125, "C5": 1.0}}
-_HUGE_TAU_END = ("error: tau_end = 1e+103 is too large: a closed form overflows the float "
-                 "range on the way to it\n")
-
-
-@pytest.mark.parametrize("argv, cfg, field", [
-    # P ** 3 in theta_general
-    (["profile"], {"profile": {"tau": [0.0, 1e103]}}, "profile.tau[1] = 1e+103"),
-    # eps ** 2 in the equal-boundary K and in every closed form
-    (["verify"], {"reduced": {"A": 0.75, "B": 6.0, "eps": 1e155, "a": 1.0}}, "eps"),
-    (["solve", "--grid", "16", "--bc-mode", "dirichlet"],
-     {"reduced": {"A": 0.75, "B": 6.0, "eps": -2e154, "a": 1.0}, "constants": {"K": 0.0}},
-     "eps"),
-    # C3 ** 3 in the equal-boundary K, (tau + C3) ** 3 in theta_general
-    (["verify"], {"constants": {"C3": 1e103}}, "C3"),
-    (["solve", "--grid", "16", "--bc-mode", "dirichlet"],
-     {"constants": {"C3": 6e102, "K": 0.0}}, "C3"),
-    # c ** 5 in reference_flux
-    (["solve", "--grid", "16", "--tau-end", "1e103"], {"solver": {"dt": 1e103}},
-     "tau_end = 1e+103"),
-    # K * (...) in theta_general's initial data, where numpy overflows to inf:
-    # every subcommand scans theta(0, eta) before it computes anything
-    (["solve", "--grid", "16", "--tau-end", "0.01", "--bc-mode", "dirichlet"],
-     {"constants": {"K": 1e308}}, _HUGE_K),
-    (["convergence", "--grid", "16,32", "--bc-mode", "dirichlet"],
-     {"constants": {"K": 1e308}}, _HUGE_K),
-    (["verify"], {"constants": {"K": 1e308}}, _HUGE_K),
-    (["profile"], {"constants": {"K": 1e308}}, _HUGE_K),
-    # P ** 3 in the derived wall flux of a wide ring: a study's marches say
-    # so with the line a solve's does
-    (["solve", "--grid", "8", "--tau-end", "1e103"], _WIDE_RING, _HUGE_TAU_END),
-    (["convergence", "--grid", "8,16", "--tau-end", "1e103"], _WIDE_RING, _HUGE_TAU_END),
-], ids=["profile-tau", "verify-eps", "solve-eps", "verify-C3", "solve-C3", "solve-tau_end",
-        "solve-K", "convergence-K", "verify-K", "profile-K", "solve-tau_end-wide",
-        "convergence-tau_end-wide"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_float_overflow_exit_2(argv, cfg, field, tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "o"
-    rc, _, err = run(argv + ["--config", str(path), "--out", str(out)], capsys)
-    assert rc == 2
-    assert err.startswith("error: ") and field in err
-    assert "Traceback" not in err
-    assert not out.exists()
-
-
-@pytest.mark.parametrize("argv", [["verify"], ["profile"], ["solve", "--grid", "16"],
-                                  ["convergence", "--grid", "16,32"]],
-                         ids=["verify", "profile", "solve", "convergence"])
-@pytest.mark.filterwarnings("error::RuntimeWarning")
-def test_underflowing_B_times_C3_exit_2(argv, tmp_path, capsys):
-    # B*C3 underflows to 0 in the equal-boundary K's exponents: no K
-    # equalises the walls, and that is one error line, not a ZeroDivisionError
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps({"reduced": {"A": 0.75, "B": 1e-320, "eps": 0.5, "a": 1.0},
-                                "constants": {"C3": 1e-5}}))
-    out = tmp_path / "o"
-    rc, stdout, err = run(argv + ["--config", str(path), "--out", str(out)], capsys)
-    assert rc == 2
-    assert err == "error: equal-boundary condition is singular at C3=1e-05 (slope=nan)\n"
-    assert stdout == "" and not out.exists()
-
-
 def test_zero_pivot_exit_1(tmp_path, capsys):
     path = tmp_path / "c.json"
     path.write_text(json.dumps({"solver": {"dt": 1e30, "tau_end": 1e30}}))
@@ -774,25 +699,6 @@ def test_zero_pivot_exit_1(tmp_path, capsys):
                       "--out", str(tmp_path / "o")], capsys)
     assert rc == 1
     assert err == "error: solver diverged: zero pivot at step 1 of 1 (tau = 1e+30)\n"
-
-
-@pytest.mark.parametrize("argv, cfg, field", [
-    (["solve", "--grid", "100000000", "--tau-end", "1e-9"], {}, "n_cells must be <= 65536"),
-    (["solve", "--grid", "1048576", "--tau-end", "0.1"], {}, "n_cells must be <= 65536"),
-    (["convergence", "--grid", "64,65537"], {}, "n_cells must be <= 65536"),
-    (["solve", "--grid", "65536", "--tau-end", "0.25"], {}, "of 1000000000 node updates"),
-    (["profile"], {"profile": {"n_eta": 10 ** 8}}, "profile.n_eta must be >= 2 and <= 65537"),
-], ids=["solve-1e8-cells", "solve-2^20-cells", "convergence-cells", "solve-node-steps",
-        "profile-n_eta"])
-def test_size_bounds_exit_2(argv, cfg, field, tmp_path, capsys):
-    # each is rejected before its grid is allocated
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "o"
-    rc, _, err = run(argv + ["--config", str(path), "--out", str(out)], capsys)
-    assert rc == 2
-    assert err.startswith("error: ") and field in err
-    assert not out.exists()
 
 
 #: flag, its text, the (block, key, value) a config file gives instead, the
@@ -860,51 +766,6 @@ def test_flag_and_file_key_give_the_same_error(flag, text, block, key, value, ar
     assert by_flag == by_file
 
 
-@pytest.mark.parametrize("argv, cfg, field", [
-    # solve marches one grid; it used to march the first of a list and drop the rest
-    (["solve", "--grid", "16,32"], {}, "solver.grid"),
-    (["solve"], {"solver": {"grid": [16, 32]}}, "solver.grid"),
-    # a fixed dt would not shrink with h, so a study does not take one
-    (["convergence", "--grid", "16,32"], {"solver": {"dt": 1e300}}, "dt"),
-    # removed keys: the free boundaries fix p_inf at 0, CSV is the only
-    # format, and solver.grid holds the levels
-    (["verify"], {"physical": {**_PHYSICAL, "p_inf": 7.5}}, "'p_inf'"),
-    (["profile"], {"output": {"format": "csv"}}, "'format'"),
-    (["convergence"], {"solver": {"levels": [16, 32]}}, "'levels'"),
-], ids=["solve-grid-list-flag", "solve-grid-list-file", "convergence-dt", "p_inf",
-        "format", "levels"])
-def test_setting_that_would_not_run_exit_2(argv, cfg, field, tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "o"
-    rc, stdout, err = run(argv + ["--config", str(path), "--out", str(out)], capsys)
-    assert rc == 2
-    assert err.startswith("error: ") and field in err
-    assert "Traceback" not in err
-    assert stdout == "" and not out.exists()
-
-
-@pytest.mark.parametrize("argv, cfg, block", [
-    (["verify"], {"solver": {"grid": 16}}, "solver"),
-    (["verify"], {"profile": {"tau": [1.0]}}, "profile"),
-    # the two runs that used to ignore the block: a CSV byte-identical to the
-    # one without it
-    (["profile"], {"solver": {"tau_end": 5.0, "grid": [1, 2, 3], "scheme": "euler"}}, "solver"),
-    (["solve", "--grid", "16", "--tau-end", "0.01"], {"profile": {"tau": [1.0], "n_eta": 7}},
-     "profile"),
-    (["convergence", "--grid", "16,32"], {"profile": {"n_eta": 7}}, "profile"),
-], ids=["verify-solver", "verify-profile", "profile-solver", "solve-profile",
-        "convergence-profile"])
-def test_block_the_subcommand_does_not_read_exit_2(argv, cfg, block, tmp_path, capsys):
-    path = tmp_path / "c.json"
-    path.write_text(json.dumps(cfg))
-    out = tmp_path / "o"
-    rc, stdout, err = run(argv + ["--config", str(path), "--out", str(out)], capsys)
-    assert rc == 2
-    assert err == f"error: unknown config blocks for {argv[0]}: ['{block}']\n"
-    assert stdout == "" and not out.exists()
-
-
 def _readme_blocks(lang):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return [part.split("```", 1)[0] for part in readme.split(f"```{lang}\n")[1:]]
@@ -959,33 +820,21 @@ def test_format_flag_removed(capsys):
     assert "--format" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("grid", ["64,", "64,,128", ",64", "", "6_4", "0x40", "[64]",
-                                  "9" * 5000, "[" * 100000],
-                         ids=["64,", "64,,128", ",64", "empty", "6_4", "0x40", "[64]",
-                              "4301+-digits", "deep-nesting"])
-def test_malformed_grid_flag_exit_2(grid, tmp_path, capsys):
-    # --grid is read as the JSON list [<text>]: a stray comma is an error,
-    # not a skipped value
-    out = tmp_path / "o"
-    rc, _, err = run(["solve", f"--grid={grid}", "--tau-end", "0.01", "--out", str(out)],
-                     capsys)
-    assert rc == 2
-    assert err.startswith("error: ") and ("--grid" in err or "solver." in err)
-    assert not out.exists()
-
-
 class TestConfigFuzz:
-    scalars = st.one_of(st.none(), st.booleans(), st.floats(allow_nan=False),
-                        st.integers(min_value=-10, max_value=10), st.text(max_size=8))
-    blocks = st.dictionaries(
-        st.sampled_from(["physical", "reduced", "constants", "solver",
-                         "output", "profile", "bogus"]),
-        st.one_of(scalars, st.dictionaries(st.text(max_size=12), scalars, max_size=4)),
-        max_size=4)
+    # a value of every JSON kind at each (block, key) of cli._KEYS or one unknown key
+    values = st.recursive(
+        st.one_of(st.none(), st.booleans(), st.integers(), st.floats(), st.text(max_size=8)),
+        lambda inner: (st.lists(inner, max_size=3)
+                       | st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+        max_leaves=4)
+    fields = st.sampled_from(list(KINDS) + [("reduced", "oops")])
+    configs = st.dictionaries(fields, values, max_size=4).map(
+        lambda pairs: {b: {k: v for (b2, k), v in pairs.items() if b2 == b} for b, _ in pairs})
 
-    @settings(max_examples=30, deadline=None,
-              suppress_health_check=[HealthCheck.too_slow])
-    @given(cmd=st.sampled_from(sorted(cli._COMMANDS)), cfg=blocks)
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(cmd=st.sampled_from(sorted(cli._COMMANDS)), cfg=configs)
+    # a list is unhashable, and SCHEMES is a dict
+    @example(cmd="solve", cfg={"solver": {"scheme": ["cn"]}})
     def test_loader_never_crashes(self, cmd, cfg, tmp_path_factory):
         # any malformed config must raise an error that main turns into
         # exit 2, never one that escapes as a traceback; resolve_config

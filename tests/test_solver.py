@@ -449,8 +449,8 @@ def stepwise_march(grid, config, diffusivity, source, initial, bc_inner, bc_oute
     jp = slice(2, n + 1)
     for k in range(nsteps):
         tau_n = k * dt
-        tau_new = tau_n + dt
-        tau_c = tau_n + 0.5 * dt if cn else tau_new
+        tau_new = tau_n + dt if k + 1 < nsteps else config.t_end
+        tau_c = tau_n + 0.5 * dt if cn else tau_n + dt
         d_lo = diffusivity(tau_c, faces_lo)
         d_hi = diffusivity(tau_c, faces_hi)
         s_val = source(tau_c, eta)
@@ -539,6 +539,14 @@ class TestBlockAssembly:
         cfg = SolverConfig(dt=0.0123, t_end=0.3, bc_mode="dirichlet", scheme=scheme)
         self.check_against_stepwise(
             monkeypatch, lambda: solve_general(params, consts, Grid1D(48, a=2.0), cfg))
+
+    # Grid1D(12) to t_end = 0.3: k*dt + dt misses t_end by an ulp at the last
+    # step, which both loops label t_end, and where Dirichlet rows take their data
+    @pytest.mark.parametrize("scheme", ["cn", "euler"])
+    def test_last_step_at_t_end_matches_stepwise(self, monkeypatch, scheme):
+        cfg = SolverConfig(t_end=0.3, bc_mode="dirichlet", scheme=scheme)
+        self.check_against_stepwise(monkeypatch,
+                                    lambda: solve_reference(Grid1D(12), cfg))
 
     # Grid1D(24) has 25 nodes and marches 48 steps at t_end = 0.25, so these
     # blocks hold more steps than the march, exactly all of them, all but
@@ -649,10 +657,11 @@ class TestConvergenceStudy:
                 convergence_study(levels, SolverConfig(t_end=0.25), REF.params, REF.consts)
 
     def test_result_keeps_the_exact_field_at_t_end(self):
-        # t_end = 0.05 on 16 cells: the last step lands an ulp off t_end,
-        # and the norms are still measured against the field at t_end
+        # t_end = 0.05 on 16 cells: k*dt + dt misses t_end by an ulp at the
+        # last step, which is labelled t_end itself; the norms are its errors
         for config in (SolverConfig(t_end=0.05), SolverConfig(t_end=0.0)):
             res = solve_reference(Grid1D(16), config)
+            assert res.snapshots[-1][0] == config.t_end
             exact_end = res.exact(config.t_end, res.grid.nodes)
             assert res.error_inf == float(np.max(np.abs(res.snapshots[-1][1] - exact_end)))
 
