@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
 
@@ -191,6 +192,14 @@ def resolve_config(args) -> RunConfig:
     out = blocks["output"].get("path")
     if out is not None and not isinstance(out, str):
         raise ValidationError("output.path must be a string")
+    if out is not None:  # so a run that could not write its output does none of its work
+        existed = os.path.lexists(out)
+        try:  # appending truncates nothing, and a file the probe made is removed
+            open(out, "ab").close()
+        except OSError as e:
+            raise ValidationError(f"output.path {out!r} cannot be written: {e.strerror}") from e
+        if not existed:
+            os.remove(out)
 
     if "profile" in blocks:
         taus = blocks["profile"].get("tau", [0.0, 0.125, 1.0, 1e4])

@@ -9,10 +9,10 @@ takes derivatives one way.
 Every check evaluates its field once per derivative over the whole
 (tau, eta) mesh, so residual fields must accept numpy arrays, and Dual
 numbers carrying arrays, as well as floats: no Python `if`/`float()` on
-their arguments.  One reduction turns a residual array into a
-`ResidualReport`; its worst point is the first maximum of |residual| in
-row-major (tau, eta) order, and a NaN residual counts as that maximum, so
-it fails.
+their arguments.  One reduction turns a residual array into a `Check`, the
+one record of a checked value: its value is the largest |residual|, its
+worst point the first such maximum in row-major (tau, eta) order, and a
+NaN residual counts as that maximum, so it fails.
 
 The flux-evolution balance of the flow branch needs an eta integral at
 every tau, independent of the mesh evaluation.  `flow.quad` integrates it
@@ -23,7 +23,7 @@ two estimates differ by more than `FLUX_QUAD_EPSABS` (plus 1e-12
 relative) the integral counts as unconverged and fails the check.
 
 Besides the per-equation residual evaluators this module carries
-`run_suite`, the aggregate check list the CLI `verify` subcommand prints,
+`run_suite`, the aggregate list of `Check`s the CLI `verify` subcommand prints,
 and `published_flux_discrepancy`, which quantifies the known inconsistency
 of the originally published outer-boundary flux instead of hiding it.
 """
@@ -31,7 +31,7 @@ of the originally published outer-boundary flux instead of hiding it.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import partial
 from typing import Sequence
 
@@ -57,7 +57,7 @@ from .flow import quad
 __all__ = [
     "DerivativeEngine",
     "UnreliableDerivativesError",
-    "ResidualReport",
+    "Check",
     "standard_grid",
     "pde_residual",
     "temperature_equation_residual",
@@ -73,7 +73,6 @@ __all__ = [
     "FluxDiscrepancyReport",
     "published_gap_at",
     "published_flux_discrepancy",
-    "CheckResult",
     "SuiteResult",
     "run_suite",
 ]
@@ -133,23 +132,28 @@ def _shaped(y, args):
 
 
 @dataclass(frozen=True)
-class ResidualReport:
-    """Max-abs residual of a field against a governing equation."""
+class Check:
+    """One checked value against its tolerance.
+
+    A residual check's value is the max-abs residual over its `n_samples`
+    points, the first of them where it is reached being `worst_point`; a
+    scalar check has no points, so `()` and 1.
+    """
 
     name: str
-    max_abs: float
-    worst_point: tuple
-    n_samples: int
+    value: float
     tol: float
-    passed: bool
+    note: str = ""
+    worst_point: tuple = ()
+    n_samples: int = 1
+
+    @property
+    def passed(self) -> bool:
+        """value <= tol, so a NaN value fails."""
+        return self.value <= self.tol
 
 
-def _passes(value, tol) -> bool:
-    """The pass rule of every check: value <= tol, so a NaN value fails."""
-    return bool(value <= tol)
-
-
-def _report(name, residual, coords, tol) -> ResidualReport:
+def _report(name, residual, coords, tol) -> Check:
     """Reduce a residual array sampled at `coords` (arrays of its shape)."""
     r = np.asarray(residual, dtype=float)
     if r.size == 0:
@@ -158,8 +162,8 @@ def _report(name, residual, coords, tol) -> ResidualReport:
     # minimal among ties; argmax takes the first NaN, which then fails
     k = int(np.argmax(np.abs(r)))
     worst = float(abs(r.flat[k]))
-    return ResidualReport(name, worst, tuple(float(np.ravel(c)[k]) for c in coords),
-                          r.size, tol, _passes(worst, tol))
+    return Check(name, worst, tol, worst_point=tuple(float(np.ravel(c)[k]) for c in coords),
+                 n_samples=r.size)
 
 
 def standard_grid(a: float = 1.0):
@@ -181,7 +185,7 @@ def _partials(fld, TT, EE):
     return _ENGINE.d1(fld, args, 0), _ENGINE.d1(fld, args, 1), _ENGINE.d2(fld, args, 1)
 
 
-def pde_residual(field, A: float, B: float, source, grid, name: str) -> ResidualReport:
+def pde_residual(field, A: float, B: float, source, grid, name: str) -> Check:
     """Residual of A*f_tau - B*(f_eta + s*f_etaeta) - source(tau, eta, s) on the grid mesh.
 
     s = 8*tau + eta + 1; grid = (tau values, eta values).  The
@@ -195,14 +199,14 @@ def pde_residual(field, A: float, B: float, source, grid, name: str) -> Residual
     return _report(name, res, (TT, EE), DUAL_TOL)
 
 
-def temperature_equation_residual(fld, params: ReducedParams, grid) -> ResidualReport:
+def temperature_equation_residual(fld, params: ReducedParams, grid) -> Check:
     """Residual of A*Theta_tau - B*(Theta_eta + s*Theta_etaeta) - 16*(1+eps^2)/s^2."""
     q = 16.0 * (1.0 + params.eps ** 2)
     return pde_residual(fld, params.A, params.B, lambda tau, eta, s: q / (s * s), grid,
                         "temperature_equation")
 
 
-def reference_equation_residual(grid, C5: float = C5_MIN) -> ResidualReport:
+def reference_equation_residual(grid, C5: float = C5_MIN) -> Check:
     """Residual of theta_reference in Theta_tau - 8*(Theta_eta + s*Theta_etaeta) - 80/(3*s^2).
 
     The reference-case equation (the general one divided by A at the worked
@@ -213,7 +217,7 @@ def reference_equation_residual(grid, C5: float = C5_MIN) -> ResidualReport:
                         "reference_equation")
 
 
-def flow_residuals(eps: float, grid) -> dict[str, ResidualReport]:
+def flow_residuals(eps: float, grid) -> dict[str, Check]:
     """Substitute the exact flow branch into its governing relations.
 
     Keys: 'azimuthal_momentum' (interior transport of omega),
@@ -268,7 +272,7 @@ def flow_residuals(eps: float, grid) -> dict[str, ResidualReport]:
 
 
 def determining_equation_residual(b2, C1: float, C2: float, C4: float,
-                                  params: ReducedParams, grid) -> ResidualReport:
+                                  params: ReducedParams, grid) -> Check:
     """Residual of the linear condition on the generator coefficient b2.
 
     A*b2_tau - B*(b2_eta + s*b2_etaeta)
@@ -364,7 +368,7 @@ def invariant_annihilation(operator_coeffs, invariant, params: ReducedParams, gr
     return float(np.max(np.abs(annihilation_values(operator_coeffs, invariant, params, grid))))
 
 
-def reduced_ode_residual(phi, params: ReducedParams, I1_samples) -> ResidualReport:
+def reduced_ode_residual(phi, params: ReducedParams, I1_samples) -> Check:
     """Residual of B*I1*phi'' + (B - 8A)*phi' + 16*(1+eps^2)/I1^2.
 
     The single-variable reduction of the temperature equation along the
@@ -442,27 +446,13 @@ def published_flux_discrepancy() -> FluxDiscrepancyReport:
 
 
 @dataclass(frozen=True)
-class CheckResult:
-    name: str
-    value: float
-    tol: float
-    passed: bool
-    note: str = ""
-
-
-@dataclass(frozen=True)
 class SuiteResult:
-    checks: list[CheckResult]
+    checks: list[Check]
     discrepancy: FluxDiscrepancyReport
 
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-
-def _check(name, val, tol, note=""):
-    val = float(val)
-    return CheckResult(name, val, tol, _passes(val, tol), note)
 
 
 def _require_resolved_width(a: float, phys: PhysicalParams | None, tau):
@@ -491,7 +481,7 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
     (`temperature.require_finite_start`) before any check runs, and so does
     a ring too thin for the grid's largest xi (`_require_resolved_width`).
     """
-    checks: list[CheckResult] = []
+    checks: list[Check] = []
     grid = standard_grid(params.a)
     _require_resolved_width(params.a, phys, grid[0])
     temperature.require_finite_start(grid[1], params, consts)
@@ -499,47 +489,45 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
 
     # flow branch
     for rep in flow_residuals(params.eps, grid).values():
-        checks.append(_check(f"flow_{rep.name}", rep.max_abs, rep.tol))
+        checks.append(replace(rep, name=f"flow_{rep.name}"))
 
     # temperature closed forms in the general equation
     simple = partial(temperature.theta_simple, params=params, level=consts.C5)
     general = partial(temperature.theta_general, params=params, consts=consts)
     rep = temperature_equation_residual(simple, params, grid)
-    checks.append(_check("pde_theta_simple", rep.max_abs, rep.tol))
+    checks.append(replace(rep, name="pde_theta_simple"))
     rep = temperature_equation_residual(general, params, grid)
-    checks.append(_check("pde_theta_general", rep.max_abs, rep.tol))
+    checks.append(replace(rep, name="pde_theta_general"))
 
     # symmetry machinery
-    rep = determining_equation_residual(simple, 0.0, 1.0, -2.0, params, grid)
-    checks.append(_check("determining_equation", rep.max_abs, rep.tol))
+    checks.append(determining_equation_residual(simple, 0.0, 1.0, -2.0, params, grid))
     I1, _ = translation_invariants()
     val = invariant_annihilation((0.0, 0.0, consts.C3, 0.0, lambda tau, eta: 0.0), I1,
                                  params, grid)
-    checks.append(_check("translation_annihilation", val, 0.0,
-                         note="exact zero expected"))
+    checks.append(Check("translation_annihilation", val, 0.0, "exact zero expected"))
     J1, J2 = scaling_invariants(params, consts)
     coeffs = (0.0, 1.0, consts.C3, -2.0, simple)
-    checks.append(_check("scaling_annihilation_J1",
-                         invariant_annihilation(coeffs, J1, params, grid), 1e-9))
-    checks.append(_check("scaling_annihilation_J2",
-                         invariant_annihilation(coeffs, J2, params, grid), 1e-8))
+    checks.append(Check("scaling_annihilation_J1",
+                        invariant_annihilation(coeffs, J1, params, grid), 1e-9))
+    checks.append(Check("scaling_annihilation_J2",
+                        invariant_annihilation(coeffs, J2, params, grid), 1e-8))
     phi = lambda i1: temperature.theta_simple(0.0, i1 - 1.0, params, consts.C5)
     rep = reduced_ode_residual(phi, params, np.linspace(1.0, 81.0, 41))
-    checks.append(_check("reduced_ode_profile", rep.max_abs, rep.tol))
+    checks.append(replace(rep, name="reduced_ode_profile"))
 
     # boundary structure
     traces = temperature.BoundaryTraces(params, consts)
     th1, th2 = traces.theta1(0.0), traces.theta2(0.0)
-    checks.append(_check("boundary_equality_tau0", abs(th1 - th2), 1e-12,
-                         note="wall temperatures at tau = 0"))
-    checks.append(_check("boundary_difference_C",
-                         abs(temperature.boundary_difference_C(params, consts)), 1e-12,
-                         note="closed-form C; zero for the configured K"))
+    checks.append(Check("boundary_equality_tau0", float(abs(th1 - th2)), 1e-12,
+                        "wall temperatures at tau = 0"))
+    checks.append(Check("boundary_difference_C",
+                        float(abs(temperature.boundary_difference_C(params, consts))), 1e-12,
+                        "closed-form C; zero for the configured K"))
     tau4 = np.array([0.0, 0.1, 1.0, 10.0])
     t1, t2 = traces.theta1(tau4), traces.theta2(tau4)
     dev = max(np.max(np.abs(t1 - temperature.theta_general(tau4, params.a, params, consts))),
               np.max(np.abs(t2 - temperature.theta_general(tau4, 0.0, params, consts))))
-    checks.append(_check("trace_vs_restriction", dev, 1e-12))
+    checks.append(Check("trace_vs_restriction", float(dev), 1e-12))
 
     # coordinate maps and the dimensional field
     # stdlib draws: `random` is loaded anyway, numpy.random would cost ~5.6 MB
@@ -553,60 +541,58 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
     # below sample the wall itself, eta = 0, as they always have
     eta_pts = np.maximum(eta_pts, 0.0)
     ident = np.max(np.abs((8.0 * tau_pts + eta_pts + 1.0) * emb.R20 ** 2 / r_pts ** 2 - 1.0))
-    checks.append(_check("coordinate_identity", ident, 1e-12))
+    checks.append(Check("coordinate_identity", float(ident), 1e-12))
     tb, rb = from_reduced(tau_pts, eta_pts, emb)
     rt = max(np.max(np.abs(tb - t_pts) / np.maximum(np.abs(t_pts), 1e-30)),
              np.max(np.abs(rb - r_pts) / np.abs(r_pts)))
-    checks.append(_check("coordinate_roundtrip", rt, 1e-12))
+    checks.append(Check("coordinate_roundtrip", float(rt), 1e-12))
     td = temperature.dimensional_T(t_pts, r_pts, emb, consts)
     tg = emb.T0 * temperature.theta_general(tau_pts, eta_pts, params, consts)
     scale = np.maximum(np.abs(tg), emb.T0 * max(abs(consts.C5), 1.0))
-    checks.append(_check("dimensional_equivalence",
-                         np.max(np.abs(td - tg) / scale), 1e-11))
+    checks.append(Check("dimensional_equivalence",
+                        float(np.max(np.abs(td - tg) / scale)), 1e-11))
 
     # conservation and free-boundary stresses
     r1, r2 = flow.radii(np.array([0.0, 1.0, 10.0]), emb)
     area = r1 ** 2 - r2 ** 2
-    checks.append(_check("area_conservation",
-                         (area.max() - area.min()) / abs(area[0]), 1e-10))
+    checks.append(Check("area_conservation",
+                        float((area.max() - area.min()) / abs(area[0])), 1e-10))
     mom = [flow.angular_momentum_integral(t, emb) for t in (0.0, 1.0, 10.0)]
     mscale = max(abs(flow.angular_momentum(0.0, emb)), 1.0)
-    checks.append(_check("angular_momentum_conservation",
-                         (max(mom) - min(mom)) / mscale, 1e-10))
+    checks.append(Check("angular_momentum_conservation",
+                        float((max(mom) - min(mom)) / mscale), 1e-10))
     walls = np.concatenate(flow.radii(np.array([0.0, 1.0]), emb))
     worst_stress = max(np.max(np.abs(c)) for c in flow.stress_components(walls, 0.0, emb))
-    checks.append(_check("stress_free_boundaries", worst_stress, 1e-12,
-                         note="p_inf = 0"))
+    checks.append(Check("stress_free_boundaries", float(worst_stress), 1e-12, "p_inf = 0"))
 
     # asymptote
     eta_line = np.linspace(0.0, params.a, 41)
     asym = np.max(np.abs(temperature.theta_general(1e4, eta_line, params, consts)
                          - 0.5 * consts.C5))
-    checks.append(_check("asymptote_level", asym, 1e-4, note="tau = 1e4"))
+    checks.append(Check("asymptote_level", float(asym), 1e-4, "tau = 1e4"))
 
     if ReferenceCase().matches(params, consts):
         kf = reference_case_K(consts.C3)
-        checks.append(_check("reference_K_rational", abs(kf + 5.0 / 18432.0), 1e-15))
-        checks.append(_check("reference_K_printed", abs(kf + 0.00027127), 1e-8))
-        checks.append(_check("reference_equation_coefficients",
-                             max(abs(params.B / params.A - 8.0),
-                                 abs(16.0 * (1.0 + params.eps ** 2) / params.A - 80.0 / 3.0)),
-                             1e-12))
+        checks.append(Check("reference_K_rational", abs(kf + 5.0 / 18432.0), 1e-15))
+        checks.append(Check("reference_K_printed", abs(kf + 0.00027127), 1e-8))
+        checks.append(Check("reference_equation_coefficients",
+                            max(abs(params.B / params.A - 8.0),
+                                abs(16.0 * (1.0 + params.eps ** 2) / params.A - 80.0 / 3.0)),
+                            1e-12))
         rep = reference_equation_residual(grid, C5=consts.C5)
-        checks.append(_check("pde_theta_reference", rep.max_abs, rep.tol))
+        checks.append(replace(rep, name="pde_theta_reference"))
         g30 = np.linspace(0.0, 10.0, 30)
         e30 = np.linspace(0.0, 1.0, 30)
         diff = np.max(np.abs(
             temperature.theta_general(g30[:, None], e30[None, :], params, consts)
             - temperature.theta_reference(g30[:, None], e30[None, :], consts.C5)))
-        checks.append(_check("general_equals_reference", diff, 1e-12))
+        checks.append(Check("general_equals_reference", float(diff), 1e-12))
         ip = np.max(np.abs(temperature.initial_profile(e30, consts.C5)
                            - temperature.theta_reference(0.0, e30, consts.C5)))
-        checks.append(_check("initial_profile_identity", ip, 1e-14))
+        checks.append(Check("initial_profile_identity", float(ip), 1e-14))
         scan = temperature.c5_nonnegativity_bound(
             params, SolutionConstants(C3=consts.C3, C5=C5_MIN, K=consts.K))
-        checks.append(_check("nonnegativity_at_c5_threshold",
-                             max(-scan.min_value, 0.0), 1e-12,
-                             note=f"min {scan.min_value:.3e} at {scan.argmin}"))
+        checks.append(Check("nonnegativity_at_c5_threshold", max(-scan.min_value, 0.0), 1e-12,
+                            f"min {scan.min_value:.3e} at {scan.argmin}"))
 
     return SuiteResult(checks=checks, discrepancy=published_flux_discrepancy())

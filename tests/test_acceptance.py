@@ -79,15 +79,15 @@ def test_criterion_01_constant_reproduction():
 def test_criterion_02_exact_solution_residuals():
     t0 = time.perf_counter()
     worst = {}
-    worst["reference_eq"] = reference_equation_residual(GRID, C5=C5_MIN).max_abs
+    worst["reference_eq"] = reference_equation_residual(GRID, C5=C5_MIN).value
     worst["general_eq_general"] = temperature_equation_residual(
-        partial(theta_general, params=REF.params, consts=REF.consts), REF.params, GRID).max_abs
+        partial(theta_general, params=REF.params, consts=REF.consts), REF.params, GRID).value
     worst["general_eq_simple"] = temperature_equation_residual(
-        partial(theta_simple, params=REF.params, level=C5_MIN), REF.params, GRID).max_abs
+        partial(theta_simple, params=REF.params, level=C5_MIN), REF.params, GRID).value
     fl = flow_residuals(REF.eps, GRID)
-    worst["flow_interior"] = fl["azimuthal_momentum"].max_abs
-    worst["flow_boundary"] = fl["boundary_flux"].max_abs
-    worst["flow_ring_scale"] = fl["ring_scale"].max_abs
+    worst["flow_interior"] = fl["azimuthal_momentum"].value
+    worst["flow_boundary"] = fl["boundary_flux"].value
+    worst["flow_ring_scale"] = fl["ring_scale"].value
     elapsed = time.perf_counter() - t0
     ok = all(v < 1e-9 for v in worst.values()) and elapsed < 1.0
     _report(2, "exact-solution residuals", ok,
@@ -122,7 +122,7 @@ def test_criterion_05_nonnegativity_threshold():
 
 def test_criterion_06_symmetry_machinery():
     b2 = partial(theta_simple, params=REF.params, level=REF.C5)
-    det = determining_equation_residual(b2, 0.0, 1.0, -2.0, REF.params, GRID).max_abs
+    det = determining_equation_residual(b2, 0.0, 1.0, -2.0, REF.params, GRID).value
     I1, _ = translation_invariants()
     trans = invariant_annihilation((0.0, 0.0, REF.C3, 0.0, lambda tau, eta: 0.0), I1,
                                    params=REF.params, grid=GRID)
@@ -131,7 +131,7 @@ def test_criterion_06_symmetry_machinery():
     xj1 = invariant_annihilation(coeffs, J1, params=REF.params, grid=GRID)
     xj2 = invariant_annihilation(coeffs, J2, params=REF.params, grid=GRID)
     phi = lambda i1: REF.C5 - 16.0 * (1.0 + REF.eps ** 2) / ((8.0 * REF.A + REF.B) * i1)
-    ode = reduced_ode_residual(phi, REF.params, np.linspace(1.0, 81.0, 41)).max_abs
+    ode = reduced_ode_residual(phi, REF.params, np.linspace(1.0, 81.0, 41)).value
     ok = det < 1e-9 and trans == 0.0 and xj1 < 1e-8 and xj2 < 1e-8 and ode < 1e-10
     _report(6, "symmetry machinery", ok,
             f"determining {det:.1e}, X(I1) = {trans}, X(J1) {xj1:.1e}, "

@@ -34,6 +34,19 @@ class TestVerify:
         assert "all checks passed" in out
         assert "0.40480" in out  # the outer-flux gap is reported
 
+    #: every check of the reference case, in order; any other tuple runs the first 21
+    CHECK_NAMES = [
+        "flow_azimuthal_momentum", "flow_boundary_flux", "flow_flux_evolution",
+        "flow_ring_scale", "pde_theta_simple", "pde_theta_general", "determining_equation",
+        "translation_annihilation", "scaling_annihilation_J1", "scaling_annihilation_J2",
+        "reduced_ode_profile", "boundary_equality_tau0", "boundary_difference_C",
+        "trace_vs_restriction", "coordinate_identity", "coordinate_roundtrip",
+        "dimensional_equivalence", "area_conservation", "angular_momentum_conservation",
+        "stress_free_boundaries", "asymptote_level",
+        "reference_K_rational", "reference_K_printed", "reference_equation_coefficients",
+        "pde_theta_reference", "general_equals_reference", "initial_profile_identity",
+        "nonnegativity_at_c5_threshold"]
+
     def test_json_report(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         rc, _, _ = run(["verify", "--out", str(report)], capsys)
@@ -43,6 +56,16 @@ class TestVerify:
         assert data["inconsistency"]["tau0_outer_gap"] == pytest.approx(0.405, abs=1e-3)
         names = {c["name"] for c in data["checks"]}
         assert "boundary_difference_C" in names
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"reduced": {"A": 1.3, "B": 2.1, "eps": -0.7, "a": 2.0},
+                                   "constants": {"C3": 0.3, "C5": 0.8}}))
+        rc, _, _ = run(["verify", "--config", str(cfg), "--out", str(tmp_path / "g.json")],
+                       capsys)
+        assert rc == 0
+        general = json.loads((tmp_path / "g.json").read_text())
+        for checks, n in ((data["checks"], 28), (general["checks"], 21)):
+            assert [c["name"] for c in checks] == self.CHECK_NAMES[:n]
+            assert all(set(c) == {"name", "value", "tol", "passed", "note"} for c in checks)
 
     def test_eps_zero_config_passes(self, tmp_path, capsys):
         cfg = tmp_path / "c.json"
@@ -382,23 +405,24 @@ _SOLVE16 = ["solve", "--grid", "16"]
 
 def assert_rejected(argv, config, fragments, tmp_path, capsys):
     """The rejected-input contract: argv with config (a dict, raw bytes, or None
-    for no --config) and --out (unless config sets output.path) exits 2 with no
-    stdout, no output file and one stderr line `error: ...` holding each fragment;
-    one starting `error: ` is its prefix, or with its newline all of it (TMP: tmp_path)."""
+    for no --config) and --out (unless argv has one or config sets output.path)
+    exits 2 with no stdout, no file but the config left in tmp_path, and one
+    stderr line `error: ...` holding each fragment; one starting `error: ` is
+    its prefix, or with its newline all of it (TMP: tmp_path)."""
+    out_given = "--out" in argv
     argv = [a.replace("TMP", str(tmp_path)) for a in argv]
     if config is not None:
         path = tmp_path / "c.json"
         path.write_bytes(config if isinstance(config, bytes) else json.dumps(config).encode())
         argv += ["--config", str(path)]
-    out = tmp_path / "o"
-    if not (isinstance(config, dict) and "path" in config.get("output", {})):
-        argv += ["--out", str(out)]
+    if not (out_given or isinstance(config, dict) and "path" in config.get("output", {})):
+        argv += ["--out", str(tmp_path / "o")]
     rc, stdout, err = run(argv, capsys)
     assert (rc, stdout) == (2, "")
     assert err.startswith("error: ") and err.endswith("\n") and err.count("\n") == 1, err
     for fragment in (f.replace("TMP", str(tmp_path)) for f in fragments):
         assert err.startswith(fragment) if fragment.startswith("error: ") else fragment in err
-    assert not out.exists()
+    assert [p.name for p in tmp_path.iterdir()] == ([] if config is None else ["c.json"])
 
 
 def _wrong_type(kinds, values):
@@ -591,6 +615,12 @@ REJECTED = {
                            ("empty", ""), ("4301+-digits", "9" * 5000),
                            ("deep-nesting", "[" * 100000)]],
     "test_rejected": [
+        # an output path that cannot be written: before any work, nothing left behind
+        *[(f"{argv[0]}-output.path-{name}", argv + ["--out", path], None,
+           [f"error: output.path '{path}' cannot be written: {why}\n"])
+          for argv in (["verify"], ["profile"], _SOLVE16, ["convergence", "--grid", "16,32"])
+          for name, path, why in [("missing-dir", "TMP/missing/o", "No such file or directory"),
+                                  ("directory", "TMP", "Is a directory")]],
         # the name of a scheme or a boundary mode, and a path, are strings
         *_wrong_type({"string"}, {"list": ["cn"], "object": {"cn": "cn"}, "number": 5}),
         *[(f"convergence-solver.scheme-{name}", ["convergence", "--grid", "16,32"],
@@ -661,6 +691,22 @@ def test_profile_row_bound(n_tau, reached, tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "o").exists()
 
 
+@pytest.mark.parametrize("argv", [["verify"], ["profile"], _SOLVE16,
+                                  ["convergence", "--grid", "16,32"]], ids=lambda a: a[0])
+def test_unwritable_output_rejected_before_any_work(argv, tmp_path, capsys, monkeypatch):
+    from ringheat import temperature
+
+    def work(*args, **kwargs):
+        raise AssertionError("work done before output.path was checked")
+
+    for owner, name in [(cli, "run_suite"), (cli, "solve_general"), (cli, "convergence_study"),
+                        (temperature, "require_finite_start")]:
+        monkeypatch.setattr(owner, name, work)
+    rc, _, err = run(argv + ["--out", str(tmp_path / "missing" / "o")], capsys)
+    assert rc == 2
+    assert "output.path" in err
+
+
 def test_integer_reals_accepted(tmp_path, capsys):
     # JSON integers are numbers: B = 6, a = 1 give the reference case itself
     path = tmp_path / "c.json"
@@ -724,7 +770,7 @@ _BAD_FLAGS = [
     ("--grid", "16.5", "solver", "grid", 16.5, ["solve"], "solver.grid must be an integer"),
     ("--grid", "16.5,32", "solver", "grid", [16.5, 32], ["convergence"],
      "solver.grid must be an integer"),
-    ("--out", "OUT/o", "output", "path", "OUT/o", ["profile"], "No such file"),
+    ("--out", "OUT/o", "output", "path", "OUT/o", ["profile"], "output.path"),
 ]
 
 

@@ -642,6 +642,76 @@ class TestMarchProperties:
             solve_reference(Grid1D(16), SolverConfig(**kw))
 
 
+class TestPolynomialOracle:
+    """Fields the march reproduces without the paper's closed forms.  D is
+    linear in tau and eta, as the equation's own (B/A)*(8*tau + eta + 1) is;
+    then a theta linear in tau and quadratic in eta makes every part of a
+    step exact (face differences, the centred flux difference, the ghost
+    node, the theta-method with its coefficients at tau_n + w*dt), so only
+    rounding remains.  A steady cubic in eta isolates the boundary closure:
+    the ghost node's theta(h) - theta(-h) = 2*h*theta_eta + h^3*theta_etaetaeta/3
+    leaves an h^3 term in the error with flux walls, which Richardson
+    extrapolation exposes."""
+
+    @staticmethod
+    def diffusivity(tau, eta):
+        return 8.0 * (8.0 * tau + eta + 1.0)
+
+    @staticmethod
+    def quadratic(tau, eta):
+        return 1.0 + 0.3 * tau + tau * (0.7 * eta - 0.4 * eta ** 2) + 0.2 * eta ** 2
+
+    @staticmethod
+    def quadratic_eta(tau, eta):
+        return tau * (0.7 - 0.8 * eta) + 0.4 * eta
+
+    def quadratic_source(self, tau, eta):
+        # theta_tau - d/deta(D*theta_eta), with D_eta = 8
+        return (0.3 + 0.7 * eta - 0.4 * eta ** 2 - 8.0 * self.quadratic_eta(tau, eta)
+                - self.diffusivity(tau, eta) * (0.4 - 0.8 * tau))
+
+    @pytest.mark.parametrize("n", [8, 16, 64])
+    @pytest.mark.parametrize("inner, outer", [("flux", "flux"), ("value", "value"),
+                                              ("flux", "value")])
+    @pytest.mark.parametrize("scheme", ["cn", "euler"])
+    def test_quadratic_field_to_roundoff(self, scheme, inner, outer, n):
+        def wall(kind, eta):
+            f = self.quadratic_eta if kind == "flux" else self.quadratic
+            return kind, lambda tau: f(tau, eta)
+
+        res = march(Grid1D(n), SolverConfig(t_end=0.5, scheme=scheme), self.diffusivity,
+                    self.quadratic_source, lambda eta: self.quadratic(0.0, eta),
+                    wall(inner, 0.0), wall(outer, 1.0), self.quadratic)
+        assert len(res.snapshots) == N_SNAPSHOTS
+        for tau, theta in res.snapshots:
+            assert np.max(np.abs(theta - self.quadratic(tau, res.grid.nodes))) <= 1e-12
+
+    @pytest.mark.parametrize("kind, extrapolated_order", [("flux", 3.0), ("value", 4.0)])
+    def test_steady_cubic_orders(self, kind, extrapolated_order):
+        # theta = 0.5 + 0.3*eta^3 to tau = 0.25: flux data 0 and 0.9, values 0.5 and 0.8
+        def cubic(eta):
+            return 0.5 + 0.3 * eta ** 3
+
+        def source(tau, eta):
+            return -(7.2 * eta ** 2 + self.diffusivity(tau, eta) * 1.8 * eta)
+
+        lo, hi = {"flux": (0.0, 0.9), "value": (0.5, 0.8)}[kind]
+        final = {}
+        for n in (16, 32, 64, 128, 256):
+            res = march(Grid1D(n), SolverConfig(), self.diffusivity, source, cubic,
+                        (kind, lambda tau: lo), (kind, lambda tau: hi),
+                        lambda tau, eta: cubic(eta))
+            final[n] = res.snapshots[-1][1]
+        levels = sorted(final)
+        exact = {n: cubic(np.linspace(0.0, 1.0, n + 1)) for n in levels}
+        plain = [np.max(np.abs(final[n] - exact[n])) for n in levels]
+        extrapolated = [np.max(np.abs((4.0 * final[2 * n][::2] - final[n]) / 3.0 - exact[n]))
+                        for n in levels[:-1]]
+        orders = lambda errs: [math.log2(e0 / e1) for e0, e1 in zip(errs, errs[1:])]
+        assert orders(plain) == pytest.approx([2.0] * 4, abs=0.01)
+        assert orders(extrapolated) == pytest.approx([extrapolated_order] * 3, abs=0.06)
+
+
 class TestConvergenceStudy:
     def test_orders_near_two(self):
         results = convergence_study([64, 128, 256], SolverConfig(t_end=0.25),

@@ -89,21 +89,21 @@ class TestTemperatureEquation:
     def test_simple_solution_residual(self, ref):
         rep = temperature_equation_residual(
             partial(theta_simple, params=ref.params, level=0.9), ref.params, GRID)
-        assert rep.max_abs < 1e-9
+        assert rep.value < 1e-9
         assert rep.passed
         assert rep.n_samples == 24 * 21
 
     def test_general_solution_residual(self, ref):
         rep = temperature_equation_residual(
             partial(theta_general, params=ref.params, consts=ref.consts), ref.params, GRID)
-        assert rep.max_abs < 1e-9
+        assert rep.value < 1e-9
 
     def test_general_solution_any_K(self, ref):
         # the exponential mode solves the homogeneous equation for every K
         consts = SolutionConstants(C3=0.125, C5=1.0, K=0.37)
         rep = temperature_equation_residual(
             partial(theta_general, params=ref.params, consts=consts), ref.params, GRID)
-        assert rep.max_abs < 1e-9
+        assert rep.value < 1e-9
 
     def test_nonreference_parameters(self):
         params = ReducedParams(A=1.3, B=2.1, eps=-0.7, a=2.0)
@@ -111,23 +111,23 @@ class TestTemperatureEquation:
         rep = temperature_equation_residual(
             partial(theta_general, params=params, consts=consts), params,
             standard_grid(params.a))
-        assert rep.max_abs < 1e-9
+        assert rep.value < 1e-9
 
     def test_perturbed_field_residual_hand_oracle(self, ref):
         # adding eta^2 contributes -B*d/deta(s*2*eta) = -2*B*(8*tau + 2*eta + 1)
         base = partial(theta_general, params=ref.params, consts=ref.consts)
         fld = lambda tau, eta: base(tau, eta) + eta ** 2
         rep0 = temperature_equation_residual(fld, ref.params, grid=([0.0], [0.0]))
-        assert rep0.max_abs == pytest.approx(2.0 * ref.params.B, abs=1e-9)
+        assert rep0.value == pytest.approx(2.0 * ref.params.B, abs=1e-9)
         rep1 = temperature_equation_residual(fld, ref.params, grid=([0.5], [0.25]))
-        assert rep1.max_abs == pytest.approx(
+        assert rep1.value == pytest.approx(
             abs(-2.0 * ref.params.B * (8.0 * 0.5 + 2.0 * 0.25 + 1.0)), abs=1e-9)
 
     def test_nan_residual_fails(self, ref):
         # NaN compares false against everything; the reduction must still
         # report it as the worst residual and fail
         rep = temperature_equation_residual(lambda t, e: float("nan") * t, ref.params, GRID)
-        assert math.isnan(rep.max_abs)
+        assert math.isnan(rep.value)
         assert rep.worst_point == (0.0, 0.0)
         assert not rep.passed
 
@@ -162,14 +162,14 @@ class TestReferenceEquation:
     def test_reference_solution_residual(self):
         grid = (np.linspace(0.0, 1.0, 10), np.linspace(0.0, 1.0, 10))
         rep = reference_equation_residual(grid=grid)
-        assert rep.max_abs < 1e-9
+        assert rep.value < 1e-9
 
     def test_constant_field_residual_is_source(self, monkeypatch):
         # a constant in place of theta_reference leaves the source 80/(3*s^2)
         monkeypatch.setattr(verification.temperature, "theta_reference",
                             lambda tau, eta, C5: 5.0 / 6.0)
         rep = reference_equation_residual(grid=([0.0], [0.0]))
-        assert rep.max_abs == pytest.approx(80.0 / 3.0, rel=1e-13)
+        assert rep.value == pytest.approx(80.0 / 3.0, rel=1e-13)
 
     def test_coefficients_consistent_with_general_equation(self, ref):
         # dividing the general equation by A at the reference constants
@@ -182,10 +182,10 @@ class TestFlowResiduals:
     @pytest.mark.parametrize("eps", [0.5, 0.0, -1.2])
     def test_exact_branch_everything_small(self, eps):
         reports = flow_residuals(eps, GRID)
-        assert reports["azimuthal_momentum"].max_abs < 1e-10
-        assert reports["boundary_flux"].max_abs < 1e-12
-        assert reports["flux_evolution"].max_abs < 1e-10
-        assert reports["ring_scale"].max_abs < 1e-12
+        assert reports["azimuthal_momentum"].value < 1e-10
+        assert reports["boundary_flux"].value < 1e-12
+        assert reports["flux_evolution"].value < 1e-10
+        assert reports["ring_scale"].value < 1e-12
         assert all(r.passed for r in reports.values())
 
 
@@ -267,7 +267,7 @@ class TestFluxEvolutionQuadrature:
 
         monkeypatch.setattr(verification, "quad", disagreeing)
         reports = flow_residuals(0.5, GRID)
-        assert math.isnan(reports["flux_evolution"].max_abs)
+        assert math.isnan(reports["flux_evolution"].value)
         assert not reports["flux_evolution"].passed
         assert all(reports[k].passed for k in
                    ("azimuthal_momentum", "boundary_flux", "ring_scale"))
@@ -327,24 +327,24 @@ class TestDeterminingEquation:
         # source factor -(C2+C4) = 1 reproduces the inhomogeneous equation
         b2 = partial(theta_simple, params=ref.params, level=ref.C5)
         rep = determining_equation_residual(b2, 0.0, 1.0, -2.0, ref.params, GRID)
-        assert rep.max_abs < 1e-9
+        assert rep.value < 1e-9
 
     def test_zero_b2_zero_source(self, ref):
         rep = determining_equation_residual(zero_field, 0.0, 1.0, -1.0, ref.params, GRID)
-        assert rep.max_abs == 0.0
+        assert rep.value == 0.0
 
     def test_zero_b2_unit_source(self, ref):
         rep = determining_equation_residual(zero_field, 0.0, 1.0, 0.0, ref.params,
                                             grid=([0.0], [0.0]))
         # residual = 16*(1+eps^2)/s^2 = 20 at the origin
-        assert rep.max_abs == pytest.approx(20.0, rel=1e-13)
+        assert rep.value == pytest.approx(20.0, rel=1e-13)
 
     def test_time_dependent_source_term(self, ref):
         # C1 != 0 activates the (tau - (A/B)*eta) factor; b2 = 0 leaves just the source
         rep = determining_equation_residual(zero_field, 2.0, 0.0, 0.0, ref.params,
                                             grid=([1.0], [0.0]))
         expected = 16.0 * 1.25 / 81.0 * (-(2.0 / 2.0) * (1.0 - 0.0))
-        assert rep.max_abs == pytest.approx(abs(expected), rel=1e-12)
+        assert rep.value == pytest.approx(abs(expected), rel=1e-12)
 
 
 class TestSymbolicDeterminingEquation:
@@ -401,7 +401,7 @@ class TestSymbolicDeterminingEquation:
             rep = determining_equation_residual(
                 lambda tau, eta: tau * tau * eta - 3.0 * eta ** 3 + tau,
                 consts[C1], consts[C2], consts[C4], params, ([t], [e]))
-            assert rep.max_abs == pytest.approx(abs(want(t, e)), rel=1e-12, abs=1e-13)
+            assert rep.value == pytest.approx(abs(want(t, e)), rel=1e-12, abs=1e-13)
 
 
 class TestSymmetryMachinery:
@@ -445,16 +445,16 @@ class TestReducedOde:
     def test_simple_profile_solves_ode(self, ref):
         phi = lambda i1: theta_simple(0.0, i1 - 1.0, ref.params, 0.7)
         rep = reduced_ode_residual(phi, ref.params, np.linspace(1.0, 81.0, 41))
-        assert rep.max_abs < 1e-10
+        assert rep.value < 1e-10
 
     def test_constant_profile_leaves_source(self, ref):
         rep = reduced_ode_residual(lambda i1: 2.0, ref.params, [1.0])
-        assert rep.max_abs == pytest.approx(20.0, rel=1e-13)
+        assert rep.value == pytest.approx(20.0, rel=1e-13)
 
     def test_linear_profile_at_reference(self, ref):
         # B - 8A = 0 at the reference constants, so phi = I1 leaves only the source
         rep = reduced_ode_residual(lambda i1: i1, ref.params, [1.0])
-        assert rep.max_abs == pytest.approx(20.0, rel=1e-13)
+        assert rep.value == pytest.approx(20.0, rel=1e-13)
 
 
 class TestFluxDiscrepancy:
@@ -546,3 +546,38 @@ class TestSuite:
         assert by_name["pde_theta_general"].passed  # any K solves the equation
         assert not by_name["boundary_difference_C"].passed
         assert not by_name["boundary_equality_tau0"].passed
+
+    @pytest.mark.parametrize("case", ["reference", "general"])
+    def test_residual_checks_keep_their_worst_points(self, ref, case):
+        # each residual check is its function's own record, renamed; a
+        # scalar check has no points
+        if case == "reference":
+            params, consts = ref.params, ref.consts
+        else:
+            params = ReducedParams(A=1.3, B=2.1, eps=-0.7, a=2.0)
+            consts = SolutionConstants(C3=0.3, C5=0.8,
+                                       K=temperature.k_for_equal_boundaries(params, 0.3))
+        grid = standard_grid(params.a)
+        simple = partial(theta_simple, params=params, level=consts.C5)
+        direct = {f"flow_{k}": r for k, r in flow_residuals(params.eps, grid).items()}
+        direct["pde_theta_simple"] = temperature_equation_residual(simple, params, grid)
+        direct["pde_theta_general"] = temperature_equation_residual(
+            partial(theta_general, params=params, consts=consts), params, grid)
+        direct["determining_equation"] = determining_equation_residual(
+            simple, 0.0, 1.0, -2.0, params, grid)
+        direct["reduced_ode_profile"] = reduced_ode_residual(
+            lambda i1: theta_simple(0.0, i1 - 1.0, params, consts.C5), params,
+            np.linspace(1.0, 81.0, 41))
+        if case == "reference":
+            direct["pde_theta_reference"] = reference_equation_residual(grid, C5=consts.C5)
+        checks = run_suite(params, consts).checks
+        assert len(checks) == (28 if case == "reference" else 21)
+        assert set(direct) <= {c.name for c in checks}
+        for c in checks:
+            want = direct.get(c.name)
+            if want is None:
+                assert (c.worst_point, c.n_samples) == ((), 1), c.name
+            else:
+                assert c.worst_point and c.n_samples > 1, c.name
+                assert (c.value, c.tol, c.worst_point, c.n_samples) == (
+                    want.value, want.tol, want.worst_point, want.n_samples), c.name
