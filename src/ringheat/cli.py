@@ -47,7 +47,7 @@ from .solver import (
     solve_general,
     solve_reference,  # noqa: F401 - not called here; bench/spans.py wraps cli.solve_reference
 )
-from .verification import published_gap_at, run_suite
+from .verification import run_suite
 
 __all__ = ["main", "RunConfig"]
 
@@ -249,26 +249,20 @@ def cmd_verify(args) -> int:
         status = "PASS" if c.passed else "FAIL"
         note = f"  ({c.note})" if c.note else ""
         print(f"{c.name:<{width}}{c.value:>13.3e}{c.tol:>10.0e}  {status}{note}")
-    d = suite.discrepancy
+    d = suite.inconsistency
     print("\n-- published outer-flux inconsistency (informational, never gates) --")
-    print(f"  tau = 0: published {d.published_outer[0]:+.5f}, derived {d.derived_outer[0]:+.5f}, "
-          f"gap {d.outer_gap[0]:.5f} (opposite signs)")
-    print(f"  inner flux max gap on tau in [0, 1]: {float(np.max(np.abs(d.inner_gap))):.3e}")
-    tail = published_gap_at(100.0)
-    print(f"  outer gap at tau = 100: {tail:.3e} (decays with tau)")
+    print(f"  tau = 0: published {d['tau0_published_outer']:+.5f}, "
+          f"derived {d['tau0_derived_outer']:+.5f}, "
+          f"gap {d['tau0_outer_gap']:.5f} (opposite signs)")
+    print(f"  inner flux max gap on tau in [0, 1]: {d['inner_max_gap']:.3e}")
+    print(f"  outer gap at tau = 100: {d['tau100_outer_gap']:.3e} (decays with tau)")
     if rc.out:
         report = {
             "params": vars(rc.params).copy(),
             "constants": vars(rc.consts).copy(),
             "checks": [{"name": c.name, "value": c.value, "tol": c.tol,
                         "passed": c.passed, "note": c.note} for c in suite.checks],
-            "inconsistency": {
-                "tau0_published_outer": float(d.published_outer[0]),
-                "tau0_derived_outer": float(d.derived_outer[0]),
-                "tau0_outer_gap": float(d.outer_gap[0]),
-                "inner_max_gap": float(np.max(np.abs(d.inner_gap))),
-                "tau100_outer_gap": tail,
-            },
+            "inconsistency": d,
             "all_passed": suite.passed,
         }
         _write_text(rc.out, json.dumps(report, indent=2) + "\n")

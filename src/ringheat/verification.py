@@ -11,8 +11,9 @@ Every check evaluates its field once per derivative over the whole
 numbers carrying arrays, as well as floats: no Python `if`/`float()` on
 their arguments.  One reduction turns a residual array into a `Check`, the
 one record of a checked value: its value is the largest |residual|, its
-worst point the first such maximum in row-major (tau, eta) order, and a
-NaN residual counts as that maximum, so it fails.
+worst point the first such maximum in row-major (tau, eta) order (then
+Theta, for the annihilation checks), and a NaN residual counts as that
+maximum, so it fails.
 
 The flux-evolution balance of the flow branch needs an eta integral at
 every tau, independent of the mesh evaluation.  `flow.quad` integrates it
@@ -24,8 +25,9 @@ relative) the integral counts as unconverged and fails the check.
 
 Besides the per-equation residual evaluators this module carries
 `run_suite`, the aggregate list of `Check`s the CLI `verify` subcommand prints,
-and `published_flux_discrepancy`, which quantifies the known inconsistency
-of the originally published outer-boundary flux instead of hiding it.
+and `published_flux_discrepancy`, the five numbers `verify` prints and
+writes for the known inconsistency of the originally published
+outer-boundary flux, which is measured instead of hidden.
 """
 
 from __future__ import annotations
@@ -67,10 +69,8 @@ __all__ = [
     "operator_coefficients",
     "translation_invariants",
     "scaling_invariants",
-    "annihilation_values",
     "invariant_annihilation",
     "reduced_ode_residual",
-    "FluxDiscrepancyReport",
     "published_gap_at",
     "published_flux_discrepancy",
     "SuiteResult",
@@ -346,13 +346,12 @@ def scaling_invariants(params: ReducedParams, consts: SolutionConstants):
 THETA_SAMPLES = (-1.0, 0.4, 1.7)
 
 
-def annihilation_values(operator_coeffs, invariant, params: ReducedParams, grid):
-    """X(J) = xi1*J_tau + xi2*J_eta + eta1*J_Theta on the grid.
+def invariant_annihilation(operator_coeffs, invariant, params: ReducedParams, grid) -> Check:
+    """Residual X(J) = xi1*J_tau + xi2*J_eta + eta1*J_Theta on the grid.
 
     operator_coeffs is the raw (C1, C2, C3, C4, b2) tuple.  Annihilation
     must hold identically in Theta, so X(J) is evaluated on the (grid point
-    x THETA_SAMPLES) mesh; returns values[n_pts, len(THETA_SAMPLES)], the
-    points in row-major (tau, eta) order.
+    x THETA_SAMPLES) mesh, and the worst point is a (tau, eta, Theta) triple.
     """
     xi1, xi2, eta1 = operator_coefficients(*operator_coeffs, params)
     TT, EE = _mesh(grid)
@@ -360,12 +359,8 @@ def annihilation_values(operator_coeffs, invariant, params: ReducedParams, grid)
                                np.asarray(THETA_SAMPLES)[None, :])
     tau, eta, th = args
     j_t, j_e, j_th = (_ENGINE.d1(invariant, args, i) for i in range(3))
-    return xi1(tau) * j_t + xi2(tau, eta) * j_e + eta1(tau, eta, th) * j_th
-
-
-def invariant_annihilation(operator_coeffs, invariant, params: ReducedParams, grid) -> float:
-    """max |X(J)| over the grid and THETA_SAMPLES."""
-    return float(np.max(np.abs(annihilation_values(operator_coeffs, invariant, params, grid))))
+    res = xi1(tau) * j_t + xi2(tau, eta) * j_e + eta1(tau, eta, th) * j_th
+    return _report("invariant_annihilation", res, (tau, eta, th), DUAL_TOL)
 
 
 def reduced_ode_residual(phi, params: ReducedParams, I1_samples) -> Check:
@@ -383,43 +378,21 @@ def reduced_ode_residual(phi, params: ReducedParams, I1_samples) -> Check:
     return _report("reduced_ode", res, (i1,), 1e-10)
 
 
-@dataclass(frozen=True)
-class FluxDiscrepancyReport:
-    """Published vs derived Neumann data for the reference case.
-
-    The inner pair agrees; the outer published form is inconsistent with
-    the exact solution (opposite sign at tau = 0, gap ~ 0.405, decaying
-    with tau).
-    """
-
-    tau: np.ndarray
-    published_inner: np.ndarray
-    derived_inner: np.ndarray
-    published_outer: np.ndarray
-    derived_outer: np.ndarray
-
-    @property
-    def inner_gap(self) -> np.ndarray:
-        return self.published_inner - self.derived_inner
-
-    @property
-    def outer_gap(self) -> np.ndarray:
-        return self.published_outer - self.derived_outer
-
-
 def published_gap_at(tau: float) -> float:
     """Published minus exact outer-wall (eta = 1) flux of the reference case at tau."""
     return float(temperature.published_flux_outer(tau) - temperature.reference_flux(tau, 1.0))
 
 
-def published_flux_discrepancy() -> FluxDiscrepancyReport:
-    """Evaluate both flux formulas against the exact boundary derivative at
-    tau in {0, 0.05, ..., 1}.
+def published_flux_discrepancy() -> dict[str, float]:
+    """The published-flux inconsistency of the reference case, as `verify` reports it.
 
-    The derived fluxes are dual-engine derivatives of theta_reference (its
-    eta derivative does not depend on C5), cross-checked against the closed
-    form `reference_flux` (disagreement beyond 1e-8 raises
-    UnreliableDerivativesError).
+    Keys: the published and the exact outer-wall (eta = 1) flux at tau = 0
+    and their gap; the largest |published - exact| inner-wall (eta = 0) flux
+    over tau in {0, 0.05, ..., 1}; the outer gap at tau = 100.  The exact
+    fluxes are the closed form `reference_flux`, cross-checked at every tau
+    and both walls against the dual-engine derivative of theta_reference
+    (its eta derivative does not depend on C5): disagreement beyond 1e-8
+    raises UnreliableDerivativesError.
     """
     tau = np.linspace(0.0, 1.0, 21)
     TT, EE = _mesh((tau, [0.0, 1.0]))
@@ -432,13 +405,15 @@ def published_flux_discrepancy() -> FluxDiscrepancyReport:
             f"boundary flux: engine vs closed form at (tau={TT.flat[k]}, eta={EE.flat[k]}): "
             f"{float(derived.flat[k])!r} vs {float(closed.flat[k])!r}")
 
-    return FluxDiscrepancyReport(
-        tau=tau,
-        published_inner=temperature.published_flux_inner(tau),
-        derived_inner=closed[:, 0],
-        published_outer=temperature.published_flux_outer(tau),
-        derived_outer=closed[:, 1],
-    )
+    published, exact = temperature.published_flux_outer(0.0), float(closed[0, 1])
+    inner = temperature.published_flux_inner(tau) - closed[:, 0]
+    return {
+        "tau0_published_outer": published,
+        "tau0_derived_outer": exact,
+        "tau0_outer_gap": published - exact,
+        "inner_max_gap": float(np.max(np.abs(inner))),
+        "tau100_outer_gap": published_gap_at(100.0),
+    }
 
 
 # ---------------------------------------------------------------------------
@@ -448,7 +423,7 @@ def published_flux_discrepancy() -> FluxDiscrepancyReport:
 @dataclass(frozen=True)
 class SuiteResult:
     checks: list[Check]
-    discrepancy: FluxDiscrepancyReport
+    inconsistency: dict[str, float]
 
     @property
     def passed(self) -> bool:
@@ -502,15 +477,15 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
     # symmetry machinery
     checks.append(determining_equation_residual(simple, 0.0, 1.0, -2.0, params, grid))
     I1, _ = translation_invariants()
-    val = invariant_annihilation((0.0, 0.0, consts.C3, 0.0, lambda tau, eta: 0.0), I1,
+    rep = invariant_annihilation((0.0, 0.0, consts.C3, 0.0, lambda tau, eta: 0.0), I1,
                                  params, grid)
-    checks.append(Check("translation_annihilation", val, 0.0, "exact zero expected"))
+    checks.append(replace(rep, name="translation_annihilation", tol=0.0,
+                          note="exact zero expected"))
     J1, J2 = scaling_invariants(params, consts)
     coeffs = (0.0, 1.0, consts.C3, -2.0, simple)
-    checks.append(Check("scaling_annihilation_J1",
-                        invariant_annihilation(coeffs, J1, params, grid), 1e-9))
-    checks.append(Check("scaling_annihilation_J2",
-                        invariant_annihilation(coeffs, J2, params, grid), 1e-8))
+    for name, J, tol in (("scaling_annihilation_J1", J1, 1e-9),
+                         ("scaling_annihilation_J2", J2, 1e-8)):
+        checks.append(replace(invariant_annihilation(coeffs, J, params, grid), name=name, tol=tol))
     phi = lambda i1: temperature.theta_simple(0.0, i1 - 1.0, params, consts.C5)
     rep = reduced_ode_residual(phi, params, np.linspace(1.0, 81.0, 41))
     checks.append(replace(rep, name="reduced_ode_profile"))
@@ -595,4 +570,4 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
         checks.append(Check("nonnegativity_at_c5_threshold", max(-scan.min_value, 0.0), 1e-12,
                             f"min {scan.min_value:.3e} at {scan.argmin}"))
 
-    return SuiteResult(checks=checks, discrepancy=published_flux_discrepancy())
+    return SuiteResult(checks=checks, inconsistency=published_flux_discrepancy())

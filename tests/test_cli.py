@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -49,11 +50,19 @@ class TestVerify:
 
     def test_json_report(self, tmp_path, capsys):
         report = tmp_path / "report.json"
-        rc, _, _ = run(["verify", "--out", str(report)], capsys)
+        rc, out, _ = run(["verify", "--out", str(report)], capsys)
         assert rc == 0
         data = json.loads(report.read_text())
         assert data["all_passed"]
-        assert data["inconsistency"]["tau0_outer_gap"] == pytest.approx(0.405, abs=1e-3)
+        inc = data["inconsistency"]
+        assert list(inc) == ["tau0_published_outer", "tau0_derived_outer", "tau0_outer_gap",
+                             "inner_max_gap", "tau100_outer_gap"]
+        assert inc["tau0_outer_gap"] == pytest.approx(0.405, abs=1e-3)
+        # each figure printed is its JSON value in the printed format
+        printed = re.search(r"published (\S+), derived (\S+), gap (\S+) .*\n"
+                            r".*: (\S+)\n.*: (\S+) ", out).groups()
+        assert list(printed) == [format(v, f) for v, f in zip(
+            inc.values(), ("+.5f", "+.5f", ".5f", ".3e", ".3e"))]
         names = {c["name"] for c in data["checks"]}
         assert "boundary_difference_C" in names
         cfg = tmp_path / "c.json"
@@ -84,6 +93,21 @@ class TestVerify:
         lines = {ln.split()[0]: ln for ln in out.splitlines() if " PASS" in ln or " FAIL" in ln}
         assert "FAIL" in lines["boundary_difference_C"]
         assert "PASS" in lines["pde_theta_general"]  # any K solves the equation
+
+    @pytest.mark.parametrize("reduced, C3, failed", [
+        # Theta_general reaches 2e20 on the grid, where its PDE residual is 1.1e8,
+        # and is still -8.8e10 at tau = 1e4
+        ({"A": 4.18, "B": 0.308, "eps": 1.06, "a": 0.411}, 0.0525,
+         {"pde_theta_general", "asymptote_level"}),
+        # the decay to C5/2 is too slow for tau = 1e4 (1.71e-4 against 1e-4)
+        ({"A": 0.114, "B": 3.25, "eps": 1.6, "a": 1}, 0.5, {"asymptote_level"}),
+    ])
+    def test_known_failing_tuples(self, tmp_path, capsys, reduced, C3, failed):
+        cfg = tmp_path / "c.json"
+        cfg.write_text(json.dumps({"reduced": reduced, "constants": {"C3": C3, "C5": 1}}))
+        rc, out, _ = run(["verify", "--config", str(cfg)], capsys)
+        assert rc == 1
+        assert {ln.split()[0] for ln in out.splitlines() if ln.split()[3:4] == ["FAIL"]} == failed
 
     def test_thin_ring_reaches_a_verdict(self, tmp_path, capsys):
         # just above that width, sampled points near the inner wall round to

@@ -1,5 +1,6 @@
 import math
 import types
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
@@ -17,7 +18,6 @@ from ringheat.temperature import (
 )
 from ringheat.verification import (
     DerivativeEngine,
-    annihilation_values,
     determining_equation_residual,
     flow_residuals,
     invariant_annihilation,
@@ -408,23 +408,30 @@ class TestSymmetryMachinery:
     def test_translation_annihilates_I1_exactly(self, ref):
         I1, I2 = translation_invariants()
         val = invariant_annihilation((0.0, 0.0, 0.125, 0.0, zero_field), I1,
-                                     params=ref.params, grid=GRID)
+                                     params=ref.params, grid=GRID).value
         assert val == 0.0
         # I2 = Theta is annihilated too since eta1 = 0
         assert invariant_annihilation((0.0, 0.0, 0.125, 0.0, zero_field), I2,
-                                      params=ref.params, grid=GRID) == 0.0
+                                      params=ref.params, grid=GRID).value == 0.0
 
     def test_scaling_invariants_annihilated(self, ref):
         J1, J2 = scaling_invariants(ref.params, ref.consts)
         b2 = partial(theta_simple, params=ref.params, level=ref.C5)
         coeffs = (0.0, 1.0, 0.125, -2.0, b2)
-        assert invariant_annihilation(coeffs, J1, params=ref.params, grid=GRID) < 1e-9
-        assert invariant_annihilation(coeffs, J2, params=ref.params, grid=GRID) < 1e-8
+        assert invariant_annihilation(coeffs, J1, params=ref.params, grid=GRID).value < 1e-9
+        assert invariant_annihilation(coeffs, J2, params=ref.params, grid=GRID).value < 1e-8
 
     def test_annihilation_independent_of_theta_for_J1(self, ref):
         J1, _ = scaling_invariants(ref.params, ref.consts)
         b2 = partial(theta_simple, params=ref.params, level=ref.C5)
-        vals = annihilation_values((0.0, 1.0, 0.125, -2.0, b2), J1, ref.params, GRID)
+        xi1, xi2, eta1 = operator_coefficients(0.0, 1.0, 0.125, -2.0, b2, ref.params)
+        TT, EE = np.meshgrid(*GRID, indexing="ij")
+        # X(J1) at every grid point for each Theta sample, one column each
+        vals = np.stack([
+            xi1(TT) * dualnum.d1(lambda t: J1(t, EE, th), TT)
+            + xi2(TT, EE) * dualnum.d1(lambda e: J1(TT, e, th), EE)
+            + eta1(TT, EE, th) * dualnum.d1(lambda x: J1(TT, EE, x), th)
+            for th in verification.THETA_SAMPLES], axis=-1).reshape(-1, 3)
         assert vals.shape[1] == len(verification.THETA_SAMPLES)
         assert float(np.var(vals, axis=1).max()) < 1e-14
 
@@ -459,18 +466,15 @@ class TestReducedOde:
 
 class TestFluxDiscrepancy:
     def test_inner_flux_agrees(self):
-        rep = published_flux_discrepancy()
-        assert rep.tau.tolist() == np.linspace(0.0, 1.0, 21).tolist()
-        assert float(np.max(np.abs(rep.inner_gap))) < 1e-10
+        assert published_flux_discrepancy()["inner_max_gap"] < 1e-10
 
     def test_outer_flux_sign_flip_at_tau0(self):
         rep = published_flux_discrepancy()
-        assert rep.tau[0] == 0.0
-        pub, der = float(rep.published_outer[0]), float(rep.derived_outer[0])
+        pub, der = rep["tau0_published_outer"], rep["tau0_derived_outer"]
         assert pub == pytest.approx(0.20833, abs=1e-5)
         assert der == pytest.approx(-0.19646, abs=1e-5)
         assert math.copysign(1.0, pub) != math.copysign(1.0, der)
-        assert float(rep.outer_gap[0]) == pytest.approx(0.405, abs=1e-3)
+        assert rep["tau0_outer_gap"] == pytest.approx(0.405, abs=1e-3)
 
     def test_exact_gap_at_tau0(self):
         # published minus exact outer flux at tau = 0 as an exact number: the
@@ -508,15 +512,15 @@ class TestFluxDiscrepancy:
         assert closed - derived == pytest.approx(1e-6, rel=1e-6)
 
     def test_gap_decays(self):
-        gaps = np.abs(published_flux_discrepancy().outer_gap)
+        gaps = np.abs([verification.published_gap_at(t)
+                       for t in np.linspace(0.0, 1.0, 21).tolist()])
         assert np.all(np.diff(gaps) < 0.0)
         assert abs(verification.published_gap_at(100.0)) < 1e-4
 
     def test_gap_at_matches_report(self):
         rep = published_flux_discrepancy()
-        # scalar vs vector evaluation: equal up to the last bit of each flux
-        assert [verification.published_gap_at(t) for t in rep.tau.tolist()] == pytest.approx(
-            rep.outer_gap.tolist(), rel=1e-12, abs=1e-18)
+        assert verification.published_gap_at(0.0) == rep["tau0_outer_gap"]
+        assert verification.published_gap_at(100.0) == rep["tau100_outer_gap"]
 
 
 class TestSuite:
@@ -568,6 +572,16 @@ class TestSuite:
         direct["reduced_ode_profile"] = reduced_ode_residual(
             lambda i1: theta_simple(0.0, i1 - 1.0, params, consts.C5), params,
             np.linspace(1.0, 81.0, 41))
+        # the annihilation checks: the direct call's X(J) on (tau, eta, Theta),
+        # under the suite's own tolerances
+        I1, _ = translation_invariants()
+        direct["translation_annihilation"] = replace(invariant_annihilation(
+            (0.0, 0.0, consts.C3, 0.0, zero_field), I1, params, grid), tol=0.0)
+        J1, J2 = scaling_invariants(params, consts)
+        for name, J, tol in (("scaling_annihilation_J1", J1, 1e-9),
+                             ("scaling_annihilation_J2", J2, 1e-8)):
+            direct[name] = replace(invariant_annihilation(
+                (0.0, 1.0, consts.C3, -2.0, simple), J, params, grid), tol=tol)
         if case == "reference":
             direct["pde_theta_reference"] = reference_equation_residual(grid, C5=consts.C5)
         checks = run_suite(params, consts).checks
@@ -581,3 +595,8 @@ class TestSuite:
                 assert c.worst_point and c.n_samples > 1, c.name
                 assert (c.value, c.tol, c.worst_point, c.n_samples) == (
                     want.value, want.tol, want.worst_point, want.n_samples), c.name
+        for name in ("translation_annihilation", "scaling_annihilation_J1",
+                     "scaling_annihilation_J2"):
+            # one (tau, eta, Theta) triple among 24 x 21 x 3 samples
+            assert len(direct[name].worst_point) == 3
+            assert direct[name].n_samples == 24 * 21 * len(verification.THETA_SAMPLES) == 1512
