@@ -24,6 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    C5_ABS_MAX,
     C5_MIN,
     PhysicalParams,
     ReducedParams,
@@ -176,6 +177,9 @@ def resolve_config(args) -> RunConfig:
         # tau = 0 (the reference tuple gives exactly -5/18432)
         K=(_real(const["K"], "constants.K") if "K" in const
            else temperature.k_for_equal_boundaries(params, C3)))
+    if abs(consts.C5) > C5_ABS_MAX:
+        raise ValidationError(f"constants.C5 must be at most {C5_ABS_MAX:g} in magnitude, "
+                              f"got {consts.C5!r}")
 
     settings = {}
     if "solver" in blocks:

@@ -33,6 +33,7 @@ __all__ = [
     "SolutionConstants",
     "ReferenceCase",
     "C5_MIN",
+    "C5_ABS_MAX",
     "RING_SLACK",
     "reduce_params",
     "to_reduced",
@@ -43,6 +44,10 @@ __all__ = [
 
 #: Smallest C5 keeping the reference-case temperature nonnegative.
 C5_MIN = 5.0 / 3.0
+
+#: Largest |C5| the CLI takes: from |C5| ~ 1e307 the symmetry checks'
+#: products overflow, and `solve` and `convergence` diverge at 1e308.
+C5_ABS_MAX = 1e300
 
 #: How far a reduced eta may lie outside [0, a] and still count as inside
 #: the ring: `to_reduced` of a wall point rounds to within ~1e-14 of it.

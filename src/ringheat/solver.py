@@ -306,7 +306,8 @@ def _march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact
     steps = _steps(grid, config)
     eta = grid.nodes
     theta = np.array(initial(eta), dtype=float)
-    snapshots = [(0.0, theta.copy())]
+    # no copies: each step's thomas_solve returns a new theta, and nothing writes into one
+    snapshots = [(0.0, theta)]
 
     if config.t_end == 0.0:
         return _result(snapshots, grid, config, exact)
@@ -317,8 +318,6 @@ def _march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact
 
     faces_lo = eta - 0.5 * h
     faces_hi = eta + 0.5 * h
-    kind_in, data_in = bc_inner
-    kind_out, data_out = bc_outer
     wt, _ = SCHEMES[config.scheme]  # the implicit weight
     r = wt * dt / (h * h)  # exact scalings, so cn's r is dt / (2 h^2) to the bit
     rx = (1.0 - wt) * dt / (h * h)  # the explicit share: r for cn, 0 for euler
@@ -343,19 +342,20 @@ def _march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact
         diag = 1.0 + r * w
         lower = -r * d_lo[:, 1:]  # its last column is the outer row's
         upper = -r * d_hi[:, :n]  # its first column is the inner row's
+        # each wall: its (kind, data), node and neighbour, the diffusivities
+        # of its face outside the domain, the coefficient of its ghost-node
+        # flux term, and the band and column of its off-diagonal entry
+        walls = ((bc_inner, 0, 1, d_lo, -2.0, upper, 0),
+                 (bc_outer, n, n - 1, d_hi, 2.0, lower, n - 1))
 
         # a Neumann row's diagonal is the interior formula, its off-diagonal
         # takes both faces (ghost node); a Dirichlet row is an identity
-        if kind_in == "flux":
-            upper[:, 0] = -r * w[:, 0]
-        else:
-            diag[:, 0] = 1.0
-            upper[:, 0] = 0.0
-        if kind_out == "flux":
-            lower[:, n - 1] = -r * w[:, n]
-        else:
-            diag[:, n] = 1.0
-            lower[:, n - 1] = 0.0
+        for (kind, _), node, _, _, _, band, at in walls:
+            if kind == "flux":
+                band[:, at] = -r * w[:, node]
+            else:
+                diag[:, node] = 1.0
+                band[:, at] = 0.0
 
         for i, tau_ci in enumerate(tau_c.tolist()):
             k = k0 + i
@@ -365,18 +365,13 @@ def _march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact
                               + d_hi[i, j] * (theta[jp] - theta[j]))
                       + s_dt[i, j])
 
-            if kind_in == "flux":
-                g0 = float(data_in(tau_ci))
-                rhs[0] = (theta[0] - 2.0 * dt * d_lo[i, 0] * g0 / h + s_dt[i, 0]
-                          + rx * w[i, 0] * (theta[1] - theta[0]))
-            else:
-                rhs[0] = float(data_in(tau_new))
-            if kind_out == "flux":
-                g1 = float(data_out(tau_ci))
-                rhs[n] = (theta[n] + 2.0 * dt * d_hi[i, n] * g1 / h + s_dt[i, n]
-                          + rx * w[i, n] * (theta[n - 1] - theta[n]))
-            else:
-                rhs[n] = float(data_out(tau_new))
+            for (kind, data), node, nb, d_face, coef, _, _ in walls:
+                if kind == "flux":
+                    g = float(data(tau_ci))
+                    rhs[node] = (theta[node] + coef * dt * d_face[i, node] * g / h
+                                 + s_dt[i, node] + rx * w[i, node] * (theta[nb] - theta[node]))
+                else:
+                    rhs[node] = float(data(tau_new))
 
             try:
                 theta = thomas_solve(lower[i], diag[i], upper[i], rhs)
@@ -387,7 +382,7 @@ def _march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact
                 raise DivergenceError(
                     f"non-finite solution at step {k + 1} of {nsteps} (tau = {tau_new:.6g})")
             if (k + 1) in snap_at:
-                snapshots.append((tau_new, theta.copy()))
+                snapshots.append((tau_new, theta))
 
     return _result(snapshots, grid, config, exact)
 

@@ -171,28 +171,16 @@ def initial_profile(eta, C5=C5_MIN):
     return 0.5 * C5 - (5.0 / 6.0) * ((eta ** 2 - 1.0) * exp(-eta) + 2.0 / (eta + 1.0))
 
 
-def _trace_outer(tau, params: ReducedParams, consts: SolutionConstants):
-    # boundary value at eta = a, transcribed as its own expression
+def _trace(tau, eta, params: ReducedParams, consts: SolutionConstants):
+    # theta at the wall coordinate eta (0 or a), transcribed apart from theta_general
     A, B = params.A, params.B
     P = tau + consts.C3
     _require_domain(P, _P_DOMAIN, consts.C3)
-    qa = 1.0 + params.a - 8.0 * consts.C3
-    sa = 8.0 * tau + params.a + 1.0
-    return (consts.K * ((A * qa - B * P) / P ** 3) * exp(-A * qa / (B * P))
-            * _pow(sa / P, 8.0 * A / B)
-            + 0.5 * consts.C5 - 16.0 * (1.0 + params.eps ** 2) / (sa * (B + 8.0 * A)))
-
-
-def _trace_inner(tau, params: ReducedParams, consts: SolutionConstants):
-    # boundary value at eta = 0
-    A, B = params.A, params.B
-    P = tau + consts.C3
-    _require_domain(P, _P_DOMAIN, consts.C3)
-    q0 = 1.0 - 8.0 * consts.C3
-    s0 = 8.0 * tau + 1.0
-    return (consts.K * ((A * q0 - B * P) / P ** 3) * exp(-A * q0 / (B * P))
-            * _pow(s0 / P, 8.0 * A / B)
-            + 0.5 * consts.C5 - 16.0 * (1.0 + params.eps ** 2) / (s0 * (B + 8.0 * A)))
+    q = 1.0 + eta - 8.0 * consts.C3
+    s = 8.0 * tau + eta + 1.0
+    return (consts.K * ((A * q - B * P) / P ** 3) * exp(-A * q / (B * P))
+            * _pow(s / P, 8.0 * A / B)
+            + 0.5 * consts.C5 - 16.0 * (1.0 + params.eps ** 2) / (s * (B + 8.0 * A)))
 
 
 def _boundary_difference_terms(params: ReducedParams, C3: float):
@@ -306,16 +294,17 @@ def c5_nonnegativity_bound(params: ReducedParams,
 class BoundaryTraces:
     """Wall-temperature histories theta1 (eta = a) and theta2 (eta = 0).
 
-    Evaluated through standalone trace expressions, transcribed apart from
-    `theta_general` as an independent oracle: its restriction to the walls
-    gives the same values, which `verify` and the test suite check.
+    Both evaluate one trace expression, `_trace`, at their wall coordinate.
+    It is transcribed apart from `theta_general` as an independent oracle:
+    its restriction to the walls gives the same values, which `verify` and
+    the test suite check.
     """
 
     params: ReducedParams
     consts: SolutionConstants
 
     def theta1(self, tau):
-        return _trace_outer(tau, self.params, self.consts)
+        return _trace(tau, self.params.a, self.params, self.consts)
 
     def theta2(self, tau):
-        return _trace_inner(tau, self.params, self.consts)
+        return _trace(tau, 0.0, self.params, self.consts)

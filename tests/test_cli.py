@@ -516,8 +516,8 @@ REJECTED = {
         for name, c in [("inf", {"K": 1e308}), ("nan", {"K": 1e300, "C3": 1e-5})]],
     # theta = C5/2 is finite, T = T0*theta overflows; checked per profile.tau
     "TestProfile.test_non_finite_dimensional_profile_exit_2": [
-        (None, ["profile"], {"physical": {**_PHYSICAL, "T0": 300.0},
-                             "constants": {"C5": 1e308, "K": 0.0},
+        (None, ["profile"], {"physical": {**_PHYSICAL, "T0": 1e9},
+                             "constants": {"C5": 1e300, "K": 0.0},
                              "profile": {"tau": [0.0, 1.0], "n_eta": 3}},
          ["error: profile.tau[0] = 0.0 gives a non-finite T"])],
     # at t_end = 0 every error is 0, and equal grids have no h ratio: no order to observe
@@ -639,6 +639,13 @@ REJECTED = {
                            ("empty", ""), ("4301+-digits", "9" * 5000),
                            ("deep-nesting", "[" * 100000)]],
     "test_rejected": [
+        # a |C5| past core.C5_ABS_MAX overflows verify's symmetry checks to nan
+        # and diverges a march, so it is rejected as a flag and as a key
+        *[(f"{argv[0]}-constants.C5-{how}", argv + flag, cfg,
+           [f"error: constants.C5 must be at most 1e+300 in magnitude, got {c5!r}\n"])
+          for argv in (["verify"], ["profile"], _SOLVE16, ["convergence", "--grid", "16,32"])
+          for how, c5, flag, cfg in [("flag", 1e308, ["--c5", "1e308"], None),
+                                     ("key", -1e301, [], {"constants": {"C5": -1e301}})]],
         # an output path that cannot be written: before any work, nothing left behind
         *[(f"{argv[0]}-output.path-{name}", argv + ["--out", path], None,
            [f"error: output.path '{path}' cannot be written: {why}\n"])

@@ -374,6 +374,34 @@ class TestBoundaryStructure:
             assert th2 == pytest.approx(
                 theta_general(tau, 0.0, ref.params, ref.consts), abs=1e-12)
 
+    #: (params, consts, theta1 and theta2 as float.hex at WALL_TAUS) of the
+    #: reference case and a general tuple whose K equalises the walls at tau = 0
+    WALL_TAUS = (0.0, 0.1, 1.0, 10.0)
+    WALL_HEX = {
+        "reference": (REF.params, REF.consts,
+                      ["0x0.0p+0", "0x1.5c4832da87950p-2", "0x1.59fd1b52b9676p-1",
+                       "0x1.a0530aefe0534p-1"],
+                      ["-0x1.0000000000000p-52", "0x1.511e8d2b31840p-3",
+                       "0x1.511e8d2b3183cp-1", "0x1.a0325c1c0a8fap-1"]),
+        "general": (ReducedParams(A=1.3, B=2.1, eps=-0.7, a=2.0),
+                    SolutionConstants(C3=0.3, C5=0.8, K=float.fromhex("-0x1.b6a2daebb7276p-20")),
+                    ["-0x1.e2ec51d093b3cp-2", "-0x1.ea0b7c394bdf8p-5", "0x1.13c929dbd0f71p-2",
+                     "0x1.830483f7ce309p-2"],
+                    ["-0x1.e2ec51d093b38p-2", "0x1.6f666a2e96864p-2", "0x1.227f4b0f5cc78p-2",
+                     "0x1.828dde16c5f50p-2"]),
+    }
+
+    @pytest.mark.parametrize("case", sorted(WALL_HEX))
+    def test_traces_bit_for_bit(self, case):
+        # the march's Dirichlet data: trace_vs_restriction allows 1e-12 and
+        # the stepwise oracle calls these same traces, so neither sees an ulp
+        params, consts, hex1, hex2 = self.WALL_HEX[case]
+        tr = BoundaryTraces(params, consts)
+        taus = np.array(self.WALL_TAUS)
+        for trace, expected in ((tr.theta1, hex1), (tr.theta2, hex2)):
+            assert [float(trace(t)).hex() for t in self.WALL_TAUS] == expected
+            assert [float(v).hex() for v in trace(taus)] == expected
+
     def test_traces_object(self, ref):
         tr = BoundaryTraces(ref.params, ref.consts)
         assert tr.theta1(0.0) == pytest.approx(0.0, abs=1e-14)
