@@ -24,7 +24,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    C5_ABS_MAX,
     C5_MIN,
     PhysicalParams,
     ReducedParams,
@@ -169,17 +168,12 @@ def resolve_config(args) -> RunConfig:
     else:
         params = ReferenceCase().params
 
-    const = blocks["constants"]
-    C3 = _real(const.get("C3", ReferenceCase().C3), "constants.C3")
-    consts = SolutionConstants(
-        C3=C3, C5=_real(const.get("C5", C5_MIN), "constants.C5"),
-        # default K: the amplitude making the wall temperatures coincide at
-        # tau = 0 (the reference tuple gives exactly -5/18432)
-        K=(_real(const["K"], "constants.K") if "K" in const
-           else temperature.k_for_equal_boundaries(params, C3)))
-    if abs(consts.C5) > C5_ABS_MAX:
-        raise ValidationError(f"constants.C5 must be at most {C5_ABS_MAX:g} in magnitude, "
-                              f"got {consts.C5!r}")
+    # K defaults to the amplitude making the wall temperatures coincide at
+    # tau = 0 (the reference tuple gives exactly -5/18432)
+    const = {"C3": ReferenceCase.C3, "C5": C5_MIN, **blocks["constants"]}
+    if "K" not in const:
+        const["K"] = temperature.k_for_equal_boundaries(params, _real(const["C3"], "constants.C3"))
+    consts = _dataclass(SolutionConstants, "constants", const)
 
     settings = {}
     if "solver" in blocks:
@@ -244,8 +238,7 @@ def _csv(rows, header) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_verify(args) -> int:
-    rc = resolve_config(args)
+def cmd_verify(rc: RunConfig) -> int:
     suite = run_suite(rc.params, rc.consts, phys=rc.phys)
     width = max(len(c.name) for c in suite.checks) + 2
     print(f"{'check':<{width}}{'max_resid':>13}{'tol':>10}  status")
@@ -274,8 +267,7 @@ def cmd_verify(args) -> int:
     return EXIT_OK if suite.passed else EXIT_FAIL
 
 
-def cmd_solve(args) -> int:
-    rc = resolve_config(args)
+def cmd_solve(rc: RunConfig) -> int:
     if len(rc.grid) != 1:
         raise ValidationError(f"solve takes one solver.grid count, got {rc.grid}; "
                               "a list of counts is for convergence")
@@ -298,8 +290,7 @@ def cmd_solve(args) -> int:
     return EXIT_OK
 
 
-def cmd_profile(args) -> int:
-    rc = resolve_config(args)
+def cmd_profile(rc: RunConfig) -> int:
     eta = np.linspace(0.0, rc.params.a, rc.profile_n_eta)
     temperature.require_finite_start(eta, rc.params, rc.consts)
     rows = []
@@ -323,8 +314,7 @@ def cmd_profile(args) -> int:
     return EXIT_OK
 
 
-def cmd_convergence(args) -> int:
-    rc = resolve_config(args)
+def cmd_convergence(rc: RunConfig) -> int:
     results = convergence_study(rc.grid, rc.solver, rc.params, rc.consts)
 
     print(f"{'n_cells':>8} {'h':>12} {'error_inf':>14} {'order':>8}")
@@ -387,10 +377,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        return args.func(resolve_config(args))
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

@@ -45,8 +45,9 @@ __all__ = [
 #: Smallest C5 keeping the reference-case temperature nonnegative.
 C5_MIN = 5.0 / 3.0
 
-#: Largest |C5| the CLI takes: from |C5| ~ 1e307 the symmetry checks'
-#: products overflow, and `solve` and `convergence` diverge at 1e308.
+#: Largest |C5| and largest source numerator 16*(1 + eps^2) the records take:
+#: past them the symmetry checks' products (|C5| ~ 1e307) and verify's
+#: tau-derivatives of the source (|eps| ~ 6e150 in the reference case) overflow.
 C5_ABS_MAX = 1e300
 
 #: How far a reduced eta may lie outside [0, a] and still count as inside
@@ -81,8 +82,10 @@ def _require_domain(x, message, *fmt, allow_zero=False):
 
 def _require_C3(C3):
     _require(C3 > 0, "C3", "must be > 0")
-    # the closed forms take (tau + C3) ** 3, which raises past ~5.6e102
-    _require(math.isfinite(C3 * C3 * C3), "C3", f"must keep C3^3 finite, got {C3!r}")
+    # verify's tau-derivatives square the closed forms' (tau + C3) ** 3
+    cube = C3 * C3 * C3
+    _require(math.isfinite(cube * cube), "C3",
+             f"must keep (C3^3)^2 finite (C3 < ~2.37e51), got {C3!r}")
 
 
 @dataclass(frozen=True)
@@ -140,9 +143,9 @@ class ReducedParams:
     def __post_init__(self):
         for name in ("A", "B", "eps", "a"):
             _require(math.isfinite(getattr(self, name)), name, "must be a finite number")
-        # every closed form has 16*(1 + eps^2); past |eps| ~ 1.3e154 eps ** 2 raises
-        _require(math.isfinite(16.0 * (1.0 + self.eps * self.eps)), "eps",
-                 f"must keep 16*(1 + eps^2) finite (|eps| < ~3.3e153), got {self.eps!r}")
+        _require(16.0 * (1.0 + self.eps * self.eps) <= C5_ABS_MAX, "eps",
+                 f"must keep 16*(1 + eps^2) at most {C5_ABS_MAX:g} (|eps| < ~2.5e149), "
+                 f"got {self.eps!r}")
         _require(self.A > 0, "A", "must be > 0")
         _require(self.B > 0, "B", "must be > 0")
         _require(self.a >= 0, "a", "must be >= 0")
@@ -153,8 +156,8 @@ class SolutionConstants:
     """Free constants of the general invariant temperature solution.
 
     C3 > 0 keeps the group trajectory tau + C3 positive for every tau >= 0.
-    C5/2 is the level every solution relaxes to as tau -> infinity, and K
-    scales the decaying exponential mode.
+    C5/2 is the level every solution relaxes to as tau -> infinity, |C5| at
+    most `C5_ABS_MAX`, and K scales the decaying exponential mode.
     """
 
     C3: float
@@ -165,6 +168,8 @@ class SolutionConstants:
         for name in ("C3", "C5", "K"):
             _require(math.isfinite(getattr(self, name)), name, "must be a finite number")
         _require_C3(self.C3)
+        _require(abs(self.C5) <= C5_ABS_MAX, "C5",
+                 f"must be at most {C5_ABS_MAX:g} in magnitude, got {self.C5!r}")
 
 
 @dataclass(frozen=True)

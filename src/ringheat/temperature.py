@@ -215,16 +215,17 @@ def k_for_equal_boundaries(params: ReducedParams, C3: float) -> float:
     """
     _require_C3(C3)
     # an overflowing ((1 + a)/C3)^(8A/B), or a B*C3 that underflows to 0,
-    # makes the slope NaN, raised below
+    # makes the slope NaN, and a subnormal slope makes K overflow: raised below
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             first, slope = _boundary_difference_terms(params, C3)
         except ZeroDivisionError:
-            slope = math.nan
-    if not np.isfinite(slope) or slope == 0.0:
+            first, slope = 0.0, math.nan
+        K = -first / slope if slope else math.nan
+    if not np.isfinite(K):
         raise ValidationError(
             f"equal-boundary condition is singular at C3={C3!r} (slope={float(slope)!r})")
-    return float(-first / slope)
+    return float(K)
 
 
 def dimensional_T(t, r, phys: PhysicalParams, consts: SolutionConstants):

@@ -576,10 +576,21 @@ REJECTED = {
         ("verify-eps", ["verify"], {"reduced": {**_REDUCED, "eps": 1e155}}, ["eps"]),
         ("solve-eps", _SOLVE16 + ["--bc-mode", "dirichlet"],
          {"reduced": {**_REDUCED, "eps": -2e154}, "constants": {"K": 0.0}}, ["eps"]),
+        # verify's tau-derivatives of the source overflow from |eps| ~ 6e150, and
+        # a march diverges after raw warnings from ~9e152
+        *[(f"{argv[0]}-eps-{eps:g}", argv, {"reduced": {**_REDUCED, "eps": eps}},
+           [f"error: eps must keep 16*(1 + eps^2) at most 1e+300 (|eps| < ~2.5e149), "
+            f"got {eps!r}\n"])
+          for argv, eps in [(["verify"], 6e150), (_SOLVE16, 1.5e153),
+                            (["convergence", "--grid", "16,32"], 1.5e153)]],
         # C3 ** 3 in the equal-boundary K, (tau + C3) ** 3 in theta_general
         ("verify-C3", ["verify"], {"constants": {"C3": 1e103}}, ["C3"]),
         ("solve-C3", _SOLVE16 + ["--bc-mode", "dirichlet"],
          {"constants": {"C3": 6e102, "K": 0.0}}, ["C3"]),
+        # verify's tau-derivatives square (tau + C3) ** 3; one C3 rule for all four
+        *[(f"{argv[0]}-C3-cube-squared", argv, {"constants": {"C3": 3e51}},
+           ["error: C3 must keep (C3^3)^2 finite (C3 < ~2.37e51), got 3e+51\n"])
+          for argv in (["verify"], ["profile"], _SOLVE16, ["convergence", "--grid", "16,32"])],
         # c ** 5 in reference_flux
         ("solve-tau_end", _SOLVE16 + ["--tau-end", "1e103"], {"solver": {"dt": 1e103}},
          ["tau_end = 1e+103"]),
@@ -600,6 +611,13 @@ REJECTED = {
     "test_underflowing_B_times_C3_exit_2": [
         (argv[0], argv, {"reduced": {**_REDUCED, "B": 1e-320}, "constants": {"C3": 1e-5}},
          ["error: equal-boundary condition is singular at C3=1e-05 (slope=nan)\n"])
+        for argv in (["verify"], ["profile"], _SOLVE16, ["convergence", "--grid", "16,32"])],
+    # a subnormal slope makes the equal-boundary K overflow: the same one line
+    "test_overflowing_equal_boundary_K_exit_2": [
+        (argv[0], argv, {"reduced": {"A": 0.1, "B": 1.0, "eps": 0.0, "a": 1.0},
+                         "constants": {"C3": 0.0001342207152716012}},
+         ["error: equal-boundary condition is singular at C3=0.0001342207152716012 "
+          "(slope=-2.55408898013754e-310)\n"])
         for argv in (["verify"], ["profile"], _SOLVE16, ["convergence", "--grid", "16,32"])],
     # each is rejected before its grid is allocated
     "test_size_bounds_exit_2": [
@@ -640,9 +658,9 @@ REJECTED = {
                            ("deep-nesting", "[" * 100000)]],
     "test_rejected": [
         # a |C5| past core.C5_ABS_MAX overflows verify's symmetry checks to nan
-        # and diverges a march, so it is rejected as a flag and as a key
+        # and diverges a march, so SolutionConstants rejects it, as a flag and as a key
         *[(f"{argv[0]}-constants.C5-{how}", argv + flag, cfg,
-           [f"error: constants.C5 must be at most 1e+300 in magnitude, got {c5!r}\n"])
+           [f"error: C5 must be at most 1e+300 in magnitude, got {c5!r}\n"])
           for argv in (["verify"], ["profile"], _SOLVE16, ["convergence", "--grid", "16,32"])
           for how, c5, flag, cfg in [("flag", 1e308, ["--c5", "1e308"], None),
                                      ("key", -1e301, [], {"constants": {"C5": -1e301}})]],

@@ -8,6 +8,7 @@ from hypothesis import given, strategies as st
 
 from ringheat import flow
 from ringheat.core import (
+    C5_ABS_MAX,
     RING_SLACK,
     PhysicalParams,
     ReducedParams,
@@ -69,6 +70,21 @@ class TestParams:
     def test_constants_require_positive_C3(self):
         with pytest.raises(ValidationError, match="C3"):
             SolutionConstants(C3=0.0, C5=1.0, K=0.0)
+
+    @pytest.mark.parametrize("field, at, past", [
+        # the CLI's bound too, so run_suite and solve_general reject what it rejects
+        ("C5", -C5_ABS_MAX, 1e301),
+        # verify's tau-derivatives square (tau + C3) ** 3
+        ("C3", 2.3756689782295768e51, 2.375668978229577e51),
+        # 16*(1 + eps^2) is bounded like C5
+        ("eps", -2.5e149, 2.5000000000000004e149),
+    ], ids=["C5", "C3", "eps"])
+    def test_magnitude_bounds(self, field, at, past):
+        make, kw = ((ReducedParams, dict(A=1.0, B=1.0, eps=0.0, a=1.0)) if field == "eps"
+                    else (SolutionConstants, dict(C3=0.125, C5=1.0, K=0.0)))
+        assert getattr(make(**{**kw, field: at}), field) == at
+        with pytest.raises(ValidationError, match=f"^{field} must "):
+            make(**{**kw, field: past})
 
 
 class TestReduceParams:
