@@ -15,6 +15,7 @@ the message naming the field), an unreadable file, or a usage error."""
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -354,7 +355,10 @@ _COMMANDS = {
 }
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built on first use and shared by every later call
+    in the process: callers parse with it and must not change it."""
     p = argparse.ArgumentParser(
         prog="ringheat",
         description="Exact temperature fields in an expanding rotating liquid ring: "
@@ -365,7 +369,9 @@ def build_parser() -> argparse.ArgumentParser:
         sp.set_defaults(func=func)
         sp.add_argument("--config", help="JSON config file")
         sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--c5", type=float, help="free level constant C5 (default 5/3)")
+        sp.add_argument("--c5", type=float,
+                        help="free level constant C5 (default 5/3); a negative value "
+                             "in exponent notation takes the = form: --c5=-2e3")
         if "solver" in labels:
             sp.add_argument("--bc-mode", dest="bc_mode", metavar="|".join(BC_MODES),
                             help="boundary data: exact Neumann | published Neumann | exact Dirichlet")

@@ -75,7 +75,7 @@ def _require_domain(x, message, *fmt, allow_zero=False):
         bad = v < 0.0 if allow_zero else v <= 0.0
     else:
         v = np.asarray(v)
-        bad = np.any(v < 0.0 if allow_zero else v <= 0.0)
+        bad = (v < 0.0 if allow_zero else v <= 0.0).any()
     if bad:
         raise ValidationError(message.format(*fmt))
 

@@ -861,6 +861,18 @@ def test_flag_and_file_key_give_the_same_error(flag, text, block, key, value, ar
     assert by_flag == by_file
 
 
+def test_negative_exponent_flag_takes_the_equals_form(capsys):
+    # argparse (3.10-3.13) reads only -2000 and -2.5 as negative numbers, so
+    # C5 = -2e3 is given as --c5=-2e3, with the same output as --c5 -2000
+    by_equals = run(["verify", "--c5=-2e3"], capsys)
+    assert by_equals[0] == 0
+    assert by_equals == run(["verify", "--c5", "-2000"], capsys)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", "--c5", "-2e3"])
+    assert exc.value.code == 2
+    assert "argument --c5: expected one argument" in capsys.readouterr().err
+
+
 def _readme_blocks(lang):
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     return [part.split("```", 1)[0] for part in readme.split(f"```{lang}\n")[1:]]
@@ -1007,6 +1019,22 @@ class TestEntryPoint:
         assert self.run_module("frobnicate", module="ringheat").returncode == 2
         help_ = self.run_module("--help", module="ringheat")
         assert help_.returncode == 0 and help_.stdout.startswith("usage: ringheat")
+
+
+def test_one_parser_serves_every_call(monkeypatch, capsys):
+    # main reuses one parser; a usage error, --help and each subcommand in
+    # turn still give what a fresh interpreter gives
+    assert cli.build_parser() is cli.build_parser()
+    monkeypatch.setenv("COLUMNS", "80")  # --help wraps at the same width in both
+    for argv in (["frobnicate"], ["--help"], ["verify"],
+                 ["solve", "--grid", "16", "--tau-end", "0.05"], ["profile"]):
+        try:
+            rc = main(argv)
+        except SystemExit as exc:
+            rc = exc.code
+        out = capsys.readouterr()
+        fresh = TestEntryPoint.run_module(*argv)
+        assert (rc, out.out, out.err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv
 
 
 def _python(code, *argv):

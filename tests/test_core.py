@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ringheat import flow
+from ringheat.dualnum import Dual
 from ringheat.core import (
     C5_ABS_MAX,
     RING_SLACK,
@@ -15,6 +16,7 @@ from ringheat.core import (
     ReferenceCase,
     SolutionConstants,
     ValidationError,
+    _require_domain,
     from_reduced,
     reduce_params,
     reference_case_K,
@@ -85,6 +87,46 @@ class TestParams:
         assert getattr(make(**{**kw, field: at}), field) == at
         with pytest.raises(ValidationError, match=f"^{field} must "):
             make(**{**kw, field: past})
+
+
+#: (x, allow_zero) the domain guard lets through
+_IN_DOMAIN = [
+    (math.nan, False),
+    (np.array([1.0, np.nan]), False),
+    (np.array([]), False),
+    (np.array(2.0), False),
+    (3, False),
+    (Dual(np.array([1.0, 2.0]), np.array([-5.0, 0.0])), False),
+    (0.0, True),
+    (0, True),
+    (np.array([0.0, 1.0]), True),
+    (Dual(np.array([0.0, 1.0]), 1.0), True),
+]
+#: and the ones it rejects
+_OUT_OF_DOMAIN = [
+    (0.0, False),
+    (-1.0, False),
+    (np.array([1.0, 0.0]), False),
+    (np.array(-2.0), False),
+    (0, False),
+    (-3, False),
+    (Dual(np.array([1.0, -2.0]), np.array([0.0, 0.0])), False),
+    (Dual(Dual(np.array([0.0]), 1.0), 1.0), False),
+    (np.array([0.0, -1e-300]), True),
+    (-1, True),
+]
+
+
+class TestDomainGuard:
+    @pytest.mark.parametrize("x, allow_zero", _IN_DOMAIN)
+    def test_passes(self, x, allow_zero):
+        assert _require_domain(x, "x must be > 0 (C3={})", 0.125, allow_zero=allow_zero) is None
+
+    @pytest.mark.parametrize("x, allow_zero", _OUT_OF_DOMAIN)
+    def test_rejects_with_the_formatted_message(self, x, allow_zero):
+        with pytest.raises(ValidationError) as exc:
+            _require_domain(x, "x must be > 0 (C3={}, a={})", 0.125, 1, allow_zero=allow_zero)
+        assert str(exc.value) == "x must be > 0 (C3=0.125, a=1)"
 
 
 class TestReduceParams:
