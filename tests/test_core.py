@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from ringheat import flow
-from ringheat.dualnum import Dual
 from ringheat.core import (
     C5_ABS_MAX,
     RING_SLACK,
@@ -23,6 +22,7 @@ from ringheat.core import (
     to_reduced,
     unit_embedding,
 )
+from ringheat.dualnum import Dual
 
 
 def phys(**kw):
