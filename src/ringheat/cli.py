@@ -42,7 +42,6 @@ from .solver import (
     PUBLISHED_FLUX_ERROR_FLOOR,
     SCHEMES,
     DivergenceError,
-    Grid1D,
     SolverConfig,
     convergence_study,
     solve_general,
@@ -272,13 +271,12 @@ def cmd_solve(rc: RunConfig) -> int:
     if len(rc.grid) != 1:
         raise ValidationError(f"solve takes one solver.grid count, got {rc.grid}; "
                               "a list of counts is for convergence")
-    grid = Grid1D(n_cells=rc.grid[0], a=rc.params.a)
-    result = solve_general(rc.params, rc.consts, grid, rc.solver)
+    result = solve_general(rc.params, rc.consts, rc.grid[0], rc.solver)
     if rc.solver.bc_mode == "paper":  # only a run solve_general accepted warns
         print("warning: 'paper' boundary mode feeds the published outer flux, "
               "which is inconsistent with the exact solution; expect an error "
               "plateau near 0.5 instead of convergence", file=sys.stderr)
-    nodes = grid.nodes
+    nodes = result.grid.nodes
     rows = []
     for tau_s, theta in result.snapshots:
         ex = np.asarray(result.exact(tau_s, nodes), dtype=float)

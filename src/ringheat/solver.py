@@ -28,11 +28,12 @@ step then only builds its right-hand side, fetches its scalar wall data and
 runs `thomas_solve`.  Every element is computed with the same operations as
 a one-step-at-a-time loop, so the snapshots are bit-identical to it.
 
-The marcher is a manufactured-solution check: with correct boundary data it
-must converge to the closed forms at its scheme's order.  There is one solve
-path, `solve_general`: it builds the coefficients from the reduced
-parameters, takes the initial data, exact field, wall fluxes (exact Neumann
-data exist for every member of the family) and wall values that go with the
+The marcher is a manufactured-solution check: it starts from a closed form
+at tau = 0 and, with correct boundary data, must converge to it at its
+scheme's order.  There is one solve path, `solve_general`, whose level is a
+cell count on eta in [0, params.a]: it builds the coefficients from the
+reduced parameters, takes the exact field, wall fluxes (exact Neumann data
+exist for every member of the family) and wall values that go with the
 constants, and picks the wall data once by boundary mode.  The 'paper' mode
 deliberately feeds the originally published (inconsistent) reference-case
 outer flux so the resulting error plateau can be measured; it runs at the
@@ -268,9 +269,8 @@ def _steps(grid: Grid1D, config: SolverConfig) -> float:
     return steps
 
 
-def march(grid: Grid1D, config: SolverConfig,
-          diffusivity: Callable, source: Callable,
-          initial: Callable, bc_inner, bc_outer, exact: Callable) -> SolveResult:
+def march(grid: Grid1D, config: SolverConfig, diffusivity: Callable, source: Callable,
+          bc_inner, bc_outer, exact: Callable) -> SolveResult:
     """Advance theta_tau = d/deta(D*theta_eta) + S from tau = 0 to t_end by
     the theta-method whose implicit weight `SCHEMES` gives config.scheme.
 
@@ -284,28 +284,28 @@ def march(grid: Grid1D, config: SolverConfig,
     wall or ("value", v) prescribing theta itself; g and v take one float
     tau and are called once per step.  Neumann data enter through
     second-order ghost nodes; Dirichlet rows are identities at the new time
-    level.  exact(tau, eta) is the field the error norms at t_end are
-    measured against.  Deterministic: identical inputs give bit-identical
-    snapshots.  A t_end / dt that is not finite or breaks MAX_STEPS or
+    level.  The march starts from exact(0.0, grid.nodes), broadcast to the
+    nodes, and measures its error norms at t_end against exact(tau, eta).
+    Deterministic: identical inputs give bit-identical snapshots.  A t_end / dt that is not finite or breaks MAX_STEPS or
     MAX_NODE_STEPS raises ValidationError; so does a closed form that
     overflows the float range on the way to t_end (the OverflowError of a
     scalar wall-data call or of `exact`), naming tau_end.  A zero pivot, like
     a non-finite solution, raises DivergenceError.
     """
     try:
-        return _march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact)
+        return _march(grid, config, diffusivity, source, bc_inner, bc_outer, exact)
     except OverflowError as e:
         raise ValidationError(f"tau_end = {config.t_end!r} is too large: a closed form "
                               "overflows the float range on the way to it") from e
 
 
-def _march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact):
+def _march(grid, config, diffusivity, source, bc_inner, bc_outer, exact):
     """`march` without its translation of OverflowError."""
     h = grid.h
     n = grid.n_cells
     steps = _steps(grid, config)
     eta = grid.nodes
-    theta = np.array(initial(eta), dtype=float)
+    theta = np.array(np.broadcast_to(exact(0.0, eta), eta.shape), dtype=float)
     # no copies: each step's thomas_solve returns a new theta, and nothing writes into one
     snapshots = [(0.0, theta)]
 
@@ -387,13 +387,12 @@ def _march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact
     return _result(snapshots, grid, config, exact)
 
 
-def _march_args(params: ReducedParams, consts: SolutionConstants,
-                grid: Grid1D, config: SolverConfig):
-    """`march`'s arguments after grid and config for `solve_general`:
-    (diffusivity, source, initial, bc_inner, bc_outer, exact).  Raises what
-    solve_general rejects before it marches."""
-    if abs(grid.a - params.a) > 1e-12:
-        raise ValidationError(f"grid.a = {grid.a} must match params.a = {params.a}")
+def _level(params: ReducedParams, consts: SolutionConstants, n_cells: int,
+           config: SolverConfig):
+    """One `solve_general` level: its Grid1D(n_cells, a=params.a) and
+    `march`'s arguments after grid and config.  Raises what solve_general
+    rejects before it marches, in the same order."""
+    grid = Grid1D(n_cells, a=params.a)
     A, B, eps = params.A, params.B, params.eps
 
     def dif(tau, eta):
@@ -424,29 +423,32 @@ def _march_args(params: ReducedParams, consts: SolutionConstants,
     else:
         raise ValidationError("bc_mode 'paper' feeds the published reference-case fluxes; "
                               "other constants take bc_mode 'derived' or 'dirichlet'")
-    return dif, src, partial(exact, 0.0), bc_in, bc_out, exact
+    _steps(grid, config)
+    return grid, (dif, src, bc_in, bc_out, exact)
 
 
 def solve_general(params: ReducedParams, consts: SolutionConstants,
-                  grid: Grid1D, config: SolverConfig) -> SolveResult:
+                  n_cells: int, config: SolverConfig) -> SolveResult:
     """March A*theta_tau = B*d/deta((8*tau+eta+1)*theta_eta) + 16*(1+eps^2)/(8*tau+eta+1)^2.
 
-    Every run starts from its exact field at tau = 0 and is measured against
-    it: `theta_reference` when `ReferenceCase().matches(params, consts)`, with
-    the walls' `reference_flux` and `theta_reference` values; otherwise
+    A run has n_cells cells on eta in [0, params.a], starts from its exact
+    field at tau = 0 and is measured against it: `theta_reference` when
+    `ReferenceCase().matches(params, consts)`, with the walls'
+    `reference_flux` and `theta_reference` values; otherwise
     `theta_general` (ValidationError naming K and C3 where it overflows at
     tau = 0), its `dualnum.d1` eta-derivative and the `BoundaryTraces` at
     eta = 0 and a.  bc_mode 'derived' feeds the flux, 'dirichlet' the
     values, 'paper' the published reference-case fluxes (error plateau near
     0.5; other constants raise).
     """
-    return march(grid, config, *_march_args(params, consts, grid, config))
+    grid, args = _level(params, consts, n_cells, config)
+    return march(grid, config, *args)
 
 
-def solve_reference(grid: Grid1D, config: SolverConfig, C5: float = C5_MIN) -> SolveResult:
-    """`solve_general` at the reference case with level C5, on eta in [0, 1]."""
+def solve_reference(n_cells: int, config: SolverConfig, C5: float = C5_MIN) -> SolveResult:
+    """`solve_general` of n_cells cells at the reference case with level C5."""
     case = ReferenceCase(C5=C5)
-    return solve_general(case.params, case.consts, grid, config)
+    return solve_general(case.params, case.consts, n_cells, config)
 
 
 def _march_levels(prepared, config) -> list:
@@ -502,15 +504,15 @@ def convergence_study(levels, config: SolverConfig,
                       params: ReducedParams, consts: SolutionConstants):
     """Refinement study of `solve_general` with dt tied to h (dt = dt_over_h * h).
 
-    Every level's grid spans [0, params.a].  Returns one SolveResult per
-    level, in the given order, with observed_order filled from consecutive
-    pairs (log error ratio over log h ratio); a pair with a zero error
-    leaves the finer level's order None.  Fewer than 2 levels raise
-    ValidationError, as there is no pair to observe an order from; so does
-    a config with dt set, since a fixed dt would not shrink with h; so does
-    t_end = 0: every level would return the initial data, whose error is 0,
-    and leave no order to observe.  So does a repeated level: two equal
-    grids have no h ratio to divide by.
+    Each level is a cell count on eta in [0, params.a].  Returns one
+    SolveResult per level, in the given order, with observed_order filled
+    from consecutive pairs (log error ratio over log h ratio); a pair with a
+    zero error leaves the finer level's order None.  Fewer than 2 levels
+    raise ValidationError, as there is no pair to observe an order from; so
+    does a config with dt set, since a fixed dt would not shrink with h; so
+    does t_end = 0: every level would return its exact field at tau = 0,
+    whose error is 0, and leave no order to observe.  So does a repeated
+    level: two equal grids have no h ratio to divide by.
 
     The levels are independent: the one with the most cells marches in this
     process while the others march, one after another, in one child forked
@@ -533,12 +535,7 @@ def convergence_study(levels, config: SolverConfig,
     if len(set(levels)) < len(levels):
         raise ValidationError(f"levels must be distinct, got {list(levels)}: two equal "
                               "grids have no h ratio to observe an order from")
-    prepared = []
-    for n in levels:  # what each level's solve checks before its march
-        grid = Grid1D(n_cells=int(n), a=params.a)
-        args = _march_args(params, consts, grid, config)
-        _steps(grid, config)
-        prepared.append((grid, args))
+    prepared = [_level(params, consts, int(n), config) for n in levels]
 
     import multiprocessing  # here, so importing the solver loads numpy only
     try:

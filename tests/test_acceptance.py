@@ -24,7 +24,6 @@ from ringheat.flow import (
     stress_components,
 )
 from ringheat.solver import (
-    Grid1D,
     SolverConfig,
     convergence_study,
     solve_reference,
@@ -182,7 +181,7 @@ def test_criterion_09_discrepancy_detection():
     sign_ok = (abs(pub - 0.20833) < 1e-5 and abs(der - (-0.19646)) < 1e-5
                and math.copysign(1, pub) != math.copysign(1, der)
                and abs((pub - der) - 0.405) < 1e-3)
-    errs = [solve_reference(Grid1D(n), SolverConfig(t_end=0.25, bc_mode="paper")).error_inf
+    errs = [solve_reference(n, SolverConfig(t_end=0.25, bc_mode="paper")).error_inf
             for n in (64, 128, 256)]
     plateau_ok = all(e > PUBLISHED_FLUX_ERROR_FLOOR for e in errs) \
         and max(errs) / min(errs) < 1.01

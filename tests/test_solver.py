@@ -81,7 +81,7 @@ class TestGridAndConfig:
         monkeypatch.setattr(Grid1D, "nodes", property(lambda g: pytest.fail("allocated")))
         msg = "exceeds the budget of 1000000000 node updates"
         with pytest.raises(ValidationError, match=msg):
-            solve_reference(Grid1D(n), SolverConfig(t_end=t_end))
+            solve_reference(n, SolverConfig(t_end=t_end))
         with pytest.raises(ValidationError, match=msg):
             convergence_study([64, n], SolverConfig(t_end=t_end), REF.params, REF.consts)
 
@@ -176,31 +176,27 @@ class TestThomas:
 
 class TestReferenceSolve:
     def test_t_end_zero_returns_ic_exactly(self):
-        res = solve_reference(Grid1D(64), SolverConfig(t_end=0.0))
+        res = solve_reference(64, SolverConfig(t_end=0.0))
         assert res.error_inf == 0.0
         assert res.error_l2 == 0.0
         assert len(res.snapshots) == 1
 
-    def test_requires_unit_domain(self):
-        with pytest.raises(ValidationError):
-            solve_reference(Grid1D(16, a=2.0), SolverConfig())
-
     def test_derived_neumann_second_order(self):
         errs = []
         for n in (64, 128):
-            res = solve_reference(Grid1D(n), SolverConfig(t_end=0.25, bc_mode="derived"))
+            res = solve_reference(n, SolverConfig(t_end=0.25, bc_mode="derived"))
             errs.append(res.error_inf)
         assert 3.5 < errs[0] / errs[1] < 4.5
 
     def test_dirichlet_second_order(self):
         errs = []
         for n in (64, 128):
-            res = solve_reference(Grid1D(n), SolverConfig(t_end=0.25, bc_mode="dirichlet"))
+            res = solve_reference(n, SolverConfig(t_end=0.25, bc_mode="dirichlet"))
             errs.append(res.error_inf)
         assert 3.5 < errs[0] / errs[1] < 4.5
 
     def test_published_flux_error_plateaus(self):
-        errs = [solve_reference(Grid1D(n), SolverConfig(t_end=0.25, bc_mode="paper")).error_inf
+        errs = [solve_reference(n, SolverConfig(t_end=0.25, bc_mode="paper")).error_inf
                 for n in (64, 128, 256)]
         # frozen regression: the plateau sits just under 0.5 and refinement
         # moves it by well under 1%
@@ -212,12 +208,12 @@ class TestReferenceSolve:
         # the march is linear in its data, so paper minus derived is the
         # march of the flux gap (published minus exact, at both walls) with
         # no source and zero initial data on the same diffusivity
-        grid, config = Grid1D(n), SolverConfig(t_end=0.25)
-        paper = solve_reference(grid, replace(config, bc_mode="paper"))
-        derived = solve_reference(grid, config)
+        config = SolverConfig(t_end=0.25)
+        paper = solve_reference(n, replace(config, bc_mode="paper"))
+        derived = solve_reference(n, config)
         case = ReferenceCase()
-        dif = solver._march_args(case.params, case.consts, grid, config)[0]
-        gap = march(grid, config, dif, lambda tau, eta: 0.0, np.zeros_like,
+        grid, (dif, *_) = solver._level(case.params, case.consts, n, config)
+        gap = march(grid, config, dif, lambda tau, eta: 0.0,
                     ("flux", lambda tau: published_flux_inner(tau) - reference_flux(tau, 0.0)),
                     ("flux", lambda tau: published_flux_outer(tau) - reference_flux(tau, 1.0)),
                     const_field(0.0))
@@ -227,15 +223,15 @@ class TestReferenceSolve:
             assert np.max(np.abs((p - d) - g)) <= 1e-13
 
     def test_deterministic(self):
-        r1 = solve_reference(Grid1D(64), SolverConfig(t_end=0.25))
-        r2 = solve_reference(Grid1D(64), SolverConfig(t_end=0.25))
+        r1 = solve_reference(64, SolverConfig(t_end=0.25))
+        r2 = solve_reference(64, SolverConfig(t_end=0.25))
         assert len(r1.snapshots) == len(r2.snapshots)
         for (t1, v1), (t2, v2) in zip(r1.snapshots, r2.snapshots):
             assert t1 == t2
             assert np.array_equal(v1, v2)
 
     def test_snapshots_bracket_the_run(self):
-        res = solve_reference(Grid1D(32), SolverConfig(t_end=0.25))
+        res = solve_reference(32, SolverConfig(t_end=0.25))
         times = [t for t, _ in res.snapshots]
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(0.25)
@@ -251,12 +247,12 @@ class TestGeneralSolve:
 
     def test_K_zero_converges_to_simple_profile(self, ref):
         consts = SolutionConstants(C3=0.125, C5=ref.C5, K=0.0)
-        res = solve_general(ref.params, consts, Grid1D(128),
+        res = solve_general(ref.params, consts, 128,
                             SolverConfig(t_end=0.25, bc_mode="dirichlet"))
         tau_f, theta_f = res.snapshots[-1]
-        exact = theta_simple(tau_f, Grid1D(128).nodes, ref.params, 0.5 * ref.C5)
+        exact = theta_simple(tau_f, res.grid.nodes, ref.params, 0.5 * ref.C5)
         assert float(np.max(np.abs(theta_f - exact))) < 1e-6
-        errs = [solve_general(ref.params, consts, Grid1D(n),
+        errs = [solve_general(ref.params, consts, n,
                               SolverConfig(t_end=0.25, bc_mode="dirichlet")).error_inf
                 for n in (64, 128)]
         assert 3.5 < errs[0] / errs[1] < 4.5
@@ -266,7 +262,7 @@ class TestGeneralSolve:
         params = ReducedParams(A=0.75, B=6.0, eps=0.0, a=1.0)
         consts = SolutionConstants(C3=0.125, C5=ref.C5,
                                    K=k_for_equal_boundaries(params, 0.125))
-        errs = [solve_general(params, consts, Grid1D(n),
+        errs = [solve_general(params, consts, n,
                               SolverConfig(t_end=0.25, bc_mode="dirichlet")).error_inf
                 for n in (64, 128)]
         assert 3.5 < errs[0] / errs[1] < 4.5
@@ -287,8 +283,8 @@ class TestGeneralSolve:
         # member, whose exact Neumann data 'derived' takes
         consts = SolutionConstants(C3=0.125, C5=ref.C5, K=0.0)
         with pytest.raises(ValidationError, match="bc_mode 'paper'"):
-            solve_general(ref.params, consts, Grid1D(16), SolverConfig(bc_mode="paper"))
-        res = solve_general(ref.params, consts, Grid1D(64), SolverConfig(bc_mode="derived"))
+            solve_general(ref.params, consts, 16, SolverConfig(bc_mode="paper"))
+        res = solve_general(ref.params, consts, 64, SolverConfig(bc_mode="derived"))
         assert res.error_inf < 2e-4  # ~1.4e-3 at 16 cells, second order
 
     @pytest.mark.parametrize("case, orders", [
@@ -315,7 +311,7 @@ class TestGeneralSolve:
         params, consts = case
         cfg = SolverConfig(t_end=0.25, bc_mode=mode)
         coarse, fine = convergence_study([128, 256], cfg, params, consts)
-        again = solve_general(params, consts, fine.grid, cfg)
+        again = solve_general(params, consts, fine.grid.n_cells, cfg)
         for res in (coarse, fine):
             assert all(np.isfinite(v).all() for _, v in res.snapshots)
             assert np.isfinite([res.error_inf, res.error_l2]).all()
@@ -326,10 +322,12 @@ class TestGeneralSolve:
         scale = max(float(np.max(np.abs(v))) for _, v in fine.snapshots)
         assert fine.observed_order >= 1.8 or fine.error_inf <= 1e-10 * scale
 
-    def test_grid_domain_must_match(self, ref):
-        with pytest.raises(ValidationError):
-            solve_general(ref.params, ref.consts, Grid1D(16, a=2.0),
-                          SolverConfig(bc_mode="dirichlet"))
+    def test_grid_spans_the_ring(self):
+        # a level is a cell count; its grid's length is params.a
+        params, consts = _member(A=1.3, B=3.5, eps=-0.7, a=2.0, C3=0.15, C5=1.5)
+        res = solve_general(params, consts, 16, SolverConfig(bc_mode="dirichlet"))
+        assert res.grid.a == 2.0
+        assert res.grid.nodes[-1] == 2.0
 
 
 class TestOneSolvePath:
@@ -357,7 +355,7 @@ class TestOneSolvePath:
 
     @pytest.mark.parametrize("n, mode", sorted(PINNED))
     def test_reference_norms_pinned(self, n, mode):
-        res = solve_reference(Grid1D(n), SolverConfig(t_end=0.25, bc_mode=mode))
+        res = solve_reference(n, SolverConfig(t_end=0.25, bc_mode=mode))
         assert (res.error_inf, res.error_l2) == self.PINNED[n, mode]
 
     @pytest.mark.parametrize("n", sorted(PINNED_GENERAL))
@@ -366,7 +364,7 @@ class TestOneSolvePath:
         params = ReducedParams(A=g["A"], B=g["B"], eps=g["eps"], a=1.0)
         consts = SolutionConstants(C3=g["C3"], C5=g["C5"],
                                    K=k_for_equal_boundaries(params, g["C3"]))
-        res = solve_general(params, consts, Grid1D(n),
+        res = solve_general(params, consts, n,
                             SolverConfig(t_end=0.25, bc_mode="dirichlet"))
         assert (res.error_inf, res.error_l2) == self.PINNED_GENERAL[n]
 
@@ -381,22 +379,22 @@ class TestOneSolvePath:
             return real(*args)
 
         monkeypatch.setattr(solver, "thomas_solve", counting)
-        solve_reference(Grid1D(64), SolverConfig())
+        solve_reference(64, SolverConfig())
         # nsteps = t_end / (dt_over_h * h) = 0.25 / (0.125 / 64)
         assert len(calls) == 128
 
     @pytest.mark.parametrize("mode", ["derived", "paper", "dirichlet"])
     def test_general_at_reference_is_the_reference_march(self, ref, mode):
         cfg = SolverConfig(t_end=0.25, bc_mode=mode)
-        a = solve_reference(Grid1D(64), cfg)
-        b = solve_general(ref.params, ref.consts, Grid1D(64), cfg)
+        a = solve_reference(64, cfg)
+        b = solve_general(ref.params, ref.consts, 64, cfg)
         assert len(a.snapshots) == len(b.snapshots) == N_SNAPSHOTS
         for (t1, v1), (t2, v2) in zip(a.snapshots, b.snapshots):
             assert t1 == t2
             assert np.array_equal(v1, v2)
 
     def test_result_keeps_its_exact_field(self):
-        res = solve_reference(Grid1D(32), SolverConfig(t_end=0.25), C5=2.0)
+        res = solve_reference(32, SolverConfig(t_end=0.25), C5=2.0)
         tau_f, theta_f = res.snapshots[-1]
         err = np.max(np.abs(theta_f - res.exact(tau_f, res.grid.nodes)))
         assert float(err) == res.error_inf
@@ -405,7 +403,7 @@ class TestOneSolvePath:
     def test_norms_of_errors_whose_squares_overflow(self):
         # a C5 this large leaves errors near 1e154, whose squares overflow:
         # error_l2 is still finite, below error_inf, and no warning is raised
-        res = solve_reference(Grid1D(12), SolverConfig(t_end=0.03125),
+        res = solve_reference(12, SolverConfig(t_end=0.03125),
                               C5=2.3666423509319384e+169)
         tau_f, theta_f = res.snapshots[-1]
         err = theta_f - res.exact(tau_f, res.grid.nodes)
@@ -417,12 +415,12 @@ class TestOneSolvePath:
         # a march this short leaves errors near 1e-300 (or subnormal), whose
         # squares underflow to 0: error_l2 is still nonzero and bounded by
         # sqrt(a) * error_inf
-        res = solve_reference(Grid1D(8), SolverConfig(t_end=t_end))
+        res = solve_reference(8, SolverConfig(t_end=t_end))
         assert 0.0 < res.error_inf < 1e-290
         assert 0.0 < res.error_l2 <= math.sqrt(res.grid.a) * res.error_inf
 
 
-def stepwise_march(grid, config, diffusivity, source, initial, bc_inner, bc_outer, exact):
+def stepwise_march(grid, config, diffusivity, source, bc_inner, bc_outer, exact):
     """The one-step-at-a-time march loop that block assembly replaced, frozen
     here as the bit-identity oracle: `march` must return exactly its
     snapshots and norms.  Returns (snapshots, error_inf, error_l2)."""
@@ -430,7 +428,7 @@ def stepwise_march(grid, config, diffusivity, source, initial, bc_inner, bc_oute
     n = grid.n_cells
     dt = config.dt if config.dt is not None else config.dt_over_h * h
     eta = grid.nodes
-    theta = np.array(initial(eta), dtype=float)
+    theta = np.array(exact(0.0, eta), dtype=float)
     snapshots = [(0.0, theta.copy())]
     nsteps = max(1, int(round(config.t_end / dt)))
     dt = config.t_end / nsteps
@@ -530,7 +528,7 @@ class TestBlockAssembly:
     def test_reference_case_matches_stepwise(self, monkeypatch, mode, scheme):
         cfg = SolverConfig(t_end=0.25, bc_mode=mode, scheme=scheme)
         self.check_against_stepwise(monkeypatch,
-                                    lambda: solve_reference(Grid1D(64), cfg))
+                                    lambda: solve_reference(64, cfg))
 
     @pytest.mark.parametrize("scheme", ["cn", "euler"])
     def test_general_wide_ring_uneven_dt_matches_stepwise(self, monkeypatch, scheme):
@@ -538,17 +536,17 @@ class TestBlockAssembly:
         consts = SolutionConstants(C3=C3, C5=C5, K=k_for_equal_boundaries(params, C3))
         cfg = SolverConfig(dt=0.0123, t_end=0.3, bc_mode="dirichlet", scheme=scheme)
         self.check_against_stepwise(
-            monkeypatch, lambda: solve_general(params, consts, Grid1D(48, a=2.0), cfg))
+            monkeypatch, lambda: solve_general(params, consts, 48, cfg))
 
-    # Grid1D(12) to t_end = 0.3: k*dt + dt misses t_end by an ulp at the last
+    # 12 cells to t_end = 0.3: k*dt + dt misses t_end by an ulp at the last
     # step, which both loops label t_end, and where Dirichlet rows take their data
     @pytest.mark.parametrize("scheme", ["cn", "euler"])
     def test_last_step_at_t_end_matches_stepwise(self, monkeypatch, scheme):
         cfg = SolverConfig(t_end=0.3, bc_mode="dirichlet", scheme=scheme)
         self.check_against_stepwise(monkeypatch,
-                                    lambda: solve_reference(Grid1D(12), cfg))
+                                    lambda: solve_reference(12, cfg))
 
-    # Grid1D(24) has 25 nodes and marches 48 steps at t_end = 0.25, so these
+    # 24 cells are 25 nodes and marches 48 steps at t_end = 0.25, so these
     # blocks hold more steps than the march, exactly all of them, all but
     # one (one step past a block boundary), and one step each.  Its h = 1/24
     # is not a power of two, so dividing by h rounds.
@@ -558,7 +556,7 @@ class TestBlockAssembly:
         monkeypatch.setattr(solver, "BLOCK_ELEMS", block * 25)
         cfg = SolverConfig(t_end=0.25, bc_mode=mode)
         self.check_against_stepwise(monkeypatch,
-                                    lambda: solve_reference(Grid1D(24), cfg))
+                                    lambda: solve_reference(24, cfg))
 
     def test_coefficients_assembled_once_per_block(self, monkeypatch):
         # 32 steps in blocks of 10: four diffusivity calls per face pair
@@ -570,8 +568,7 @@ class TestBlockAssembly:
             return np.full(np.broadcast(tau, eta).shape, 2.0)
 
         march(Grid1D(16), SolverConfig(t_end=0.25), dif, const_field(0.0),
-              lambda eta: 0.0 * eta, ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0),
-              const_field(0.0))
+              ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0), const_field(0.0))
         assert shapes == [(10, 17)] * 6 + [(2, 17)] * 2
 
     # Grid1D(16) at t_end = 0.1 marches 13 steps of dt = 0.1/13; the source
@@ -586,21 +583,20 @@ class TestBlockAssembly:
             march(Grid1D(16), SolverConfig(t_end=0.1),
                   const_field(1.0),
                   lambda tau, eta: np.where(tau > 0.06, np.inf, 0.0) + 0.0 * eta,
-                  lambda eta: 0.0 * eta,
                   ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0), const_field(0.0))
 
 
 class TestSchemes:
     def test_euler_first_order_in_time(self):
         # fine grid, coarse dt: halving dt roughly halves the error
-        errs = [solve_reference(Grid1D(256), SolverConfig(dt=dt, t_end=0.25,
+        errs = [solve_reference(256, SolverConfig(dt=dt, t_end=0.25,
                                                           scheme="euler")).error_inf
                 for dt in (0.025, 0.0125)]
         assert 1.7 < errs[0] / errs[1] < 2.3
 
     def test_cn_beats_euler_at_same_dt(self):
-        cn = solve_reference(Grid1D(256), SolverConfig(dt=0.0125, t_end=0.25)).error_inf
-        eu = solve_reference(Grid1D(256), SolverConfig(dt=0.0125, t_end=0.25,
+        cn = solve_reference(256, SolverConfig(dt=0.0125, t_end=0.25)).error_inf
+        eu = solve_reference(256, SolverConfig(dt=0.0125, t_end=0.25,
                                                        scheme="euler")).error_inf
         assert cn < eu / 10.0
 
@@ -612,7 +608,6 @@ class TestMarchProperties:
         beta = 0.7
         res = march(Grid1D(16), SolverConfig(t_end=0.5),
                     const_field(3.0), const_field(0.0),
-                    lambda eta: 0.2 + beta * eta,
                     ("flux", lambda tau: beta), ("flux", lambda tau: beta),
                     exact=lambda tau, eta: 0.2 + beta * eta)
         assert res.error_inf < 1e-13
@@ -621,25 +616,34 @@ class TestMarchProperties:
         res = march(Grid1D(16), SolverConfig(t_end=1.0),
                     lambda tau, eta: 8.0 * (8.0 * tau + eta + 1.0),
                     const_field(0.0),
-                    lambda eta: np.full_like(np.asarray(eta, dtype=float), 0.37),
                     ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0),
                     exact=const_field(0.37))
         assert res.error_inf < 1e-13
 
     @pytest.mark.filterwarnings("ignore:invalid value")
     def test_divergence_error_names_step(self):
+        # the march starts from exact at tau = 0, infinite at eta = 0
         with pytest.raises(DivergenceError, match="step 1"):
             march(Grid1D(16), SolverConfig(t_end=0.1),
                   const_field(1.0), const_field(0.0),
-                  lambda eta: np.where(np.asarray(eta) == 0.0, np.inf, 0.0),
-                  ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0), const_field(0.0))
+                  ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0),
+                  lambda tau, eta: np.where((tau == 0.0) & (np.asarray(eta) == 0.0), np.inf, 0.0))
+
+    def test_starts_from_the_exact_field(self):
+        exact = TestPolynomialOracle.quadratic
+        grid = Grid1D(16)
+        res = march(grid, SolverConfig(t_end=0.1), TestPolynomialOracle.diffusivity,
+                    const_field(0.0), ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0),
+                    exact)
+        assert res.snapshots[0][0] == 0.0
+        assert np.array_equal(res.snapshots[0][1], np.asarray(exact(0.0, grid.nodes)))
 
     @pytest.mark.parametrize("kw", [dict(dt=1e30, t_end=1e30), dict(dt=1e20, t_end=1e20),
                                     dict(dt=1e30, t_end=1e30, scheme="euler")])
     def test_zero_pivot_is_a_divergence(self, kw):
         # a huge dt cancels a pivot of the elimination to exactly 0
         with pytest.raises(DivergenceError, match="^zero pivot at step 1 of 1"):
-            solve_reference(Grid1D(16), SolverConfig(**kw))
+            solve_reference(16, SolverConfig(**kw))
 
 
 class TestPolynomialOracle:
@@ -680,8 +684,7 @@ class TestPolynomialOracle:
             return kind, lambda tau: f(tau, eta)
 
         res = march(Grid1D(n), SolverConfig(t_end=0.5, scheme=scheme), self.diffusivity,
-                    self.quadratic_source, lambda eta: self.quadratic(0.0, eta),
-                    wall(inner, 0.0), wall(outer, 1.0), self.quadratic)
+                    self.quadratic_source, wall(inner, 0.0), wall(outer, 1.0), self.quadratic)
         assert len(res.snapshots) == N_SNAPSHOTS
         for tau, theta in res.snapshots:
             assert np.max(np.abs(theta - self.quadratic(tau, res.grid.nodes))) <= 1e-12
@@ -698,7 +701,7 @@ class TestPolynomialOracle:
         lo, hi = {"flux": (0.0, 0.9), "value": (0.5, 0.8)}[kind]
         final = {}
         for n in (16, 32, 64, 128, 256):
-            res = march(Grid1D(n), SolverConfig(), self.diffusivity, source, cubic,
+            res = march(Grid1D(n), SolverConfig(), self.diffusivity, source,
                         (kind, lambda tau: lo), (kind, lambda tau: hi),
                         lambda tau, eta: cubic(eta))
             final[n] = res.snapshots[-1][1]
@@ -730,7 +733,7 @@ class TestConvergenceStudy:
         # t_end = 0.05 on 16 cells: k*dt + dt misses t_end by an ulp at the
         # last step, which is labelled t_end itself; the norms are its errors
         for config in (SolverConfig(t_end=0.05), SolverConfig(t_end=0.0)):
-            res = solve_reference(Grid1D(16), config)
+            res = solve_reference(16, config)
             assert res.snapshots[-1][0] == config.t_end
             exact_end = res.exact(config.t_end, res.grid.nodes)
             assert res.error_inf == float(np.max(np.abs(res.snapshots[-1][1] - exact_end)))
@@ -779,7 +782,7 @@ def per_level_oracle(levels, config, params, consts):
     """The one-level-at-a-time study, frozen here as the oracle of the
     forked one: results and observed orders must equal its exactly."""
     config = replace(config, dt=None)
-    results = [solve_general(params, consts, Grid1D(n, a=params.a), config) for n in levels]
+    results = [solve_general(params, consts, n, config) for n in levels]
     for prev, res in zip(results, results[1:]):
         res.observed_order = float(np.log(prev.error_inf / res.error_inf)
                                    / np.log(prev.grid.h / res.grid.h))
@@ -903,15 +906,15 @@ class TestForkedStudy:
         assert marched_in(results) == [os.getpid()] * 3
 
     def test_march_arguments_built_once_per_level(self, monkeypatch, no_fork):
-        # the checks before marching build each level's arguments, and the
-        # march takes those
-        real, built = solver._march_args, []
+        # the checks before marching build each level's grid and arguments,
+        # and the march takes those
+        real, built = solver._level, []
 
-        def counting(params, consts, grid, config):
-            built.append(grid.n_cells)
-            return real(params, consts, grid, config)
+        def counting(params, consts, n_cells, config):
+            built.append(n_cells)
+            return real(params, consts, n_cells, config)
 
-        monkeypatch.setattr(solver, "_march_args", counting)
+        monkeypatch.setattr(solver, "_level", counting)
         for params, consts in ((REF.params, REF.consts), general_case()):
             built.clear()
             convergence_study([64, 16, 32], SolverConfig(t_end=0.05), params, consts)

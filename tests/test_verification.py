@@ -1,13 +1,16 @@
 import math
+import random
 import types
+import warnings
 from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
 from scipy.integrate import quad as scipy_quad
 
-from conftest import ENGINE_AGREEMENT_TOL, FD
+from conftest import ENGINE_AGREEMENT_TOL, FD, general_family
 from ringheat import dualnum, flow, temperature, verification
 from ringheat.core import ReducedParams, SolutionConstants, ValidationError
 from ringheat.dualnum import value
@@ -600,3 +603,57 @@ class TestSuite:
             # one (tau, eta, Theta) triple among 24 x 21 x 3 samples
             assert len(direct[name].worst_point) == 3
             assert direct[name].n_samples == 24 * 21 * len(verification.THETA_SAMPLES) == 1512
+
+
+class TestGeneralFamilyCensus:
+    """The suite's verdict over the whole general family, as a record: every
+    failure below is a finite-tau limit or an absolute tolerance meeting
+    roundoff, not a wrong closed form (see ROADMAP item 2)."""
+
+    #: index of each failing tuple of the census -> its failing checks
+    FAILING = {
+        1: ["asymptote_level"], 7: ["asymptote_level"], 11: ["asymptote_level"],
+        34: ["asymptote_level"], 44: ["asymptote_level"], 47: ["asymptote_level"],
+        53: ["pde_theta_general"], 68: ["asymptote_level"], 73: ["asymptote_level"],
+        75: ["asymptote_level"], 76: ["asymptote_level"], 84: ["asymptote_level"],
+        86: ["asymptote_level"], 97: ["asymptote_level"], 102: ["asymptote_level"],
+        109: ["pde_theta_general"], 116: ["asymptote_level", "pde_theta_general"],
+        124: ["asymptote_level", "pde_theta_general"], 125: ["asymptote_level"],
+        129: ["asymptote_level"], 137: ["asymptote_level"],
+        140: ["asymptote_level", "pde_theta_general"],
+    }
+
+    @staticmethod
+    def census_tuples():
+        """The census's 150 (params, consts): A, B, a and C3 log-uniform, eps
+        and C5 uniform, drawn in the order A, B, eps, a, C3, C5 from
+        random.Random(5); K makes the wall temperatures equal at tau = 0."""
+        rng = random.Random(5)
+
+        def log_uniform(lo, hi):
+            return math.exp(rng.uniform(math.log(lo), math.log(hi)))
+
+        for _ in range(150):
+            A, B = log_uniform(0.1, 10.0), log_uniform(0.3, 50.0)
+            eps, a = rng.uniform(-2.0, 2.0), log_uniform(0.1, 5.0)
+            C3, C5 = log_uniform(0.05, 1.0), rng.uniform(0.0, 5.0)
+            params = ReducedParams(A=A, B=B, eps=eps, a=a)
+            yield params, SolutionConstants(
+                C3=C3, C5=C5, K=temperature.k_for_equal_boundaries(params, C3))
+
+    def test_census_pins_every_failure(self):
+        failing = {}
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for i, (params, consts) in enumerate(self.census_tuples()):
+                names = sorted(c.name for c in run_suite(params, consts).checks if not c.passed)
+                if names:
+                    failing[i] = names
+        assert failing == self.FAILING
+
+    @settings(max_examples=50, deadline=None)
+    @given(case=general_family())
+    def test_suite_values_are_nonnegative_floats_or_fail(self, case):
+        # run_suite does not raise, a RuntimeWarning included
+        for c in run_suite(*case).checks:
+            assert (isinstance(c.value, float) and c.value >= 0.0) or not c.passed, c
