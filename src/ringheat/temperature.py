@@ -255,9 +255,11 @@ class NonnegativityReport(NamedTuple):
     argmin: tuple  # (tau, eta); (inf, nan) when the asymptotic level is the minimum
 
 
-#: c5_nonnegativity_bound evaluates theta_general on blocks of
-#: max(1, _SCAN_BLOCK_ELEMS // 201) tau rows of its 201 eta points, so it
-#: holds no full-grid temporaries
+#: c5_nonnegativity_bound splits its 201 tau rows into
+#: ceil(201 * 201 / _SCAN_BLOCK_ELEMS) near-equal blocks of
+#: ceil(201 / blocks) rows, each evaluated over its 201 eta points, so it
+#: holds no full-grid temporaries; a block may hold a little more than
+#: _SCAN_BLOCK_ELEMS elements (8241 = 41 * 201 here, in 5 blocks)
 _SCAN_BLOCK_ELEMS = 8192
 
 
@@ -273,7 +275,8 @@ def c5_nonnegativity_bound(params: ReducedParams,
     """
     tau_grid = np.linspace(0.0, 10.0, 201)
     eta_grid = np.linspace(0.0, params.a, 201)
-    rows = max(1, _SCAN_BLOCK_ELEMS // eta_grid.size)
+    blocks = -(-tau_grid.size * eta_grid.size // _SCAN_BLOCK_ELEMS)
+    rows = -(-tau_grid.size // blocks)
     best, best_i, best_j = math.inf, 0, 0
     for start in range(0, tau_grid.size, rows):
         vals = theta_general(tau_grid[start:start + rows, None], eta_grid[None, :],

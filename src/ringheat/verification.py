@@ -6,14 +6,16 @@ The independent oracle for these derivatives, 4th-order central
 differences, lives with the tests (`tests/conftest.py`); the library
 takes derivatives one way.
 
-Every check evaluates its field once per derivative over the whole
-(tau, eta) mesh, so residual fields must accept numpy arrays, and Dual
-numbers carrying arrays, as well as floats: no Python `if`/`float()` on
-their arguments.  One reduction turns a residual array into a `Check`, the
-one record of a checked value: its value is the largest |residual|, its
-worst point the first such maximum in row-major (tau, eta) order (then
-Theta, for the annihilation checks), and a NaN residual counts as that
-maximum, so it fails.
+Every check evaluates its field over the whole (tau, eta) mesh at once:
+one dual pass per derivative, except that a field's first and second
+derivative in eta (in I1 for the reduced ODE) come from one nested pass
+(`DerivativeEngine.d1_d2`).  So residual fields must accept numpy arrays,
+and Dual numbers carrying arrays, as well as floats: no Python
+`if`/`float()` on their arguments.  One reduction turns a residual array
+into a `Check`, the one record of a checked value: its value is the
+largest |residual|, its worst point the first such maximum in row-major
+(tau, eta) order (then Theta, for the annihilation checks), and a NaN
+residual counts as that maximum, so it fails.
 
 The flux-evolution balance of the flow branch needs an eta integral at
 every tau, independent of the mesh evaluation.  `flow.quad` integrates it
@@ -92,11 +94,12 @@ class DerivativeEngine:
 
     The arguments may be floats or numpy arrays of one shape; the result
     has that shape, and is a float for float arguments.  The derivatives
-    seed (nested) dual numbers through the field via `dualnum.d1`/`d2`;
-    there is no other mode.  The class has no state: it stays a class, with
-    the constant `mode`, because the benchmark's tracer wraps `d1`/`d2` at
-    this class and reads `mode`.  The finite-difference oracle the tests
-    check it against is in `tests/conftest.py`.
+    seed (nested) dual numbers through the field via `dualnum.d1`/`d2`, or
+    take both from one nested pass with `dualnum.d1_d2`; there is no other
+    mode.  The class has no state: it stays a class, with the constant
+    `mode`, because the benchmark's tracer wraps `d1`/`d2` at this class
+    and reads `mode`.  The finite-difference oracle the tests check it
+    against is in `tests/conftest.py`.
     """
 
     mode = "dual"
@@ -108,6 +111,14 @@ class DerivativeEngine:
     def d2(self, f, args: Sequence, i: int):
         """Second partial of f with respect to args[i]."""
         return _shaped(dualnum.d2(_section(f, args, i), args[i]), args)
+
+    def d1_d2(self, f, args: Sequence, i: int):
+        """(first, second) partial of f with respect to args[i], from one nested pass.
+
+        Bit-identical to (`d1`, `d2`), at the cost of the `d2` pass alone.
+        """
+        p1, p2 = dualnum.d1_d2(_section(f, args, i), args[i])
+        return _shaped(p1, args), _shaped(p2, args)
 
 
 _ENGINE = DerivativeEngine()
@@ -125,10 +136,19 @@ def _section(f, args, i):
 
 
 def _shaped(y, args):
-    """y as a float array of the arguments' shape; a float for float arguments."""
+    """y as a float array of the arguments' shape; a float for float arguments.
+
+    An array the derivative pass has just allocated (one that owns its data
+    and has that shape) is returned as is; anything else, such as a float
+    broadcast over the shape, is copied into a new array.
+    """
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-    y = np.broadcast_to(np.asarray(value(y), dtype=float), shape)
-    return float(y) if y.ndim == 0 else y.copy()
+    y = np.asarray(value(y), dtype=float)
+    if not shape:
+        return float(y)
+    if y.shape == shape and y.flags.owndata:
+        return y
+    return np.broadcast_to(y, shape).copy()
 
 
 @dataclass(frozen=True)
@@ -182,7 +202,7 @@ def _mesh(grid):
 def _partials(fld, TT, EE):
     """(f_tau, f_eta, f_etaeta) over the mesh."""
     args = (TT, EE)
-    return _ENGINE.d1(fld, args, 0), _ENGINE.d1(fld, args, 1), _ENGINE.d2(fld, args, 1)
+    return (_ENGINE.d1(fld, args, 0), *_ENGINE.d1_d2(fld, args, 1))
 
 
 def pde_residual(field, A: float, B: float, source, grid, name: str) -> Check:
@@ -372,8 +392,7 @@ def reduced_ode_residual(phi, params: ReducedParams, I1_samples) -> Check:
     B, A = params.B, params.A
     i1 = np.asarray(I1_samples, dtype=float)
     _require_domain(i1, "I1 samples must be > 0")
-    p1 = _ENGINE.d1(phi, (i1,), 0)
-    p2 = _ENGINE.d2(phi, (i1,), 0)
+    p1, p2 = _ENGINE.d1_d2(phi, (i1,), 0)
     res = B * i1 * p2 + (B - 8.0 * A) * p1 + 16.0 * (1.0 + params.eps ** 2) / (i1 * i1)
     return _report("reduced_ode", res, (i1,), 1e-10)
 

@@ -6,7 +6,7 @@ from hypothesis import reject, strategies as st
 
 from ringheat.core import (PhysicalParams, ReducedParams, ReferenceCase, SolutionConstants,
                            ValidationError)
-from ringheat.temperature import k_for_equal_boundaries
+from ringheat.temperature import k_for_equal_boundaries, require_finite_start
 
 
 #: relative steps of the finite-difference oracle's first and second derivatives
@@ -80,13 +80,19 @@ def _log_uniform(lo, hi):
 def general_family(draw):
     """(params, consts) drawn from the whole general family: A, B, a and C3
     log-uniform, eps and C5 uniform, K making the wall temperatures equal at
-    tau = 0.  A draw whose K is not a float (its ((1 + a)/C3)^(8A/B)
-    overflows) is not a member and is rejected."""
+    tau = 0.  A draw that the library rejects is not a member and is
+    rejected: one whose K is not a float (its ((1 + a)/C3)^(8A/B)
+    overflows), or whose theta_general(0, eta) is not finite on [0, a]
+    (`require_finite_start`, on 1025 points, which every solve and `verify`
+    run before any work; `TestGeneralSolve::test_overflowing_start_is_rejected`
+    keeps one such draw)."""
     params = ReducedParams(A=draw(_log_uniform(0.1, 10.0)), B=draw(_log_uniform(0.3, 50.0)),
                            eps=draw(st.floats(-2.0, 2.0)), a=draw(_log_uniform(0.1, 5.0)))
     C3 = draw(_log_uniform(0.05, 1.0))
     try:
-        K = k_for_equal_boundaries(params, C3)
+        consts = SolutionConstants(C3=C3, C5=draw(st.floats(0.0, 5.0)),
+                                   K=k_for_equal_boundaries(params, C3))
+        require_finite_start(np.linspace(0.0, params.a, 1025), params, consts)
     except ValidationError:
         reject()
-    return params, SolutionConstants(C3=C3, C5=draw(st.floats(0.0, 5.0)), K=K)
+    return params, consts

@@ -322,6 +322,18 @@ class TestGeneralSolve:
         scale = max(float(np.max(np.abs(v))) for _, v in fine.snapshots)
         assert fine.observed_order >= 1.8 or fine.error_inf <= 1e-10 * scale
 
+    @pytest.mark.parametrize("mode", ["derived", "dirichlet"])
+    def test_overflowing_start_is_rejected(self, mode):
+        # a draw of the family's ranges whose K underflows to -0.0 while
+        # ((1 + eta)/C3)^(8A/B) overflows: theta(0, eta) is nan from
+        # eta = 91/128 on, so the study stops before any march, naming K and C3
+        params, consts = _member(A=math.exp(2.25), B=math.exp(-1.125), eps=0.0, a=1.0,
+                                 C3=math.exp(-2.5), C5=0.0)
+        cfg = SolverConfig(t_end=0.25, bc_mode=mode)
+        with pytest.raises(ValidationError, match=r"^constants\.K = -0\.0 and constants\.C3 = "
+                           r".* overflow theta\(0, eta\) at eta = 0\.7109375$"):
+            convergence_study([128, 256], cfg, params, consts)
+
     def test_grid_spans_the_ring(self):
         # a level is a cell count; its grid's length is params.a
         params, consts = _member(A=1.3, B=3.5, eps=-0.7, a=2.0, C3=0.15, C5=1.5)

@@ -555,8 +555,11 @@ class TestBlockScan:
                (ReducedParams(A=1.3, B=3.5, eps=-0.7, a=2.0), 0.2, 1.5)]
 
     @staticmethod
-    def border_row(n_eta):
-        return temperature._SCAN_BLOCK_ELEMS // n_eta
+    def border_row(n_eta, n_tau=201):
+        # the scan's rule: ceil(n_tau * n_eta / _SCAN_BLOCK_ELEMS) blocks of
+        # ceil(n_tau / blocks) rows
+        blocks = -(-n_tau * n_eta // temperature._SCAN_BLOCK_ELEMS)
+        return -(-n_tau // blocks)
 
     @pytest.mark.parametrize("C5", [C5_MIN, 1.0, 2.0])
     def test_reference_tuple(self, ref, C5):

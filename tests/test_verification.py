@@ -88,6 +88,87 @@ class TestEngine:
         assert worst_gap(kinked) > ENGINE_AGREEMENT_TOL
 
 
+def exact_bits(x):
+    return np.asarray(x, dtype=float).view(np.int64)
+
+
+class TestNestedPass:
+    """`DerivativeEngine.d1_d2` gives `d1` and `d2` from one nested pass, bit
+    for bit, on every field `run_suite` takes an eta (or I1) pair of."""
+
+    WIDE = ReducedParams(A=1.3, B=2.1, eps=-0.7, a=2.0)
+
+    @classmethod
+    def cases(cls, ref):
+        wide_consts = SolutionConstants(
+            C3=0.3, C5=0.8, K=temperature.k_for_equal_boundaries(cls.WIDE, 0.3))
+        mesh = lambda a: tuple(np.meshgrid(*standard_grid(a), indexing="ij"))
+        return [
+            (partial(theta_simple, params=ref.params, level=ref.C5), mesh(1.0), 1),
+            (partial(theta_simple, params=cls.WIDE, level=0.8), mesh(2.0), 1),
+            (partial(theta_general, params=ref.params, consts=ref.consts), mesh(1.0), 1),
+            (partial(theta_general, params=cls.WIDE, consts=wide_consts), mesh(2.0), 1),
+            (lambda tau, eta: theta_reference(tau, eta, ref.C5), mesh(1.0), 1),
+            (partial(flow.exact_omega, eps=ref.params.eps), mesh(1.0), 1),
+            (partial(flow.exact_omega, eps=cls.WIDE.eps), mesh(2.0), 1),
+            (lambda i1: theta_simple(0.0, i1 - 1.0, ref.params, ref.C5),
+             (np.linspace(1.0, 81.0, 41),), 0),
+        ]
+
+    def test_pair_equals_engine_bit_for_bit(self, ref):
+        for fld, args, i in self.cases(ref):
+            p1, p2 = DUAL.d1_d2(fld, args, i)
+            assert np.array_equal(exact_bits(p1), exact_bits(DUAL.d1(fld, args, i)))
+            assert np.array_equal(exact_bits(p2), exact_bits(DUAL.d2(fld, args, i)))
+
+    def test_field_without_the_variable_gives_zeros(self):
+        args = tuple(np.meshgrid(*GRID, indexing="ij"))
+        for p in DUAL.d1_d2(lambda tau, eta: tau * tau, args, 1):
+            assert p.shape == args[0].shape and not np.any(p)
+        assert dualnum.d1_d2(lambda x: 3.0, 2.0) == (0.0, 0.0)
+        assert DUAL.d1_d2(lambda tau, eta: 3.0, (0.5, 0.25), 1) == (0.0, 0.0)
+
+
+class TestShaped:
+    """`_shaped` hands back a float array of the arguments' shape that no
+    argument shares memory with, and a float for float arguments."""
+
+    ARGS = tuple(np.meshgrid(*GRID, indexing="ij"))
+
+    def check_fresh(self, out):
+        assert isinstance(out, np.ndarray) and out.dtype == np.float64
+        assert out.shape == self.ARGS[0].shape and out.flags.writeable
+        assert not any(np.shares_memory(out, a) for a in self.ARGS)
+
+    def test_owned_derivative_array_is_kept(self):
+        fld = lambda tau, eta: tau * eta * eta
+        y = dualnum.d1(verification._section(fld, self.ARGS, 1), self.ARGS[1])
+        out = verification._shaped(y, self.ARGS)
+        assert out is y
+        self.check_fresh(out)
+
+    def test_linear_field_derivative_is_broadcast_and_copied(self):
+        # f = 2*tau + 3*eta: the eta-derivative arrives as the float 3.0
+        fld = lambda tau, eta: 2.0 * tau + 3.0 * eta
+        y = dualnum.d1(verification._section(fld, self.ARGS, 1), self.ARGS[1])
+        assert y == 3.0 and not isinstance(y, np.ndarray)
+        out = DUAL.d1(fld, self.ARGS, 1)
+        self.check_fresh(out)
+        assert np.all(out == 3.0)
+
+    def test_view_is_copied(self):
+        base = np.ones((2,) + self.ARGS[0].shape)
+        out = verification._shaped(base[0], self.ARGS)
+        self.check_fresh(out)
+        assert not np.shares_memory(out, base)
+
+    def test_float_arguments_give_a_float(self):
+        fld = lambda tau, eta: tau * eta * eta
+        for out in (DUAL.d1(fld, (0.5, 2.0), 1), *DUAL.d1_d2(fld, (0.5, 2.0), 1)):
+            assert type(out) is float
+        assert DUAL.d1_d2(fld, (0.5, 2.0), 1) == (2.0, 1.0)
+
+
 class TestTemperatureEquation:
     def test_simple_solution_residual(self, ref):
         rep = temperature_equation_residual(
