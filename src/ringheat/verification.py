@@ -142,13 +142,13 @@ def _shaped(y, args):
     and has that shape) is returned as is; anything else, such as a float
     broadcast over the shape, is copied into a new array.
     """
-    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    shape = np.broadcast(*args).shape
     y = np.asarray(value(y), dtype=float)
     if not shape:
         return float(y)
     if y.shape == shape and y.flags.owndata:
         return y
-    return np.broadcast_to(y, shape).copy()
+    return np.full(shape, y)
 
 
 @dataclass(frozen=True)

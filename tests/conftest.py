@@ -82,10 +82,10 @@ def general_family(draw):
     log-uniform, eps and C5 uniform, K making the wall temperatures equal at
     tau = 0.  A draw that the library rejects is not a member and is
     rejected: one whose K is not a float (its ((1 + a)/C3)^(8A/B)
-    overflows), or whose theta_general(0, eta) is not finite on [0, a]
-    (`require_finite_start`, on 1025 points, which every solve and `verify`
-    run before any work; `TestGeneralSolve::test_overflowing_start_is_rejected`
-    keeps one such draw)."""
+    overflows), or whose theta_general(0, eta) is not finite at one of
+    1025 points of [0, a] (`require_finite_start`, which every solve and
+    `verify` call before any work).  The solver tests keep one such draw
+    (`TestGeneralSolve::test_overflowing_start_is_rejected`)."""
     params = ReducedParams(A=draw(_log_uniform(0.1, 10.0)), B=draw(_log_uniform(0.3, 50.0)),
                            eps=draw(st.floats(-2.0, 2.0)), a=draw(_log_uniform(0.1, 5.0)))
     C3 = draw(_log_uniform(0.05, 1.0))
