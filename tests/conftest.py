@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import reject, strategies as st
 
 from ringheat.core import (PhysicalParams, ReducedParams, ReferenceCase, SolutionConstants,
                            ValidationError)
-from ringheat.temperature import k_for_equal_boundaries, require_finite_start
+from ringheat.temperature import k_for_equal_boundaries, theta_general
 
 
 #: relative steps of the finite-difference oracle's first and second derivatives
@@ -80,19 +81,34 @@ def _log_uniform(lo, hi):
 def general_family(draw):
     """(params, consts) drawn from the whole general family: A, B, a and C3
     log-uniform, eps and C5 uniform, K making the wall temperatures equal at
-    tau = 0.  A draw that the library rejects is not a member and is
-    rejected: one whose K is not a float (its ((1 + a)/C3)^(8A/B)
-    overflows), or whose theta_general(0, eta) is not finite at one of
-    1025 points of [0, a] (`require_finite_start`, which every solve and
-    `verify` call before any work).  The solver tests keep one such draw
-    (`TestGeneralSolve::test_overflowing_start_is_rejected`)."""
+    tau = 0.  A draw whose K is not a float (its ((1 + a)/C3)^(8A/B)
+    overflows) is not a member and is rejected.  A member whose
+    theta_general(0, eta) is not finite on a grid is kept: solves and
+    `verify` reject it, and `assert_overflowing_start` checks that rejection."""
     params = ReducedParams(A=draw(_log_uniform(0.1, 10.0)), B=draw(_log_uniform(0.3, 50.0)),
                            eps=draw(st.floats(-2.0, 2.0)), a=draw(_log_uniform(0.1, 5.0)))
     C3 = draw(_log_uniform(0.05, 1.0))
     try:
-        consts = SolutionConstants(C3=C3, C5=draw(st.floats(0.0, 5.0)),
-                                   K=k_for_equal_boundaries(params, C3))
-        require_finite_start(np.linspace(0.0, params.a, 1025), params, consts)
+        K = k_for_equal_boundaries(params, C3)
     except ValidationError:
         reject()
-    return params, consts
+    return params, SolutionConstants(C3=C3, C5=draw(st.floats(0.0, 5.0)), K=K)
+
+
+_OVERFLOWING_PARAMS = ReducedParams(A=math.exp(2.25), B=math.exp(-1.125), eps=0.0, a=1.0)
+#: (params, consts) of a `general_family` member whose K underflows to -0.0
+#: while ((1 + eta)/C3)^(8A/B) overflows: theta_general(0, eta) is nan from
+#: eta = 91/128 on
+OVERFLOWING_MEMBER = (_OVERFLOWING_PARAMS, SolutionConstants(
+    C3=math.exp(-2.5), C5=0.0, K=k_for_equal_boundaries(_OVERFLOWING_PARAMS, math.exp(-2.5))))
+
+
+def assert_overflowing_start(err, params, consts):
+    """`err` is `temperature.require_finite_start`'s ValidationError for
+    (params, consts): it names their K and C3 and an eta at which
+    theta_general(0, eta) is not finite."""
+    m = re.fullmatch(r"constants\.K = (\S+) and constants\.C3 = (\S+) "
+                     r"overflow theta\(0, eta\) at eta = (\S+)", str(err))
+    assert m and (m[1], m[2]) == (repr(consts.K), repr(consts.C3)), err
+    with np.errstate(all="ignore"):
+        assert not np.isfinite(theta_general(0.0, np.array([float(m[3])]), params, consts)).all()

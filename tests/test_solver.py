@@ -12,7 +12,7 @@ from hypothesis import example, given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 from scipy.linalg import solve_banded
 
-from conftest import general_family
+from conftest import OVERFLOWING_MEMBER, assert_overflowing_start, general_family
 
 from ringheat import solver
 from ringheat.core import (
@@ -307,10 +307,17 @@ class TestGeneralSolve:
                           C3=1.0, C5=0.0))
     @example(case=_member(A=0.1518242257262645, B=18.881172109981883, eps=0.7737539301649563,
                           a=0.11780220925658379, C3=0.9480540685721588, C5=4.823788905627834))
+    # a member whose theta(0, eta) overflows on the grid: the study rejects
+    # it before any march
+    @example(case=OVERFLOWING_MEMBER)
     def test_whole_family_finite_deterministic_second_order(self, mode, case):
         params, consts = case
         cfg = SolverConfig(t_end=0.25, bc_mode=mode)
-        coarse, fine = convergence_study([128, 256], cfg, params, consts)
+        try:
+            coarse, fine = convergence_study([128, 256], cfg, params, consts)
+        except ValidationError as err:
+            assert_overflowing_start(err, params, consts)
+            return
         again = solve_general(params, consts, fine.grid.n_cells, cfg)
         for res in (coarse, fine):
             assert all(np.isfinite(v).all() for _, v in res.snapshots)
@@ -324,11 +331,9 @@ class TestGeneralSolve:
 
     @pytest.mark.parametrize("mode", ["derived", "dirichlet"])
     def test_overflowing_start_is_rejected(self, mode):
-        # a draw of the family's ranges whose K underflows to -0.0 while
-        # ((1 + eta)/C3)^(8A/B) overflows: theta(0, eta) is nan from
-        # eta = 91/128 on, so the study stops before any march, naming K and C3
-        params, consts = _member(A=math.exp(2.25), B=math.exp(-1.125), eps=0.0, a=1.0,
-                                 C3=math.exp(-2.5), C5=0.0)
+        # the study stops before any march, naming K, C3 and the first
+        # eta = 91/128 where theta(0, eta) is nan
+        params, consts = OVERFLOWING_MEMBER
         cfg = SolverConfig(t_end=0.25, bc_mode=mode)
         with pytest.raises(ValidationError, match=r"^constants\.K = -0\.0 and constants\.C3 = "
                            r".* overflow theta\(0, eta\) at eta = 0\.7109375$"):
