@@ -599,12 +599,15 @@ class TestBlockScan:
         assert got.argmin[0] == tied[0]
 
     def test_first_nan_wins(self, ref, monkeypatch):
-        # NaNs at two points of the last block, after a finite minimum in the
-        # first: np.argmin over the whole grid reports the first NaN
+        # NaNs on either side of the last block border, after a finite
+        # minimum in the first block: np.argmin over the whole grid reports
+        # the first NaN, and the last block's NaN must not replace it
         taus = np.linspace(0.0, 10.0, 201)
         eta = np.linspace(0.0, 1.0, 201)
-        nan_at = [(taus[-2], eta[7]), (taus[-1], eta[3])]
-        assert len(taus) - 2 >= self.border_row(len(eta))
+        rows = self.border_row(len(eta))
+        last = rows * ((len(taus) - 1) // rows)  # first row of the last block
+        assert last > rows
+        nan_at = [(taus[last - 1], eta[7]), (taus[last], eta[3])]
         real = temperature.theta_general
 
         def planted(tau, eta, params, consts):
