@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["Dual", "exp", "log", "sqrt", "value", "d1", "d2", "d1_d2"]
+__all__ = ["Dual", "exp", "log", "sqrt", "value", "d1", "d1_d2"]
 
 
 class Dual:
@@ -116,8 +116,3 @@ def d1_d2(f, x):
     if not isinstance(y, Dual):
         return 0.0, 0.0
     return _b_part(y.a), _b_part(y.b)
-
-
-def d2(f, x):
-    """d2f/dx2 at x (a float or an array) via a nested dual pass."""
-    return d1_d2(f, x)[1]

@@ -94,12 +94,12 @@ class DerivativeEngine:
 
     The arguments may be floats or numpy arrays of one shape; the result
     has that shape, and is a float for float arguments.  The derivatives
-    seed (nested) dual numbers through the field via `dualnum.d1`/`d2`, or
-    take both from one nested pass with `dualnum.d1_d2`; there is no other
-    mode.  The class has no state: it stays a class, with the constant
-    `mode`, because the benchmark's tracer wraps `d1`/`d2` at this class
-    and reads `mode`.  The finite-difference oracle the tests check it
-    against is in `tests/conftest.py`.
+    seed dual numbers through the field: `d1` one pass (`dualnum.d1`), `d2`
+    and `d1_d2` one nested pass (`dualnum.d1_d2`); there is no other mode.
+    The class has no state: it stays a class, with the constant `mode`,
+    because the benchmark's tracer wraps `d1`/`d2` at this class and reads
+    `mode`.  The finite-difference oracle the tests check it against is in
+    `tests/conftest.py`.
     """
 
     mode = "dual"
@@ -110,7 +110,7 @@ class DerivativeEngine:
 
     def d2(self, f, args: Sequence, i: int):
         """Second partial of f with respect to args[i]."""
-        return _shaped(dualnum.d2(_section(f, args, i), args[i]), args)
+        return _shaped(dualnum.d1_d2(_section(f, args, i), args[i])[1], args)
 
     def d1_d2(self, f, args: Sequence, i: int):
         """(first, second) partial of f with respect to args[i], from one nested pass.

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ringheat.dualnum import Dual, d1, d2, exp, log, sqrt, value
+from ringheat.dualnum import Dual, d1, d1_d2, exp, log, sqrt, value
 
 finite = st.floats(min_value=0.2, max_value=5.0)
 
@@ -37,19 +37,20 @@ def test_exp_log_sqrt_derivatives(x0):
 @given(finite)
 def test_nested_second_derivative(x0):
     f = lambda x: x ** 2 * exp(-x)
-    assert d2(f, x0) == pytest.approx((2.0 - 4.0 * x0 + x0 ** 2) * math.exp(-x0), rel=1e-12)
+    assert d1_d2(f, x0)[1] == pytest.approx((2.0 - 4.0 * x0 + x0 ** 2) * math.exp(-x0),
+                                            rel=1e-12)
 
 
 def test_power_rule_nested():
     f = lambda x: x ** 3
     assert d1(f, 2.0) == 12.0
-    assert d2(f, 2.0) == 12.0
+    assert d1_d2(f, 2.0)[1] == 12.0
 
 
 def test_constant_field_has_zero_derivatives():
     f = lambda x: 5.0
     assert d1(f, 1.0) == 0.0
-    assert d2(f, 1.0) == 0.0
+    assert d1_d2(f, 1.0)[1] == 0.0
 
 
 def test_dispatch_passes_arrays_through():
