@@ -6,16 +6,25 @@ The independent oracle for these derivatives, 4th-order central
 differences, lives with the tests (`tests/conftest.py`); the library
 takes derivatives one way.
 
-Every check evaluates its field over the whole (tau, eta) mesh at once:
-one dual pass per derivative, except that a field's first and second
-derivative in eta (in I1 for the reduced ODE) come from one nested pass
-(`DerivativeEngine.d1_d2`).  So residual fields must accept numpy arrays,
-and Dual numbers carrying arrays, as well as floats: no Python
-`if`/`float()` on their arguments.  One reduction turns a residual array
-into a `Check`, the one record of a checked value: its value is the
-largest |residual|, its worst point the first such maximum in row-major
-(tau, eta) order (then Theta, for the annihilation checks), and a NaN
-residual counts as that maximum, so it fails.
+Every check evaluates its field over the whole (tau, eta) mesh at once,
+so residual fields must accept numpy arrays, and Dual numbers carrying
+arrays, as well as floats: no Python `if`/`float()` on their arguments.
+One reduction turns a residual array into a `Check`, the one record of a
+checked value: its value is the largest |residual|, its worst point the
+first such maximum in row-major (tau, eta) order (then Theta, for the
+annihilation checks), and a NaN residual counts as that maximum, so it
+fails.
+
+Each derivative is one dual pass over the mesh, except that a field's
+first and second derivative in eta (in I1 for the reduced ODE) come from
+one nested pass (`DerivativeEngine.d1_d2`), and that an annihilation
+check's X(J) = xi1*J_tau + xi2*J_eta + eta1*J_Theta, the derivative of J
+along the generator, is one pass seeded with the generator's coefficients
+(`dualnum.directional`).  The flow branch's wall flux is read from the
+first and last eta columns of its interior pass.  So a reference-case
+`run_suite` makes 18 passes: 9 single, 6 nested, 3 directional.  The
+sample meshes are new C-contiguous arrays (`_filled`), not the stride-0
+views of `np.broadcast_arrays`, which every ufunc of a pass walks slowly.
 
 The flux-evolution balance of the flow branch needs an eta integral at
 every tau, independent of the mesh evaluation.  `flow.quad` integrates it
@@ -96,9 +105,13 @@ class DerivativeEngine:
     has that shape, and is a float for float arguments.  The derivatives
     seed dual numbers through the field: `d1` one pass (`dualnum.d1`), `d2`
     and `d1_d2` one nested pass (`dualnum.d1_d2`); there is no other mode.
-    The class has no state: it stays a class, with the constant `mode`,
-    because the benchmark's tracer wraps `d1`/`d2` at this class and reads
-    `mode`.  The finite-difference oracle the tests check it against is in
+    A derivative along a direction in several arguments at once, the
+    annihilation checks' X(J), is not the engine's: `invariant_annihilation`
+    seeds its one `dualnum.directional` pass itself.  The class has no
+    state: it stays a class, with the constant `mode`, because the
+    benchmark's tracer wraps `d1`/`d2` at this class and reads `mode`; so
+    the tracer's count leaves out the nested and the directional passes.
+    The finite-difference oracle the tests check it against is in
     `tests/conftest.py`.
     """
 
@@ -193,10 +206,23 @@ def standard_grid(a: float = 1.0):
     return tau, eta
 
 
+def _filled(*parts):
+    """The parts broadcast to one shape, each copied into a new C-contiguous
+    float array: what `np.broadcast_arrays` gives, without its stride-0
+    views, which every ufunc of a dual pass walks slowly."""
+    shape = np.broadcast(*parts).shape
+    out = []
+    for p in parts:
+        x = np.empty(shape)
+        x[...] = p
+        out.append(x)
+    return out
+
+
 def _mesh(grid):
+    """The (tau, eta) mesh of grid, as np.meshgrid(tau, eta, indexing="ij") gives it."""
     tau, eta = grid
-    return np.meshgrid(np.asarray(tau, dtype=float), np.asarray(eta, dtype=float),
-                       indexing="ij")
+    return _filled(np.asarray(tau, dtype=float)[:, None], np.asarray(eta, dtype=float))
 
 
 def _partials(fld, TT, EE):
@@ -241,12 +267,16 @@ def flow_residuals(eps: float, grid) -> dict[str, Check]:
     """Substitute the exact flow branch into its governing relations.
 
     Keys: 'azimuthal_momentum' (interior transport of omega),
-    'boundary_flux' (omega_eta + eps*Psi/(xi+eta)^2 at both walls),
+    'boundary_flux' (omega_eta + eps*Psi/(xi+eta)^2 at both walls, read
+    from the first and last eta of the grid, which must start at 0.0),
     'flux_evolution' (the Psi evolution balance, read as dPsi/dtau since
     omega depends on eta while the right side must not), and
     'ring_scale' (dxi/dtau = 2*Psi with xi(0) = 1).
     """
     tau_vals, eta_vals = grid
+    if eta_vals[0] != 0.0:
+        raise ValidationError(f"flow_residuals reads the inner wall from the grid's first eta, "
+                              f"which must be 0.0, not {eta_vals[0]!r}")
     tau = np.asarray(tau_vals, dtype=float)
     a = float(eta_vals[-1])
     psi = flow.PSI
@@ -259,9 +289,10 @@ def flow_residuals(eps: float, grid) -> dict[str, Check]:
     om_t, om_e, om_ee = _partials(omega, TT, EE)
     interior = om_t + 2.0 * psi * omega(TT, EE) / s - 4.0 * s * om_ee - 8.0 * om_e
 
-    TW, EW = _mesh((tau, [0.0, a]))
-    sw = 8.0 * TW + 1.0 + EW
-    walls = _ENGINE.d1(omega, (TW, EW), 1) + eps * psi / (sw * sw)
+    # the walls eta = 0 and a are the mesh's first and last columns
+    ends = [0, -1]
+    sw = s[:, ends]
+    walls = om_e[:, ends] + eps * psi / (sw * sw)
 
     # dPsi/dtau = 0 on the branch, so the right side must vanish too; its
     # eta integral at every tau comes from two Gauss-Legendre rules, an
@@ -273,7 +304,7 @@ def flow_residuals(eps: float, grid) -> dict[str, Check]:
 
     def integrand(x):
         # x: the (n,) nodes of a rule; one engine call covers them all
-        T, E = np.broadcast_arrays(tau, x[:, None])
+        T, E = _filled(tau, x[:, None])
         return omega(T, E) ** 2 + 4.0 * eps * _ENGINE.d1(omega, (T, E), 1)
 
     coarse = quad(integrand, 0.0, a, 21)
@@ -285,7 +316,7 @@ def flow_residuals(eps: float, grid) -> dict[str, Check]:
     zero = np.zeros(tau.size + 1)
     return {
         "azimuthal_momentum": _report("azimuthal_momentum", interior, (TT, EE), 1e-10),
-        "boundary_flux": _report("boundary_flux", walls, (TW, EW), 1e-12),
+        "boundary_flux": _report("boundary_flux", walls, (TT[:, ends], EE[:, ends]), 1e-12),
         "flux_evolution": _report("flux_evolution", balance, (tau, zero), 1e-10),
         "ring_scale": _report("ring_scale", ring, (np.append(tau, 0.0), zero), 1e-12),
     }
@@ -369,18 +400,20 @@ THETA_SAMPLES = (-1.0, 0.4, 1.7)
 def invariant_annihilation(operator_coeffs, invariant, params: ReducedParams, grid) -> Check:
     """Residual X(J) = xi1*J_tau + xi2*J_eta + eta1*J_Theta on the grid.
 
+    X(J) is the derivative of J along X, so it comes from one dual pass of J
+    seeded with the generator's coefficients (`dualnum.directional`).
     operator_coeffs is the raw (C1, C2, C3, C4, b2) tuple.  Annihilation
     must hold identically in Theta, so X(J) is evaluated on the (grid point
     x THETA_SAMPLES) mesh, and the worst point is a (tau, eta, Theta) triple.
     """
     xi1, xi2, eta1 = operator_coefficients(*operator_coeffs, params)
-    TT, EE = _mesh(grid)
-    args = np.broadcast_arrays(TT.reshape(-1, 1), EE.reshape(-1, 1),
-                               np.asarray(THETA_SAMPLES)[None, :])
+    tau_vals, eta_vals = grid
+    args = _filled(np.asarray(tau_vals, dtype=float)[:, None, None],
+                   np.asarray(eta_vals, dtype=float)[:, None], THETA_SAMPLES)
     tau, eta, th = args
-    j_t, j_e, j_th = (_ENGINE.d1(invariant, args, i) for i in range(3))
-    res = xi1(tau) * j_t + xi2(tau, eta) * j_e + eta1(tau, eta, th) * j_th
-    return _report("invariant_annihilation", res, (tau, eta, th), DUAL_TOL)
+    res = _shaped(dualnum.directional(invariant, args,
+                                      (xi1(tau), xi2(tau, eta), eta1(tau, eta, th))), args)
+    return _report("invariant_annihilation", res, args, DUAL_TOL)
 
 
 def reduced_ode_residual(phi, params: ReducedParams, I1_samples) -> Check:

@@ -170,6 +170,20 @@ class TestShaped:
         assert DUAL.d1_d2(fld, (0.5, 2.0), 1) == (2.0, 1.0)
 
 
+class TestMesh:
+    """`_mesh` builds what np.meshgrid(..., indexing="ij") builds, as new
+    C-contiguous float arrays."""
+
+    def test_mesh_is_meshgrid_bit_for_bit(self):
+        tau = GRID[0]
+        for grid in (GRID, standard_grid(2.0), (tau, [0.0, 1.0]), ([0, 1, 2], [0.5])):
+            want = np.meshgrid(*(np.asarray(g, dtype=float) for g in grid), indexing="ij")
+            for got, w in zip(verification._mesh(grid), want, strict=True):
+                assert got.dtype == np.float64
+                assert got.flags.c_contiguous and got.flags.writeable
+                assert np.array_equal(exact_bits(got), exact_bits(w))
+
+
 class TestTemperatureEquation:
     def test_simple_solution_residual(self, ref):
         rep = temperature_equation_residual(
@@ -272,6 +286,36 @@ class TestFlowResiduals:
         assert reports["flux_evolution"].value < 1e-10
         assert reports["ring_scale"].value < 1e-12
         assert all(r.passed for r in reports.values())
+
+    @pytest.mark.parametrize("a", [1.0, 2.0])
+    @pytest.mark.parametrize("eps", [0.5, 0.0, -1.2])
+    def test_wall_flux_equals_a_pass_on_the_walls_bit_for_bit(self, eps, a, monkeypatch):
+        # boundary_flux takes omega_eta from the interior mesh's first and
+        # last eta columns; its residual must be the one a separate d1 pass
+        # on the (tau, {0, a}) mesh gives, to the bit, at the same points
+        kept = {}
+        real = verification._report
+
+        def keep(name, residual, coords, tol):
+            kept[name] = residual, coords
+            return real(name, residual, coords, tol)
+
+        monkeypatch.setattr(verification, "_report", keep)
+        grid = standard_grid(a)
+        flow_residuals(eps, grid)
+        TW, EW = np.meshgrid(grid[0], [0.0, a], indexing="ij")
+        sw = 8.0 * TW + 1.0 + EW
+        omega_eta = DUAL.d1(partial(flow.exact_omega, eps=eps), (TW, EW), 1)
+        walls, coords = kept["boundary_flux"]
+        assert np.array_equal(exact_bits(walls),
+                              exact_bits(omega_eta + eps * flow.PSI / (sw * sw)))
+        for c, w in zip(coords, (TW, EW), strict=True):
+            assert np.array_equal(exact_bits(c), exact_bits(w))
+
+    def test_grid_off_the_inner_wall_is_rejected(self):
+        # the inner wall is read from the grid's first eta
+        with pytest.raises(ValidationError, match="grid's first eta, which must be 0.0"):
+            flow_residuals(0.5, (GRID[0], np.linspace(0.1, 1.0, 21)))
 
 
 def per_tau_quad_integral(eps, tau, a, engine):
@@ -520,6 +564,37 @@ class TestSymmetryMachinery:
         assert vals.shape[1] == len(verification.THETA_SAMPLES)
         assert float(np.var(vals, axis=1).max()) < 1e-14
 
+    @pytest.mark.parametrize("case", ["reference", "general"])
+    def test_directional_pass_agrees_with_three_partials(self, ref, case):
+        # X(J) from one directional pass against the sum of J's three
+        # partials, each from its own d1 pass, on the same (tau, eta, Theta)
+        # mesh; the translation (I1, I2) and J1 cancel exactly in the pass
+        if case == "reference":
+            params, consts = ref.params, ref.consts
+        else:
+            params = ReducedParams(A=1.3, B=2.1, eps=-0.7, a=2.0)
+            consts = SolutionConstants(C3=0.3, C5=0.8,
+                                       K=temperature.k_for_equal_boundaries(params, 0.3))
+        grid = standard_grid(params.a)
+        translation = (0.0, 0.0, consts.C3, 0.0, zero_field)
+        scaling = (0.0, 1.0, consts.C3, -2.0,
+                   partial(theta_simple, params=params, level=consts.C5))
+        I1, I2 = translation_invariants()
+        J1, J2 = scaling_invariants(params, consts)
+        TT, EE, TH = np.meshgrid(*grid, verification.THETA_SAMPLES, indexing="ij")
+        for coeffs, J, exact in ((translation, I1, True), (translation, I2, True),
+                                 (scaling, J1, True), (scaling, J2, False)):
+            xi1, xi2, eta1 = operator_coefficients(*coeffs, params)
+            partials = (dualnum.d1(lambda t: J(t, EE, TH), TT),
+                        dualnum.d1(lambda e: J(TT, e, TH), EE),
+                        dualnum.d1(lambda x: J(TT, EE, x), TH))
+            oracle = np.max(np.abs(xi1(TT) * partials[0] + xi2(TT, EE) * partials[1]
+                                   + eta1(TT, EE, TH) * partials[2]))
+            got = invariant_annihilation(coeffs, J, params, grid).value
+            assert abs(got - oracle) <= 1e-12, (J, got, oracle)
+            if exact:
+                assert got == 0.0, J
+
     def test_operator_coefficient_structure(self, ref):
         xi1, xi2, eta1 = operator_coefficients(0.0, 1.0, 0.125, -2.0, zero_field, ref.params)
         assert xi1(2.0) == 2.125
@@ -685,6 +760,23 @@ class TestSuite:
             # one (tau, eta, Theta) triple among 24 x 21 x 3 samples
             assert len(direct[name].worst_point) == 3
             assert direct[name].n_samples == 24 * 21 * len(verification.THETA_SAMPLES) == 1512
+
+
+class TestPassCount:
+    def test_reference_suite_makes_18_derivative_passes(self, ref, monkeypatch):
+        # d1: the tau partial of each of the five PDE-type fields, the two
+        # flux-evolution rules, the ring scale and the published-flux check;
+        # d1_d2: the eta pair of the five fields and the reduced ODE's pair;
+        # directional: one X(J) per annihilation check
+        counts = dict.fromkeys(("d1", "d1_d2", "directional"), 0)
+        for name in counts:
+            def counted(*args, _name=name, _real=getattr(dualnum, name)):
+                counts[_name] += 1
+                return _real(*args)
+
+            monkeypatch.setattr(dualnum, name, counted)
+        run_suite(ref.params, ref.consts)
+        assert counts == {"d1": 9, "d1_d2": 6, "directional": 3}
 
 
 class TestGeneralFamilyCensus:
