@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from ringheat.dualnum import Dual, d1, d1_d2, exp, log, sqrt, value
+from ringheat.dualnum import Dual, d1, d1_d2, directional, exp, log, sqrt, value
 
 finite = st.floats(min_value=0.2, max_value=5.0)
 
@@ -51,6 +51,16 @@ def test_constant_field_has_zero_derivatives():
     f = lambda x: 5.0
     assert d1(f, 1.0) == 0.0
     assert d1_d2(f, 1.0)[1] == 0.0
+    assert directional(lambda x, y: 5.0, (1.0, 2.0), (3.0, 4.0)) == 0.0
+
+
+def test_directional_derivative_is_the_seeded_sum_of_partials():
+    # f = x*y^2: v . grad f = vx*y^2 + vy*2xy
+    f = lambda x, y: x * y * y
+    assert directional(f, (2.0, 3.0), (1.0, 0.5)) == 9.0 + 6.0
+    x, y = np.array([1.0, 2.0]), np.array([3.0, -1.0])
+    vx, vy = np.array([0.5, 2.0]), np.array([-1.0, 4.0])
+    assert np.array_equal(directional(f, (x, y), (vx, vy)), vx * y * y + vy * 2.0 * x * y)
 
 
 def test_dispatch_passes_arrays_through():
