@@ -20,7 +20,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -55,18 +55,13 @@ EXIT_OK, EXIT_FAIL, EXIT_USAGE = 0, 1, 2
 
 #: The keys each config block takes; `_COMMANDS` says which subcommand reads which.
 _KEYS = {
-    "physical": {"rho", "Cp", "k_cond", "mu", "mu0", "T0", "R10", "R20"},
-    "reduced": {"A", "B", "eps", "a"},
-    "constants": {"C3", "C5", "K"},
+    "physical": {f.name for f in fields(PhysicalParams)},
+    "reduced": {f.name for f in fields(ReducedParams)},
+    "constants": {f.name for f in fields(SolutionConstants)},
     "solver": {"grid", "dt", "tau_end", "scheme", "bc_mode"},
     "output": {"path"},
     "profile": {"tau", "n_eta"},
 }
-#: The (block, key) each flag sets, by its argparse dest; `resolve_config`
-#: reads --grid itself, as the JSON list [<text>] it writes to solver.grid.
-_FLAGS = {"c5": ("constants", "C5"), "tau_end": ("solver", "tau_end"),
-          "scheme": ("solver", "scheme"), "bc_mode": ("solver", "bc_mode"),
-          "out": ("output", "path")}
 
 
 @dataclass
@@ -146,17 +141,18 @@ def resolve_config(args) -> RunConfig:
     if "physical" in cfg and "reduced" in cfg:
         raise ValidationError("give exactly one of the 'physical' and 'reduced' blocks")
     blocks = {label: _block(cfg, label) for label in _READ_BY_ALL + _COMMANDS[args.cmd][2]}
-    for dest, (label, key) in _FLAGS.items():
-        if getattr(args, dest, None) is not None:
-            blocks[label][key] = getattr(args, dest)
-    if getattr(args, "grid", None) is not None:
+    for dest, value in vars(args).items():  # a flag's dest is the "block.key" it sets
+        label, dot, key = dest.partition(".")
+        if dot and value is not None:
+            blocks[label][key] = value
+    if (grid := getattr(args, "solver.grid", None)) is not None:
         try:  # the text of a JSON list, so its values are counts like the file's
-            ns = json.loads(f"[{args.grid}]")
+            ns = json.loads(f"[{grid}]")
         except (ValueError, RecursionError):
             ns = []
         if not ns:
             raise ValidationError(f"--grid must be a number or a comma list of numbers, "
-                                  f"got {args.grid!r}")
+                                  f"got {grid!r}")
         blocks["solver"]["grid"] = ns
 
     phys = None
@@ -362,28 +358,30 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact temperature fields in an expanding rotating liquid ring: "
                     "residual verification, IBVP solves, profiles, refinement studies.")
     sub = p.add_subparsers(dest="cmd", required=True)
-    for name, (func, help_line, labels) in _COMMANDS.items():
+    for name, (_, help_line, labels) in _COMMANDS.items():
         sp = sub.add_parser(name, help=help_line)
-        sp.set_defaults(func=func)
         sp.add_argument("--config", help="JSON config file")
-        sp.add_argument("--out", help="output path (default: stdout)")
-        sp.add_argument("--c5", type=float,
+        sp.add_argument("--out", dest="output.path", metavar="OUT",
+                        help="output path (default: stdout)")
+        sp.add_argument("--c5", dest="constants.C5", metavar="C5", type=float,
                         help="free level constant C5 (default 5/3); a negative value "
                              "in exponent notation takes the = form: --c5=-2e3")
         if "solver" in labels:
-            sp.add_argument("--bc-mode", dest="bc_mode", metavar="|".join(BC_MODES),
+            sp.add_argument("--bc-mode", dest="solver.bc_mode", metavar="|".join(BC_MODES),
                             help="boundary data: exact Neumann | published Neumann | exact Dirichlet")
-            sp.add_argument("--grid", help="cell count N (N + 1 nodes), or a comma list "
-                                           "of counts for convergence")
-            sp.add_argument("--tau-end", dest="tau_end", type=float, help="final tau")
-            sp.add_argument("--scheme", metavar="|".join(SCHEMES), help="time scheme")
+            sp.add_argument("--grid", dest="solver.grid", metavar="GRID", help="cell count N "
+                            "(N + 1 nodes), or a comma list of counts for convergence")
+            sp.add_argument("--tau-end", dest="solver.tau_end", metavar="TAU_END", type=float,
+                            help="final tau")
+            sp.add_argument("--scheme", dest="solver.scheme", metavar="|".join(SCHEMES),
+                            help="time scheme")
     return p
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(resolve_config(args))
+        return _COMMANDS[args.cmd][0](resolve_config(args))
     except (ValidationError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return EXIT_USAGE

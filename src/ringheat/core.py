@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import ClassVar
 
 import numpy as np
@@ -80,6 +80,12 @@ def _require_domain(x, message, *fmt, allow_zero=False):
         raise ValidationError(message.format(*fmt))
 
 
+def _require_finite(record):
+    """Require every field of the dataclass record to be finite, naming the first that is not."""
+    for f in fields(record):
+        _require(math.isfinite(getattr(record, f.name)), f.name, "must be a finite number")
+
+
 def _require_C3(C3):
     _require(C3 > 0, "C3", "must be > 0")
     # verify's tau-derivatives square the closed forms' (tau + C3) ** 3
@@ -107,6 +113,7 @@ class PhysicalParams:
     R20: float
 
     def __post_init__(self):
+        _require_finite(self)
         _require(self.rho > 0, "rho", "must be > 0")
         _require(self.Cp > 0, "Cp", "must be > 0")
         _require(self.k_cond > 0, "k_cond", "must be > 0")
@@ -130,9 +137,7 @@ class ReducedParams:
 
     A scales the time derivative, B the conduction term, eps = nu0/nu enters
     the dissipative source through 1 + eps^2, and a = R10^2/R20^2 - 1 is the
-    domain length in eta.  a = 0 (degenerate ring) is allowed so the
-    boundary-difference closed form can be evaluated in that limit;
-    `reduce_params` always produces a > 0.
+    domain length in eta, > 0 as R10 > R20 is for `PhysicalParams`.
     """
 
     A: float
@@ -141,14 +146,13 @@ class ReducedParams:
     a: float
 
     def __post_init__(self):
-        for name in ("A", "B", "eps", "a"):
-            _require(math.isfinite(getattr(self, name)), name, "must be a finite number")
+        _require_finite(self)
         _require(16.0 * (1.0 + self.eps * self.eps) <= C5_ABS_MAX, "eps",
                  f"must keep 16*(1 + eps^2) at most {C5_ABS_MAX:g} (|eps| < ~2.5e149), "
                  f"got {self.eps!r}")
         _require(self.A > 0, "A", "must be > 0")
         _require(self.B > 0, "B", "must be > 0")
-        _require(self.a >= 0, "a", "must be >= 0")
+        _require(self.a > 0, "a", "must be > 0")
 
 
 @dataclass(frozen=True)
@@ -165,8 +169,7 @@ class SolutionConstants:
     K: float
 
     def __post_init__(self):
-        for name in ("C3", "C5", "K"):
-            _require(math.isfinite(getattr(self, name)), name, "must be a finite number")
+        _require_finite(self)
         _require_C3(self.C3)
         _require(abs(self.C5) <= C5_ABS_MAX, "C5",
                  f"must be at most {C5_ABS_MAX:g} in magnitude, got {self.C5!r}")
@@ -268,7 +271,7 @@ def reference_case_K(C3: float) -> float:
     At C3 = 1/8 the first denominator term vanishes and the second
     exponential is exp(0), so K = -5/(6^2*8^3) = -5/18432 exactly.
     """
-    _require(C3 > 0, "C3", "must be > 0")
+    _require_C3(C3)
     num = (10.0 / 9.0) * C3 ** 4
     den = (4.0 * (8.0 * C3 - 1.0) * math.exp(1.0 - 1.0 / (4.0 * C3))
            - (16.0 * C3 - 1.0) * math.exp(1.0 - 1.0 / (8.0 * C3)))
@@ -281,11 +284,9 @@ def reference_case_K(C3: float) -> float:
 def unit_embedding(params: ReducedParams) -> PhysicalParams:
     """A canonical dimensional realization of reduced parameters.
 
-    Fixes rho = mu = R20 = T0 = 1 (so nu = 1) and solves the group
-    definitions for the rest: Cp = 4A, k = 4B, mu0 = eps, R10 = sqrt(1+a).
-    `reduce_params` of the result reproduces `params` up to roundoff in a.
+    Fixes rho = mu = R20 = T0 = 1 (so nu = 1) and solves the group definitions
+    for the rest (a > 0 held by `ReducedParams`): Cp = 4A, k = 4B, mu0 = eps,
+    R10 = sqrt(1+a).  `reduce_params` of the result reproduces `params` up to roundoff in a.
     """
-    _require(params.a > 0, "a", "must be > 0 for a physical ring")
-    return PhysicalParams(rho=1.0, Cp=4.0 * params.A, k_cond=4.0 * params.B,
-                          mu=1.0, mu0=params.eps, T0=1.0,
-                          R10=math.sqrt(1.0 + params.a), R20=1.0)
+    return PhysicalParams(rho=1.0, Cp=4.0 * params.A, k_cond=4.0 * params.B, mu=1.0,
+                          mu0=params.eps, T0=1.0, R10=math.sqrt(1.0 + params.a), R20=1.0)

@@ -543,6 +543,20 @@ REJECTED = {
                 f"{block}.{key}")
                for (block, key), kind in KINDS.items() if kind == "count"
                for bad in (True, 16.5)])],
+    # JSON's 1e309 reads as inf: each physical value is named, not the reduced
+    # group it would make non-finite
+    "test_non_finite_physical_exit_2": [
+        (f"{argv[0]}-{key}", argv,
+         json.dumps({"physical": {**_PHYSICAL, key: "X"}}).replace('"X"', "1e309").encode(),
+         [f"error: {key} must be a finite number\n"])
+        for argv in (["verify"], ["profile"], _SOLVE16, ["convergence", "--grid", "16,32"])
+        for key in _PHYSICAL],
+    # a ring has R10 > R20: a width of 0 is rejected, whether or not K is given
+    "test_zero_width_ring_exit_2": [
+        (f"{argv[0]}-{'K' if consts else 'derived-K'}", argv,
+         {"reduced": {**_REDUCED, "a": 0}, **consts}, ["error: a must be > 0\n"])
+        for argv in (["verify"], ["profile"], _SOLVE16, ["convergence", "--grid", "16,32"])
+        for consts in ({}, {"constants": {"K": 0.0}})],
     # a bool is a JSON boolean, not the number float() would make of it
     "test_non_number_real_exit_2": _wrong_type(
         {"real", "list of reals"}, {"true": True, "false": False, "string": "0.5", "list": [1.0]}),
@@ -933,6 +947,20 @@ def test_readme_commands_exit_as_documented(tmp_path, monkeypatch, capsys):
         assert main(argv) == (1 if paper else 0), argv
         capsys.readouterr()
     assert {"report.json", "solve.csv", "profiles.csv"} <= {p.name for p in tmp_path.iterdir()}
+
+
+def test_every_flag_dest_is_the_key_it_sets():
+    # resolve_config writes each flag's dest "block.key" into its block, so a
+    # dest must name a key of a block its subcommand reads
+    sub = next(a for a in cli.build_parser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    for cmd, parser in sub.choices.items():
+        dests = {a.dest for a in parser._actions if a.option_strings} - {"help", "config"}
+        assert {"output.path", "constants.C5"} <= dests, cmd
+        for dest in dests:
+            block, _, key = dest.partition(".")
+            assert block in cli._READ_BY_ALL + cli._COMMANDS[cmd][2], (cmd, dest)
+            assert key in cli._KEYS[block], (cmd, dest)
 
 
 def test_format_flag_removed(capsys):

@@ -56,10 +56,10 @@ class TestParams:
     def test_reduced_validation(self):
         with pytest.raises(ValidationError, match="A"):
             ReducedParams(A=0.0, B=1.0, eps=0.0, a=1.0)
-        with pytest.raises(ValidationError, match="a"):
-            ReducedParams(A=1.0, B=1.0, eps=0.0, a=-0.1)
-        # degenerate ring allowed at the type level for limit checks
-        ReducedParams(A=1.0, B=1.0, eps=0.0, a=0.0)
+        # a ring has R10 > R20, so a width of 0 is rejected like a negative one
+        for a in (-0.1, 0.0):
+            with pytest.raises(ValidationError, match="^a must be > 0$"):
+                ReducedParams(A=1.0, B=1.0, eps=0.0, a=a)
 
     @pytest.mark.parametrize("field", ["A", "B", "eps", "a"])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -68,6 +68,12 @@ class TestParams:
         kw[field] = bad
         with pytest.raises(ValidationError, match=f"^{field} must be a finite number"):
             ReducedParams(**kw)
+
+    @pytest.mark.parametrize("field", ["rho", "Cp", "k_cond", "mu", "mu0", "T0", "R10", "R20"])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_physical_rejects_non_finite(self, field, bad):
+        with pytest.raises(ValidationError, match=f"^{field} must be a finite number"):
+            phys(**{field: bad})
 
     def test_constants_require_positive_C3(self):
         with pytest.raises(ValidationError, match="C3"):
@@ -273,6 +279,13 @@ class TestConstants:
         # as C3 -> 0+ both exponentials vanish, so the denominator underflows
         with pytest.raises(ValidationError, match="denominator of the amplitude formula vanishes"):
             reference_case_K(0.003)
+
+    @pytest.mark.parametrize("C3", [1e80, math.inf], ids=["C3-4th-power-overflows", "inf"])
+    def test_reference_case_K_takes_the_one_C3_rule(self, C3):
+        # the rule SolutionConstants and k_for_equal_boundaries apply: no raw
+        # OverflowError from C3 ** 4, no nan from inf / inf
+        with pytest.raises(ValidationError, match=r"^C3 must keep \(C3\^3\)\^2 finite"):
+            reference_case_K(C3)
 
     def test_reference_case_tuple(self, ref):
         assert ref.K == -5.0 / 18432.0

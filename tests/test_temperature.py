@@ -420,10 +420,13 @@ class TestBoundaryStructure:
     def test_difference_constant_reference_is_zero(self, ref):
         assert abs(boundary_difference_C(ref.params, ref.consts)) < 1e-12
 
-    def test_difference_constant_degenerate_ring(self, ref):
-        # a = 0: both bracket terms coincide and the first term carries a factor a
-        params = ReducedParams(A=0.75, B=6.0, eps=0.5, a=0.0)
-        assert boundary_difference_C(params, ref.consts) == pytest.approx(0.0, abs=1e-15)
+    def test_difference_constant_vanishes_with_the_width(self, ref):
+        # as a -> 0+ both bracket terms coincide and the first term carries a
+        # factor a, so C = O(a): dC/da at a = 0 is 16*(1 + eps^2)/(8A + B) = 5/3
+        # from the first term and K/C3^3 * 6 = -5/6 from the bracket
+        a = 1e-8
+        params = ReducedParams(A=0.75, B=6.0, eps=0.5, a=a)
+        assert boundary_difference_C(params, ref.consts) == pytest.approx(5.0 / 6.0 * a, rel=1e-6)
 
     def test_difference_constant_K_zero_value(self, ref):
         # only the first term survives: 16*1*1.25/(2*12) = 5/6
