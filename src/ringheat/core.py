@@ -137,7 +137,7 @@ class ReducedParams:
 
     A scales the time derivative, B the conduction term, eps = nu0/nu enters
     the dissipative source through 1 + eps^2, and a = R10^2/R20^2 - 1 is the
-    domain length in eta, > 0 as R10 > R20 is for `PhysicalParams`.
+    domain length in eta, which must be > 0 because a ring has R10 > R20.
     """
 
     A: float
