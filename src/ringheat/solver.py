@@ -137,8 +137,8 @@ class Grid1D:
             raise ValidationError("n_cells must be >= 8")
         if self.n_cells > MAX_CELLS:
             raise ValidationError(f"n_cells must be <= {MAX_CELLS}, got {self.n_cells!r}")
-        if self.a <= 0:
-            raise ValidationError("a must be > 0")
+        if not (math.isfinite(self.a) and self.a > 0):
+            raise ValidationError(f"a must be a finite number > 0, got {self.a!r}")
 
     @property
     def h(self) -> float:
@@ -289,14 +289,21 @@ def march(grid: Grid1D, config: SolverConfig, diffusivity: Callable, source: Cal
     Deterministic: identical inputs give bit-identical snapshots.  A t_end / dt that is not finite or breaks MAX_STEPS or
     MAX_NODE_STEPS raises ValidationError; so does a closed form that
     overflows the float range on the way to t_end (the OverflowError of a
-    scalar wall-data call or of `exact`), naming tau_end.  A zero pivot, like
-    a non-finite solution, raises DivergenceError.
+    scalar wall-data call or of `exact`), naming tau_end; `solve_general`
+    rejects most such runs before they march, and this catch is the backstop
+    for a field that overflows between the two ends.  A zero pivot, like a
+    non-finite solution, raises DivergenceError.
     """
     try:
         return _march(grid, config, diffusivity, source, bc_inner, bc_outer, exact)
     except OverflowError as e:
-        raise ValidationError(f"tau_end = {config.t_end!r} is too large: a closed form "
-                              "overflows the float range on the way to it") from e
+        raise _too_large(config) from e
+
+
+def _too_large(config: SolverConfig) -> ValidationError:
+    """The error of a closed form that overflows on the way to config.t_end."""
+    return ValidationError(f"tau_end = {config.t_end!r} is too large: a closed form "
+                           "overflows the float range on the way to it")
 
 
 def _march(grid, config, diffusivity, source, bc_inner, bc_outer, exact):
@@ -391,7 +398,8 @@ def _level(params: ReducedParams, consts: SolutionConstants, n_cells: int,
            config: SolverConfig):
     """One `solve_general` level: its Grid1D(n_cells, a=params.a) and
     `march`'s arguments after grid and config.  Raises what solve_general
-    rejects before it marches, in the same order."""
+    rejects before it marches, in the same order, a t_end at which a wall's
+    data overflow included."""
     grid = Grid1D(n_cells, a=params.a)
     A, B, eps = params.A, params.B, params.eps
 
@@ -424,6 +432,14 @@ def _level(params: ReducedParams, consts: SolutionConstants, n_cells: int,
         raise ValidationError("bc_mode 'paper' feeds the published reference-case fluxes; "
                               "other constants take bc_mode 'derived' or 'dirichlet'")
     _steps(grid, config)
+    # march meets an overflow only on its way to t_end; two scalar calls of
+    # the walls' data at t_end show it at once
+    try:
+        with np.errstate(all="ignore"):
+            if not np.isfinite([bc[1](config.t_end) for bc in (bc_in, bc_out)]).all():
+                raise OverflowError("a wall's data at t_end are not finite")
+    except OverflowError as e:
+        raise _too_large(config) from e
     return grid, (dif, src, bc_in, bc_out, exact)
 
 

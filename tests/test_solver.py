@@ -68,6 +68,13 @@ class TestGridAndConfig:
         with pytest.raises(ValidationError):
             Grid1D(16, a=0.0)
 
+    @pytest.mark.parametrize("a", [math.nan, math.inf])
+    def test_grid_rejects_non_finite_width(self, a):
+        # both pass a <= 0: nan would build nan nodes, inf an inf h and,
+        # with a RuntimeWarning, nan nodes
+        with pytest.raises(ValidationError, match=rf"^a must be a finite number > 0, got {a!r}$"):
+            Grid1D(16, a=a)
+
     def test_grid_size_cap(self):
         # the cap is checked before any node array exists
         assert Grid1D(solver.MAX_CELLS).n_cells == solver.MAX_CELLS
@@ -239,6 +246,18 @@ class TestReferenceSolve:
 
 
 class TestGeneralSolve:
+    @pytest.mark.parametrize("bc_mode", ["derived", "dirichlet"])
+    def test_overflowing_wall_data_rejected_before_the_march(self, bc_mode, monkeypatch):
+        # a ring with a = 1e100: its walls' data overflow at tau = 1e103,
+        # which a march would reach only after its whole step budget
+        params, consts = _member(A=1.0, B=8.0, eps=0.5, a=1e100, C3=0.125, C5=1.0)
+        monkeypatch.setattr(solver, "march", lambda *args: pytest.fail("marched"))
+        msg = r"^tau_end = 1e\+103 is too large: a closed form overflows"
+        with pytest.raises(ValidationError, match=msg):
+            solve_general(params, consts, 8, SolverConfig(t_end=1e103, dt=1e97, bc_mode=bc_mode))
+        with pytest.raises(ValidationError, match=msg):
+            convergence_study([8, 16], SolverConfig(t_end=1e103, bc_mode=bc_mode), params, consts)
+
     def test_reference_constants_second_order(self, ref):
         cfg = SolverConfig(t_end=0.25, bc_mode="dirichlet")
         results = convergence_study([32, 64, 128, 256], cfg, ref.params, ref.consts)
