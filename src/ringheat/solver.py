@@ -398,9 +398,11 @@ def _level(params: ReducedParams, consts: SolutionConstants, n_cells: int,
            config: SolverConfig):
     """One `solve_general` level: its Grid1D(n_cells, a=params.a) and
     `march`'s arguments after grid and config.  Raises what solve_general
-    rejects before it marches, in the same order, a t_end at which a wall's
-    data overflow included."""
+    rejects before it marches, in the same order: the grid's size and the
+    step budget before any node exists, last a t_end at which a wall's data
+    overflow."""
     grid = Grid1D(n_cells, a=params.a)
+    _steps(grid, config)
     A, B, eps = params.A, params.B, params.eps
 
     def dif(tau, eta):
@@ -431,7 +433,6 @@ def _level(params: ReducedParams, consts: SolutionConstants, n_cells: int,
     else:
         raise ValidationError("bc_mode 'paper' feeds the published reference-case fluxes; "
                               "other constants take bc_mode 'derived' or 'dirichlet'")
-    _steps(grid, config)
     # march meets an overflow only on its way to t_end; two scalar calls of
     # the walls' data at t_end show it at once
     try:

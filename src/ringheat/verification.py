@@ -9,11 +9,15 @@ takes derivatives one way.
 Every check evaluates its field over the whole (tau, eta) mesh at once,
 so residual fields must accept numpy arrays, and Dual numbers carrying
 arrays, as well as floats: no Python `if`/`float()` on their arguments.
-One reduction turns a residual array into a `Check`, the one record of a
-checked value: its value is the largest |residual|, its worst point the
-first such maximum in row-major (tau, eta) order (then Theta, for the
-annihilation checks), and a NaN residual counts as that maximum, so it
-fails.
+One reduction, `_report`, turns a residual into a `Check`, the one record
+of a checked value, and every row `run_suite` returns comes from it: the
+value is the largest |residual|, a scalar being one value and a row that
+bounds two residuals reducing their concatenation.  A NaN residual counts
+as that maximum and an inf is one, so a non-finite value anywhere in a row
+fails the row.  The worst point is the first maximum in row-major (tau,
+eta) order (then Theta, for the annihilation checks); a row reduced
+without sample coordinates has none, `()`, and its `n_samples` is the
+number of values reduced.
 
 Each derivative is one dual pass over the mesh, except that a field's
 first and second derivative in eta (in I1 for the reduced ODE) come from
@@ -161,19 +165,20 @@ def _shaped(y, args):
 
 @dataclass(frozen=True)
 class Check:
-    """One checked value against its tolerance.
+    """One checked value against its tolerance, as `_report` reduces it.
 
-    A residual check's value is the max-abs residual over its `n_samples`
-    points, the first of them where it is reached being `worst_point`; a
-    scalar check has no points, so `()` and 1.
+    The value is the max-abs residual over the `n_samples` values reduced,
+    or NaN if one of them is; `worst_point` holds the coordinates of the
+    first value where it is reached, or `()` for a check reduced without
+    coordinates, whose `n_samples` still counts its values.
     """
 
     name: str
     value: float
     tol: float
-    note: str = ""
-    worst_point: tuple = ()
-    n_samples: int = 1
+    note: str
+    worst_point: tuple
+    n_samples: int
 
     @property
     def passed(self) -> bool:
@@ -181,8 +186,9 @@ class Check:
         return self.value <= self.tol
 
 
-def _report(name, residual, coords, tol) -> Check:
-    """Reduce a residual array sampled at `coords` (arrays of its shape)."""
+def _report(name, residual, coords, tol, note="") -> Check:
+    """Reduce a residual (a scalar or an array) sampled at `coords`, arrays of
+    its shape, or `()` for a residual without sample coordinates."""
     r = np.asarray(residual, dtype=float)
     if r.size == 0:
         raise ValidationError("empty sample grid")
@@ -190,8 +196,7 @@ def _report(name, residual, coords, tol) -> Check:
     # minimal among ties; argmax takes the first NaN, which then fails
     k = int(np.argmax(np.abs(r)))
     worst = float(abs(r.flat[k]))
-    return Check(name, worst, tol, worst_point=tuple(float(np.ravel(c)[k]) for c in coords),
-                 n_samples=r.size)
+    return Check(name, worst, tol, note, tuple(float(np.ravel(c)[k]) for c in coords), r.size)
 
 
 def standard_grid(a: float = 1.0):
@@ -526,17 +531,15 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
 
     # boundary structure
     traces = temperature.BoundaryTraces(params, consts)
-    th1, th2 = traces.theta1(0.0), traces.theta2(0.0)
-    checks.append(Check("boundary_equality_tau0", float(abs(th1 - th2)), 1e-12,
-                        "wall temperatures at tau = 0"))
-    checks.append(Check("boundary_difference_C",
-                        float(abs(temperature.boundary_difference_C(params, consts))), 1e-12,
-                        "closed-form C; zero for the configured K"))
+    checks.append(_report("boundary_equality_tau0", traces.theta1(0.0) - traces.theta2(0.0), (),
+                          1e-12, "wall temperatures at tau = 0"))
+    checks.append(_report("boundary_difference_C",
+                          temperature.boundary_difference_C(params, consts), (), 1e-12,
+                          "closed-form C; zero for the configured K"))
     tau4 = np.array([0.0, 0.1, 1.0, 10.0])
-    t1, t2 = traces.theta1(tau4), traces.theta2(tau4)
-    dev = max(np.max(np.abs(t1 - temperature.theta_general(tau4, params.a, params, consts))),
-              np.max(np.abs(t2 - temperature.theta_general(tau4, 0.0, params, consts))))
-    checks.append(Check("trace_vs_restriction", float(dev), 1e-12))
+    dev = [traces.theta1(tau4) - temperature.theta_general(tau4, params.a, params, consts),
+           traces.theta2(tau4) - temperature.theta_general(tau4, 0.0, params, consts)]
+    checks.append(_report("trace_vs_restriction", np.concatenate(dev), (), 1e-12))
 
     # coordinate maps and the dimensional field
     # stdlib draws: `random` is loaded anyway, numpy.random would cost ~5.6 MB
@@ -549,59 +552,53 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
     # near the inner wall); `from_reduced` would take it, but the checks
     # below sample the wall itself, eta = 0, as they always have
     eta_pts = np.maximum(eta_pts, 0.0)
-    ident = np.max(np.abs((8.0 * tau_pts + eta_pts + 1.0) * emb.R20 ** 2 / r_pts ** 2 - 1.0))
-    checks.append(Check("coordinate_identity", float(ident), 1e-12))
+    ident = (8.0 * tau_pts + eta_pts + 1.0) * emb.R20 ** 2 / r_pts ** 2 - 1.0
+    checks.append(_report("coordinate_identity", ident, (), 1e-12))
     tb, rb = from_reduced(tau_pts, eta_pts, emb)
-    rt = max(np.max(np.abs(tb - t_pts) / np.maximum(np.abs(t_pts), 1e-30)),
-             np.max(np.abs(rb - r_pts) / np.abs(r_pts)))
-    checks.append(Check("coordinate_roundtrip", float(rt), 1e-12))
+    rt = np.concatenate([(tb - t_pts) / np.maximum(np.abs(t_pts), 1e-30),
+                         (rb - r_pts) / np.abs(r_pts)])
+    checks.append(_report("coordinate_roundtrip", rt, (), 1e-12))
     td = temperature.dimensional_T(t_pts, r_pts, emb, consts)
     tg = emb.T0 * temperature.theta_general(tau_pts, eta_pts, params, consts)
-    scale = np.maximum(np.abs(tg), emb.T0 * max(abs(consts.C5), 1.0))
-    checks.append(Check("dimensional_equivalence",
-                        float(np.max(np.abs(td - tg) / scale)), 1e-11))
+    scale = np.maximum(np.abs(tg), emb.T0 * np.maximum(abs(consts.C5), 1.0))
+    checks.append(_report("dimensional_equivalence", (td - tg) / scale, (), 1e-11))
 
     # conservation and free-boundary stresses
     r1, r2 = flow.radii(np.array([0.0, 1.0, 10.0]), emb)
     area = r1 ** 2 - r2 ** 2
-    checks.append(Check("area_conservation",
-                        float((area.max() - area.min()) / abs(area[0])), 1e-10))
+    checks.append(_report("area_conservation", np.ptp(area) / abs(area[0]), (), 1e-10))
     mom = [flow.angular_momentum_integral(t, emb) for t in (0.0, 1.0, 10.0)]
-    mscale = max(abs(flow.angular_momentum(0.0, emb)), 1.0)
-    checks.append(Check("angular_momentum_conservation",
-                        float((max(mom) - min(mom)) / mscale), 1e-10))
+    mscale = np.maximum(abs(flow.angular_momentum(0.0, emb)), 1.0)
+    checks.append(_report("angular_momentum_conservation", np.ptp(mom) / mscale, (), 1e-10))
     walls = np.concatenate(flow.radii(np.array([0.0, 1.0]), emb))
-    worst_stress = max(np.max(np.abs(c)) for c in flow.stress_components(walls, 0.0, emb))
-    checks.append(Check("stress_free_boundaries", float(worst_stress), 1e-12, "p_inf = 0"))
+    stress = np.concatenate(flow.stress_components(walls, 0.0, emb))
+    checks.append(_report("stress_free_boundaries", stress, (), 1e-12, "p_inf = 0"))
 
     # asymptote
     eta_line = np.linspace(0.0, params.a, 41)
-    asym = np.max(np.abs(temperature.theta_general(1e4, eta_line, params, consts)
-                         - 0.5 * consts.C5))
-    checks.append(Check("asymptote_level", float(asym), 1e-4, "tau = 1e4"))
+    asym = temperature.theta_general(1e4, eta_line, params, consts) - 0.5 * consts.C5
+    checks.append(_report("asymptote_level", asym, (), 1e-4, "tau = 1e4"))
 
     if ReferenceCase().matches(params, consts):
         kf = reference_case_K(consts.C3)
-        checks.append(Check("reference_K_rational", abs(kf + 5.0 / 18432.0), 1e-15))
-        checks.append(Check("reference_K_printed", abs(kf + 0.00027127), 1e-8))
-        checks.append(Check("reference_equation_coefficients",
-                            max(abs(params.B / params.A - 8.0),
-                                abs(16.0 * (1.0 + params.eps ** 2) / params.A - 80.0 / 3.0)),
-                            1e-12))
+        checks.append(_report("reference_K_rational", kf + 5.0 / 18432.0, (), 1e-15))
+        checks.append(_report("reference_K_printed", kf + 0.00027127, (), 1e-8))
+        coef = [params.B / params.A - 8.0, 16.0 * (1.0 + params.eps ** 2) / params.A - 80.0 / 3.0]
+        checks.append(_report("reference_equation_coefficients", coef, (), 1e-12))
         rep = reference_equation_residual(grid, C5=consts.C5)
         checks.append(replace(rep, name="pde_theta_reference"))
         g30 = np.linspace(0.0, 10.0, 30)
         e30 = np.linspace(0.0, 1.0, 30)
-        diff = np.max(np.abs(
-            temperature.theta_general(g30[:, None], e30[None, :], params, consts)
-            - temperature.theta_reference(g30[:, None], e30[None, :], consts.C5)))
-        checks.append(Check("general_equals_reference", float(diff), 1e-12))
-        ip = np.max(np.abs(temperature.initial_profile(e30, consts.C5)
-                           - temperature.theta_reference(0.0, e30, consts.C5)))
-        checks.append(Check("initial_profile_identity", float(ip), 1e-14))
+        diff = (temperature.theta_general(g30[:, None], e30[None, :], params, consts)
+                - temperature.theta_reference(g30[:, None], e30[None, :], consts.C5))
+        checks.append(_report("general_equals_reference", diff, (), 1e-12))
+        ip = (temperature.initial_profile(e30, consts.C5)
+              - temperature.theta_reference(0.0, e30, consts.C5))
+        checks.append(_report("initial_profile_identity", ip, (), 1e-14))
         scan = temperature.c5_nonnegativity_bound(
             params, SolutionConstants(C3=consts.C3, C5=C5_MIN, K=consts.K))
-        checks.append(Check("nonnegativity_at_c5_threshold", max(-scan.min_value, 0.0), 1e-12,
-                            f"min {scan.min_value:.3e} at {scan.argmin}"))
+        # only a negative minimum is a residual
+        checks.append(_report("nonnegativity_at_c5_threshold", np.minimum(scan.min_value, 0.0),
+                              (), 1e-12, f"min {scan.min_value:.3e} at {scan.argmin}"))
 
     return SuiteResult(checks=checks, inconsistency=published_flux_discrepancy())

@@ -82,15 +82,26 @@ class TestGridAndConfig:
             with pytest.raises(ValidationError, match="n_cells must be <= 65536"):
                 Grid1D(n)
 
-    @pytest.mark.parametrize("n, t_end", [(solver.MAX_CELLS, 0.25), (8192, 2.0)])
-    def test_node_step_budget(self, n, t_end, monkeypatch):
+    @pytest.mark.parametrize("n, t_end, case", [
+        pytest.param(solver.MAX_CELLS, 0.25, (REF.params, REF.consts), id="65536-0.25"),
+        pytest.param(8192, 2.0, (REF.params, REF.consts), id="8192-2.0"),
+        # the CI a = 2 ring: a general level's setup evaluates theta_general
+        # over its nodes, so the budget must come before that too
+        pytest.param(solver.MAX_CELLS, 0.25,
+                     _member(A=1.3, B=3.5, eps=-0.7, a=2.0, C3=0.15, C5=1.5),
+                     id="65536-0.25-wide"),
+    ])
+    def test_node_step_budget(self, n, t_end, case, monkeypatch):
         # under MAX_STEPS, over MAX_NODE_STEPS: rejected before any allocation
-        monkeypatch.setattr(Grid1D, "nodes", property(lambda g: pytest.fail("allocated")))
+        # of its nodes; a study's 64-cell general level may take its own
+        real = Grid1D.nodes.fget
+        monkeypatch.setattr(Grid1D, "nodes", property(
+            lambda g: real(g) if g.n_cells < n else pytest.fail("allocated")))
         msg = "exceeds the budget of 1000000000 node updates"
         with pytest.raises(ValidationError, match=msg):
-            solve_reference(n, SolverConfig(t_end=t_end))
+            solve_general(*case, n, SolverConfig(t_end=t_end))
         with pytest.raises(ValidationError, match=msg):
-            convergence_study([64, n], SolverConfig(t_end=t_end), REF.params, REF.consts)
+            convergence_study([64, n], SolverConfig(t_end=t_end), *case)
 
     @pytest.mark.parametrize("kw", [
         dict(dt=-0.1), dict(t_end=-1.0), dict(scheme="rk4"),
@@ -926,9 +937,10 @@ class TestForkedStudy:
     def test_checks_before_marching_keep_serial_order(self, monkeypatch):
         monkeypatch.setattr(os, "fork", None)
         params, consts = general_case()
-        # the paper-mode rejection of level 64 comes before level 128's budget
+        # the paper-mode rejection of level 64 (768000 steps, in budget) comes
+        # before level 128's budget (1536000 steps)
         with pytest.raises(ValidationError, match="bc_mode 'paper'"):
-            convergence_study([64, 128], SolverConfig(t_end=1e4, bc_mode="paper"),
+            convergence_study([64, 128], SolverConfig(t_end=1500.0, bc_mode="paper"),
                               params, consts)
         with pytest.raises(ValidationError, match="n_cells must be >= 8"):
             convergence_study([4, 64], SolverConfig(t_end=1e4), REF.params, REF.consts)

@@ -704,10 +704,36 @@ class TestSuite:
         assert not by_name["boundary_difference_C"].passed
         assert not by_name["boundary_equality_tau0"].passed
 
+    def test_nan_trace_deviation_fails(self):
+        # an accepted input whose eta = 0 wall trace and theta_general both
+        # overflow to inf at tau = 0.1 and 1: their deviation is NaN there,
+        # which a builtin max over the two walls' maxima dropped, reading 0
+        params = ReducedParams(A=0.33235688020525067, B=0.11456999105116863,
+                               eps=-0.3473331907796533, a=5.616872374886077)
+        consts = SolutionConstants(C3=0.016319410426740805, C5=-3.966496628338829,
+                                   K=2.1477799921533747e288)
+        with np.errstate(all="ignore"):
+            checks = {c.name: c for c in run_suite(params, consts).checks}
+        trace = checks["trace_vs_restriction"]
+        assert math.isnan(trace.value)
+        assert not trace.passed
+
+    #: the number of values each row without coordinates reduces
+    VALUES_REDUCED = {
+        "boundary_equality_tau0": 1, "boundary_difference_C": 1,
+        "trace_vs_restriction": 2 * 4, "coordinate_identity": 50, "coordinate_roundtrip": 2 * 50,
+        "dimensional_equivalence": 50, "area_conservation": 1,
+        "angular_momentum_conservation": 1, "stress_free_boundaries": 2 * 4,
+        "asymptote_level": 41, "reference_K_rational": 1, "reference_K_printed": 1,
+        "reference_equation_coefficients": 2, "general_equals_reference": 30 * 30,
+        "initial_profile_identity": 30, "nonnegativity_at_c5_threshold": 1,
+    }
+
     @pytest.mark.parametrize("case", ["reference", "general"])
     def test_residual_checks_keep_their_worst_points(self, ref, case):
-        # each residual check is its function's own record, renamed; a
-        # scalar check has no points
+        # each residual check is its function's own record, renamed; every
+        # other row is reduced without coordinates, so it has no worst point
+        # and counts the values it reduced
         if case == "reference":
             params, consts = ref.params, ref.consts
         else:
@@ -743,7 +769,7 @@ class TestSuite:
         for c in checks:
             want = direct.get(c.name)
             if want is None:
-                assert (c.worst_point, c.n_samples) == ((), 1), c.name
+                assert (c.worst_point, c.n_samples) == ((), self.VALUES_REDUCED[c.name]), c.name
             else:
                 assert c.worst_point and c.n_samples > 1, c.name
                 assert (c.value, c.tol, c.worst_point, c.n_samples) == (
