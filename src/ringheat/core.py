@@ -34,6 +34,7 @@ __all__ = [
     "ReferenceCase",
     "C5_MIN",
     "C5_ABS_MAX",
+    "EPS_SCALE_MAX",
     "RING_SLACK",
     "reduce_params",
     "to_reduced",
@@ -49,6 +50,13 @@ C5_MIN = 5.0 / 3.0
 #: past them the symmetry checks' products (|C5| ~ 1e307) and verify's
 #: tau-derivatives of the source (|eps| ~ 6e150 in the reference case) overflow.
 C5_ABS_MAX = 1e300
+
+#: Largest eps^2 * (B + 8A)^3 a ReducedParams takes: verify's nested
+#: derivative pass of theta_simple, 16*(1 + eps^2)/(s*(B + 8A)), overflows
+#: from ~6.9e304 on (bisected in eps for A and B over [0.01, 1000] on a log
+#: grid, with numpy's warnings as errors).  The reference case, B + 8A = 12,
+#: meets C5_ABS_MAX's eps bound first.
+EPS_SCALE_MAX = 1e304
 
 #: How far a reduced eta may lie outside [0, a] and still count as inside
 #: the ring: `to_reduced` of a wall point rounds to within ~1e-14 of it.
@@ -153,6 +161,12 @@ class ReducedParams:
         _require(self.A > 0, "A", "must be > 0")
         _require(self.B > 0, "B", "must be > 0")
         _require(self.a > 0, "a", "must be > 0")
+        # in logs, so that neither eps^2 nor the cube overflows on the way
+        scale = self.B + 8.0 * self.A
+        _require(self.eps == 0.0 or 2.0 * math.log(abs(self.eps)) + 3.0 * math.log(scale)
+                 <= math.log(EPS_SCALE_MAX), "eps",
+                 f"must keep eps^2*(B + 8A)^3 at most {EPS_SCALE_MAX:g}, got eps = "
+                 f"{self.eps!r} with B + 8A = {scale!r}")
 
 
 @dataclass(frozen=True)

@@ -28,6 +28,22 @@ step then only builds its right-hand side, fetches its scalar wall data and
 runs `thomas_solve`.  Every element is computed with the same operations as
 a one-step-at-a-time loop, so the snapshots are bit-identical to it.
 
+Half of the elimination does not depend on the right-hand side: each row's
+pivot m and ratio cp come from that step's bands alone.  A march whose
+steps past the first PIPELINE_BLOCK_STEPS make at least
+`PIPELINE_NODE_STEPS` node updates (about its measured break-even) forks
+one helper process for the march, at most one, which assembles each later
+block of steps through the march's own block code, factors it in numpy
+along the step axis and hands (m, cp) over through a two-slot ring in
+shared memory; the marcher then runs only the right-hand side's sweep,
+`thomas_solve(..., factors=...)`, and factors the first block itself while
+the helper starts.  The helper runs on another CPU than the marcher where
+Linux lets it pick.  The factors are formed with the elimination's own
+operations, so every snapshot and norm is bit-identical to a serial
+march's.  A march without 'fork', on fewer than 2 CPUs or on more than
+`PIPELINE_MAX_CELLS` cells marches alone; so do a convergence study's
+levels, as the study's own fork keeps the second CPU busy already.
+
 The marcher is a manufactured-solution check: it starts from a closed form
 at tau = 0 and, with correct boundary data, must converge to it at its
 scheme's order.  There is one solve path, `solve_general`, whose level is a
@@ -44,15 +60,18 @@ the most cells in the calling process, the others in one child forked for
 the call, so a study takes about as long as its finest level; the most it
 saves is the coarser levels' share of the serial time (24.8% of the
 node-steps over 64..512, a little more of the time, as small systems cost
-more per node).  `multiprocessing` is imported only then, so importing
-this module loads numpy alone.  Results, observed orders and errors are
+more per node).  `multiprocessing` is imported only by a study or a march
+that forks, so importing this module loads numpy alone.  Results, observed orders and errors are
 those of marching the levels one after another.
 """
 
 from __future__ import annotations
 
+import contextvars
 import math
+import os
 import sys
+import warnings
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, ClassVar
@@ -84,6 +103,7 @@ __all__ = [
     "MAX_NODE_STEPS",
     "MAX_CELLS",
     "BLOCK_ELEMS",
+    "PIPELINE_NODE_STEPS",
     "SCHEMES",
     "BC_MODES",
 ]
@@ -102,7 +122,7 @@ N_SNAPSHOTS = 5
 MAX_STEPS = 1_000_000
 
 #: Node-update budget of one march, steps * (n_cells + 1), checked with
-#: MAX_STEPS: ~10 minutes at the ~0.6 us a node update takes at N = 1024 on 2 cores.
+#: MAX_STEPS: ~5 minutes at the ~0.28 us a serial node update takes at N = 1024.
 MAX_NODE_STEPS = 1_000_000_000
 
 #: Largest Grid1D, checked before any node array exists; it bounds the 5
@@ -119,6 +139,25 @@ BC_MODES = ("derived", "paper", "dirichlet")
 #: the bands of max(1, BLOCK_ELEMS // (n + 1)) steps at once, so each
 #: (steps, n + 1) float array stays near 128 KB.
 BLOCK_ELEMS = 16384
+
+
+#: Node updates, steps past the helper's first block * (n_cells + 1), from
+#: which `march` has a forked helper factor its systems ahead (see
+#: `_FactorsAhead`).  Starting the helper costs ~5 ms: on a 2-CPU VM a march
+#: of 115k such updates (256 cells to tau = 0.25) broke even, 181k gained 3%.
+PIPELINE_NODE_STEPS = 200_000
+
+#: Steps the helper factors at a time, one slot of its two-slot ring: over
+#: fewer steps numpy's per-call cost outgrows the factoring itself.
+PIPELINE_BLOCK_STEPS = 64
+
+#: Largest grid whose march factors ahead; its ring, 2 blocks of factors,
+#: 16 bytes a node each, then takes at most 4.2 MB.
+PIPELINE_MAX_CELLS = 2048
+
+#: False while a convergence study marches: its forked child keeps the
+#: second core busy already.
+_FACTOR_AHEAD = contextvars.ContextVar("factor_ahead", default=True)
 
 
 class DivergenceError(RuntimeError):
@@ -194,7 +233,7 @@ class SolveResult:
     observed_order: float | None = None  # filled by convergence_study
 
 
-def thomas_solve(lower, diag, upper, rhs):
+def thomas_solve(lower, diag, upper, rhs, factors=None):
     """Tridiagonal elimination (no pivoting; assumes diagonal dominance).
 
     lower/upper have length n-1 for an n-row system, n >= 2.  The bands are
@@ -206,22 +245,40 @@ def thomas_solve(lower, diag, upper, rhs):
     an indexed numpy loop doing the same operations in the same order; keep
     that order (no reciprocals, no fusing) or every snapshot of every march
     moves in its last bits.
+
+    factors = (m, cp) are the pivots of the n rows and the ratios
+    upper[i] / m[i] of the first n-1, as the elimination forms them from the
+    bands alone (`_factor` computes them ahead for many systems at once).
+    With them, only the right-hand side's sweep is left, forward and back,
+    and it reads lower and rhs alone; its operations are the elimination's,
+    so the result is the same to the bit.  A zero pivot raises
+    ZeroDivisionError either way, at the same row.
     """
-    lo, b, c, d = (memoryview(np.asarray(v, dtype=float)) for v in (lower, diag, upper, rhs))
-    cp = c[0] / b[0]
-    dp = d[0] / b[0]
-    cps, dps = [cp], [dp]
-    # rows 1..n-2; zip stops at c[1:], so the last row (no upper entry) is
-    # eliminated after the loop
-    for li, bi, ci, di in zip(lo, b[1:], c[1:], d[1:]):
-        m = bi - li * cp
-        cp = ci / m
-        dp = (di - li * dp) / m
-        cps.append(cp)
-        dps.append(dp)
-    li = lo[-1]
-    m = b[-1] - li * cp
-    x = (d[-1] - li * dp) / m
+    if factors is None:
+        lo, b, c, d = (memoryview(np.asarray(v, dtype=float)) for v in (lower, diag, upper, rhs))
+        cp = c[0] / b[0]
+        dp = d[0] / b[0]
+        cps, dps = [cp], [dp]
+        # rows 1..n-2; zip stops at c[1:], so the last row (no upper entry) is
+        # eliminated after the loop
+        for li, bi, ci, di in zip(lo, b[1:], c[1:], d[1:]):
+            m = bi - li * cp
+            cp = ci / m
+            dp = (di - li * dp) / m
+            cps.append(cp)
+            dps.append(dp)
+        li = lo[-1]
+        m = b[-1] - li * cp
+        x = (d[-1] - li * dp) / m
+    else:
+        lo, d, ms, cps = (memoryview(np.asarray(v, dtype=float))
+                          for v in (lower, rhs, *factors))
+        dp = d[0] / ms[0]
+        dps = [dp]
+        for li, mi, di in zip(lo, ms[1:], d[1:]):
+            dp = (di - li * dp) / mi
+            dps.append(dp)
+        x = dps.pop()  # the last row's is its solution
     xs = [x]
     for cp, dp in zip(reversed(cps), reversed(dps)):
         x = dp - cp * x
@@ -292,7 +349,9 @@ def march(grid: Grid1D, config: SolverConfig, diffusivity: Callable, source: Cal
     scalar wall-data call or of `exact`), naming tau_end; `solve_general`
     rejects most such runs before they march, and this catch is the backstop
     for a field that overflows between the two ends.  A zero pivot, like a
-    non-finite solution, raises DivergenceError.
+    non-finite solution, raises DivergenceError.  A long march has a forked
+    helper factor its systems ahead (see the module docstring); its results
+    and errors are the serial march's, and the helper does not outlive it.
     """
     try:
         return _march(grid, config, diffusivity, source, bc_inner, bc_outer, exact)
@@ -304,6 +363,35 @@ def _too_large(config: SolverConfig) -> ValidationError:
     """The error of a closed form that overflows on the way to config.t_end."""
     return ValidationError(f"tau_end = {config.t_end!r} is too large: a closed form "
                            "overflows the float range on the way to it")
+
+
+def _block(diffusivity, kinds, grid, dt, wt, k0, k1):
+    """Coefficients of steps k0..k1-1 of a march, one row per step, frozen at
+    tau_n + wt * dt: those taus, the diffusivities at the low and high
+    faces, their sum w and the three bands, boundary rows included, for
+    walls of kinds (inner, outer), each 'flux' or 'value'.  Each element is
+    computed with the same operations as one step at a time would."""
+    h, n = grid.h, grid.n_cells
+    eta = grid.nodes
+    r = wt * dt / (h * h)  # exact scalings, so cn's r is dt / (2 h^2) to the bit
+    tau_c = np.arange(k0, k1) * dt + wt * dt
+    rows = (tau_c.size, n + 1)
+    col = tau_c[:, None]
+    d_lo = np.broadcast_to(diffusivity(col, eta - 0.5 * h), rows)
+    d_hi = np.broadcast_to(diffusivity(col, eta + 0.5 * h), rows)
+    w = d_lo + d_hi
+    diag = 1.0 + r * w
+    lower = -r * d_lo[:, 1:]  # its last column is the outer row's
+    upper = -r * d_hi[:, :n]  # its first column is the inner row's
+    # a Neumann row's diagonal is the interior formula, its off-diagonal
+    # takes both faces (ghost node); a Dirichlet row is an identity
+    for kind, node, band, at in zip(kinds, (0, n), (upper, lower), (0, n - 1)):
+        if kind == "flux":
+            band[:, at] = -r * w[:, node]
+        else:
+            diag[:, node] = 1.0
+            band[:, at] = 0.0
+    return tau_c, d_lo, d_hi, w, lower, diag, upper
 
 
 def _march(grid, config, diffusivity, source, bc_inner, bc_outer, exact):
@@ -323,11 +411,9 @@ def _march(grid, config, diffusivity, source, bc_inner, bc_outer, exact):
     dt = config.t_end / nsteps  # the last step is t_end; k*dt + dt can be an ulp off
     snap_at = set(np.linspace(0, nsteps, N_SNAPSHOTS).round().astype(int))
 
-    faces_lo = eta - 0.5 * h
-    faces_hi = eta + 0.5 * h
     wt, _ = SCHEMES[config.scheme]  # the implicit weight
-    r = wt * dt / (h * h)  # exact scalings, so cn's r is dt / (2 h^2) to the bit
     rx = (1.0 - wt) * dt / (h * h)  # the explicit share: r for cn, 0 for euler
+    assemble = partial(_block, diffusivity, (bc_inner[0], bc_outer[0]), grid, dt, wt)
 
     rhs = np.empty(n + 1)
     j = slice(1, n)
@@ -335,63 +421,183 @@ def _march(grid, config, diffusivity, source, bc_inner, bc_outer, exact):
     jp = slice(2, n + 1)
     block = max(1, BLOCK_ELEMS // (n + 1))
 
-    for k0 in range(0, nsteps, block):
-        # coefficients of the block's steps at tau_n + wt * dt, one row per
-        # step, each element computed with the same operations as one step
-        # at a time would
-        tau_c = np.arange(k0, min(k0 + block, nsteps)) * dt + wt * dt
-        rows = (tau_c.size, n + 1)
-        col = tau_c[:, None]
-        d_lo = np.broadcast_to(diffusivity(col, faces_lo), rows)
-        d_hi = np.broadcast_to(diffusivity(col, faces_hi), rows)
-        s_dt = dt * np.broadcast_to(source(col, eta), rows)
-        w = d_lo + d_hi
-        diag = 1.0 + r * w
-        lower = -r * d_lo[:, 1:]  # its last column is the outer row's
-        upper = -r * d_hi[:, :n]  # its first column is the inner row's
-        # each wall: its (kind, data), node and neighbour, the diffusivities
-        # of its face outside the domain, the coefficient of its ghost-node
-        # flux term, and the band and column of its off-diagonal entry
-        walls = ((bc_inner, 0, 1, d_lo, -2.0, upper, 0),
-                 (bc_outer, n, n - 1, d_hi, 2.0, lower, n - 1))
+    ahead = _factors_ahead(nsteps, n, assemble)
+    try:
+        for k0 in range(0, nsteps, block):
+            tau_c, d_lo, d_hi, w, lower, diag, upper = assemble(k0, min(k0 + block, nsteps))
+            s_dt = dt * np.broadcast_to(source(tau_c[:, None], eta), d_lo.shape)
+            # each wall: its (kind, data), node and neighbour, the diffusivities
+            # of its face outside the domain and the coefficient of its
+            # ghost-node flux term
+            walls = ((bc_inner, 0, 1, d_lo, -2.0), (bc_outer, n, n - 1, d_hi, 2.0))
 
-        # a Neumann row's diagonal is the interior formula, its off-diagonal
-        # takes both faces (ghost node); a Dirichlet row is an identity
-        for (kind, _), node, _, _, _, band, at in walls:
-            if kind == "flux":
-                band[:, at] = -r * w[:, node]
-            else:
-                diag[:, node] = 1.0
-                band[:, at] = 0.0
+            for i, tau_ci in enumerate(tau_c.tolist()):
+                k = k0 + i
+                tau_new = k * dt + dt if k + 1 < nsteps else config.t_end
+                rhs[j] = (theta[j]
+                          + rx * (d_lo[i, j] * (theta[jm] - theta[j])
+                                  + d_hi[i, j] * (theta[jp] - theta[j]))
+                          + s_dt[i, j])
 
-        for i, tau_ci in enumerate(tau_c.tolist()):
-            k = k0 + i
-            tau_new = k * dt + dt if k + 1 < nsteps else config.t_end
-            rhs[j] = (theta[j]
-                      + rx * (d_lo[i, j] * (theta[jm] - theta[j])
-                              + d_hi[i, j] * (theta[jp] - theta[j]))
-                      + s_dt[i, j])
+                for (kind, data), node, nb, d_face, coef in walls:
+                    if kind == "flux":
+                        g = float(data(tau_ci))
+                        rhs[node] = (theta[node] + coef * dt * d_face[i, node] * g / h
+                                     + s_dt[i, node] + rx * w[i, node] * (theta[nb] - theta[node]))
+                    else:
+                        rhs[node] = float(data(tau_new))
 
-            for (kind, data), node, nb, d_face, coef, _, _ in walls:
-                if kind == "flux":
-                    g = float(data(tau_ci))
-                    rhs[node] = (theta[node] + coef * dt * d_face[i, node] * g / h
-                                 + s_dt[i, node] + rx * w[i, node] * (theta[nb] - theta[node]))
-                else:
-                    rhs[node] = float(data(tau_new))
-
-            try:
-                theta = thomas_solve(lower[i], diag[i], upper[i], rhs)
-            except ZeroDivisionError:
-                raise DivergenceError(
-                    f"zero pivot at step {k + 1} of {nsteps} (tau = {tau_new:.6g})") from None
-            if not np.isfinite(theta).all():
-                raise DivergenceError(
-                    f"non-finite solution at step {k + 1} of {nsteps} (tau = {tau_new:.6g})")
-            if (k + 1) in snap_at:
-                snapshots.append((tau_new, theta))
+                factors = ahead.factors(k) if ahead is not None else None
+                try:
+                    theta = thomas_solve(lower[i], diag[i], upper[i], rhs, factors=factors)
+                except ZeroDivisionError:
+                    raise DivergenceError(
+                        f"zero pivot at step {k + 1} of {nsteps} (tau = {tau_new:.6g})") from None
+                if not np.isfinite(theta).all():
+                    raise DivergenceError(
+                        f"non-finite solution at step {k + 1} of {nsteps} (tau = {tau_new:.6g})")
+                if (k + 1) in snap_at:
+                    snapshots.append((tau_new, theta))
+    finally:
+        if ahead is not None:
+            ahead.close()
 
     return _result(snapshots, grid, config, exact)
+
+
+def _factors_ahead(nsteps: int, n_cells: int, assemble):
+    """The `_FactorsAhead` of a march of nsteps steps on n_cells cells, or
+    None when the march factors each step itself: in a convergence study,
+    when the steps past the helper's first block are fewer than
+    PIPELINE_NODE_STEPS node updates, above PIPELINE_MAX_CELLS, with fewer
+    than 2 CPUs to run on, without fork, or when no process can start."""
+    factored = (nsteps - PIPELINE_BLOCK_STEPS) * (n_cells + 1)
+    if (not _FACTOR_AHEAD.get() or factored <= 0 or factored < PIPELINE_NODE_STEPS
+            or n_cells > PIPELINE_MAX_CELLS):
+        return None
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    if cpus < 2:
+        return None
+    import multiprocessing  # here, so importing the solver loads numpy only
+    try:
+        return _FactorsAhead(multiprocessing.get_context("fork"), nsteps, n_cells + 1, assemble)
+    except (ValueError, OSError):  # no 'fork' on this platform, or no process to start
+        return None
+
+
+def _factor(lower, diag, upper, out):
+    """Write the elimination factors of each step's system (a row of each
+    band) into out's row for that step: its pivots m, then its ratios cp.
+
+    The forward elimination of `thomas_solve` without its right-hand side,
+    run along the step axis: for each row, one multiply, one subtract and
+    one divide over all the steps, with the same IEEE operations as
+    thomas_solve's loop, so the factors are the ones it forms.  A zero pivot
+    leaves an inf or nan, and the sweep that divides by it raises."""
+    lo, b, c = (np.ascontiguousarray(v.T) for v in (lower, diag, upper))
+    m, cp = np.empty_like(b), np.empty_like(c)
+    ms, cps = list(m), list(cp)
+    ms[0][:] = b[0]
+    ratio = np.divide(c[0], b[0], out=cps[0])
+    # rows 1..n-2, as in thomas_solve; the last row has a pivot only
+    for li, bi, ci, mi, cpi in zip(lo, b[1:], c[1:], ms[1:], cps[1:]):
+        np.subtract(bi, np.multiply(li, ratio, out=mi), out=mi)
+        ratio = np.divide(ci, mi, out=cpi)
+    np.subtract(b[-1], np.multiply(lo[-1], ratio, out=ms[-1]), out=ms[-1])
+    rows = b.shape[0]
+    out[:, :rows] = m.T
+    out[:, rows:] = cp.T
+
+
+class _FactorsAhead:
+    """Elimination factors of a march's steps, made a block ahead by one
+    helper process forked for the march.
+
+    The helper assembles each block of PIPELINE_BLOCK_STEPS steps with the
+    march's own `_block`, factors it with `_factor` into one slot of a
+    two-slot ring in shared memory and sends a message; it refills a slot
+    only after the marcher has sent back that it is done with it.  When the
+    helper stops early (it ends, without a word, at the first exception,
+    which the marcher's own assembly of the same steps then meets), the
+    march goes on factoring each step itself.  `close` kills and reaps it.
+    """
+
+    def __init__(self, ctx, nsteps: int, rows: int, assemble):
+        import mmap
+        self.block = PIPELINE_BLOCK_STEPS
+        # an anonymous shared mapping: the forked helper writes the pages
+        # the marcher reads
+        ring = np.frombuffer(mmap.mmap(-1, 2 * self.block * (2 * rows - 1) * 8), dtype=float)
+        ring = ring.reshape(2, self.block, 2 * rows - 1)
+        self.m, self.cp = ring[..., :rows], ring[..., rows:]
+        self.conn, theirs = ctx.Pipe()
+        self.helper = ctx.Process(target=_factor_blocks,
+                                  args=(theirs, self.conn, ring, nsteps, assemble))
+        self.helper.start()
+        theirs.close()
+
+    def factors(self, k: int):
+        """(m, cp) of step k, or None once the helper has stopped."""
+        b, i = divmod(k, self.block)
+        if b == 0:  # the marcher factors the first block while the helper starts
+            return None
+        if i == 0 and self.conn is not None:
+            try:
+                if b >= 2:
+                    self.conn.send_bytes(b"")  # block b - 1's slot is free
+                self.conn.recv_bytes()  # block b is in its slot
+            except (EOFError, OSError):
+                self.conn.close()
+                self.conn = None
+        if self.conn is None:
+            return None
+        return self.m[b % 2, i], self.cp[b % 2, i]
+
+    def close(self):
+        self.helper.kill()
+        self.helper.join()
+        if self.conn is not None:
+            self.conn.close()
+
+
+def _factor_blocks(conn, theirs, ring, nsteps, assemble):
+    # the helper's whole work; an interrupt is for the marcher, which then
+    # kills the helper, and what the assembly warns of the marcher reports
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    np.seterr(all="ignore")
+    warnings.simplefilter("ignore")
+    theirs.close()  # so that the helper sees the marcher's end close
+    _leave_cpu_of(os.getppid())
+    block = ring.shape[1]
+    try:
+        for b, k0 in enumerate(range(block, nsteps, block), start=1):
+            if b >= 3:
+                conn.recv_bytes()  # the marcher is done with block b - 2
+            k1 = min(k0 + block, nsteps)
+            *_, lower, diag, upper = assemble(k0, k1)
+            _factor(lower, diag, upper, ring[b % 2, :k1 - k0])
+            conn.send_bytes(b"")
+    except Exception:
+        # closing the pipe is the report: the marcher factors the rest itself
+        # and meets this failure, if it is the assembly's, as a serial march would
+        return
+
+
+def _leave_cpu_of(pid: int):
+    """Run this process on the CPUs it may use but the one process pid last
+    ran on, where Linux tells which that is.  Left to itself, the scheduler
+    often wakes the helper on its marcher's CPU, where it preempts the
+    marcher while another CPU idles."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="ascii") as f:
+            cpu = int(f.read().rsplit(")", 1)[1].split()[36])  # field 39, processor
+        others = os.sched_getaffinity(0) - {cpu}
+        if others:
+            os.sched_setaffinity(0, others)
+    except (OSError, AttributeError, ValueError, IndexError):
+        pass  # no /proc or no affinity calls: the scheduler places the helper
 
 
 def _level(params: ReducedParams, consts: SolutionConstants, n_cells: int,
@@ -555,12 +761,16 @@ def convergence_study(levels, config: SolverConfig,
     prepared = [_level(params, consts, int(n), config) for n in levels]
 
     import multiprocessing  # here, so importing the solver loads numpy only
+    serial = _FACTOR_AHEAD.set(False)
     try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # no 'fork' on this platform
-        outcomes = _march_levels(prepared, config)
-    else:
-        outcomes = _march_forked(ctx, prepared, config)
+        try:
+            ctx = multiprocessing.get_context("fork")
+        except ValueError:  # no 'fork' on this platform
+            outcomes = _march_levels(prepared, config)
+        else:
+            outcomes = _march_forked(ctx, prepared, config)
+    finally:
+        _FACTOR_AHEAD.reset(serial)
 
     results: list[SolveResult] = []
     for res in outcomes:

@@ -598,6 +598,12 @@ REJECTED = {
             f"got {eps!r}\n"])
           for argv, eps in [(["verify"], 6e150), (_SOLVE16, 1.5e153),
                             (["convergence", "--grid", "16,32"], 1.5e153)]],
+        # verify's derivatives of theta_simple overflow where eps^2*(B + 8A)^3
+        # passes ~6.9e304, inside the 16*(1 + eps^2) bound
+        ("verify-eps-B-plus-8A", ["verify"], {"reduced": {"A": 100, "B": 8, "eps": 1.2e148,
+                                                           "a": 1.0}},
+         ["error: eps must keep eps^2*(B + 8A)^3 at most 1e+304, got eps = 1.2e+148 with "
+          "B + 8A = 808.0\n"]),
         # C3 ** 3 in the equal-boundary K, (tau + C3) ** 3 in theta_general
         ("verify-C3", ["verify"], {"constants": {"C3": 1e103}}, ["C3"]),
         ("solve-C3", _SOLVE16 + ["--bc-mode", "dirichlet"],

@@ -9,6 +9,7 @@ from hypothesis import given, strategies as st
 from ringheat import flow
 from ringheat.core import (
     C5_ABS_MAX,
+    EPS_SCALE_MAX,
     RING_SLACK,
     PhysicalParams,
     ReducedParams,
@@ -93,6 +94,16 @@ class TestParams:
         assert getattr(make(**{**kw, field: at}), field) == at
         with pytest.raises(ValidationError, match=f"^{field} must "):
             make(**{**kw, field: past})
+
+    @pytest.mark.parametrize("A, B", [(0.75, 6.0), (100.0, 8.0), (1.0, 1000.0), (1e-2, 1e-2)])
+    def test_eps_bound_scales_with_B_plus_8A(self, A, B):
+        # the largest eps either bound lets through is accepted, the next float is not
+        bound = min(math.sqrt(C5_ABS_MAX / 16.0 - 1.0),
+                    math.sqrt(EPS_SCALE_MAX / (B + 8.0 * A) ** 3))
+        for eps in (bound * (1.0 - 1e-12), -bound * (1.0 - 1e-12)):
+            assert ReducedParams(A=A, B=B, eps=eps, a=1.0).eps == eps
+        with pytest.raises(ValidationError, match="^eps must keep "):
+            ReducedParams(A=A, B=B, eps=bound * (1.0 + 1e-12), a=1.0)
 
 
 #: (x, allow_zero) the domain guard lets through

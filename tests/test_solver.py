@@ -1,6 +1,7 @@
 import math
 import multiprocessing
 import os
+import re
 import signal
 import time
 import warnings
@@ -179,6 +180,21 @@ class TestThomas:
         want = indexed_thomas(*(np.array(v, dtype=float) for v in bands))
         assert x.dtype == np.float64
         assert np.array_equal(x, want)
+
+    @settings(max_examples=60, deadline=None)
+    @given(system=dominant_systems(), scale=st.floats(0.5, 2.0))
+    def test_factored_sweep_matches_the_elimination(self, system, scale):
+        # two systems factored at once, along the step axis, then swept
+        lower, diag, upper, rhs = system
+        bands = [np.stack([v, v * scale]) for v in (lower, diag, upper)]
+        n = diag.size
+        out = np.empty((2, 2 * n - 1))
+        solver._factor(*bands, out)
+        for step in range(2):
+            lo, b, c = (v[step] for v in bands)
+            x = thomas_solve(lo, b, c, rhs, factors=(out[step, :n], out[step, n:]))
+            assert np.array_equal(x, thomas_solve(lo, b, c, rhs))
+            assert np.array_equal(x, indexed_thomas(lo, b, c, rhs))
 
     def test_against_dense_solve(self):
         rng = np.random.default_rng(3)
@@ -417,18 +433,23 @@ class TestOneSolvePath:
 
     def test_march_solves_through_the_module_hook(self, monkeypatch):
         # the benchmark times the elimination by wrapping solver.thomas_solve,
-        # so march must look it up there once per step
+        # so march must look it up there once per step, with the helper too
         calls = []
         real = solver.thomas_solve
 
-        def counting(*args):
-            calls.append(1)
-            return real(*args)
+        def counting(*args, factors=None):
+            calls.append(factors is not None)
+            return real(*args, factors=factors)
 
         monkeypatch.setattr(solver, "thomas_solve", counting)
         solve_reference(64, SolverConfig())
         # nsteps = t_end / (dt_over_h * h) = 0.25 / (0.125 / 64)
-        assert len(calls) == 128
+        assert calls == [False] * 128
+        calls.clear()
+        force_the_helper(monkeypatch, block=10)
+        solve_reference(64, SolverConfig())
+        # the marcher factors the first block itself
+        assert calls == [False] * 10 + [True] * 118
 
     @pytest.mark.parametrize("mode", ["derived", "paper", "dirichlet"])
     def test_general_at_reference_is_the_reference_march(self, ref, mode):
@@ -631,6 +652,196 @@ class TestBlockAssembly:
                   const_field(1.0),
                   lambda tau, eta: np.where(tau > 0.06, np.inf, 0.0) + 0.0 * eta,
                   ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0), const_field(0.0))
+
+
+def force_the_helper(monkeypatch, block):
+    """Have every march of more than `block` steps factor ahead in a helper
+    of `block`-step blocks, on any machine with fork."""
+    monkeypatch.setattr(solver, "PIPELINE_NODE_STEPS", 0)
+    monkeypatch.setattr(solver, "PIPELINE_BLOCK_STEPS", block)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+
+
+def factored_steps(monkeypatch):
+    """A list that gets, per step solved, whether its factors came from the helper."""
+    real, seen = solver.thomas_solve, []
+
+    def recording(*args, factors=None):
+        seen.append(factors is not None)
+        return real(*args, factors=factors)
+
+    monkeypatch.setattr(solver, "thomas_solve", recording)
+    return seen
+
+
+def outcome(run):
+    """run()'s result, or the type and message of the exception it raised."""
+    try:
+        return run()
+    except Exception as e:
+        return type(e), str(e)
+
+
+class TestFactorsAhead:
+    """A march past PIPELINE_NODE_STEPS has a forked helper factor each
+    block of steps ahead; every float, and every error, must be the
+    serial march's."""
+
+    WIDE = TestBlockAssembly.WIDE
+
+    def wide(self, mode):
+        params, C3, C5 = self.WIDE
+        consts = SolutionConstants(C3=C3, C5=C5, K=k_for_equal_boundaries(params, C3))
+        return lambda: solve_general(params, consts, 24, SolverConfig(t_end=0.25, bc_mode=mode))
+
+    # 24 cells march 48 steps (24 on the a = 2 ring), so helper blocks of 10
+    # leave a short last block and put the snapshots at steps 12, 24 and 36
+    # (6 and 18) inside blocks
+    @pytest.mark.parametrize("scheme", ["cn", "euler"])
+    @pytest.mark.parametrize("mode", ["derived", "paper", "dirichlet"])
+    def test_reference_matches_stepwise(self, monkeypatch, mode, scheme):
+        force_the_helper(monkeypatch, block=10)
+        seen = factored_steps(monkeypatch)
+        cfg = SolverConfig(t_end=0.25, bc_mode=mode, scheme=scheme)
+        TestBlockAssembly.check_against_stepwise(monkeypatch, lambda: solve_reference(24, cfg))
+        assert seen == [False] * 10 + [True] * 38
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("mode", ["derived", "dirichlet"])
+    def test_wide_general_ring_matches_the_serial_march(self, monkeypatch, mode):
+        serial = self.wide(mode)()
+        force_the_helper(monkeypatch, block=10)
+        seen = factored_steps(monkeypatch)
+        res = self.wide(mode)()
+        assert seen == [False] * 10 + [True] * 14
+        assert [t for t, _ in res.snapshots] == [t for t, _ in serial.snapshots]
+        for (_, got), (_, want) in zip(res.snapshots, serial.snapshots):
+            assert np.array_equal(got, want)
+        assert (res.error_inf, res.error_l2) == (serial.error_inf, serial.error_l2)
+
+    # Grid1D(16) marches 40 steps of dt = 2**-10, so cn's r = 1/8 and a
+    # diffusivity of -4 makes 1 + r*w exactly 0; the fields turn at tau = 24*dt,
+    # which steps 25..40 (tau_c = (k + 1/2)*dt) see, in the helper's third
+    # block.  Blocks of 5 steps in the marcher make it meet a diffusivity
+    # that raises only there, after the helper has stopped at its block.
+    @staticmethod
+    def turning(after, before=1.0):
+        def field(tau, eta):
+            return np.where(tau > 24 * 2.0 ** -10, after, before) + 0.0 * eta
+        return field
+
+    @staticmethod
+    def raising_past(tau_turn, exc):
+        def field(tau, eta):
+            if np.max(tau) > tau_turn:
+                raise exc
+            return np.ones(np.broadcast(tau, eta).shape)
+        return field
+
+    FAILURES = {
+        "zero-pivot": (lambda c: (c.turning(-4.0), const_field(0.0), ("flux", lambda tau: 0.0)),
+                       DivergenceError, "zero pivot at step 25 of 40"),
+        "non-finite-bands": (lambda c: (c.turning(np.inf), const_field(0.0),
+                                        ("flux", lambda tau: 0.0)),
+                             DivergenceError, "non-finite solution at step 25 of 40"),
+        "non-finite-source": (lambda c: (const_field(1.0), c.turning(np.inf, 0.0),
+                                         ("flux", lambda tau: 0.0)),
+                              DivergenceError, "non-finite solution at step 25 of 40"),
+        "overflowing-wall-data": (
+            lambda c: (const_field(1.0), const_field(0.0),
+                       ("flux", lambda tau: math.exp(tau * 3e4))),
+            ValidationError, "is too large"),
+        "overflowing-diffusivity": (
+            lambda c: (c.raising_past(24 * 2.0 ** -10, OverflowError("D")), const_field(0.0),
+                       ("flux", lambda tau: 0.0)),
+            ValidationError, "is too large"),
+    }
+
+    @pytest.mark.filterwarnings("ignore:invalid value")  # inf bands meet a zero difference
+    @pytest.mark.parametrize("case", sorted(FAILURES))
+    def test_failures_match_the_serial_march(self, monkeypatch, case):
+        build, exc, match = self.FAILURES[case]
+        monkeypatch.setattr(solver, "BLOCK_ELEMS", 5 * 17)
+
+        def run():
+            dif, src, wall = build(self)
+            return march(Grid1D(16), SolverConfig(dt=2.0 ** -10, t_end=40 * 2.0 ** -10),
+                         dif, src, wall, ("flux", lambda tau: 0.0), const_field(0.0))
+
+        serial = outcome(run)
+        force_the_helper(monkeypatch, block=10)
+        seen = factored_steps(monkeypatch)
+        assert outcome(run) == serial
+        assert serial[0] is exc and re.search(match, serial[1])
+        assert True in seen  # the helper factored steps before the failure
+        assert multiprocessing.active_children() == []
+
+    def test_helper_leaves_an_interrupt_to_the_marcher(self, monkeypatch):
+        # the helper is forked from this process, so it assembles with this
+        # diffusivity, which interrupts the helper alone
+        parent = os.getpid()
+
+        def interrupting(tau, eta):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGINT)  # as Ctrl-C reaches both
+            return np.full(np.broadcast(tau, eta).shape, 2.0)
+
+        def run():
+            return march(Grid1D(16), SolverConfig(t_end=0.25), interrupting, const_field(0.0),
+                         ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0),
+                         TestPolynomialOracle.quadratic)
+
+        serial = run()
+        force_the_helper(monkeypatch, block=10)
+        seen = factored_steps(monkeypatch)
+        res = run()
+        assert seen == [False] * 10 + [True] * 22
+        assert np.array_equal(res.snapshots[-1][1], serial.snapshots[-1][1])
+
+    def test_helper_does_not_outlive_an_interrupt(self, monkeypatch):
+        force_the_helper(monkeypatch, block=10)
+        seen = factored_steps(monkeypatch)
+
+        def interrupted(tau):
+            if len(seen) > 15:
+                raise KeyboardInterrupt
+            return 0.0
+
+        with pytest.raises(KeyboardInterrupt):
+            march(Grid1D(16), SolverConfig(t_end=0.25), const_field(1.0), const_field(0.0),
+                  ("flux", interrupted), ("flux", lambda tau: 0.0), const_field(0.0))
+        assert True in seen
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("why", ["one-cpu", "no-fork", "below-threshold", "one-block"])
+    def test_marches_alone(self, monkeypatch, why):
+        force_the_helper(monkeypatch, block=10)
+        if why == "one-cpu":
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        elif why == "no-fork":
+            real = multiprocessing.get_context
+
+            def get_context(method=None):
+                if method == "fork":
+                    raise ValueError("cannot find context for 'fork'")
+                return real(method)
+
+            monkeypatch.setattr(multiprocessing, "get_context", get_context)
+        elif why == "below-threshold":
+            # 48 steps, 38 of them past the first block, on 25 nodes
+            monkeypatch.setattr(solver, "PIPELINE_NODE_STEPS", 38 * 25 + 1)
+        else:
+            monkeypatch.setattr(solver, "PIPELINE_BLOCK_STEPS", 48)
+        seen = factored_steps(monkeypatch)
+        solve_reference(24, SolverConfig(t_end=0.25))
+        assert seen == [False] * 48
+
+    def test_study_levels_march_alone(self, monkeypatch):
+        # the study forks a child for its coarser levels: no level starts a helper
+        force_the_helper(monkeypatch, block=10)
+        monkeypatch.setattr(solver, "_FactorsAhead", lambda *args: pytest.fail("helper started"))
+        results = convergence_study([16, 32], SolverConfig(t_end=0.25), REF.params, REF.consts)
+        assert [r.grid.n_cells for r in results] == [16, 32]
 
 
 class TestSchemes:
