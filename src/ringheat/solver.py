@@ -41,8 +41,8 @@ the helper starts.  The helper runs on another CPU than the marcher where
 Linux lets it pick.  The factors are formed with the elimination's own
 operations, so every snapshot and norm is bit-identical to a serial
 march's.  A march without 'fork', on fewer than 2 CPUs or on more than
-`PIPELINE_MAX_CELLS` cells marches alone; so do a convergence study's
-levels, as the study's own fork keeps the second CPU busy already.
+`PIPELINE_MAX_CELLS` cells marches alone; so do the coarser levels of a
+convergence study, in the study's child.
 
 The marcher is a manufactured-solution check: it starts from a closed form
 at tau = 0 and, with correct boundary data, must converge to it at its
@@ -57,12 +57,13 @@ reference constants only and is never the default.
 
 `convergence_study` marches its levels in two processes: the level with
 the most cells in the calling process, the others in one child forked for
-the call, so a study takes about as long as its finest level; the most it
-saves is the coarser levels' share of the serial time (24.8% of the
-node-steps over 64..512, a little more of the time, as small systems cost
-more per node).  `multiprocessing` is imported only by a study or a march
-that forks, so importing this module loads numpy alone.  Results, observed orders and errors are
-those of marching the levels one after another.
+the call, so a study takes about as long as its finest level.  That level
+decides like any march whether a helper factors its systems ahead; the
+child marches its levels alone, on the CPUs but the caller's, so it and
+the helper share the second CPU while the finest level keeps the first.
+`multiprocessing` is imported only by a study or a march that forks, so
+importing this module loads numpy alone.  Results, observed orders and
+errors are those of marching the levels one after another.
 """
 
 from __future__ import annotations
@@ -143,8 +144,10 @@ BLOCK_ELEMS = 16384
 
 #: Node updates, steps past the helper's first block * (n_cells + 1), from
 #: which `march` has a forked helper factor its systems ahead (see
-#: `_FactorsAhead`).  Starting the helper costs ~5 ms: on a 2-CPU VM a march
-#: of 115k such updates (256 cells to tau = 0.25) broke even, 181k gained 3%.
+#: `_FactorsAhead`).  Starting and stopping the helper costs the marcher
+#: ~3 ms (fork 1.4 ms, kill and reap 1.3 ms, medians of 30 on a 2-CPU VM):
+#: there a march of 115k such updates (256 cells to tau = 0.25) broke even,
+#: 181k gained 3%.
 PIPELINE_NODE_STEPS = 200_000
 
 #: Steps the helper factors at a time, one slot of its two-slot ring: over
@@ -155,8 +158,8 @@ PIPELINE_BLOCK_STEPS = 64
 #: 16 bytes a node each, then takes at most 4.2 MB.
 PIPELINE_MAX_CELLS = 2048
 
-#: False while a convergence study marches: its forked child keeps the
-#: second core busy already.
+#: False in a convergence study's forked child: its coarser levels march
+#: alone, while the finest level, in the calling process, may factor ahead.
 _FACTOR_AHEAD = contextvars.ContextVar("factor_ahead", default=True)
 
 
@@ -467,8 +470,8 @@ def _march(grid, config, diffusivity, source, bc_inner, bc_outer, exact):
 
 def _factors_ahead(nsteps: int, n_cells: int, assemble):
     """The `_FactorsAhead` of a march of nsteps steps on n_cells cells, or
-    None when the march factors each step itself: in a convergence study,
-    when the steps past the helper's first block are fewer than
+    None when the march factors each step itself: in a convergence study's
+    forked child, when the steps past the helper's first block are fewer than
     PIPELINE_NODE_STEPS node updates, above PIPELINE_MAX_CELLS, with fewer
     than 2 CPUs to run on, without fork, or when no process can start."""
     factored = (nsteps - PIPELINE_BLOCK_STEPS) * (n_cells + 1)
@@ -588,8 +591,8 @@ def _factor_blocks(conn, theirs, ring, nsteps, assemble):
 def _leave_cpu_of(pid: int):
     """Run this process on the CPUs it may use but the one process pid last
     ran on, where Linux tells which that is.  Left to itself, the scheduler
-    often wakes the helper on its marcher's CPU, where it preempts the
-    marcher while another CPU idles."""
+    often wakes a helper, or a study's child, on its marcher's CPU, where
+    it preempts the marcher while another CPU idles."""
     try:
         with open(f"/proc/{pid}/stat", encoding="ascii") as f:
             cpu = int(f.read().rsplit(")", 1)[1].split()[36])  # field 39, processor
@@ -597,7 +600,7 @@ def _leave_cpu_of(pid: int):
         if others:
             os.sched_setaffinity(0, others)
     except (OSError, AttributeError, ValueError, IndexError):
-        pass  # no /proc or no affinity calls: the scheduler places the helper
+        pass  # no /proc or no affinity calls: the scheduler places the process
 
 
 def _level(params: ReducedParams, consts: SolutionConstants, n_cells: int,
@@ -689,9 +692,12 @@ def _march_levels(prepared, config) -> list:
 
 def _send_levels(conn, prepared, config):
     # the forked child's whole work; an interrupt is for the caller, which
-    # then kills the child
+    # then kills the child.  The child marches its levels alone, on a CPU
+    # other than the caller's, which the finest level's helper shares.
     import signal
     signal.signal(signal.SIGINT, signal.SIG_IGN)
+    _leave_cpu_of(os.getppid())
+    _FACTOR_AHEAD.set(False)
     conn.send(_march_levels(prepared, config))
 
 
@@ -738,7 +744,8 @@ def convergence_study(levels, config: SolverConfig,
     level: two equal grids have no h ratio to divide by.
 
     The levels are independent: the one with the most cells marches in this
-    process while the others march, one after another, in one child forked
+    process, with a helper that factors ahead where `march` would start one,
+    while the others march alone, one after another, in one child forked
     for the call (`multiprocessing`'s 'fork' start method).  A platform
     without 'fork' marches every level here.  The results are bit-identical
     either way, and so are the errors: the checks a solve makes before it
@@ -761,16 +768,12 @@ def convergence_study(levels, config: SolverConfig,
     prepared = [_level(params, consts, int(n), config) for n in levels]
 
     import multiprocessing  # here, so importing the solver loads numpy only
-    serial = _FACTOR_AHEAD.set(False)
     try:
-        try:
-            ctx = multiprocessing.get_context("fork")
-        except ValueError:  # no 'fork' on this platform
-            outcomes = _march_levels(prepared, config)
-        else:
-            outcomes = _march_forked(ctx, prepared, config)
-    finally:
-        _FACTOR_AHEAD.reset(serial)
+        ctx = multiprocessing.get_context("fork")
+    except ValueError:  # no 'fork' on this platform
+        outcomes = _march_levels(prepared, config)
+    else:
+        outcomes = _march_forked(ctx, prepared, config)
 
     results: list[SolveResult] = []
     for res in outcomes:

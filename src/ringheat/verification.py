@@ -482,6 +482,7 @@ def _require_resolved_width(a: float, phys: PhysicalParams | None, tau):
                               f"1 + a/xi rounds to 1 at xi = {xi_max!r}")
 
 
+@np.errstate(all="ignore")  # a row that overflows reads nan FAIL; that row is the report
 def run_suite(params: ReducedParams, consts: SolutionConstants,
               phys: PhysicalParams | None = None) -> SuiteResult:
     """Full residual/invariant/conservation suite for one parameter set.
@@ -494,6 +495,8 @@ def run_suite(params: ReducedParams, consts: SolutionConstants,
     theta_general(0, eta) overflows on the grid raise ValidationError
     (`temperature.require_finite_start`) before any check runs, and so does
     a ring too thin for the grid's largest xi (`_require_resolved_width`).
+    numpy's floating-point warnings are off while it runs: a row whose
+    closed forms overflow reads inf or nan, and a nan fails its row.
     """
     checks: list[Check] = []
     grid = standard_grid(params.a)

@@ -49,6 +49,20 @@ class TestVerify:
         "pde_theta_reference", "general_equals_reference", "initial_profile_identity",
         "nonnegativity_at_c5_threshold"]
 
+    def test_overflowing_rows_fail_without_warnings(self, tmp_path, capsys):
+        # the eta = 0 wall trace and theta_general overflow at tau > 0: their
+        # rows read nan FAIL, and that is all the report says of it
+        cfg = tmp_path / "nan.json"
+        cfg.write_text(json.dumps({
+            "reduced": {"A": 0.33235688020525067, "B": 0.11456999105116863,
+                        "eps": -0.3473331907796533, "a": 5.616872374886077},
+            "constants": {"C3": 0.016319410426740805, "C5": -3.966496628338829,
+                          "K": 2.1477799921533747e288}}))
+        rc, out, err = run(["verify", "--config", str(cfg)], capsys)
+        assert rc == 1
+        assert err == ""
+        assert re.search(r"^trace_vs_restriction +nan +1e-12  FAIL$", out, re.M)
+
     def test_json_report(self, tmp_path, capsys):
         report = tmp_path / "report.json"
         rc, out, _ = run(["verify", "--out", str(report)], capsys)

@@ -1,3 +1,4 @@
+import contextvars
 import math
 import multiprocessing
 import os
@@ -836,12 +837,91 @@ class TestFactorsAhead:
         solve_reference(24, SolverConfig(t_end=0.25))
         assert seen == [False] * 48
 
-    def test_study_levels_march_alone(self, monkeypatch):
-        # the study forks a child for its coarser levels: no level starts a helper
+    def test_study_finest_level_factors_ahead(self, monkeypatch, ref):
+        # the finest level (32 cells, 64 steps) marches here with a helper;
+        # the child marches the 16-cell level alone
+        levels, config = [16, 32], SolverConfig(t_end=0.25)
+        expect = per_level_oracle(levels, config, ref.params, ref.consts)
         force_the_helper(monkeypatch, block=10)
-        monkeypatch.setattr(solver, "_FactorsAhead", lambda *args: pytest.fail("helper started"))
-        results = convergence_study([16, 32], SolverConfig(t_end=0.25), REF.params, REF.consts)
-        assert [r.grid.n_cells for r in results] == [16, 32]
+        seen = factored_steps(monkeypatch)
+        parent, real = os.getpid(), solver._FactorsAhead
+
+        def here_only(*args):
+            if os.getpid() != parent:  # the study raises what its child sends
+                raise AssertionError("a helper started in the study's child")
+            return real(*args)
+
+        monkeypatch.setattr(solver, "_FactorsAhead", here_only)
+        results = convergence_study(levels, config, ref.params, ref.consts)
+        assert seen == [False] * 10 + [True] * 54
+        for res, exp in zip(results, expect, strict=True):
+            assert [t for t, _ in res.snapshots] == [t for t, _ in exp.snapshots]
+            for (_, got), (_, want) in zip(res.snapshots, exp.snapshots):
+                assert np.array_equal(got, want)
+            assert (res.error_inf, res.error_l2) == (exp.error_inf, exp.error_l2)
+            assert res.observed_order == exp.observed_order
+        assert multiprocessing.active_children() == []
+
+    def test_study_does_not_outlive_an_interrupt_in_the_finest_level(self, monkeypatch):
+        force_the_helper(monkeypatch, block=10)
+        real_solve = solver.thomas_solve
+
+        def interrupted(*args, factors=None):
+            if factors is not None:  # the helper has factored a block
+                raise KeyboardInterrupt
+            return real_solve(*args, factors=factors)
+
+        real_march = solver.march
+
+        def slow_child(grid, config, *args):
+            if grid.n_cells == 16:
+                time.sleep(60)  # the child, still marching when the caller stops
+            return real_march(grid, config, *args)
+
+        started = []
+        real_start = multiprocessing.context.ForkProcess.start
+
+        def start(process):
+            started.append((process._target, process))  # start drops _target
+            real_start(process)
+
+        monkeypatch.setattr(solver, "thomas_solve", interrupted)
+        monkeypatch.setattr(solver, "march", slow_child)
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+        begin = time.monotonic()
+        with pytest.raises(KeyboardInterrupt):
+            convergence_study([16, 32], SolverConfig(t_end=0.25), REF.params, REF.consts)
+        assert time.monotonic() - begin < 30
+        # the study's child, then the finest level's helper: both reaped
+        assert [target for target, _ in started] == [solver._send_levels, solver._factor_blocks]
+        for _, p in started:
+            with pytest.raises(ChildProcessError):
+                os.waitpid(p.pid, os.WNOHANG)
+        assert multiprocessing.active_children() == []
+
+    def test_study_child_leaves_the_marchers_cpu(self, monkeypatch, ref):
+        # _send_levels run here, as the forked child runs it, in a copy of
+        # this context and without touching this process's SIGINT handler
+        left, ahead, sent = [], [], []
+        monkeypatch.setattr(solver, "_leave_cpu_of", left.append)
+        monkeypatch.setattr(signal, "signal", lambda *args: None)
+        real = solver.march
+
+        def recording(grid, config, *args):
+            ahead.append(solver._FACTOR_AHEAD.get())
+            return real(grid, config, *args)
+
+        monkeypatch.setattr(solver, "march", recording)
+
+        class Conn:
+            send = sent.append
+
+        config = SolverConfig(t_end=0.25)
+        prepared = [solver._level(ref.params, ref.consts, n, config) for n in (16, 32)]
+        contextvars.copy_context().run(solver._send_levels, Conn(), prepared, config)
+        assert left == [os.getppid()]
+        assert ahead == [False, False]
+        assert [r.grid.n_cells for r in sent[0]] == [16, 32]
 
 
 class TestSchemes:
