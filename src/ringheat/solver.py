@@ -37,12 +37,17 @@ block of steps through the march's own block code, factors it in numpy
 along the step axis and hands (m, cp) over through a two-slot ring in
 shared memory; the marcher then runs only the right-hand side's sweep,
 `thomas_solve(..., factors=...)`, and factors the first block itself while
-the helper starts.  The helper runs on another CPU than the marcher where
-Linux lets it pick.  The factors are formed with the elimination's own
+the helper starts.  The factors are formed with the elimination's own
 operations, so every snapshot and norm is bit-identical to a serial
-march's.  A march without 'fork', on fewer than 2 CPUs or on more than
-`PIPELINE_MAX_CELLS` cells marches alone; so do the coarser levels of a
-convergence study, in the study's child.
+march's.  A march on fewer than 2 CPUs or on more than `PIPELINE_MAX_CELLS`
+cells marches alone, and so does one whose helper does not start.
+
+Both processes the solver forks, this helper and a convergence study's
+child, start through `_fork`: it ignores SIGINT in the child (an interrupt
+is for the caller, which then kills and reaps the child) and moves the
+child off the caller's CPU where Linux tells which that is.  A child that
+cannot start (no 'fork', no process to spare), or that stops without
+sending its work, leaves that work to its caller.
 
 The marcher is a manufactured-solution check: it starts from a closed form
 at tau = 0 and, with correct boundary data, must converge to it at its
@@ -57,18 +62,18 @@ reference constants only and is never the default.
 
 `convergence_study` marches its levels in two processes: the level with
 the most cells in the calling process, the others in one child forked for
-the call, so a study takes about as long as its finest level.  That level
+the call, so a study takes about as long as its finest level.  Each level
 decides like any march whether a helper factors its systems ahead; the
-child marches its levels alone, on the CPUs but the caller's, so it and
-the helper share the second CPU while the finest level keeps the first.
-`multiprocessing` is imported only by a study or a march that forks, so
-importing this module loads numpy alone.  Results, observed orders and
-errors are those of marching the levels one after another.
+child has left the caller's CPU, so on 2 CPUs it has one and marches its
+levels alone, sharing it with the finest level's helper.  On more CPUs a
+coarse level may start a helper of its own.  `multiprocessing` is
+imported only by a study or a march that forks, so importing this module
+loads numpy alone.  Results, observed orders and errors are those of
+marching the levels one after another.
 """
 
 from __future__ import annotations
 
-import contextvars
 import math
 import os
 import sys
@@ -157,10 +162,6 @@ PIPELINE_BLOCK_STEPS = 64
 #: Largest grid whose march factors ahead; its ring, 2 blocks of factors,
 #: 16 bytes a node each, then takes at most 4.2 MB.
 PIPELINE_MAX_CELLS = 2048
-
-#: False in a convergence study's forked child: its coarser levels march
-#: alone, while the finest level, in the calling process, may factor ahead.
-_FACTOR_AHEAD = contextvars.ContextVar("factor_ahead", default=True)
 
 
 class DivergenceError(RuntimeError):
@@ -470,23 +471,27 @@ def _march(grid, config, diffusivity, source, bc_inner, bc_outer, exact):
 
 def _factors_ahead(nsteps: int, n_cells: int, assemble):
     """The `_FactorsAhead` of a march of nsteps steps on n_cells cells, or
-    None when the march factors each step itself: in a convergence study's
-    forked child, when the steps past the helper's first block are fewer than
-    PIPELINE_NODE_STEPS node updates, above PIPELINE_MAX_CELLS, with fewer
-    than 2 CPUs to run on, without fork, or when no process can start."""
+    None when the march factors each step itself: when the steps past the
+    helper's first block are fewer than PIPELINE_NODE_STEPS node updates,
+    above PIPELINE_MAX_CELLS, with fewer than 2 CPUs to run on (a study's
+    child on 2 CPUs has left one to its caller), or when `_fork` starts no
+    helper."""
     factored = (nsteps - PIPELINE_BLOCK_STEPS) * (n_cells + 1)
-    if (not _FACTOR_AHEAD.get() or factored <= 0 or factored < PIPELINE_NODE_STEPS
-            or n_cells > PIPELINE_MAX_CELLS):
+    if factored <= 0 or factored < PIPELINE_NODE_STEPS or n_cells > PIPELINE_MAX_CELLS:
         return None
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
     if cpus < 2:
         return None
-    import multiprocessing  # here, so importing the solver loads numpy only
-    try:
-        return _FactorsAhead(multiprocessing.get_context("fork"), nsteps, n_cells + 1, assemble)
-    except (ValueError, OSError):  # no 'fork' on this platform, or no process to start
+    import mmap
+    rows, block = n_cells + 1, PIPELINE_BLOCK_STEPS
+    try:  # an anonymous shared mapping: the helper writes the pages the marcher reads
+        ring = np.frombuffer(mmap.mmap(-1, 2 * block * (2 * rows - 1) * 8), dtype=float)
+    except OSError:
         return None
+    ring = ring.reshape(2, block, 2 * rows - 1)
+    forked = _fork(_factor_blocks, ring, nsteps, assemble)
+    return _FactorsAhead(ring, rows, nsteps, *forked) if forked else None
 
 
 def _factor(lower, diag, upper, out):
@@ -520,59 +525,44 @@ class _FactorsAhead:
     The helper assembles each block of PIPELINE_BLOCK_STEPS steps with the
     march's own `_block`, factors it with `_factor` into one slot of a
     two-slot ring in shared memory and sends a message; it refills a slot
-    only after the marcher has sent back that it is done with it.  When the
-    helper stops early (it ends, without a word, at the first exception,
-    which the marcher's own assembly of the same steps then meets), the
-    march goes on factoring each step itself.  `close` kills and reaps it.
+    only after the marcher has sent back that it is done with it.  The
+    marcher sends that only while the helper has a block left to fill: a
+    helper that has sent its last block may have exited, and a message to
+    it would fail.  When the helper stops early (it ends, without a word,
+    at the first exception, which the marcher's own assembly of the same
+    steps then meets), the march goes on factoring each step itself.
+    `close` stops it.
     """
 
-    def __init__(self, ctx, nsteps: int, rows: int, assemble):
-        import mmap
-        self.block = PIPELINE_BLOCK_STEPS
-        # an anonymous shared mapping: the forked helper writes the pages
-        # the marcher reads
-        ring = np.frombuffer(mmap.mmap(-1, 2 * self.block * (2 * rows - 1) * 8), dtype=float)
-        ring = ring.reshape(2, self.block, 2 * rows - 1)
+    def __init__(self, ring, rows: int, nsteps: int, helper, conn):
+        self.block, self.nsteps = ring.shape[1], nsteps
         self.m, self.cp = ring[..., :rows], ring[..., rows:]
-        self.conn, theirs = ctx.Pipe()
-        self.helper = ctx.Process(target=_factor_blocks,
-                                  args=(theirs, self.conn, ring, nsteps, assemble))
-        self.helper.start()
-        theirs.close()
+        self.helper, self.conn = helper, conn
 
     def factors(self, k: int):
         """(m, cp) of step k, or None once the helper has stopped."""
         b, i = divmod(k, self.block)
         if b == 0:  # the marcher factors the first block while the helper starts
             return None
-        if i == 0 and self.conn is not None:
+        if i == 0 and not self.conn.closed:
             try:
-                if b >= 2:
-                    self.conn.send_bytes(b"")  # block b - 1's slot is free
+                if b >= 2 and (b + 1) * self.block < self.nsteps:
+                    self.conn.send_bytes(b"")  # block b - 1's slot is free for block b + 1
                 self.conn.recv_bytes()  # block b is in its slot
             except (EOFError, OSError):
                 self.conn.close()
-                self.conn = None
-        if self.conn is None:
+        if self.conn.closed:
             return None
         return self.m[b % 2, i], self.cp[b % 2, i]
 
     def close(self):
-        self.helper.kill()
-        self.helper.join()
-        if self.conn is not None:
-            self.conn.close()
+        _stop(self.helper, self.conn)
 
 
-def _factor_blocks(conn, theirs, ring, nsteps, assemble):
-    # the helper's whole work; an interrupt is for the marcher, which then
-    # kills the helper, and what the assembly warns of the marcher reports
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
+def _factor_blocks(conn, ring, nsteps, assemble):
+    # the helper's whole work; what the assembly warns of the marcher reports
     np.seterr(all="ignore")
     warnings.simplefilter("ignore")
-    theirs.close()  # so that the helper sees the marcher's end close
-    _leave_cpu_of(os.getppid())
     block = ring.shape[1]
     try:
         for b, k0 in enumerate(range(block, nsteps, block), start=1):
@@ -601,6 +591,43 @@ def _leave_cpu_of(pid: int):
             os.sched_setaffinity(0, others)
     except (OSError, AttributeError, ValueError, IndexError):
         pass  # no /proc or no affinity calls: the scheduler places the process
+
+
+def _fork(target, *args):
+    """Start target(conn, *args) in a child process forked from this one,
+    conn being the child's end of a duplex pipe: (the process, this
+    process's end), or None when there is no 'fork' start method or no
+    process can start.  The child ignores SIGINT, as an interrupt is for its
+    caller, which then stops it with `_stop`, and runs on the CPUs it may use
+    but the caller's.  What a child that cannot start, or that stops without
+    sending, was to do is left to its caller."""
+    import multiprocessing  # here, so importing the solver loads numpy only
+    try:
+        ctx = multiprocessing.get_context("fork")
+        ours, theirs = ctx.Pipe()
+        process = ctx.Process(target=_forked, args=(ours, target, theirs, *args))
+        process.start()
+    except (ValueError, OSError):  # no 'fork' on this platform, or no process to start
+        return None
+    theirs.close()
+    return process, ours
+
+
+def _forked(ours, target, conn, *args):
+    # the start of every `_fork` child; it closes the caller's end, so that
+    # it sees the caller close its own
+    import signal
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
+    ours.close()
+    _leave_cpu_of(os.getppid())
+    target(conn, *args)
+
+
+def _stop(process, conn):
+    """Kill and reap a `_fork` child, and close the caller's end of its pipe."""
+    process.kill()
+    process.join()
+    conn.close()
 
 
 def _level(params: ReducedParams, consts: SolutionConstants, n_cells: int,
@@ -691,40 +718,27 @@ def _march_levels(prepared, config) -> list:
 
 
 def _send_levels(conn, prepared, config):
-    # the forked child's whole work; an interrupt is for the caller, which
-    # then kills the child.  The child marches its levels alone, on a CPU
-    # other than the caller's, which the finest level's helper shares.
-    import signal
-    signal.signal(signal.SIGINT, signal.SIG_IGN)
-    _leave_cpu_of(os.getppid())
-    _FACTOR_AHEAD.set(False)
+    # the study's child's whole work
     conn.send(_march_levels(prepared, config))
 
 
-def _march_forked(ctx, prepared, config) -> list:
+def _march_forked(prepared, config) -> list:
     """`_march_levels` of the prepared levels, the one with the most cells
-    marched in this process and the others in one child forked from ctx.
-    The outcomes come in level order; past a failure the list may lack
-    levels.  The child does not outlive the call."""
+    marched in this process and the others in one `_fork` child, or here
+    when no child starts or it stops without sending them.  The outcomes
+    come in level order; past a failure the list may lack levels.  The
+    child does not outlive the call."""
     fine = max(range(len(prepared)), key=lambda i: prepared[i][0].n_cells)
     coarse = prepared[:fine] + prepared[fine + 1:]
-    recv, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_levels, args=(send, coarse, config))
-    child.start()
-    send.close()
+    child = _fork(_send_levels, coarse, config)
     try:
         here = _march_levels([prepared[fine]], config)
-        try:
-            there = recv.recv()
-        except EOFError:
-            raise RuntimeError("the process marching the coarser levels exited "
-                               "without sending their results") from None
-    except BaseException:
-        child.kill()
-        raise
+        there = child[1].recv() if child else _march_levels(coarse, config)
+    except EOFError:  # the child stopped without sending its levels
+        there = _march_levels(coarse, config)
     finally:
-        recv.close()
-        child.join()
+        if child:
+            _stop(*child)
     # a list cut short ends in its exception, which comes before the rest
     return there[:fine] + here + there[fine:]
 
@@ -744,14 +758,15 @@ def convergence_study(levels, config: SolverConfig,
     level: two equal grids have no h ratio to divide by.
 
     The levels are independent: the one with the most cells marches in this
-    process, with a helper that factors ahead where `march` would start one,
-    while the others march alone, one after another, in one child forked
-    for the call (`multiprocessing`'s 'fork' start method).  A platform
-    without 'fork' marches every level here.  The results are bit-identical
-    either way, and so are the errors: the checks a solve makes before it
-    marches run first for every level in the given order, and of the
-    exceptions the marches raise the caller gets the first failing level's,
-    as from a one-level-at-a-time loop.
+    process, the others one after another in one child forked for the call
+    (`_fork`), each with a helper that factors ahead where `march` would
+    start one on the CPUs its process may use.  Where no child starts, or it
+    stops without sending its levels, they march here after the finest
+    level.  The results are bit-identical either way, and so are the
+    errors: the checks a solve makes before it marches run first for every
+    level in the given order, and of the exceptions the marches raise the
+    caller gets the first failing level's, as from a one-level-at-a-time
+    loop.
     """
     if len(levels) < 2:
         raise ValidationError("convergence needs at least 2 grid levels, e.g. --grid 64,128,256")
@@ -767,16 +782,8 @@ def convergence_study(levels, config: SolverConfig,
                               "grids have no h ratio to observe an order from")
     prepared = [_level(params, consts, int(n), config) for n in levels]
 
-    import multiprocessing  # here, so importing the solver loads numpy only
-    try:
-        ctx = multiprocessing.get_context("fork")
-    except ValueError:  # no 'fork' on this platform
-        outcomes = _march_levels(prepared, config)
-    else:
-        outcomes = _march_forked(ctx, prepared, config)
-
     results: list[SolveResult] = []
-    for res in outcomes:
+    for res in _march_forked(prepared, config):
         if isinstance(res, Exception):
             raise res
         # a zero error on either side leaves no ratio to take the log of

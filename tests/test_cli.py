@@ -328,6 +328,20 @@ class TestConvergence:
         assert rc == 0
         assert "error_inf" in out
 
+    def test_fork_that_fails_marches_every_level_here(self, monkeypatch, capsys):
+        # a host with no process to spare: the study marches its levels itself
+        import multiprocessing.context
+
+        argv = ["convergence", "--grid", "16,32"]
+        rc, want, _ = run(argv, capsys)
+        assert rc == 0
+
+        def fork_fails(process):
+            raise BlockingIOError(11, "Resource temporarily unavailable")
+
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fork_fails)
+        assert run(argv, capsys) == (0, want, "")
+
     def test_paper_mode_expected_failure(self, capsys):
         rc, out, _ = run(["convergence", "--grid", "64,128,256",
                           "--bc-mode", "paper"], capsys)

@@ -1,4 +1,4 @@
-import contextvars
+import io
 import math
 import multiprocessing
 import os
@@ -655,12 +655,25 @@ class TestBlockAssembly:
                   ("flux", lambda tau: 0.0), ("flux", lambda tau: 0.0), const_field(0.0))
 
 
-def force_the_helper(monkeypatch, block):
+def force_the_helper(monkeypatch, block, cpus=2):
     """Have every march of more than `block` steps factor ahead in a helper
-    of `block`-step blocks, on any machine with fork."""
+    of `block`-step blocks, on any machine with fork, as if this process
+    could run on CPUs 0..cpus-1.  The fake CPU set follows sched_setaffinity,
+    and every process reads as last run on CPU 0, so a forked process that
+    leaves its caller's CPU (`solver._leave_cpu_of`) has one CPU fewer."""
     monkeypatch.setattr(solver, "PIPELINE_NODE_STEPS", 0)
     monkeypatch.setattr(solver, "PIPELINE_BLOCK_STEPS", block)
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+    allowed = set(range(cpus))
+
+    def setaffinity(pid, mask):
+        allowed.clear()
+        allowed.update(mask)
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(allowed), raising=False)
+    monkeypatch.setattr(os, "sched_setaffinity", setaffinity, raising=False)
+    # _leave_cpu_of reads field 39 of /proc/<pid>/stat, the CPU pid last ran on
+    monkeypatch.setattr(solver, "open", lambda *args, **kw: io.StringIO("1 (p)" + " 0" * 50),
+                        raising=False)
 
 
 def factored_steps(monkeypatch):
@@ -814,6 +827,22 @@ class TestFactorsAhead:
         assert True in seen
         assert multiprocessing.active_children() == []
 
+    def test_last_block_outlives_the_helper(self, monkeypatch):
+        # the helper sends its last block (steps 40..47) and exits while the
+        # marcher is still in block 3; the marcher must still use that block
+        force_the_helper(monkeypatch, block=10)
+        seen = factored_steps(monkeypatch)
+        real = solver.thomas_solve
+
+        def slow(*args, factors=None):
+            if len(seen) == 35:
+                time.sleep(0.2)
+            return real(*args, factors=factors)
+
+        monkeypatch.setattr(solver, "thomas_solve", slow)
+        solve_reference(24, SolverConfig(t_end=0.25))
+        assert seen == [False] * 10 + [True] * 38
+
     @pytest.mark.parametrize("why", ["one-cpu", "no-fork", "below-threshold", "one-block"])
     def test_marches_alone(self, monkeypatch, why):
         force_the_helper(monkeypatch, block=10)
@@ -844,14 +873,16 @@ class TestFactorsAhead:
         expect = per_level_oracle(levels, config, ref.params, ref.consts)
         force_the_helper(monkeypatch, block=10)
         seen = factored_steps(monkeypatch)
-        parent, real = os.getpid(), solver._FactorsAhead
+        parent, real = os.getpid(), solver._fork
 
-        def here_only(*args):
-            if os.getpid() != parent:  # the study raises what its child sends
+        def here_only(target, *args):
+            # the study raises what its child sends; the child, left one of
+            # the two CPUs, must not start a helper
+            if target is solver._factor_blocks and os.getpid() != parent:
                 raise AssertionError("a helper started in the study's child")
-            return real(*args)
+            return real(target, *args)
 
-        monkeypatch.setattr(solver, "_FactorsAhead", here_only)
+        monkeypatch.setattr(solver, "_fork", here_only)
         results = convergence_study(levels, config, ref.params, ref.consts)
         assert seen == [False] * 10 + [True] * 54
         for res, exp in zip(results, expect, strict=True):
@@ -879,15 +910,16 @@ class TestFactorsAhead:
             return real_march(grid, config, *args)
 
         started = []
-        real_start = multiprocessing.context.ForkProcess.start
+        real_fork = solver._fork
 
-        def start(process):
-            started.append((process._target, process))  # start drops _target
-            real_start(process)
+        def fork(target, *args):
+            forked = real_fork(target, *args)
+            started.append((target, forked[0]))
+            return forked
 
         monkeypatch.setattr(solver, "thomas_solve", interrupted)
         monkeypatch.setattr(solver, "march", slow_child)
-        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", start)
+        monkeypatch.setattr(solver, "_fork", fork)
         begin = time.monotonic()
         with pytest.raises(KeyboardInterrupt):
             convergence_study([16, 32], SolverConfig(t_end=0.25), REF.params, REF.consts)
@@ -900,28 +932,42 @@ class TestFactorsAhead:
         assert multiprocessing.active_children() == []
 
     def test_study_child_leaves_the_marchers_cpu(self, monkeypatch, ref):
-        # _send_levels run here, as the forked child runs it, in a copy of
-        # this context and without touching this process's SIGINT handler
-        left, ahead, sent = [], [], []
+        # the child leaves this process's CPU before it marches; this
+        # process does not leave its own
+        left = []
         monkeypatch.setattr(solver, "_leave_cpu_of", left.append)
-        monkeypatch.setattr(signal, "signal", lambda *args: None)
         real = solver.march
 
         def recording(grid, config, *args):
-            ahead.append(solver._FACTOR_AHEAD.get())
-            return real(grid, config, *args)
+            res = real(grid, config, *args)
+            res.left = list(left)  # pickled back with the result
+            return res
 
         monkeypatch.setattr(solver, "march", recording)
+        results = convergence_study([16, 32], SolverConfig(t_end=0.25), ref.params, ref.consts)
+        assert [r.left for r in results] == [[os.getpid()], []]
 
-        class Conn:
-            send = sent.append
+    def test_study_child_with_two_cpus_factors_ahead(self, monkeypatch, ref):
+        # left two of three CPUs, the child starts a helper for its level
+        # too (16 cells, 32 steps), by the same CPU rule as any march
+        levels, config = [16, 32], SolverConfig(t_end=0.25)
+        expect = per_level_oracle(levels, config, ref.params, ref.consts)
+        force_the_helper(monkeypatch, block=10, cpus=3)
+        seen = factored_steps(monkeypatch)
+        real = solver.march
 
-        config = SolverConfig(t_end=0.25)
-        prepared = [solver._level(ref.params, ref.consts, n, config) for n in (16, 32)]
-        contextvars.copy_context().run(solver._send_levels, Conn(), prepared, config)
-        assert left == [os.getppid()]
-        assert ahead == [False, False]
-        assert [r.grid.n_cells for r in sent[0]] == [16, 32]
+        def recording(grid, config, *args):
+            first = len(seen)
+            res = real(grid, config, *args)
+            res.seen = seen[first:]  # pickled back with the result
+            return res
+
+        monkeypatch.setattr(solver, "march", recording)
+        results = convergence_study(levels, config, ref.params, ref.consts)
+        assert [r.seen for r in results] == [[False] * 10 + [True] * 22,
+                                             [False] * 10 + [True] * 54]
+        assert_oracle(results, expect)
+        assert multiprocessing.active_children() == []
 
 
 class TestSchemes:
@@ -1172,6 +1218,22 @@ def no_fork(monkeypatch):
     monkeypatch.setattr(os, "fork", None)
 
 
+def fork_fails(process):
+    """ForkProcess.start on a host with no process to spare."""
+    raise BlockingIOError(11, "Resource temporarily unavailable")
+
+
+def assert_oracle(results, expect):
+    """results equal per_level_oracle's expect: snapshots, norms and orders."""
+    for res, exp in zip(results, expect, strict=True):
+        assert res.grid.n_cells == exp.grid.n_cells
+        assert [t for t, _ in res.snapshots] == [t for t, _ in exp.snapshots]
+        for (_, got), (_, want) in zip(res.snapshots, exp.snapshots):
+            assert np.array_equal(got, want)
+        assert (res.error_inf, res.error_l2) == (exp.error_inf, exp.error_l2)
+        assert res.observed_order == exp.observed_order
+
+
 class TestForkedStudy:
     CASES = {
         "reference-derived": (None, [32, 64, 128], SolverConfig(t_end=0.25)),
@@ -1259,17 +1321,29 @@ class TestForkedStudy:
             convergence_study([64, 16, 32], SolverConfig(t_end=0.05), params, consts)
             assert built == [64, 16, 32]
 
-    def test_child_that_dies_is_an_error(self, monkeypatch):
+    def test_child_that_dies_leaves_its_levels_to_the_caller(self, ref, monkeypatch,
+                                                             marched_in):
         real = solver.march
 
         def dying(grid, config, *args):
-            if grid.n_cells == 16:
+            if os.getpid() != parent:  # the child dies, as if OOM-killed
                 os._exit(3)
             return real(grid, config, *args)
 
+        parent = os.getpid()
         monkeypatch.setattr(solver, "march", dying)
-        with pytest.raises(RuntimeError, match="exited without sending"):
-            convergence_study([16, 32], SolverConfig(t_end=0.25), REF.params, REF.consts)
+        levels, config = [32, 16, 64], SolverConfig(t_end=0.25)
+        results = convergence_study(levels, config, ref.params, ref.consts)
+        assert_oracle(results, per_level_oracle(levels, config, ref.params, ref.consts))
+        assert marched_in(results) == [parent] * 3
+        assert multiprocessing.active_children() == []
+
+    def test_fork_that_fails_leaves_every_level_here(self, ref, monkeypatch, marched_in):
+        monkeypatch.setattr(multiprocessing.context.ForkProcess, "start", fork_fails)
+        levels, config = [32, 16, 64], SolverConfig(t_end=0.25)
+        results = convergence_study(levels, config, ref.params, ref.consts)
+        assert_oracle(results, per_level_oracle(levels, config, ref.params, ref.consts))
+        assert marched_in(results) == [os.getpid()] * 3
         assert multiprocessing.active_children() == []
 
     def test_child_leaves_an_interrupt_to_the_caller(self, monkeypatch, ref):
